@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ParseFailure
-from .grammar import Context, LatentGrammar, StateLabel, format_state, state_key
+from .grammar import Context, LatentGrammar, StateLabel, ctx_key, format_state
 
 UNK_LOG_FLOOR = math.log(1e-6)
 
@@ -77,28 +77,23 @@ def rescore(node: DerivationNode, grammar: LatentGrammar) -> float:
     return total
 
 
-def _ctx_key(ctx: Context) -> tuple:
-    return (ctx[0], state_key(ctx[1]))
-
-
 class _Index:
-    """Grammar tables rearranged for chart filling."""
+    """Grammar tables rearranged for chart filling.
+
+    Entry order does not matter: every chart update compares against an
+    explicit tie key, so the chart is the same for any iteration order.
+    """
 
     def __init__(self, grammar: LatentGrammar) -> None:
         self.lex_by_word: dict[str, list[tuple[Context, float]]] = {}
         for ctx, table in grammar.lexical.items():
             for word, prob in table.items():
                 self.lex_by_word.setdefault(word, []).append((ctx, math.log(prob)))
-        for entries in self.lex_by_word.values():
-            entries.sort(key=lambda e: _ctx_key(e[0]))
-        self.all_preterminal_contexts = sorted(grammar.lexical, key=_ctx_key)
         self.by_children: dict[tuple[Context, Context], list[tuple[Context, float]]] = {}
         for ctx, table in grammar.binary.items():
             for (b, sb, c, sc), prob in table.items():
                 key = ((b, sb), (c, sc))
                 self.by_children.setdefault(key, []).append((ctx, math.log(prob)))
-        for entries in self.by_children.values():
-            entries.sort(key=lambda e: _ctx_key(e[0]))
 
 
 def cky_viterbi(
@@ -127,7 +122,7 @@ def cky_viterbi(
         if entries is None:
             if not allow_unknown:
                 raise ParseFailure(f"unknown word {token!r}")
-            entries = [(ctx, UNK_LOG_FLOOR) for ctx in index.all_preterminal_contexts]
+            entries = [(ctx, UNK_LOG_FLOOR) for ctx in grammar.lexical]
         for ctx, logp in entries:
             cell[ctx] = (logp, (), ("lex", token))
         if not cell:
@@ -143,16 +138,14 @@ def cky_viterbi(
                 right_cell = chart.get((split, j))
                 if not left_cell or not right_cell:
                     continue
-                for lctx in sorted(left_cell, key=_ctx_key):
-                    lp = left_cell[lctx][0]
-                    for rctx in sorted(right_cell, key=_ctx_key):
+                for lctx, (lp, _, _) in left_cell.items():
+                    for rctx, (rp, _, _) in right_cell.items():
                         rules = index.by_children.get((lctx, rctx))
                         if not rules:
                             continue
-                        rp = right_cell[rctx][0]
+                        tie = (ctx_key(lctx), ctx_key(rctx), split)
                         for ctx, rule_logp in rules:
                             cand = rule_logp + lp + rp
-                            tie = (_ctx_key(lctx), _ctx_key(rctx), split)
                             prev = cell.get(ctx)
                             if (
                                 prev is None
@@ -165,12 +158,12 @@ def cky_viterbi(
 
     full = chart.get((0, n), {})
     best: tuple[float, tuple, Context] | None = None
-    for ctx in sorted(full, key=_ctx_key):
+    for ctx, (logp, _, _) in full.items():
         prior = grammar.roots.get(ctx)
         if prior is None:
             continue
-        total = math.log(prior) + full[ctx][0]
-        key = _ctx_key(ctx)
+        total = math.log(prior) + logp
+        key = ctx_key(ctx)
         if best is None or total > best[0] or (total == best[0] and key < best[1]):
             best = (total, key, ctx)
     if best is None:

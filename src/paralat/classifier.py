@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data_files import atomic_write
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
 from .sampler import ParaphraseCandidate
 
@@ -368,11 +369,13 @@ def filter_candidates(
 # --- model file ----------------------------------------------------------------
 
 def save_model(model: ClassifierModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for name, weight in zip(FEATURE_NAMES, model.weights):
-            handle.write(f"FEATURE\t{name}\t{format(weight, '.17g')}\n")
-        handle.write(f"BIAS\t{format(model.bias, '.17g')}\n")
-        handle.write(f"THRESHOLD\t{format(model.threshold, '.17g')}\n")
+    lines = [
+        f"FEATURE\t{name}\t{format(weight, '.17g')}"
+        for name, weight in zip(FEATURE_NAMES, model.weights)
+    ]
+    lines.append(f"BIAS\t{format(model.bias, '.17g')}")
+    lines.append(f"THRESHOLD\t{format(model.threshold, '.17g')}")
+    atomic_write(path, "".join(line + "\n" for line in lines))
 
 
 def load_model(path: str) -> ClassifierModel:
@@ -382,14 +385,17 @@ def load_model(path: str) -> ClassifierModel:
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             parts = line.rstrip("\n").split("\t")
-            if parts[0] == "FEATURE" and len(parts) == 3:
-                weights[parts[1]] = float(parts[2])
-            elif parts[0] == "BIAS" and len(parts) == 2:
-                bias = float(parts[1])
-            elif parts[0] == "THRESHOLD" and len(parts) == 2:
-                threshold = float(parts[1])
-            else:
-                raise ClassifierError(f"{path}:{lineno}: bad model line")
+            try:
+                if parts[0] == "FEATURE" and len(parts) == 3:
+                    weights[parts[1]] = float(parts[2])
+                elif parts[0] == "BIAS" and len(parts) == 2:
+                    bias = float(parts[1])
+                elif parts[0] == "THRESHOLD" and len(parts) == 2:
+                    threshold = float(parts[1])
+                else:
+                    raise ClassifierError(f"{path}:{lineno}: bad model line")
+            except ValueError as exc:
+                raise ClassifierError(f"{path}:{lineno}: bad number {parts[-1]!r}") from exc
     if bias is None or threshold is None or set(weights) != set(FEATURE_NAMES):
         raise ClassifierError(f"{path}: incomplete model file")
     return ClassifierModel(

@@ -11,20 +11,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import zlib
 from typing import Callable, Sequence
 
 from . import __version__
 from .classifier import (
     Gazetteer,
-    compute_features,
+    filter_candidates,
     load_model,
     read_labeled_pairs,
     save_model,
 )
 from .classifier import train as train_classifier_model
 from .cky import cky_viterbi, render_derivation
+from .data_files import atomic_write
 from .errors import ParalatError, ParseFailure, EmptyIntersection
 from .estimation import read_alignments, train_bilayered_grammar, train_grammar
 from .grammar import load_grammar, save_grammar, validate
@@ -78,8 +78,18 @@ def _pick(flag, config: dict[str, str], key: str, default, cast=str):
     if flag is not None:
         return flag
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError as exc:
+            raise _UsageError(f"config key {key!r}: bad value {config[key]!r}") from exc
     return default
+
+
+def _pick_m(args, config, default: int) -> int:
+    m_samples = _pick(args.m, config, "m", default, int)
+    if m_samples < 1:
+        raise _UsageError(f"--m must be at least 1, got {m_samples}")
+    return m_samples
 
 
 def _require(value, name: str):
@@ -88,24 +98,11 @@ def _require(value, name: str):
     return value
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".paralat-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text)
+        atomic_write(path, text)
 
 
 def derive_seed(seed: int, stage: str, index: int) -> int:
@@ -216,7 +213,7 @@ def _cmd_build_lattice(args, config) -> int:
 def _cmd_sample(args, config) -> int:
     grammar = load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
     mode = _pick(args.lattice, config, "lattice", "naive")
-    m_samples = _pick(args.m, config, "m", 100, int)
+    m_samples = _pick_m(args, config, 100)
     seed = _pick(args.seed, config, "seed", 1, int)
     rules_path = _pick(args.rules, config, "rules", None)
     rules_db = load_rules(rules_path) if rules_path else None
@@ -252,7 +249,7 @@ def _cmd_paraphrase(args, config) -> int:
     grammar = load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
     model = load_model(_require(_pick(args.classifier, config, "classifier", None), "classifier"))
     mode = _pick(args.mode, config, "mode", "naive")
-    m_samples = _pick(args.m, config, "m", 300, int)
+    m_samples = _pick_m(args, config, 300)
     seed = _pick(args.seed, config, "seed", 1, int)
     threshold = _pick(args.threshold, config, "threshold", None, float)
     gazetteer_path = _pick(args.gazetteer, config, "gazetteer", None)
@@ -262,7 +259,6 @@ def _cmd_paraphrase(args, config) -> int:
     layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
     layered = load_grammar(layered_path) if layered_path else None
 
-    cut = model.threshold if threshold is None else threshold
     lines = []
     for index, tokens in enumerate(_read_questions(args, config)):
         question = " ".join(tokens)
@@ -274,14 +270,7 @@ def _cmd_paraphrase(args, config) -> int:
         except (ParseFailure, EmptyIntersection) as exc:
             print(f"note: {question}: {exc}", file=sys.stderr)
             continue
-        spans = gazetteer.tag(tokens) if gazetteer else ()
-        scored = [
-            (cand, model.score(compute_features(tokens, cand.tokens, spans)))
-            for cand in candidates
-        ]
-        kept = [(c, s) for c, s in scored if s >= cut]
-        kept.sort(key=lambda item: (-item[1], item[0].seed))
-        for cand, score in kept:
+        for cand, score in filter_candidates(model, tokens, candidates, gazetteer, threshold):
             lines.append(f"{question}\t{cand.text}\t{score:.6f}")
     _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n" if lines else "")
     return 0

@@ -54,9 +54,6 @@ class StateAssignment:
     m: int
     states: Mapping[NodeKey, int]
 
-    def state_of(self, key: NodeKey) -> int:
-        return self.states[key]
-
 
 @dataclass(frozen=True)
 class AlignmentRecord:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from .data_files import atomic_write
 from .errors import MalformedGrammarFile
 
 SUM_TOLERANCE = 1e-9
@@ -44,6 +45,16 @@ Context = tuple[str, StateLabel]
 def state_key(state: StateLabel) -> tuple[int, int]:
     """Sort key that tolerates a missing semantic layer."""
     return (state.syn, -1 if state.sem is None else state.sem)
+
+
+def ctx_key(ctx: Context) -> tuple:
+    """Canonical sort key of a (symbol, state) context."""
+    return (ctx[0], state_key(ctx[1]))
+
+
+def rhs_key(rhs: BinaryRhs) -> tuple:
+    """Canonical sort key of a binary right-hand side."""
+    return (rhs[0], state_key(rhs[1]), rhs[2], state_key(rhs[3]))
 
 
 def format_state(state: StateLabel) -> str:
@@ -178,7 +189,7 @@ def validate(grammar: LatentGrammar) -> ValidationReport:
         for b, sb, c, sc in table:
             referenced.add((b, sb))
             referenced.add((c, sc))
-    for sym, state in sorted(referenced, key=lambda x: (x[0], state_key(x[1]))):
+    for sym, state in sorted(referenced, key=ctx_key):
         if sym in grammar.interminals and (sym, state) not in grammar.binary:
             bad.append(f"deficit: interminal context ({sym},{format_state(state)}) has no binary rules")
         elif sym in grammar.preterminals and (sym, state) not in grammar.lexical:
@@ -195,8 +206,7 @@ def _fmt(prob: float) -> str:
 
 def save_grammar(grammar: LatentGrammar, path: str) -> None:
     """Write the grammar in canonical order (stable byte-for-byte)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_grammar(grammar))
+    atomic_write(path, serialize_grammar(grammar))
 
 
 def serialize_grammar(grammar: LatentGrammar) -> str:
@@ -206,24 +216,21 @@ def serialize_grammar(grammar: LatentGrammar) -> str:
         f"m1={layers.m1} m2={layers.m2 or 0} "
         f"binarization=right-branching-@ vocab={len(grammar.vocabulary)}"
     ]
-    for (sym, state), prob in sorted(
-        grammar.roots.items(), key=lambda kv: (kv[0][0], state_key(kv[0][1]))
-    ):
-        lines.append(f"ROOT\t{sym}\t{format_state(state)}\t{_fmt(prob)}")
-    for (sym, state), table in sorted(
-        grammar.binary.items(), key=lambda kv: (kv[0][0], state_key(kv[0][1]))
-    ):
-        for (b, sb, c, sc), prob in sorted(
-            table.items(), key=lambda kv: (kv[0][0], state_key(kv[0][1]), kv[0][2], state_key(kv[0][3]))
-        ):
+    for ctx in sorted(grammar.roots, key=ctx_key):
+        sym, state = ctx
+        lines.append(f"ROOT\t{sym}\t{format_state(state)}\t{_fmt(grammar.roots[ctx])}")
+    for ctx in sorted(grammar.binary, key=ctx_key):
+        sym, state = ctx
+        table = grammar.binary[ctx]
+        for rhs in sorted(table, key=rhs_key):
+            b, sb, c, sc = rhs
             lines.append(
                 f"BIN\t{sym}\t{format_state(state)}\t{b}\t{format_state(sb)}"
-                f"\t{c}\t{format_state(sc)}\t{_fmt(prob)}"
+                f"\t{c}\t{format_state(sc)}\t{_fmt(table[rhs])}"
             )
-    for (sym, state), table in sorted(
-        grammar.lexical.items(), key=lambda kv: (kv[0][0], state_key(kv[0][1]))
-    ):
-        for word, prob in sorted(table.items()):
+    for ctx in sorted(grammar.lexical, key=ctx_key):
+        sym, state = ctx
+        for word, prob in sorted(grammar.lexical[ctx].items()):
             lines.append(
                 f"LEX\t{sym}\t{format_state(state)}\t{word}\t{_fmt(prob)}"
             )
@@ -271,8 +278,8 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
             prob = float(token)
         except ValueError as exc:
             raise MalformedGrammarFile(f"{source}:{lineno}: bad probability {token!r}") from exc
-        if not math.isfinite(prob):
-            raise MalformedGrammarFile(f"{source}:{lineno}: non-finite probability")
+        if not 0.0 < prob <= 1.0:
+            raise MalformedGrammarFile(f"{source}:{lineno}: probability {token!r} out of (0,1]")
         return prob
 
     for lineno, line in enumerate(lines[1:], 2):

@@ -98,27 +98,17 @@ def check_lattice(lat: WordLattice) -> None:
         raise LatticeError("sink has outgoing edges")
 
 
-def _forward_reach(lat: WordLattice, start: int) -> set[int]:
-    out = lat.outgoing()
+def _reach(adjacency: dict[int, list[Edge]], start: int, forward: bool) -> set[int]:
+    """Nodes reachable from ``start`` over ``adjacency``: the outgoing map
+    walked forward, or the incoming map walked backward."""
     seen = {start}
     queue = deque([start])
     while queue:
-        for e in out.get(queue.popleft(), []):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                queue.append(e.dst)
-    return seen
-
-
-def _backward_reach(lat: WordLattice, start: int) -> set[int]:
-    inc = lat.incoming()
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for e in inc.get(queue.popleft(), []):
-            if e.src not in seen:
-                seen.add(e.src)
-                queue.append(e.src)
+        for e in adjacency.get(queue.popleft(), []):
+            nxt = e.dst if forward else e.src
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
     return seen
 
 
@@ -281,8 +271,8 @@ def remove_conflicting(lat: WordLattice, edge: Edge) -> WordLattice:
     """
     if edge not in lat.edges:
         raise EdgeNotInLattice(f"{edge} not in lattice")
-    before = _backward_reach(lat, edge.src)
-    after = _forward_reach(lat, edge.dst)
+    before = _reach(lat.incoming(), edge.src, forward=False)
+    after = _reach(lat.outgoing(), edge.dst, forward=True)
     kept = [
         e
         for e in lat.edges

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .cky import DerivationNode, DerivationTree, derivation_yield, rescore
 from .errors import EmptyIntersection
-from .grammar import BinaryRhs, Context, LatentGrammar, StateLabel, state_key
+from .grammar import BinaryRhs, Context, LatentGrammar, StateLabel, ctx_key, rhs_key
 from .lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
 
 DEPTH_CAP = 32
@@ -109,10 +109,6 @@ def _restrict(
     )
 
 
-def _ctx_key(ctx: Context) -> tuple:
-    return (ctx[0], state_key(ctx[1]))
-
-
 def prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
     """Restrict ``grammar`` to rules usable over ``lat``.
 
@@ -122,13 +118,10 @@ def prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
         ctx: sorted(table.items()) for ctx, table in grammar.lexical.items()
     }
     binary_in = {
-        ctx: sorted(
-            table.items(),
-            key=lambda e: (e[0][0], state_key(e[0][1]), e[0][2], state_key(e[0][3])),
-        )
+        ctx: [(rhs, table[rhs]) for rhs in sorted(table, key=rhs_key)]
         for ctx, table in grammar.binary.items()
     }
-    roots_in = sorted(grammar.roots.items(), key=lambda e: _ctx_key(e[0]))
+    roots_in = [(ctx, grammar.roots[ctx]) for ctx in sorted(grammar.roots, key=ctx_key)]
     pruned = _restrict(grammar, lexical_in, binary_in, roots_in, lat.vocabulary())
     if not pruned.roots:
         raise EmptyIntersection("no grammar root survives over the lattice")

@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
+from .data_files import atomic_write
 from .errors import (
     EmptyGold,
     NoEntityCandidates,
@@ -37,10 +38,6 @@ class KnowledgeGraph:
     entities: tuple[str, ...]  # in file order; order defines resolution rank
     triples: frozenset[tuple[str, str, str]]
     type_assertions: frozenset[tuple[str, str]]
-
-    @property
-    def relations(self) -> frozenset[str]:
-        return frozenset(r for _, r, _ in self.triples)
 
     @property
     def types(self) -> frozenset[str]:
@@ -167,7 +164,10 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
             if kind == "TEXT" and len(parts) >= 2:
                 text = tuple(t.lower() for t in parts[1:])
             elif kind == "SCORE" and len(parts) == 2:
-                score = float(parts[1])
+                try:
+                    score = float(parts[1])
+                except ValueError as exc:
+                    raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
             elif kind == "ENTITY" and len(parts) >= 3:
                 entity_nodes.append((parts[1], tuple(t.lower() for t in parts[2:])))
             elif kind == "TYPE" and len(parts) in (3, 4):
@@ -196,10 +196,7 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
         name=name or path,
         target=target,
         entity_nodes=tuple(entity_nodes),
-        type_nodes=tuple(
-            (nid, label, "target" if c == "target" else c)
-            for nid, label, c in type_nodes
-        ),
+        type_nodes=tuple(type_nodes),
         events=tuple(events),
         edges=tuple(edges),
         text=text,
@@ -234,9 +231,6 @@ class GroundedGraph:
         ]
         parts += [f"{nid}={t or 'null'}" for nid, t in self.type_map]
         return ";".join(parts)
-
-    def entity_of(self, node_id: str) -> str:
-        return dict(self.entity_map)[node_id]
 
 
 def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
@@ -755,11 +749,9 @@ def oracle_best_f1(
 
 def save_perceptron(model: PerceptronModel, path: str) -> None:
     averaged = model.averaged()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"STEPS\t{model.steps}\n")
-        handle.write(f"SKIPPED\t{model.skipped}\n")
-        for name in sorted(averaged):
-            handle.write(f"FEATURE\t{name}\t{format(averaged[name], '.17g')}\n")
+    lines = [f"STEPS\t{model.steps}", f"SKIPPED\t{model.skipped}"]
+    lines += [f"FEATURE\t{name}\t{format(averaged[name], '.17g')}" for name in sorted(averaged)]
+    atomic_write(path, "".join(line + "\n" for line in lines))
 
 
 def load_perceptron_weights(path: str) -> dict[str, float]:
@@ -770,7 +762,10 @@ def load_perceptron_weights(path: str) -> dict[str, float]:
             if parts[0] in ("STEPS", "SKIPPED") and len(parts) == 2:
                 continue
             if parts[0] == "FEATURE" and len(parts) == 3:
-                weights[parts[1]] = float(parts[2])
+                try:
+                    weights[parts[1]] = float(parts[2])
+                except ValueError as exc:
+                    raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
             else:
                 raise SemparseError(f"{path}:{lineno}: bad model line")
     return weights

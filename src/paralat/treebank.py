@@ -19,8 +19,6 @@ from .errors import (
     UnbalancedBrackets,
 )
 
-# Label used to mark the excision point in an outside tree.
-HOLE_LABEL = "<HOLE>"
 # Prefix for intermediate symbols introduced by binarization.
 BIN_PREFIX = "@"
 # Joiner for collapsed unary chains (X -> Y becomes "X+Y").
@@ -53,14 +51,13 @@ class Tree:
 class NodeContext:
     """Inside/outside split of a tree at one node.
 
-    ``inside`` is the subtree rooted at the node; ``outside`` is the full
-    tree with that subtree replaced by a ``HOLE_LABEL`` leaf.  Sentinels:
-    ``parent_label`` is ``"TOP"`` and ``sibling_label`` ``"none"`` at the
-    root.
+    ``inside`` is the subtree rooted at the node; the outside context is
+    summarized by the parent and sibling labels and by the terminals left
+    of and right of ``span``.  Sentinels: ``parent_label`` is ``"TOP"`` and
+    ``sibling_label`` ``"none"`` at the root.
     """
 
     inside: Tree
-    outside: Tree
     parent_label: str
     sibling_label: str
     span: tuple[int, int]
@@ -229,23 +226,12 @@ def is_binary(tree: Tree) -> bool:
 def decompose(tree: Tree, path: Path) -> NodeContext:
     """Split ``tree`` at ``path`` into its inside and outside context."""
     inside = node_at(tree, path)  # raises NodeNotInTree
-
-    def excise(node: Tree, rel: Path) -> Tree:
-        if not rel:
-            return Tree(HOLE_LABEL, word=HOLE_LABEL)
-        i = rel[0]
-        children = list(node.children)
-        children[i] = excise(children[i], rel[1:])
-        return Tree(node.label, children=tuple(children))
-
     if path:
-        outside = excise(tree, path)
         parent = node_at(tree, path[:-1])
         parent_label = parent.label
         siblings = [c for i, c in enumerate(parent.children) if i != path[-1]]
         sibling_label = siblings[0].label if siblings else "none"
     else:
-        outside = Tree(HOLE_LABEL, word=HOLE_LABEL)
         parent_label = "TOP"
         sibling_label = "none"
 
@@ -255,17 +241,14 @@ def decompose(tree: Tree, path: Path) -> NodeContext:
     for i in path:
         start += sum(len(tree_yield(c)) for c in node.children[:i])
         node = node.children[i]
-    width = len(tree_yield(inside))
-    outside_terms = tuple(
-        t for t in tree_yield(outside) if t != HOLE_LABEL
-    )
+    end = start + len(tree_yield(inside))
+    full = tree_yield(tree)
     return NodeContext(
         inside=inside,
-        outside=outside,
         parent_label=parent_label,
         sibling_label=sibling_label,
-        span=(start, start + width),
-        outside_terminals=outside_terms,
+        span=(start, end),
+        outside_terminals=full[:start] + full[end:],
     )
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
 
+from paralat.classifier import ClassifierModel, save_model
 from paralat.cli import derive_seed, main
-from paralat.data_files import data_path
+from paralat.data_files import atomic_write, data_path
 from paralat.grammar import save_grammar
+from paralat.semparse import PerceptronModel, save_perceptron
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,108 @@ class TestExitCodes:
         bad = tmp_path / "bad.lpcfg"
         bad.write_text("nonsense\n", encoding="utf-8")
         assert main(["validate-grammar", "--grammar", str(bad)]) == 2
+
+
+def _bad_config(tmp_path, grammar_file, classifier_file):
+    config = tmp_path / "bad.cfg"
+    config.write_text(
+        "treebank={}\nout={}\nm1=abc\n".format(
+            data_path("minitreebank.trees"), tmp_path / "g.lpcfg"
+        ),
+        encoding="utf-8",
+    )
+    return ["train-grammar", "--config", str(config)]
+
+
+def _zero_samples(command):
+    def argv(tmp_path, grammar_file, classifier_file):
+        extra = ["--classifier", classifier_file] if command == "paraphrase" else []
+        return [command, "--grammar", grammar_file, "--question", "when is easter",
+                "--m", "0", *extra]
+    return argv
+
+
+def _bad_bias(tmp_path, grammar_file, classifier_file):
+    with open(classifier_file, encoding="utf-8") as handle:
+        text = handle.read()
+    model = tmp_path / "clf.tsv"
+    model.write_text(re.sub(r"(?m)^BIAS\t.*$", "BIAS\tabc", text), encoding="utf-8")
+    return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
+            "--question", "when is easter", "--m", "5"]
+
+
+def _zero_probability(tmp_path, grammar_file, classifier_file):
+    with open(grammar_file, encoding="utf-8") as handle:
+        text = handle.read()
+    grammar = tmp_path / "zero.lpcfg"
+    grammar.write_text(re.sub(r"(?m)^(LEX\t.*\t)[^\t]*$", r"\g<1>0", text, count=1),
+                       encoding="utf-8")
+    return ["parse", "--grammar", str(grammar), "--question", "when is easter"]
+
+
+def _bad_perceptron_weight(tmp_path, grammar_file, classifier_file):
+    model = tmp_path / "percep.tsv"
+    model.write_text("STEPS\t1\nFEATURE\tbias\tabc\n", encoding="utf-8")
+    return ["semparse-eval", "--kb", data_path("kb.tsv"), "--qa", data_path("qa_eval.tsv"),
+            "--graphs-dir", data_path("graphs"), "--model", str(model)]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "make_argv, code, message",
+        [
+            (_bad_config, 1, "usage error: config key 'm1'"),
+            (_zero_samples("sample"), 1, "usage error: --m must be at least 1"),
+            (_zero_samples("paraphrase"), 1, "usage error: --m must be at least 1"),
+            (_bad_bias, 2, "clf.tsv:11: bad number 'abc'"),
+            (_zero_probability, 2, "out of (0,1]"),
+            (_bad_perceptron_weight, 2, "percep.tsv:2: bad weight 'abc'"),
+        ],
+        ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "grammar-zero",
+             "perceptron-weight"],
+    )
+    def test_exit_code_and_message_without_traceback(
+        self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys
+    ):
+        assert main(make_argv(tmp_path, grammar_file, classifier_file)) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith("usage error: " if code == 1 else "error: ")
+        assert "Traceback" not in err
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path, grammar: atomic_write(path, "new\n"),
+            lambda path, grammar: save_grammar(grammar, path),
+            lambda path, grammar: save_model(ClassifierModel((0.0,) * 10, 0.0, 0.5), path),
+            lambda path, grammar: save_perceptron(PerceptronModel(), path),
+        ],
+        ids=["atomic_write", "save_grammar", "save_model", "save_perceptron"],
+    )
+    def test_failed_replace_keeps_old_bytes(
+        self, write, tmp_path, monkeypatch, bilayered_toy_grammar
+    ):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old bytes\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write(str(target), bilayered_toy_grammar)
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+    def test_new_file_gets_umask_mode(self, tmp_path):
+        atomic_write(str(tmp_path / "atomic"), "x")
+        with open(tmp_path / "plain", "w", encoding="utf-8") as handle:
+            handle.write("x")
+        assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 class TestValidateGrammar:

@@ -303,6 +303,12 @@ class TestFiles:
         with pytest.raises(SemparseError):
             load_ungrounded(str(path))
 
+    def test_graph_file_bad_score(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("TARGET x\nSCORE high\n", encoding="utf-8")
+        with pytest.raises(SemparseError, match=r"bad.graph:2: bad score 'high'"):
+            load_ungrounded(str(path))
+
     def test_perceptron_file_roundtrip(self, tmp_path, kb):
         example = QAExample(
             question=tuple("what is czech republic 's language".split()),

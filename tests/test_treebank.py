@@ -199,3 +199,4 @@ class TestDecompose:
             assert len(inside) + len(ctx.outside_terminals) == len(full)
             start, end = ctx.span
             assert full[start:end] == inside
+            assert ctx.outside_terminals == full[:start] + full[end:]
