@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data_files import atomic_write
+from .data_files import atomic_write, finite_float
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
 from .sampler import ParaphraseCandidate
 
@@ -387,11 +387,11 @@ def load_model(path: str) -> ClassifierModel:
             parts = line.rstrip("\n").split("\t")
             try:
                 if parts[0] == "FEATURE" and len(parts) == 3:
-                    weights[parts[1]] = float(parts[2])
+                    weights[parts[1]] = finite_float(parts[2])
                 elif parts[0] == "BIAS" and len(parts) == 2:
-                    bias = float(parts[1])
+                    bias = finite_float(parts[1])
                 elif parts[0] == "THRESHOLD" and len(parts) == 2:
-                    threshold = float(parts[1])
+                    threshold = finite_float(parts[1])
                 else:
                     raise ClassifierError(f"{path}:{lineno}: bad model line")
             except ValueError as exc:

@@ -2,8 +2,10 @@
 classifier training/filtering, and the toy semantic-parsing loop.
 
 Options can come from a flat ``key=value`` config file (``--config``);
-explicit flags win.  Artifacts are written atomically.  Exit codes: 0 on
-success, 1 on usage errors, 2 on data errors.
+explicit flags win.  Grammars are validated before use.  ``sample`` and
+``paraphrase`` note a question they cannot sample on stderr and go on.
+Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage errors, 2 on
+data errors.
 """
 
 from __future__ import annotations
@@ -125,6 +127,15 @@ def _read_questions(args, config) -> list[list[str]]:
         ]
 
 
+def _load_grammar(path: str):
+    """Load a grammar and refuse it unless :func:`validate` passes."""
+    grammar = load_grammar(path)
+    violations = validate(grammar).violations
+    if violations:
+        raise ParalatError(f"{path}: invalid grammar: {violations[0]}")
+    return grammar
+
+
 def _build_lattice_for(mode: str, tokens, rules_db, layered_grammar):
     if mode == "naive":
         return build_naive(tokens)
@@ -137,6 +148,31 @@ def _build_lattice_for(mode: str, tokens, rules_db, layered_grammar):
             raise _UsageError("--bilayered-grammar is required for mode 'bilayered'")
         return build_bilayered(tokens, layered_grammar)
     raise _UsageError(f"unknown lattice mode {mode!r}")
+
+
+def _sample_questions(args, config, mode: str, stage: str, default_m: int):
+    """(tokens, candidates) for every question: build its lattice, then
+    sample.  A question with no parse or no grammar root over its lattice
+    is noted on stderr and skipped; the others go on."""
+    grammar = _load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
+    m_samples = _pick_m(args, config, default_m)
+    seed = _pick(args.seed, config, "seed", 1, int)
+    rules_path = _pick(args.rules, config, "rules", None)
+    rules_db = load_rules(rules_path) if rules_path else None
+    layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
+    layered = _load_grammar(layered_path) if layered_path else None
+    sampled = []
+    for index, tokens in enumerate(_read_questions(args, config)):
+        try:
+            lat = _build_lattice_for(mode, tokens, rules_db, layered)
+            candidates = sample_many(
+                tokens, grammar, lat, m_samples, derive_seed(seed, stage, index)
+            )
+        except (ParseFailure, EmptyIntersection) as exc:
+            print(f"note: {' '.join(tokens)}: {exc}", file=sys.stderr)
+            continue
+        sampled.append((tokens, candidates))
+    return sampled
 
 
 # --- subcommand handlers -------------------------------------------------------
@@ -184,7 +220,7 @@ def _cmd_validate_grammar(args, config) -> int:
 
 
 def _cmd_parse(args, config) -> int:
-    grammar = load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
+    grammar = _load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
     lines = []
     for tokens in _read_questions(args, config):
         tree = cky_viterbi(tokens, grammar)
@@ -202,7 +238,7 @@ def _cmd_build_lattice(args, config) -> int:
     layered = None
     layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
     if layered_path is not None:
-        layered = load_grammar(layered_path)
+        layered = _load_grammar(layered_path)
     chunks = []
     for tokens in _read_questions(args, config):
         chunks.append(dump_lattice(_build_lattice_for(mode, tokens, rules_db, layered)))
@@ -211,21 +247,12 @@ def _cmd_build_lattice(args, config) -> int:
 
 
 def _cmd_sample(args, config) -> int:
-    grammar = load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
     mode = _pick(args.lattice, config, "lattice", "naive")
-    m_samples = _pick_m(args, config, 100)
-    seed = _pick(args.seed, config, "seed", 1, int)
-    rules_path = _pick(args.rules, config, "rules", None)
-    rules_db = load_rules(rules_path) if rules_path else None
-    layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
-    layered = load_grammar(layered_path) if layered_path else None
-    lines = []
-    for index, tokens in enumerate(_read_questions(args, config)):
-        lat = _build_lattice_for(mode, tokens, rules_db, layered)
-        for cand in sample_many(
-            tokens, grammar, lat, m_samples, derive_seed(seed, "sample", index)
-        ):
-            lines.append(f"{cand.seed}\t{cand.text}")
+    lines = [
+        f"{cand.seed}\t{cand.text}"
+        for _tokens, candidates in _sample_questions(args, config, mode, "sample", 100)
+        for cand in candidates
+    ]
     _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n" if lines else "")
     return 0
 
@@ -246,30 +273,14 @@ def _cmd_train_classifier(args, config) -> int:
 
 
 def _cmd_paraphrase(args, config) -> int:
-    grammar = load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
     model = load_model(_require(_pick(args.classifier, config, "classifier", None), "classifier"))
-    mode = _pick(args.mode, config, "mode", "naive")
-    m_samples = _pick_m(args, config, 300)
-    seed = _pick(args.seed, config, "seed", 1, int)
     threshold = _pick(args.threshold, config, "threshold", None, float)
     gazetteer_path = _pick(args.gazetteer, config, "gazetteer", None)
     gazetteer = Gazetteer.load(gazetteer_path) if gazetteer_path else None
-    rules_path = _pick(args.rules, config, "rules", None)
-    rules_db = load_rules(rules_path) if rules_path else None
-    layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
-    layered = load_grammar(layered_path) if layered_path else None
-
+    mode = _pick(args.mode, config, "mode", "naive")
     lines = []
-    for index, tokens in enumerate(_read_questions(args, config)):
+    for tokens, candidates in _sample_questions(args, config, mode, "paraphrase", 300):
         question = " ".join(tokens)
-        try:
-            lat = _build_lattice_for(mode, tokens, rules_db, layered)
-            candidates = sample_many(
-                tokens, grammar, lat, m_samples, derive_seed(seed, "paraphrase", index)
-            )
-        except (ParseFailure, EmptyIntersection) as exc:
-            print(f"note: {question}: {exc}", file=sys.stderr)
-            continue
         for cand, score in filter_candidates(model, tokens, candidates, gazetteer, threshold):
             lines.append(f"{question}\t{cand.text}\t{score:.6f}")
     _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n" if lines else "")

@@ -1,8 +1,10 @@
 """Paths to the bundled desk-scale corpus (treebank, rules, KB, QA suite),
-and the atomic writer every artifact goes through."""
+the number parser of the weight and score fields, and the atomic writer
+every artifact goes through."""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from importlib.resources import files
@@ -11,6 +13,14 @@ from importlib.resources import files
 def data_path(name: str) -> str:
     """Absolute path of a bundled data file, e.g. ``minitreebank.trees``."""
     return str(files("paralat").joinpath("data", name))
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` that also raises ValueError for ``nan`` and ``inf``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def atomic_write(path: str, text: str) -> None:

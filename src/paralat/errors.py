@@ -27,10 +27,6 @@ class PreterminalWithMultipleChildren(TreebankError):
     pass
 
 
-class NodeNotInTree(TreebankError):
-    pass
-
-
 # --- grammar ----------------------------------------------------------------
 
 class GrammarError(ParalatError):

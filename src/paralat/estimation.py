@@ -2,9 +2,9 @@
 and frequency-count parameter estimation.
 
 The pipeline: every node of every (binarized) tree is mapped to a feature
-vector, vectors are clustered per nonterminal symbol into ``m`` states, and
-a grammar is read off the state-annotated treebank by relative-frequency
-counting.  A second, semantic layer can be trained from bag-of-word
+vector, in one walk per tree; vectors are clustered per nonterminal symbol
+into ``m`` states, and a grammar is read off the state-annotated treebank
+by relative-frequency counting.  A second, semantic layer can be trained from bag-of-word
 features enriched with word alignments of paraphrase pairs; combining both
 layers yields the two-layer grammar used for paraphrase lattices.
 """
@@ -36,7 +36,6 @@ from .treebank import (
     BIN_PREFIX,
     Path,
     Tree,
-    decompose,
     iter_nodes,
     tree_yield,
 )
@@ -116,43 +115,56 @@ def _length_bucket(n: int) -> str:
 
 def extract_features(
     tree: Tree,
-    path: Path,
     layer: str = "syntactic",
     aligned: Mapping[int, set[str]] | None = None,
-) -> FeatureVector:
-    """Feature vector for one node of a binarized tree.
+) -> dict[Path, FeatureVector]:
+    """Feature vector of every node of a binarized tree, keyed by path.
 
     The syntactic layer captures the local context: the node's rule
-    signature, first/last inside terminal, parent and sibling labels from
-    the outside tree, and a span-length bucket.  The semantic layer is a
-    bag of the inside-yield words plus every word aligned to them in
+    signature, first/last inside terminal, parent and sibling labels
+    (``"TOP"`` and ``"none"`` at the root; the sibling is the first other
+    child of the parent) and a span-length bucket.  The semantic layer is
+    a bag of the inside-yield words plus every word aligned to them in
     paraphrase pairs (``aligned`` maps token positions of this tree to
-    aligned words); bag entries are presence indicators.
+    aligned words); bag entries are presence indicators.  It has no entry
+    for "@" nodes, which inherit their parent's semantic state.
     """
-    ctx = decompose(tree, path)
-    inside = ctx.inside
-    terms = tree_yield(inside)
-    if layer == "syntactic":
-        if inside.is_preterminal:
-            rhs = inside.word
+    if layer not in ("syntactic", "semantic"):
+        raise EstimationError(f"unknown feature layer {layer!r}")
+    if layer == "semantic" and aligned is None:
+        raise MissingAlignments("semantic features require alignment data")
+    terms = tree_yield(tree)
+    features: dict[Path, FeatureVector] = {}
+
+    def walk(node: Tree, path: Path, parent: str, sibling: str, start: int) -> int:
+        """Record ``node`` and its descendants; return the end of its span."""
+        if node.is_preterminal:
+            end, rhs = start + 1, node.word
         else:
-            rhs = " ".join(c.label for c in inside.children)
-        return {
-            f"rule={inside.label}->{rhs}": 1.0,
-            f"first={terms[0]}": 1.0,
-            f"last={terms[-1]}": 1.0,
-            f"parent={ctx.parent_label}": 1.0,
-            f"sibling={ctx.sibling_label}": 1.0,
-            f"len={_length_bucket(len(terms))}": 1.0,
-        }
-    if layer == "semantic":
-        if aligned is None:
-            raise MissingAlignments("semantic features require alignment data")
-        words = set(terms)
-        for pos in range(*ctx.span):
-            words.update(aligned.get(pos, ()))
-        return {f"w={w}": 1.0 for w in words}
-    raise EstimationError(f"unknown feature layer {layer!r}")
+            children = node.children
+            end = start
+            for i, child in enumerate(children):
+                other = "none" if len(children) == 1 else children[1 if i == 0 else 0].label
+                end = walk(child, path + (i,), node.label, other, end)
+            rhs = " ".join(c.label for c in children)
+        if layer == "syntactic":
+            features[path] = {
+                f"rule={node.label}->{rhs}": 1.0,
+                f"first={terms[start]}": 1.0,
+                f"last={terms[end - 1]}": 1.0,
+                f"parent={parent}": 1.0,
+                f"sibling={sibling}": 1.0,
+                f"len={_length_bucket(end - start)}": 1.0,
+            }
+        elif not node.label.startswith(BIN_PREFIX):
+            words = set(terms[start:end])
+            for pos in range(start, end):
+                words.update(aligned.get(pos, ()))
+            features[path] = {f"w={w}": 1.0 for w in words}
+        return end
+
+    walk(tree, (), "TOP", "none", 0)
+    return features
 
 
 # --- clustering -------------------------------------------------------------
@@ -273,14 +285,6 @@ def cluster_states(
 
 
 # --- maximum likelihood estimation ------------------------------------------
-
-def _node_symbols(treebank: Sequence[Tree]) -> dict[NodeKey, str]:
-    return {
-        (tid, path): node.label
-        for tid, tree in enumerate(treebank)
-        for path, node in iter_nodes(tree)
-    }
-
 
 def _check_coverage(
     treebank: Sequence[Tree], assignment: StateAssignment, layer: str, skip_bin: bool
@@ -420,15 +424,31 @@ def annotate_bilayered(
 
 # --- end-to-end grammar training ---------------------------------------------
 
+def _cluster_layer(
+    treebank: Sequence[Tree],
+    m: int,
+    seed: int,
+    layer: str,
+    index: Mapping[int, Mapping[int, set[str]]] | None = None,
+) -> StateAssignment:
+    """Cluster every node that has ``layer`` features (all nodes for the
+    syntactic layer, all but "@" nodes for the semantic one)."""
+    symbols: dict[NodeKey, str] = {}
+    vectors: dict[NodeKey, FeatureVector] = {}
+    for tid, tree in enumerate(treebank):
+        aligned = None if index is None else index.get(tid, {})
+        features = extract_features(tree, layer, aligned)
+        for path, node in iter_nodes(tree):
+            if path in features:
+                symbols[(tid, path)] = node.label
+                vectors[(tid, path)] = features[path]
+    return cluster_states(vectors, symbols, m, seed)
+
+
 def train_syntactic_assignment(
     treebank: Sequence[Tree], m: int, seed: int
 ) -> StateAssignment:
-    symbols = _node_symbols(treebank)
-    vectors = {
-        key: extract_features(treebank[key[0]], key[1], "syntactic")
-        for key in symbols
-    }
-    return cluster_states(vectors, symbols, m, seed)
+    return _cluster_layer(treebank, m, seed, "syntactic")
 
 
 def train_semantic_assignment(
@@ -438,18 +458,7 @@ def train_semantic_assignment(
     seed: int,
 ) -> StateAssignment:
     index = aligned_words_index(treebank, records)
-    symbols = {
-        key: sym
-        for key, sym in _node_symbols(treebank).items()
-        if not sym.startswith(BIN_PREFIX)
-    }
-    vectors = {
-        key: extract_features(
-            treebank[key[0]], key[1], "semantic", aligned=index.get(key[0], {})
-        )
-        for key in symbols
-    }
-    return cluster_states(vectors, symbols, m, seed)
+    return _cluster_layer(treebank, m, seed, "semantic", index)
 
 
 def train_grammar(treebank: Sequence[Tree], m: int, seed: int) -> LatentGrammar:

@@ -13,6 +13,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from .data_files import finite_float
 from .errors import EdgeNotInLattice, EmptyQuestion, LatticeError
 from .grammar import LatentGrammar
 
@@ -162,7 +163,7 @@ def load_rules(path: str, min_score: float | None = None) -> ParaphraseRuleDB:
             src = tuple(parts[0].lower().split())
             tgt = tuple(parts[1].lower().split())
             try:
-                score = float(parts[2])
+                score = finite_float(parts[2])
             except ValueError as exc:
                 raise LatticeError(f"{path}:{lineno}: bad score {parts[2]!r}") from exc
             if not src or not tgt:

@@ -14,9 +14,9 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .data_files import atomic_write
+from .data_files import atomic_write, finite_float
 from .errors import (
     EmptyGold,
     NoEntityCandidates,
@@ -165,7 +165,7 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
                 text = tuple(t.lower() for t in parts[1:])
             elif kind == "SCORE" and len(parts) == 2:
                 try:
-                    score = float(parts[1])
+                    score = finite_float(parts[1])
                 except ValueError as exc:
                     raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
             elif kind == "ENTITY" and len(parts) >= 3:
@@ -600,12 +600,31 @@ def load_qa(path: str, graph_loader) -> list[QAExample]:
             if len(parts) != 3:
                 raise SemparseError(f"{path}:{lineno}: bad QA line")
             question = tuple(parts[0].lower().split())
-            graphs = tuple(graph_loader(name) for name in parts[1].split(","))
+            graphs = []
+            for name in parts[1].split(","):
+                if "\0" in name:
+                    raise SemparseError(f"{path}:{lineno}: NUL byte in graph name {name!r}")
+                try:
+                    graphs.append(graph_loader(name))
+                except OSError as exc:
+                    raise SemparseError(
+                        f"{path}:{lineno}: cannot read graph {name!r}: {exc}"
+                    ) from exc
             gold = frozenset(parts[2].split("|"))
             if not gold:
                 raise SemparseError(f"{path}:{lineno}: empty gold answers")
-            out.append(QAExample(question=question, graphs=graphs, gold=gold))
+            out.append(QAExample(question=question, graphs=tuple(graphs), gold=gold))
     return out
+
+
+T = TypeVar("T")
+
+
+def _argmax(scored: Iterable[tuple[float, str, T]]) -> T | None:
+    """The item of the highest score, ties going to the smallest key
+    ("graph name;grounding key"); None when there is none."""
+    best = min(scored, key=lambda entry: (-entry[0], entry[1]), default=None)
+    return None if best is None else best[2]
 
 
 def _predict(
@@ -615,19 +634,15 @@ def _predict(
     beam: int,
 ) -> tuple[GroundedGraph, FeatureDict] | None:
     """Global argmax over the beam outputs of every tuple."""
-    best: tuple[float, str, GroundedGraph, FeatureDict] | None = None
+    scored = []
     for graph in graphs:
         try:
             results = ground(graph, kb, weights, beam=beam)
         except NoEntityCandidates:
             continue
         for grounding, score, feats in results[:1]:
-            key = f"{graph.name};{grounding.key()}"
-            if best is None or score > best[0] or (score == best[0] and key < best[1]):
-                best = (score, key, grounding, feats)
-    if best is None:
-        return None
-    return best[2], best[3]
+            scored.append((score, f"{graph.name};{grounding.key()}", (grounding, feats)))
+    return _argmax(scored)
 
 
 def perceptron_train(
@@ -660,18 +675,15 @@ def perceptron_train(
                 continue
             _, predicted_feats = predicted
 
-            best_oracle: tuple[float, str, OracleTuple] | None = None
-            for tup in oracle:
-                score = dot_score(model.weights, dict(tup.features))
-                key = f"{tup.graph.name};{tup.grounding.key()}"
-                if (
-                    best_oracle is None
-                    or score > best_oracle[0]
-                    or (score == best_oracle[0] and key < best_oracle[1])
-                ):
-                    best_oracle = (score, key, tup)
-            assert best_oracle is not None
-            oracle_feats = dict(best_oracle[2].features)
+            best_oracle = _argmax(
+                (
+                    dot_score(model.weights, dict(tup.features)),
+                    f"{tup.graph.name};{tup.grounding.key()}",
+                    tup,
+                )
+                for tup in oracle
+            )
+            oracle_feats = dict(best_oracle.features)
 
             for name in set(oracle_feats) | set(predicted_feats):
                 delta = oracle_feats.get(name, 0.0) - predicted_feats.get(name, 0.0)
@@ -763,7 +775,7 @@ def load_perceptron_weights(path: str) -> dict[str, float]:
                 continue
             if parts[0] == "FEATURE" and len(parts) == 3:
                 try:
-                    weights[parts[1]] = float(parts[2])
+                    weights[parts[1]] = finite_float(parts[2])
                 except ValueError as exc:
                     raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
             else:

@@ -1,5 +1,4 @@
-"""Bracketed constituency trees: parsing, normalization, binarization and
-inside/outside decomposition.
+"""Bracketed constituency trees: parsing, normalization and binarization.
 
 Trees are immutable.  A preterminal node carries its terminal word directly
 (``Tree("NN", word="day")``); all other nodes carry children.  Node handles
@@ -13,7 +12,6 @@ from typing import Iterator
 
 from .errors import (
     EmptyTree,
-    NodeNotInTree,
     PreterminalWithMultipleChildren,
     TreebankError,
     UnbalancedBrackets,
@@ -45,23 +43,6 @@ class Tree:
 
     def __str__(self) -> str:
         return render(self)
-
-
-@dataclass(frozen=True)
-class NodeContext:
-    """Inside/outside split of a tree at one node.
-
-    ``inside`` is the subtree rooted at the node; the outside context is
-    summarized by the parent and sibling labels and by the terminals left
-    of and right of ``span``.  Sentinels: ``parent_label`` is ``"TOP"`` and
-    ``sibling_label`` ``"none"`` at the root.
-    """
-
-    inside: Tree
-    parent_label: str
-    sibling_label: str
-    span: tuple[int, int]
-    outside_terminals: tuple[str, ...]
 
 
 def parse_tree(text: str) -> Tree:
@@ -140,15 +121,6 @@ def iter_nodes(tree: Tree, path: Path = ()) -> Iterator[tuple[Path, Tree]]:
         yield from iter_nodes(child, path + (i,))
 
 
-def node_at(tree: Tree, path: Path) -> Tree:
-    node = tree
-    for i in path:
-        if i >= len(node.children):
-            raise NodeNotInTree(f"no node at path {path}")
-        node = node.children[i]
-    return node
-
-
 def normalize(tree: Tree, preserve_case: frozenset[str] = frozenset()) -> Tree:
     """Ingestion normalization: collapse unary chains and lowercase tokens.
 
@@ -221,35 +193,6 @@ def is_binary(tree: Tree) -> bool:
     if tree.is_preterminal:
         return True
     return len(tree.children) == 2 and all(is_binary(c) for c in tree.children)
-
-
-def decompose(tree: Tree, path: Path) -> NodeContext:
-    """Split ``tree`` at ``path`` into its inside and outside context."""
-    inside = node_at(tree, path)  # raises NodeNotInTree
-    if path:
-        parent = node_at(tree, path[:-1])
-        parent_label = parent.label
-        siblings = [c for i, c in enumerate(parent.children) if i != path[-1]]
-        sibling_label = siblings[0].label if siblings else "none"
-    else:
-        parent_label = "TOP"
-        sibling_label = "none"
-
-    # Span of the inside yield within the full yield.
-    start = 0
-    node = tree
-    for i in path:
-        start += sum(len(tree_yield(c)) for c in node.children[:i])
-        node = node.children[i]
-    end = start + len(tree_yield(inside))
-    full = tree_yield(tree)
-    return NodeContext(
-        inside=inside,
-        parent_label=parent_label,
-        sibling_label=sibling_label,
-        span=(start, end),
-        outside_terminals=full[:start] + full[end:],
-    )
 
 
 def read_treebank(

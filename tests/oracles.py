@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code with the
 implementation paths it checks: derivations are enumerated one by one
 (no dynamic programming), path co-occurrence is decided by enumerating
-complete paths, and grammar languages are unrolled top-down.
+complete paths, grammar languages are unrolled top-down, and each tree
+node's context is looked up from the root on its own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import math
 import random
 from typing import Sequence
 
+from hypothesis import strategies as st
+
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice
+from paralat.treebank import Tree
 
 
 class TooAmbiguous(Exception):
@@ -202,6 +206,79 @@ def exhaustive_groundings(graph, kb):
     return out
 
 
+# --- per-node tree features ------------------------------------------------------
+
+
+def _lookup(tree: Tree, path: tuple[int, ...]) -> Tree:
+    for i in path:
+        tree = tree.children[i]
+    return tree
+
+
+def node_contexts(tree: Tree) -> dict[tuple[int, ...], tuple]:
+    """Per node path: (node, parent label, sibling label, (start, end)).
+
+    Each node and its parent are looked up from the root; the sibling is
+    the parent's first other child; the span is the range of leaf
+    positions whose paths lie under the node's path.  Root sentinels are
+    "TOP" and "none", as are the siblings of an only child.
+    """
+    paths: list[tuple[int, ...]] = []
+    leaves: list[tuple[int, ...]] = []
+
+    def visit(node: Tree, path: tuple[int, ...]) -> None:
+        paths.append(path)
+        if node.word is not None:
+            leaves.append(path)
+        for i, child in enumerate(node.children):
+            visit(child, path + (i,))
+
+    visit(tree, ())
+    out = {}
+    for path in paths:
+        parent_label, sibling_label = "TOP", "none"
+        if path:
+            parent = _lookup(tree, path[:-1])
+            others = [c for i, c in enumerate(parent.children) if i != path[-1]]
+            parent_label = parent.label
+            sibling_label = others[0].label if others else "none"
+        under = [i for i, leaf in enumerate(leaves) if leaf[: len(path)] == path]
+        out[path] = (_lookup(tree, path), parent_label, sibling_label, (under[0], under[-1] + 1))
+    return out
+
+
+def brute_force_features(tree: Tree, layer: str, aligned=None) -> dict:
+    """Reference for ``estimation.extract_features`` built from
+    :func:`node_contexts`, one node at a time."""
+    contexts = node_contexts(tree)
+    # Pre-order visits the leaves left to right.
+    words = [node.word for node, *_ in contexts.values() if node.word is not None]
+    out = {}
+    for path, (node, parent, sibling, (start, end)) in contexts.items():
+        inside = words[start:end]
+        if layer == "syntactic":
+            if node.word is not None:
+                rhs = node.word
+            else:
+                rhs = " ".join(c.label for c in node.children)
+            n = len(inside)
+            bucket = str(n) if n <= 2 else ("3-5" if n <= 5 else "6+")
+            out[path] = {
+                f"rule={node.label}->{rhs}": 1.0,
+                f"first={inside[0]}": 1.0,
+                f"last={inside[-1]}": 1.0,
+                f"parent={parent}": 1.0,
+                f"sibling={sibling}": 1.0,
+                f"len={bucket}": 1.0,
+            }
+        elif not node.label.startswith("@"):
+            bag = set(inside)
+            for pos in range(start, end):
+                bag |= set(aligned.get(pos, ()))
+            out[path] = {f"w={w}": 1.0 for w in bag}
+    return out
+
+
 # --- random instances ---------------------------------------------------------
 
 
@@ -289,4 +366,23 @@ def word_salad_grammar(vocab: Sequence[str]) -> LatentGrammar:
             }
         },
         lexical={w: {word: 1.0 / len(words) for word in words}},
+    )
+
+
+_labels = st.sampled_from(["S", "NP", "VP", "NN", "DT", "X"])
+_words = st.sampled_from(["a", "b", "cat", "saw", "nochebuena"])
+
+
+def random_trees(depth: int = 3) -> st.SearchStrategy[Tree]:
+    """Hypothesis strategy for small trees, unary and n-ary nodes included."""
+    leaf = st.builds(lambda l, w: Tree(l, word=w), _labels, _words)
+    if depth == 0:
+        return leaf
+    return st.one_of(
+        leaf,
+        st.builds(
+            lambda l, cs: Tree(l, children=tuple(cs)),
+            _labels,
+            st.lists(random_trees(depth - 1), min_size=1, max_size=3),
+        ),
     )

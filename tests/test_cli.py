@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 
 import pytest
 
@@ -81,13 +82,19 @@ def _zero_samples(command):
     return argv
 
 
-def _bad_bias(tmp_path, grammar_file, classifier_file):
-    with open(classifier_file, encoding="utf-8") as handle:
-        text = handle.read()
-    model = tmp_path / "clf.tsv"
-    model.write_text(re.sub(r"(?m)^BIAS\t.*$", "BIAS\tabc", text), encoding="utf-8")
-    return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
-            "--question", "when is easter", "--m", "5"]
+def _bad_model(kind, value):
+    """The trained model with the number on its first ``kind`` line replaced."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        with open(classifier_file, encoding="utf-8") as handle:
+            text = handle.read()
+        model = tmp_path / "clf.tsv"
+        model.write_text(
+            re.sub(rf"(?m)^({kind}\t(?:[^\t\n]*\t)?)[^\t\n]*$", rf"\g<1>{value}", text, count=1),
+            encoding="utf-8",
+        )
+        return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
+                "--question", "when is easter", "--m", "5"]
+    return argv
 
 
 def _zero_probability(tmp_path, grammar_file, classifier_file):
@@ -99,11 +106,54 @@ def _zero_probability(tmp_path, grammar_file, classifier_file):
     return ["parse", "--grammar", str(grammar), "--question", "when is easter"]
 
 
-def _bad_perceptron_weight(tmp_path, grammar_file, classifier_file):
+def _deficit_context(tmp_path, grammar_file, classifier_file):
+    # Drop every LEX line of the first lexical context; binary rules still
+    # reference it.
+    with open(grammar_file, encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    first = next(line for line in lines if line.startswith("LEX\t"))
+    context = "\t".join(first.split("\t")[:3]) + "\t"
+    grammar = tmp_path / "deficit.lpcfg"
+    grammar.write_text("".join(l for l in lines if not l.startswith(context)), encoding="utf-8")
+    return ["sample", "--grammar", str(grammar), "--question", "when is easter"]
+
+
+def _semparse_eval(tmp_path, weights="", qa=None, graphs_dir=None):
+    """semparse-eval over a perceptron file of ``weights`` lines."""
     model = tmp_path / "percep.tsv"
-    model.write_text("STEPS\t1\nFEATURE\tbias\tabc\n", encoding="utf-8")
-    return ["semparse-eval", "--kb", data_path("kb.tsv"), "--qa", data_path("qa_eval.tsv"),
-            "--graphs-dir", data_path("graphs"), "--model", str(model)]
+    model.write_text("STEPS\t1\n" + weights, encoding="utf-8")
+    return ["semparse-eval", "--kb", data_path("kb.tsv"), "--qa", qa or data_path("qa_eval.tsv"),
+            "--graphs-dir", graphs_dir or data_path("graphs"), "--model", str(model)]
+
+
+def _bad_perceptron(value):
+    def argv(tmp_path, grammar_file, classifier_file):
+        return _semparse_eval(tmp_path, f"FEATURE\tbias\t{value}\n")
+    return argv
+
+
+def _bad_graph_score(tmp_path, grammar_file, classifier_file):
+    graphs = tmp_path / "graphs"
+    shutil.copytree(data_path("graphs"), graphs)
+    with open(graphs / "q11_orig.graph", "a", encoding="utf-8") as handle:
+        handle.write("SCORE nan\n")
+    return _semparse_eval(tmp_path, graphs_dir=str(graphs))
+
+
+def _bad_qa_graph_name(name):
+    def argv(tmp_path, grammar_file, classifier_file):
+        qa = tmp_path / "qa.tsv"
+        qa.write_text(f"what is the capital of france\tq01_orig.graph,{name}\tParis\n",
+                      encoding="utf-8")
+        return _semparse_eval(tmp_path, qa=str(qa))
+    return argv
+
+
+def _bad_rule_score(tmp_path, grammar_file, classifier_file):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("when\twhat time\t2.0\nday\tdate\tinf\n", encoding="utf-8")
+    return ["build-lattice", "--mode", "rules", "--rules", str(rules),
+            "--question", "when is easter"]
 
 
 class TestBadInputs:
@@ -113,12 +163,23 @@ class TestBadInputs:
             (_bad_config, 1, "usage error: config key 'm1'"),
             (_zero_samples("sample"), 1, "usage error: --m must be at least 1"),
             (_zero_samples("paraphrase"), 1, "usage error: --m must be at least 1"),
-            (_bad_bias, 2, "clf.tsv:11: bad number 'abc'"),
+            (_bad_model("BIAS", "abc"), 2, "clf.tsv:11: bad number 'abc'"),
+            (_bad_model("FEATURE", "nan"), 2, "clf.tsv:1: bad number 'nan'"),
+            (_bad_model("BIAS", "inf"), 2, "clf.tsv:11: bad number 'inf'"),
+            (_bad_model("THRESHOLD", "nan"), 2, "clf.tsv:12: bad number 'nan'"),
             (_zero_probability, 2, "out of (0,1]"),
-            (_bad_perceptron_weight, 2, "percep.tsv:2: bad weight 'abc'"),
+            (_deficit_context, 2, "deficit.lpcfg: invalid grammar: deficit:"),
+            (_bad_perceptron("abc"), 2, "percep.tsv:2: bad weight 'abc'"),
+            (_bad_perceptron("-inf"), 2, "percep.tsv:2: bad weight '-inf'"),
+            (_bad_graph_score, 2, "q11_orig.graph:9: bad score 'nan'"),
+            (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
+            (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
+            (_bad_rule_score, 2, "rules.tsv:2: bad score 'inf'"),
         ],
-        ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "grammar-zero",
-             "perceptron-weight"],
+        ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
+             "model-bias-inf", "model-threshold-nan", "grammar-zero", "grammar-deficit",
+             "perceptron-weight", "perceptron-weight-inf", "graph-score-nan",
+             "qa-graph-nul", "qa-graph-empty", "rules-score-inf"],
     )
     def test_exit_code_and_message_without_traceback(
         self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys
@@ -215,6 +276,23 @@ class TestSample:
             seed, text = line.split("\t")
             assert seed.isdigit()
             assert text
+
+    def test_failed_question_is_noted_and_batch_goes_on(self, grammar_file, tmp_path, capsys):
+        questions = tmp_path / "q.txt"
+        questions.write_text(
+            "what day is christmas\nzzz qqq\nwhen is easter\n", encoding="utf-8"
+        )
+        rc = main([
+            "sample", "--grammar", grammar_file, "--input", str(questions),
+            "--lattice", "rules", "--rules", data_path("rewrite_rules.tsv"),
+            "--m", "20", "--seed", "7",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert err.splitlines() == ["note: zzz qqq: no grammar root survives over the lattice"]
+        texts = [line.split("\t")[1] for line in out.splitlines()]
+        assert any("christmas" in text for text in texts)
+        assert any("easter" in text for text in texts)
 
 
 class TestBuildLattice:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+
+from oracles import brute_force_features, node_contexts, random_trees
 
 from paralat.errors import AssignmentMismatch, EmptyTreebank, MissingAlignments
 from paralat.estimation import (
@@ -16,7 +19,7 @@ from paralat.estimation import (
     train_syntactic_assignment,
 )
 from paralat.grammar import StateLabel, serialize_grammar, validate
-from paralat.treebank import binarize, iter_nodes, normalize, parse_tree
+from paralat.treebank import binarize, iter_nodes, normalize, parse_tree, tree_yield
 
 # Alignments over the paraphrase triplet that make all three root bags equal:
 # every content position maps onto its counterpart(s), and "day" also aligns
@@ -31,7 +34,7 @@ TRIPLET_ALIGNMENTS = [
 class TestExtractFeatures:
     def test_preterminal_syntactic(self, triplet_trees):
         # (NN day) inside the leftmost question tree.
-        feats = extract_features(triplet_trees[0], (0, 1), "syntactic")
+        feats = extract_features(triplet_trees[0], "syntactic")[(0, 1)]
         expected = {
             "rule=NN->day": 1.0,
             "first=day": 1.0,
@@ -43,24 +46,55 @@ class TestExtractFeatures:
         assert feats == expected
 
     def test_root_sentinels(self, triplet_trees):
-        feats = extract_features(triplet_trees[0], (), "syntactic")
+        feats = extract_features(triplet_trees[0], "syntactic")[()]
         assert "parent=TOP" in feats
         assert "sibling=none" in feats
         assert "len=3-5" in feats
 
+    def test_preterminal_span(self):
+        tree = parse_tree("(S (A a) (B b))")
+        assert extract_features(tree)[(0,)] == {
+            "rule=A->a": 1.0,
+            "first=a": 1.0,
+            "last=a": 1.0,
+            "parent=S": 1.0,
+            "sibling=B": 1.0,
+            "len=1": 1.0,
+        }
+        assert extract_features(tree, "semantic", aligned={})[(1,)] == {"w=b": 1.0}
+
+    def test_figure_whnp_span(self, triplet_trees):
+        # WHNP covers "what day"; "is nochebuena" lies outside it.
+        syntactic = extract_features(triplet_trees[0])[(0,)]
+        assert {"first=what", "last=day", "len=2"} <= set(syntactic)
+        semantic = extract_features(triplet_trees[0], "semantic", aligned={})[(0,)]
+        assert semantic == {"w=what": 1.0, "w=day": 1.0}
+
+    @given(random_trees())
+    def test_matches_brute_force_reference(self, tree):
+        for subject in (tree, binarize(normalize(tree))):
+            full = tree_yield(subject)
+            aligned = {pos: {f"x{pos % 3}"} for pos in range(0, len(full), 2)}
+            for layer in ("syntactic", "semantic"):
+                assert extract_features(subject, layer, aligned) == brute_force_features(
+                    subject, layer, aligned
+                )
+            # Each reference span is the node's inside yield as one slice of
+            # the full yield, so inside and outside partition the tree.
+            for node, _, _, (start, end) in node_contexts(subject).values():
+                assert full[start:end] == tree_yield(node)
+
     def test_semantic_bag_includes_aligned_words(self, triplet_trees):
         index = aligned_words_index(triplet_trees, TRIPLET_ALIGNMENTS)
         # The "day" leaf spans position 1 of tree 0; day aligns to "when".
-        feats = extract_features(
-            triplet_trees[0], (0, 1), "semantic", aligned=index[0]
-        )
+        feats = extract_features(triplet_trees[0], "semantic", aligned=index[0])[(0, 1)]
         assert feats["w=day"] == 1.0
         assert feats["w=when"] == 1.0
         assert "w=nochebuena" not in feats
 
     def test_semantic_requires_alignments(self, triplet_trees):
         with pytest.raises(MissingAlignments):
-            extract_features(triplet_trees[0], (), "semantic")
+            extract_features(triplet_trees[0], "semantic")
 
 
 class TestClusterStates:

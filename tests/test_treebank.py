@@ -1,22 +1,20 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
+
+from oracles import random_trees
 
 from paralat.errors import (
     EmptyTree,
-    NodeNotInTree,
     PreterminalWithMultipleChildren,
     UnbalancedBrackets,
 )
 from paralat.treebank import (
-    Tree,
     binarize,
     debinarize,
-    decompose,
     expand_unaries,
     is_binary,
-    iter_nodes,
     normalize,
     parse_tree,
     render,
@@ -69,31 +67,12 @@ class TestParseTree:
         assert parse_tree(render(tree)) == tree
 
 
-# Random tree strategy for round-trip properties.
-_labels = st.sampled_from(["S", "NP", "VP", "NN", "DT", "X"])
-_words = st.sampled_from(["a", "b", "cat", "saw", "nochebuena"])
-
-
-def _trees(depth: int = 3) -> st.SearchStrategy[Tree]:
-    leaf = st.builds(lambda l, w: Tree(l, word=w), _labels, _words)
-    if depth == 0:
-        return leaf
-    return st.one_of(
-        leaf,
-        st.builds(
-            lambda l, cs: Tree(l, children=tuple(cs)),
-            _labels,
-            st.lists(_trees(depth - 1), min_size=1, max_size=3),
-        ),
-    )
-
-
 class TestRoundTrip:
-    @given(_trees())
+    @given(random_trees())
     def test_render_parse_identity(self, tree):
         assert parse_tree(render(tree)) == tree
 
-    @given(_trees())
+    @given(random_trees())
     def test_normalize_then_expand_preserves_yield(self, tree):
         norm = normalize(tree)
         assert tree_yield(norm) == tuple(w.lower() for w in tree_yield(tree))
@@ -151,52 +130,14 @@ class TestBinarize:
         ):
             assert render(tree) == line
 
-    @given(_trees())
+    @given(random_trees())
     def test_debinarize_inverts(self, tree):
         norm = normalize(tree)
         binary = binarize(norm)
         assert is_binary(binary)
         assert debinarize(binary) == norm
 
-    @given(_trees())
+    @given(random_trees())
     def test_yield_preserved(self, tree):
         norm = normalize(tree)
         assert tree_yield(binarize(norm)) == tree_yield(norm)
-
-
-class TestDecompose:
-    def test_root_case(self):
-        tree = parse_tree("(S (A a) (B b))")
-        ctx = decompose(tree, ())
-        assert ctx.inside == tree
-        assert ctx.parent_label == "TOP"
-        assert ctx.sibling_label == "none"
-        assert ctx.outside_terminals == ()
-
-    def test_preterminal_case(self):
-        tree = parse_tree("(S (A a) (B b))")
-        ctx = decompose(tree, (0,))
-        assert ctx.inside == Tree("A", word="a")
-        assert ctx.span == (0, 1)
-        assert ctx.outside_terminals == ("b",)
-
-    def test_figure_whnp_spans(self, triplet_trees):
-        ctx = decompose(triplet_trees[0], (0,))
-        assert tree_yield(ctx.inside) == ("what", "day")
-        assert ctx.outside_terminals == ("is", "nochebuena")
-
-    def test_missing_node(self):
-        tree = parse_tree("(S (A a) (B b))")
-        with pytest.raises(NodeNotInTree):
-            decompose(tree, (5,))
-
-    @given(_trees())
-    def test_inside_outside_partition(self, tree):
-        full = tree_yield(tree)
-        for path, _ in iter_nodes(tree):
-            ctx = decompose(tree, path)
-            inside = tree_yield(ctx.inside)
-            assert len(inside) + len(ctx.outside_terminals) == len(full)
-            start, end = ctx.span
-            assert full[start:end] == inside
-            assert ctx.outside_terminals == full[:start] + full[end:]
