@@ -51,6 +51,19 @@ class TestExtractFeatures:
         assert "sibling=none" in feats
         assert "len=3-5" in feats
 
+    def test_root_case(self):
+        # The root has no outside: its span is the whole yield.
+        tree = parse_tree("(S (A a) (B b))")
+        assert extract_features(tree)[()] == {
+            "rule=S->A B": 1.0,
+            "first=a": 1.0,
+            "last=b": 1.0,
+            "parent=TOP": 1.0,
+            "sibling=none": 1.0,
+            "len=2": 1.0,
+        }
+        assert extract_features(tree, "semantic", aligned={})[()] == {"w=a": 1.0, "w=b": 1.0}
+
     def test_preterminal_span(self):
         tree = parse_tree("(S (A a) (B b))")
         assert extract_features(tree)[(0,)] == {
