@@ -1,11 +1,15 @@
 """Command-line pipeline: grammar training, lattice building, sampling,
 classifier training/filtering, and the toy semantic-parsing loop.
 
-Options can come from a flat ``key=value`` config file (``--config``);
-explicit flags win.  Grammars are validated before use.  ``sample`` and
-``paraphrase`` note a question they cannot sample on stderr and go on.
-Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage errors, 2 on
-data errors.
+Each option's type and default are declared once, on its subcommand.
+``--config`` names a flat ``key=value`` file whose keys are option dests
+(``bilayered_grammar``, ``graphs_dir``, ``min_score``, and ``qa_train`` /
+``qa_eval`` for ``--qa``); its values become the subcommand's defaults,
+so explicit flags win.  Unknown keys and value-less flags are ignored.
+Grammars are validated before use.  ``build-lattice``, ``sample`` and
+``paraphrase`` note a question they cannot handle on stderr and go on.
+Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
+errors, 2 on data errors.
 """
 
 from __future__ import annotations
@@ -55,13 +59,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # set by build_parser
+
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
         raise _UsageError(message)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -75,23 +79,19 @@ def _load_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def _pick(flag, config: dict[str, str], key: str, default, cast=str):
-    """Flag value if given, else config value, else the default."""
-    if flag is not None:
-        return flag
-    if key in config:
+def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Make each config key that names the dest of one of ``parser``'s
+    value-taking options that option's default, cast by its ``type``."""
+    defaults = {}
+    for action in parser._actions:
+        if action.nargs == 0 or action.dest == "config" or action.dest not in config:
+            continue
+        value = config[action.dest]
         try:
-            return cast(config[key])
+            defaults[action.dest] = action.type(value) if action.type else value
         except ValueError as exc:
-            raise _UsageError(f"config key {key!r}: bad value {config[key]!r}") from exc
-    return default
-
-
-def _pick_m(args, config, default: int) -> int:
-    m_samples = _pick(args.m, config, "m", default, int)
-    if m_samples < 1:
-        raise _UsageError(f"--m must be at least 1, got {m_samples}")
-    return m_samples
+            raise _UsageError(f"config key {action.dest!r}: bad value {value!r}") from exc
+    parser.set_defaults(**defaults)
 
 
 def _require(value, name: str):
@@ -112,14 +112,12 @@ def derive_seed(seed: int, stage: str, index: int) -> int:
     return (seed * 1000003 + zlib.crc32(stage.encode("utf-8")) + index) % (2**31)
 
 
-def _read_questions(args, config) -> list[list[str]]:
-    question = _pick(args.question, config, "question", None)
-    path = _pick(args.input, config, "input", None)
-    if (question is None) == (path is None):
+def _read_questions(args) -> list[list[str]]:
+    if (args.question is None) == (args.input is None):
         raise _UsageError("give exactly one of --question or --input")
-    if question is not None:
-        return [question.lower().split()]
-    with open(path, encoding="utf-8") as handle:
+    if args.question is not None:
+        return [args.question.lower().split()]
+    with open(args.input, encoding="utf-8") as handle:
         return [
             line.lower().split()
             for line in handle.read().splitlines()
@@ -150,64 +148,65 @@ def _build_lattice_for(mode: str, tokens, rules_db, layered_grammar):
     raise _UsageError(f"unknown lattice mode {mode!r}")
 
 
-def _sample_questions(args, config, mode: str, stage: str, default_m: int):
-    """(tokens, candidates) for every question: build its lattice, then
-    sample.  A question with no parse or no grammar root over its lattice
-    is noted on stderr and skipped; the others go on."""
-    grammar = _load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
-    m_samples = _pick_m(args, config, default_m)
-    seed = _pick(args.seed, config, "seed", 1, int)
-    rules_path = _pick(args.rules, config, "rules", None)
-    rules_db = load_rules(rules_path) if rules_path else None
-    layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
-    layered = _load_grammar(layered_path) if layered_path else None
-    sampled = []
-    for index, tokens in enumerate(_read_questions(args, config)):
+def _each_lattice(args, mode: str, work: Callable, min_score: float | None = None):
+    """(tokens, work(index, tokens, lattice)) for every question.  A
+    question with no parse or no grammar root over its lattice is noted on
+    stderr and skipped; the others go on."""
+    rules_db = load_rules(args.rules, min_score) if args.rules else None
+    layered = _load_grammar(args.bilayered_grammar) if args.bilayered_grammar else None
+    done = []
+    for index, tokens in enumerate(_read_questions(args)):
         try:
             lat = _build_lattice_for(mode, tokens, rules_db, layered)
-            candidates = sample_many(
-                tokens, grammar, lat, m_samples, derive_seed(seed, stage, index)
-            )
+            done.append((tokens, work(index, tokens, lat)))
         except (ParseFailure, EmptyIntersection) as exc:
             print(f"note: {' '.join(tokens)}: {exc}", file=sys.stderr)
-            continue
-        sampled.append((tokens, candidates))
-    return sampled
+    return done
+
+
+def _sample_questions(args, mode: str, stage: str):
+    """(tokens, candidates) for every question that :func:`_each_lattice`
+    does not skip."""
+    grammar = _load_grammar(_require(args.grammar, "grammar"))
+    if args.m < 1:
+        raise _UsageError(f"--m must be at least 1, got {args.m}")
+    return _each_lattice(
+        args,
+        mode,
+        lambda index, tokens, lat: sample_many(
+            tokens, grammar, lat, args.m, derive_seed(args.seed, stage, index)
+        ),
+    )
 
 
 # --- subcommand handlers -------------------------------------------------------
 
-def _cmd_train_grammar(args, config) -> int:
-    treebank_path = _require(_pick(args.treebank, config, "treebank", None), "treebank")
-    out = _require(_pick(args.out, config, "out", None), "out")
-    m1 = _pick(args.m1, config, "m1", 24, int)
-    seed = _pick(args.seed, config, "seed", 1, int)
+def _cmd_train_grammar(args) -> int:
+    treebank_path = _require(args.treebank, "treebank")
+    out = _require(args.out, "out")
     trees = [binarize(t) for t in read_treebank(treebank_path)]
-    grammar = train_grammar(trees, m=m1, seed=seed)
+    grammar = train_grammar(trees, m=args.m1, seed=args.seed)
     save_grammar(grammar, out)
     print(f"wrote {out}: {grammar.rule_count()} rules over {len(trees)} trees")
     return 0
 
 
-def _cmd_train_bilayered(args, config) -> int:
-    treebank_path = _require(_pick(args.treebank, config, "treebank", None), "treebank")
-    alignments_path = _require(
-        _pick(args.alignments, config, "alignments", None), "alignments"
-    )
-    out = _require(_pick(args.out, config, "out", None), "out")
-    m1 = _pick(args.m1, config, "m1", 24, int)
-    m2 = _pick(args.m2, config, "m2", 1000, int)
-    seed = _pick(args.seed, config, "seed", 1, int)
+def _cmd_train_bilayered(args) -> int:
+    treebank_path = _require(args.treebank, "treebank")
+    alignments_path = _require(args.alignments, "alignments")
+    out = _require(args.out, "out")
     trees = [binarize(t) for t in read_treebank(treebank_path)]
     records = read_alignments(alignments_path)
-    _annotated, grammar = train_bilayered_grammar(trees, records, m1=m1, m2=m2, seed=seed)
+    _annotated, grammar = train_bilayered_grammar(
+        trees, records, m1=args.m1, m2=args.m2, seed=args.seed
+    )
     save_grammar(grammar, out)
-    print(f"wrote {out}: {grammar.rule_count()} rules, layers {m1}x{m2}")
+    print(f"wrote {out}: {grammar.rule_count()} rules, layers {args.m1}x{args.m2}")
     return 0
 
 
-def _cmd_validate_grammar(args, config) -> int:
-    grammar_path = _require(_pick(args.grammar, config, "grammar", None), "grammar")
+def _cmd_validate_grammar(args) -> int:
+    grammar_path = _require(args.grammar, "grammar")
     report = validate(load_grammar(grammar_path))
     for note in report.notes:
         print(f"note: {note}")
@@ -219,78 +218,62 @@ def _cmd_validate_grammar(args, config) -> int:
     return 0
 
 
-def _cmd_parse(args, config) -> int:
-    grammar = _load_grammar(_require(_pick(args.grammar, config, "grammar", None), "grammar"))
+def _cmd_parse(args) -> int:
+    grammar = _load_grammar(_require(args.grammar, "grammar"))
     lines = []
-    for tokens in _read_questions(args, config):
+    for tokens in _read_questions(args):
         tree = cky_viterbi(tokens, grammar)
         lines.append(render_derivation(tree.root))
-    _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_build_lattice(args, config) -> int:
-    mode = _pick(args.mode, config, "mode", "naive")
-    rules_db = None
-    rules_path = _pick(args.rules, config, "rules", None)
-    if rules_path is not None:
-        rules_db = load_rules(rules_path, _pick(args.min_score, config, "min_score", None, float))
-    layered = None
-    layered_path = _pick(args.bilayered_grammar, config, "bilayered_grammar", None)
-    if layered_path is not None:
-        layered = _load_grammar(layered_path)
-    chunks = []
-    for tokens in _read_questions(args, config):
-        chunks.append(dump_lattice(_build_lattice_for(mode, tokens, rules_db, layered)))
-    _emit(_pick(args.out, config, "out", None), "".join(chunks))
+def _cmd_build_lattice(args) -> int:
+    dumps = _each_lattice(
+        args, args.mode, lambda index, tokens, lat: dump_lattice(lat), args.min_score
+    )
+    _emit(args.out, "".join(dump for _tokens, dump in dumps))
     return 0
 
 
-def _cmd_sample(args, config) -> int:
-    mode = _pick(args.lattice, config, "lattice", "naive")
+def _cmd_sample(args) -> int:
     lines = [
         f"{cand.seed}\t{cand.text}"
-        for _tokens, candidates in _sample_questions(args, config, mode, "sample", 100)
+        for _tokens, candidates in _sample_questions(args, args.lattice, "sample")
         for cand in candidates
     ]
-    _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n" if lines else "")
+    _emit(args.out, "\n".join(lines) + "\n" if lines else "")
     return 0
 
 
-def _cmd_train_classifier(args, config) -> int:
-    pairs_path = _require(_pick(args.pairs, config, "pairs", None), "pairs")
-    out = _require(_pick(args.out, config, "out", None), "out")
-    epochs = _pick(args.epochs, config, "epochs", 200, int)
-    seed = _pick(args.seed, config, "seed", 0, int)
-    gazetteer_path = _pick(args.gazetteer, config, "gazetteer", None)
-    gazetteer = Gazetteer.load(gazetteer_path) if gazetteer_path else None
+def _cmd_train_classifier(args) -> int:
+    pairs_path = _require(args.pairs, "pairs")
+    out = _require(args.out, "out")
+    gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     model = train_classifier_model(
-        read_labeled_pairs(pairs_path), epochs=epochs, seed=seed, gazetteer=gazetteer
+        read_labeled_pairs(pairs_path), epochs=args.epochs, seed=args.seed, gazetteer=gazetteer
     )
     save_model(model, out)
     print(f"wrote {out}: threshold {model.threshold:.6f}")
     return 0
 
 
-def _cmd_paraphrase(args, config) -> int:
-    model = load_model(_require(_pick(args.classifier, config, "classifier", None), "classifier"))
-    threshold = _pick(args.threshold, config, "threshold", None, float)
-    gazetteer_path = _pick(args.gazetteer, config, "gazetteer", None)
-    gazetteer = Gazetteer.load(gazetteer_path) if gazetteer_path else None
-    mode = _pick(args.mode, config, "mode", "naive")
+def _cmd_paraphrase(args) -> int:
+    model = load_model(_require(args.classifier, "classifier"))
+    gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     lines = []
-    for tokens, candidates in _sample_questions(args, config, mode, "paraphrase", 300):
+    for tokens, candidates in _sample_questions(args, args.mode, "paraphrase"):
         question = " ".join(tokens)
-        for cand, score in filter_candidates(model, tokens, candidates, gazetteer, threshold):
+        for cand, score in filter_candidates(model, tokens, candidates, gazetteer, args.threshold):
             lines.append(f"{question}\t{cand.text}\t{score:.6f}")
-    _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n" if lines else "")
+    _emit(args.out, "\n".join(lines) + "\n" if lines else "")
     return 0
 
 
-def _load_dataset(args, config, qa_key: str):
-    kb = load_kb(_require(_pick(args.kb, config, "kb", None), "kb"))
-    qa_path = _require(_pick(args.qa, config, qa_key, None), "qa")
-    graphs_dir = _require(_pick(args.graphs_dir, config, "graphs_dir", None), "graphs-dir")
+def _load_dataset(args, qa_path: str | None):
+    kb = load_kb(_require(args.kb, "kb"))
+    qa_path = _require(qa_path, "qa")
+    graphs_dir = _require(args.graphs_dir, "graphs-dir")
 
     def loader(name: str):
         return load_ungrounded(os.path.join(graphs_dir, name), name=name)
@@ -304,13 +287,10 @@ def _load_dataset(args, config, qa_key: str):
     return kb, dataset
 
 
-def _cmd_semparse_train(args, config) -> int:
-    kb, dataset = _load_dataset(args, config, "qa_train")
-    out = _require(_pick(args.out, config, "out", None), "out")
-    epochs = _pick(args.epochs, config, "epochs", 5, int)
-    beam = _pick(args.beam, config, "beam", 100, int)
-    seed = _pick(args.seed, config, "seed", 0, int)
-    model = perceptron_train(dataset, kb, epochs=epochs, beam=beam, seed=seed)
+def _cmd_semparse_train(args) -> int:
+    kb, dataset = _load_dataset(args, args.qa_train)
+    out = _require(args.out, "out")
+    model = perceptron_train(dataset, kb, epochs=args.epochs, beam=args.beam)
     save_perceptron(model, out)
     print(
         f"wrote {out}: {model.steps} update steps, {model.skipped} skipped examples"
@@ -318,13 +298,10 @@ def _cmd_semparse_train(args, config) -> int:
     return 0
 
 
-def _cmd_semparse_eval(args, config) -> int:
-    kb, dataset = _load_dataset(args, config, "qa_eval")
-    weights = load_perceptron_weights(
-        _require(_pick(args.model, config, "model", None), "model")
-    )
-    beam = _pick(args.beam, config, "beam", 100, int)
-    report = evaluate(dataset, kb, weights, beam=beam)
+def _cmd_semparse_eval(args) -> int:
+    kb, dataset = _load_dataset(args, args.qa_eval)
+    weights = load_perceptron_weights(_require(args.model, "model"))
+    report = evaluate(dataset, kb, weights, beam=args.beam)
     lines = [
         f"{question}\t{p:.4f}\t{r:.4f}\t{f1:.4f}"
         for question, p, r, f1 in report.per_question
@@ -332,110 +309,102 @@ def _cmd_semparse_eval(args, config) -> int:
     lines.append(
         f"AVG\t{report.avg_precision:.4f}\t{report.avg_recall:.4f}\t{report.avg_f1:.4f}"
     )
-    _emit(_pick(args.out, config, "out", None), "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 # --- argument wiring -------------------------------------------------------------
 
-def _add(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
-    for name in names:
-        parser.add_argument(name, default=None, **kwargs)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="paralat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"paralat {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = sub.choices
 
-    def command(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
+    def command(
+        name: str, handler: Callable, help_text: str, seed: int | None = None
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--config", help="flat key=value config file")
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed)
         return p
 
-    p = command("train-grammar", _cmd_train_grammar, "estimate a one-layer grammar")
-    _add(p, "--treebank", help="bracketed trees, one per line")
-    _add(p, "--m1", type=int, help="latent states per symbol (default 24)")
-    _add(p, "--seed", type=int)
-    _add(p, "--out", help="grammar file to write")
+    def training(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--treebank", help="bracketed trees, one per line")
+        p.add_argument("--m1", type=int, default=24,
+                       help="latent states per symbol (default %(default)s)")
+        p.add_argument("--out", help="grammar file to write")
 
-    p = command("train-bilayered", _cmd_train_bilayered, "estimate a two-layer grammar")
-    _add(p, "--treebank")
-    _add(p, "--alignments", help="paraphrase-pair word alignments (TSV)")
-    _add(p, "--m1", type=int)
-    _add(p, "--m2", type=int, help="semantic states (default 1000)")
-    _add(p, "--seed", type=int)
-    _add(p, "--out")
+    def questions(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--question")
+        p.add_argument("--input", help="file with one question per line")
+
+    def lattice_inputs(p: argparse.ArgumentParser, mode_flag: str) -> None:
+        p.add_argument(mode_flag, default="naive", help="naive | rules | bilayered")
+        p.add_argument("--rules", help="rewrite rule TSV for lattice mode 'rules'")
+        p.add_argument("--bilayered-grammar", help="grammar for lattice mode 'bilayered'")
+
+    def sampling(p: argparse.ArgumentParser, mode_flag: str, m: int) -> None:
+        p.add_argument("--grammar")
+        questions(p)
+        lattice_inputs(p, mode_flag)
+        p.add_argument("--m", type=int, default=m, help="samples per question")
+        p.add_argument("--out")
+
+    def dataset(p: argparse.ArgumentParser, qa_dest: str) -> None:
+        p.add_argument("--kb")
+        p.add_argument("--qa", dest=qa_dest)
+        p.add_argument("--graphs-dir")
+        p.add_argument("--beam", type=int, default=100)
+        p.add_argument("--out")
+        p.add_argument("--original-only", action="store_true")
+
+    p = command("train-grammar", _cmd_train_grammar, "estimate a one-layer grammar", seed=1)
+    training(p)
+
+    p = command("train-bilayered", _cmd_train_bilayered, "estimate a two-layer grammar", seed=1)
+    training(p)
+    p.add_argument("--alignments", help="paraphrase-pair word alignments (TSV)")
+    p.add_argument("--m2", type=int, default=1000, help="semantic states (default %(default)s)")
 
     p = command("validate-grammar", _cmd_validate_grammar, "check grammar invariants")
-    _add(p, "--grammar")
+    p.add_argument("--grammar")
 
     p = command("parse", _cmd_parse, "print the best derivation of a question")
-    _add(p, "--grammar")
-    _add(p, "--question")
-    _add(p, "--input", help="file with one question per line")
-    _add(p, "--out")
+    p.add_argument("--grammar")
+    questions(p)
+    p.add_argument("--out")
 
     p = command("build-lattice", _cmd_build_lattice, "dump a question word lattice")
-    _add(p, "--mode", help="naive | rules | bilayered")
-    _add(p, "--question")
-    _add(p, "--input")
-    _add(p, "--rules", help="rewrite rule TSV for mode 'rules'")
-    _add(p, "--min-score", dest="min_score", type=float)
-    _add(p, "--bilayered-grammar", dest="bilayered_grammar")
-    _add(p, "--out")
+    questions(p)
+    lattice_inputs(p, "--mode")
+    p.add_argument("--min-score", type=float)
+    p.add_argument("--out")
 
-    p = command("sample", _cmd_sample, "sample lattice-constrained questions")
-    _add(p, "--grammar")
-    _add(p, "--question")
-    _add(p, "--input")
-    _add(p, "--lattice", help="naive | rules | bilayered")
-    _add(p, "--rules")
-    _add(p, "--bilayered-grammar", dest="bilayered_grammar")
-    _add(p, "--m", type=int, help="samples per question")
-    _add(p, "--seed", type=int)
-    _add(p, "--out")
+    p = command("sample", _cmd_sample, "sample lattice-constrained questions", seed=1)
+    sampling(p, "--lattice", m=100)
 
-    p = command("train-classifier", _cmd_train_classifier, "train the paraphrase filter")
-    _add(p, "--pairs", help="labeled source<TAB>candidate<TAB>0|1 file")
-    _add(p, "--gazetteer")
-    _add(p, "--epochs", type=int)
-    _add(p, "--seed", type=int)
-    _add(p, "--out")
+    p = command("train-classifier", _cmd_train_classifier, "train the paraphrase filter", seed=0)
+    p.add_argument("--pairs", help="labeled source<TAB>candidate<TAB>0|1 file")
+    p.add_argument("--gazetteer")
+    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--out")
 
-    p = command("paraphrase", _cmd_paraphrase, "end to end: lattice, sample, filter")
-    _add(p, "--grammar")
-    _add(p, "--mode", help="naive | rules | bilayered")
-    _add(p, "--rules")
-    _add(p, "--bilayered-grammar", dest="bilayered_grammar")
-    _add(p, "--classifier", help="trained classifier model file")
-    _add(p, "--gazetteer")
-    _add(p, "--question")
-    _add(p, "--input")
-    _add(p, "--m", type=int)
-    _add(p, "--seed", type=int)
-    _add(p, "--threshold", type=float, help="override the stored threshold")
-    _add(p, "--out")
+    p = command("paraphrase", _cmd_paraphrase, "end to end: lattice, sample, filter", seed=1)
+    sampling(p, "--mode", m=300)
+    p.add_argument("--classifier", help="trained classifier model file")
+    p.add_argument("--gazetteer")
+    p.add_argument("--threshold", type=float, help="override the stored threshold")
 
     p = command("semparse-train", _cmd_semparse_train, "train the grounding model")
-    _add(p, "--kb")
-    _add(p, "--qa")
-    _add(p, "--graphs-dir", dest="graphs_dir")
-    _add(p, "--epochs", type=int)
-    _add(p, "--beam", type=int)
-    _add(p, "--seed", type=int)
-    _add(p, "--out")
-    p.add_argument("--original-only", action="store_true", dest="original_only")
+    dataset(p, "qa_train")
+    p.add_argument("--epochs", type=int, default=5)
 
     p = command("semparse-eval", _cmd_semparse_eval, "evaluate grounding on a QA set")
-    _add(p, "--kb")
-    _add(p, "--qa")
-    _add(p, "--graphs-dir", dest="graphs_dir")
-    _add(p, "--model")
-    _add(p, "--beam", type=int)
-    _add(p, "--out")
-    p.add_argument("--original-only", action="store_true", dest="original_only")
+    dataset(p, "qa_eval")
+    p.add_argument("--model")
 
     return parser
 
@@ -447,13 +416,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "handler", None) is None:
             parser.print_help()
             return 1
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        if args.config is not None:
+            # Config values become the subcommand's defaults; parsing again
+            # lets explicit flags win.
+            _apply_config(parser.commands[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ParalatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # every input file is read as UTF-8
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

@@ -286,18 +286,24 @@ def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
     return frozenset(candidates if candidates is not None else kb.entities)
 
 
-def f1_loss(predicted: frozenset[str] | set[str], gold: frozenset[str] | set[str]) -> float:
-    """1 - F1 of the predicted entity set; empty predictions score F1 = 0."""
+def _precision_recall_f1(
+    predicted: frozenset[str] | set[str], gold: frozenset[str] | set[str]
+) -> tuple[float, float, float]:
+    """Precision, recall and F1 of the predicted entity set against a
+    non-empty gold set; a prediction with no gold entity scores 0 on all."""
     if not gold:
         raise EmptyGold("gold answer set must be non-empty")
-    if not predicted:
-        return 1.0
     overlap = len(set(predicted) & set(gold))
     if overlap == 0:
-        return 1.0
+        return 0.0, 0.0, 0.0
     precision = overlap / len(predicted)
     recall = overlap / len(gold)
-    return 1.0 - (2 * precision * recall / (precision + recall))
+    return precision, recall, 2 * precision * recall / (precision + recall)
+
+
+def f1_loss(predicted: frozenset[str] | set[str], gold: frozenset[str] | set[str]) -> float:
+    """1 - F1 of the predicted entity set; empty predictions score F1 = 0."""
+    return 1.0 - _precision_recall_f1(predicted, gold)[2]
 
 
 # --- entity resolution ----------------------------------------------------------
@@ -731,15 +737,7 @@ def evaluate(
                 predicted = denotation(result[0], kb)
             except UnboundTarget:
                 predicted = frozenset()
-        overlap = len(predicted & example.gold)
-        precision = overlap / len(predicted) if predicted else 0.0
-        recall = overlap / len(example.gold)
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        rows.append((" ".join(example.question), precision, recall, f1))
+        rows.append((" ".join(example.question), *_precision_recall_f1(predicted, example.gold)))
     return EvalReport(per_question=tuple(rows))
 
 

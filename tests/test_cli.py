@@ -7,7 +7,7 @@ import shutil
 import pytest
 
 from paralat.classifier import ClassifierModel, save_model
-from paralat.cli import derive_seed, main
+from paralat.cli import build_parser, derive_seed, main
 from paralat.data_files import atomic_write, data_path
 from paralat.grammar import save_grammar
 from paralat.semparse import PerceptronModel, save_perceptron
@@ -38,6 +38,32 @@ def classifier_file(tmp_path_factory):
     ])
     assert rc == 0
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def bilayered_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "bilayered.lpcfg"
+    rc = main([
+        "train-bilayered",
+        "--treebank", data_path("minitreebank.trees"),
+        "--alignments", data_path("alignments.tsv"),
+        "--m1", "2", "--m2", "16", "--seed", "1",
+        "--out", str(path),
+    ])
+    assert rc == 0
+    return str(path)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(build_parser().commands))
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert out.startswith(f"usage: paralat {command}")
+        if command == "train-grammar":
+            assert "default 24" in out
 
 
 class TestExitCodes:
@@ -191,6 +217,41 @@ class TestBadInputs:
         assert "Traceback" not in err
 
 
+def _semparse_argv(command, kb):
+    qa = "qa_train.tsv" if command == "semparse-train" else "qa_eval.tsv"
+    return [command, "--kb", kb, "--qa", data_path(qa), "--graphs-dir", data_path("graphs"),
+            "--model" if command == "semparse-eval" else "--out", kb + ".out"]
+
+
+# The first file each subcommand reads, given as a Latin-1 file.
+_LATIN1_ARGV = {
+    "train-grammar": lambda bad: ["train-grammar", "--treebank", bad, "--out", bad + ".out"],
+    "train-bilayered": lambda bad: ["train-bilayered", "--config", bad],
+    "validate-grammar": lambda bad: ["validate-grammar", "--grammar", bad],
+    "parse": lambda bad: ["parse", "--grammar", bad, "--question", "when is easter"],
+    "build-lattice": lambda bad: ["build-lattice", "--input", bad],
+    "sample": lambda bad: ["sample", "--grammar", bad, "--question", "when is easter"],
+    "train-classifier": lambda bad: ["train-classifier", "--pairs", bad, "--out", bad + ".out"],
+    # The classifier is read before the grammar.
+    "paraphrase": lambda bad: ["paraphrase", "--classifier", bad, "--grammar", bad,
+                               "--question", "when is easter"],
+    "semparse-train": lambda bad: _semparse_argv("semparse-train", bad),
+    "semparse-eval": lambda bad: _semparse_argv("semparse-eval", bad),
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", sorted(_LATIN1_ARGV))
+    def test_error_without_traceback(self, command, tmp_path, capsys):
+        assert set(_LATIN1_ARGV) == set(build_parser().commands)
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+        assert main(_LATIN1_ARGV[command](str(bad))) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith(("usage error: ", "error: "))
+        assert "Traceback" not in err
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize(
         "write",
@@ -303,6 +364,19 @@ class TestBuildLattice:
         assert "NODE 0" in out
         assert "EDGE 0 1 why input" in out
 
+    def test_failed_question_is_noted_and_batch_goes_on(self, bilayered_file, tmp_path, capsys):
+        questions = tmp_path / "q.txt"
+        questions.write_text("what day is christmas\nzzz qqq\n", encoding="utf-8")
+        rc = main([
+            "build-lattice", "--mode", "bilayered", "--bilayered-grammar", bilayered_file,
+            "--input", str(questions),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert out.count("NODE 0\n") == 1
+        assert "EDGE 3 4 christmas input" in out
+        assert err.splitlines() == ["note: zzz qqq: no derivation covers 'zzz qqq'"]
+
 
 class TestParaphrase:
     def test_never_emits_input_question(self, grammar_file, classifier_file, tmp_path):
@@ -345,6 +419,18 @@ class TestParaphrase:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _run_with_config(tmp_path, argv, keys):
+    """Output bytes of ``argv`` run with a config file of ``keys`` plus an ``out`` key."""
+    out = tmp_path / "by_config"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "".join(f"{key}={value}\n" for key, value in {**keys, "out": out}.items()),
+        encoding="utf-8",
+    )
+    assert main([*argv, "--config", str(config)]) == 0
+    return out.read_bytes()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         config = tmp_path / "pipeline.cfg"
@@ -364,6 +450,62 @@ class TestConfigFile:
         ]) == 0
         assert grammar_out.read_bytes() != first
 
+    @pytest.mark.parametrize(
+        "command, keys, flags",
+        [
+            ("paraphrase", {"threshold": "0.7"}, ["--threshold", "0.7"]),
+            ("sample", {"lattice": "bilayered", "bilayered_grammar": "{bilayered}"},
+             ["--lattice", "bilayered", "--bilayered-grammar", "{bilayered}"]),
+        ],
+        ids=["float-threshold", "bilayered_grammar"],
+    )
+    def test_config_key_equals_flag(
+        self, command, keys, flags, tmp_path, grammar_file, classifier_file, bilayered_file
+    ):
+        common = [command, "--grammar", grammar_file, "--question", "what day is nochebuena",
+                  "--m", "40", "--seed", "5"]
+        if command == "paraphrase":
+            common += ["--mode", "rules", "--rules", data_path("rewrite_rules.tsv"),
+                       "--classifier", classifier_file]
+        keys = {key: value.format(bilayered=bilayered_file) for key, value in keys.items()}
+        flags = [flag.format(bilayered=bilayered_file) for flag in flags]
+        by_config = _run_with_config(tmp_path, common, keys)
+        assert main([*common, *flags, "--out", str(tmp_path / "by_flags")]) == 0
+        assert by_config == (tmp_path / "by_flags").read_bytes()
+        # The key took effect: the default gives other bytes.
+        assert main([*common, "--out", str(tmp_path / "default")]) == 0
+        assert by_config != (tmp_path / "default").read_bytes()
+
+    def test_semparse_keys_equal_flags(self, tmp_path):
+        data = {"kb": data_path("kb.tsv"), "graphs_dir": data_path("graphs")}
+        flags = ["--kb", data["kb"], "--graphs-dir", data["graphs_dir"]]
+        model = tmp_path / "model.tsv"
+        trained = _run_with_config(
+            tmp_path, ["semparse-train", "--epochs", "2"],
+            {**data, "qa_train": data_path("qa_train.tsv")},
+        )
+        assert main(["semparse-train", *flags, "--qa", data_path("qa_train.tsv"),
+                     "--epochs", "2", "--out", str(model)]) == 0
+        assert trained == model.read_bytes()
+        evaluated = _run_with_config(
+            tmp_path, ["semparse-eval", "--model", str(model)],
+            {**data, "qa_eval": data_path("qa_eval.tsv")},
+        )
+        assert main(["semparse-eval", *flags, "--qa", data_path("qa_eval.tsv"),
+                     "--model", str(model), "--out", str(tmp_path / "eval.tsv")]) == 0
+        assert evaluated == (tmp_path / "eval.tsv").read_bytes()
+
+    def test_ignored_keys(self, tmp_path):
+        keys = {"kb": data_path("kb.tsv"), "qa_train": data_path("qa_train.tsv"),
+                "graphs_dir": data_path("graphs"), "epochs": "2"}
+        argv = ["semparse-train"]
+        plain = _run_with_config(tmp_path, argv, keys)
+        noisy = _run_with_config(tmp_path, argv, {
+            **keys, "handler": "nope", "command": "sample", "original_only": "true",
+            "config": "nope.cfg", "no_such_key": "1", "m1": "abc",
+        })
+        assert plain == noisy
+
 
 class TestSemparse:
     def test_train_then_eval_report(self, tmp_path, capsys):
@@ -373,7 +515,7 @@ class TestSemparse:
             "--kb", data_path("kb.tsv"),
             "--qa", data_path("qa_train.tsv"),
             "--graphs-dir", data_path("graphs"),
-            "--epochs", "5", "--beam", "100", "--seed", "0",
+            "--epochs", "5", "--beam", "100",
             "--out", str(model),
         ])
         assert rc == 0
