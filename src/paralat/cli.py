@@ -6,8 +6,10 @@ Each option's type and default are declared once, on its subcommand.
 (``bilayered_grammar``, ``graphs_dir``, ``min_score``, and ``qa_train`` /
 ``qa_eval`` for ``--qa``); its values become the subcommand's defaults,
 so explicit flags win.  Unknown keys and value-less flags are ignored.
-Grammars are validated before use.  ``build-lattice``, ``sample`` and
-``paraphrase`` note a question they cannot handle on stderr and go on.
+Grammars are validated before use.  ``parse``, ``build-lattice``,
+``sample`` and ``paraphrase`` note a question they cannot handle on
+stderr and go on.  An unknown lattice mode, from a flag or a config key,
+is a usage error before any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -86,11 +88,14 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> No
     for action in parser._actions:
         if action.nargs == 0 or action.dest == "config" or action.dest not in config:
             continue
-        value = config[action.dest]
+        raw = config[action.dest]
         try:
-            defaults[action.dest] = action.type(value) if action.type else value
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(value)
         except ValueError as exc:
-            raise _UsageError(f"config key {action.dest!r}: bad value {value!r}") from exc
+            raise _UsageError(f"config key {action.dest!r}: bad value {raw!r}") from exc
+        defaults[action.dest] = value
     parser.set_defaults(**defaults)
 
 
@@ -125,6 +130,11 @@ def _read_questions(args) -> list[list[str]]:
         ]
 
 
+def _note(tokens, exc: Exception) -> None:
+    """Report a question that is skipped, on stderr."""
+    print(f"note: {' '.join(tokens)}: {exc}", file=sys.stderr)
+
+
 def _load_grammar(path: str):
     """Load a grammar and refuse it unless :func:`validate` passes."""
     grammar = load_grammar(path)
@@ -141,11 +151,10 @@ def _build_lattice_for(mode: str, tokens, rules_db, layered_grammar):
         if rules_db is None:
             raise _UsageError("--rules is required for mode 'rules'")
         return build_from_rules(tokens, rules_db)
-    if mode == "bilayered":
-        if layered_grammar is None:
-            raise _UsageError("--bilayered-grammar is required for mode 'bilayered'")
-        return build_bilayered(tokens, layered_grammar)
-    raise _UsageError(f"unknown lattice mode {mode!r}")
+    # mode == "bilayered": argparse rejects any other mode.
+    if layered_grammar is None:
+        raise _UsageError("--bilayered-grammar is required for mode 'bilayered'")
+    return build_bilayered(tokens, layered_grammar)
 
 
 def _each_lattice(args, mode: str, work: Callable, min_score: float | None = None):
@@ -160,7 +169,7 @@ def _each_lattice(args, mode: str, work: Callable, min_score: float | None = Non
             lat = _build_lattice_for(mode, tokens, rules_db, layered)
             done.append((tokens, work(index, tokens, lat)))
         except (ParseFailure, EmptyIntersection) as exc:
-            print(f"note: {' '.join(tokens)}: {exc}", file=sys.stderr)
+            _note(tokens, exc)
     return done
 
 
@@ -222,9 +231,11 @@ def _cmd_parse(args) -> int:
     grammar = _load_grammar(_require(args.grammar, "grammar"))
     lines = []
     for tokens in _read_questions(args):
-        tree = cky_viterbi(tokens, grammar)
-        lines.append(render_derivation(tree.root))
-    _emit(args.out, "\n".join(lines) + "\n")
+        try:
+            lines.append(render_derivation(cky_viterbi(tokens, grammar).root))
+        except ParseFailure as exc:
+            _note(tokens, exc)
+    _emit(args.out, "\n".join(lines) + "\n" if lines else "")
     return 0
 
 
@@ -342,7 +353,8 @@ def build_parser() -> _Parser:
         p.add_argument("--input", help="file with one question per line")
 
     def lattice_inputs(p: argparse.ArgumentParser, mode_flag: str) -> None:
-        p.add_argument(mode_flag, default="naive", help="naive | rules | bilayered")
+        p.add_argument(mode_flag, default="naive", choices=("naive", "rules", "bilayered"),
+                       help="lattice mode (default %(default)s)")
         p.add_argument("--rules", help="rewrite rule TSV for lattice mode 'rules'")
         p.add_argument("--bilayered-grammar", help="grammar for lattice mode 'bilayered'")
 

@@ -7,6 +7,13 @@ breadth-first; every emitted word consumes a lattice edge, conflicting
 paths are removed, and the restricted grammar is narrowed accordingly, so
 each completed sample draws its words from a single source-to-sink path.
 Dead ends are normal outcomes: the sample fails and its seed is burned.
+
+Conflict removal and narrowing run once per distinct lattice state per
+question: the draws of one :func:`sample_many` call share a memo of the
+states they reach.  Narrowing depends only on the surviving vocabulary
+(restricting a pruned grammar to a smaller vocabulary equals restricting
+the full grammar to it), so a cached state equals a recomputed one and
+the draws are unchanged.
 """
 
 from __future__ import annotations
@@ -163,29 +170,52 @@ class _Node:
         )
 
 
+class _State:
+    """One lattice state of a question: the lattice, the grammar narrowed
+    to it, its edges by token (in canonical order), its transitions (the
+    consumed edge to the next state) and, once needed, its witness path."""
+
+    __slots__ = ("lattice", "pruned", "by_token", "next", "witness")
+
+    def __init__(self, lattice: WordLattice, pruned: PrunedGrammar) -> None:
+        self.lattice = lattice
+        self.pruned = pruned
+        self.by_token: dict[str, list[Edge]] = {}
+        for e in lattice.edges:
+            self.by_token.setdefault(e.token, []).append(e)
+        self.next: dict[Edge, _State] = {}
+        self.witness: tuple[Edge, ...] | None = None
+
+
 def sample_one(
     pruned: PrunedGrammar,
     lat: WordLattice,
     seed: int,
     depth_cap: int = DEPTH_CAP,
+    states: dict[tuple[Edge, ...], _State] | None = None,
 ) -> ParaphraseCandidate | SampleFailure:
     """Draw one derivation; breadth-first, with controlled path removal.
 
     Every rule draw renormalizes the original parameters over the support
     that currently survives.  Each emitted word consumes one not yet
     consumed lattice edge (the canonically least); the removal step then
-    drops all paths conflicting with it.
+    drops all paths conflicting with it.  ``states`` is the memo of lattice
+    states that the draws over one ``pruned``/``lat`` pair share (see
+    :func:`sample_many`); without it the draw keeps a private one.
     """
     rng = random.Random(seed)
     grammar = pruned.grammar
-    pg = pruned
-    current = lat
+    if states is None:
+        states = {}
+    state = states.get(lat.edges)
+    if state is None:
+        state = states[lat.edges] = _State(lat, pruned)
     consumed: list[Edge] = []
     consumed_set: set[Edge] = set()
 
-    if not pg.roots:
+    if not pruned.roots:
         return SampleFailure("dead-end", seed)
-    root_ctx = _draw(rng, pg.roots)
+    root_ctx = _draw(rng, pruned.roots)
     root = _Node(root_ctx[0], root_ctx[1])
     queue: deque[tuple[_Node, int]] = deque([(root, 0)])
 
@@ -195,27 +225,33 @@ def sample_one(
             return SampleFailure("depth-cap", seed)
         ctx = (node.symbol, node.state)
         if node.symbol in grammar.preterminals:
-            support = pg.lexical.get(ctx, ())
-            free: dict[str, Edge] = {}
-            for e in current.edges:
-                if e not in consumed_set and (
-                    e.token not in free or e < free[e.token]
-                ):
-                    free[e.token] = e
-            avail = [(w, p) for w, p in support if w in free]
+            avail = [
+                (w, p)
+                for w, p in state.pruned.lexical.get(ctx, ())
+                if not consumed_set.issuperset(state.by_token.get(w, ()))
+            ]
             if not avail:
                 return SampleFailure("dead-end", seed)
             word = _draw(rng, avail)
-            edge = free[word]
+            edge = next(e for e in state.by_token[word] if e not in consumed_set)
             consumed.append(edge)
             consumed_set.add(edge)
             node.word = word
-            narrowed = remove_conflicting(current, edge)
-            if len(narrowed.edges) != len(current.edges):
-                current = narrowed
-                pg = _narrow(pg, current.vocabulary())
+            nxt = state.next.get(edge)
+            if nxt is None:
+                narrowed = remove_conflicting(state.lattice, edge)
+                if len(narrowed.edges) == len(state.lattice.edges):
+                    nxt = state
+                else:
+                    nxt = states.get(narrowed.edges)
+                    if nxt is None:
+                        nxt = states[narrowed.edges] = _State(
+                            narrowed, _narrow(state.pruned, narrowed.vocabulary())
+                        )
+                state.next[edge] = nxt
+            state = nxt
         else:
-            support = pg.binary.get(ctx, ())
+            support = state.pruned.binary.get(ctx, ())
             if not support:
                 return SampleFailure("dead-end", seed)
             rhs = _draw(rng, support)
@@ -229,8 +265,9 @@ def sample_one(
     tokens = derivation_yield(frozen)
     # Order the consumed edges along a witness path: after the removals,
     # every remaining source-to-sink path passes through all of them.
-    witness = enumerate_edge_paths(current, 1)[0]
-    path = tuple(e for e in witness if e in consumed_set)
+    if state.witness is None:
+        state.witness = enumerate_edge_paths(state.lattice, 1)[0]
+    path = tuple(e for e in state.witness if e in consumed_set)
     if len(path) != len(consumed):
         raise AssertionError("consumed edges do not lie on one path")
     return ParaphraseCandidate(
@@ -251,18 +288,20 @@ def sample_many(
 ) -> list[ParaphraseCandidate]:
     """Collect candidates from ``m_samples`` independent draws.
 
-    Seeds run from ``seed`` upward, each against a fresh lattice copy;
-    duplicates (by token sequence) and the input question itself are
-    dropped.  Deterministic for a fixed seed.
+    Seeds run from ``seed`` upward, each starting from the full lattice;
+    the draws share one memo of the lattice states they reach.  Duplicates
+    (by token sequence) and the input question itself are dropped.
+    Deterministic for a fixed seed.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     pruned = prune_grammar(grammar, lat)  # raises EmptyIntersection
+    states: dict[tuple[Edge, ...], _State] = {}
     question_tokens = tuple(question)
     out: list[ParaphraseCandidate] = []
     seen: set[tuple[str, ...]] = {question_tokens}
     for s in range(seed, seed + m_samples):
-        result = sample_one(pruned, lat, s, depth_cap=depth_cap)
+        result = sample_one(pruned, lat, s, depth_cap=depth_cap, states=states)
         if isinstance(result, SampleFailure):
             continue
         if result.tokens in seen:

@@ -4,7 +4,10 @@ Everything here is deliberately brute force and shares no code with the
 implementation paths it checks: derivations are enumerated one by one
 (no dynamic programming), path co-occurrence is decided by enumerating
 complete paths, grammar languages are unrolled top-down, and each tree
-node's context is looked up from the root on its own.
+node's context is looked up from the root on its own.  The one exception
+is ``reference_sample_one``, the sampler's draw before lattice states were
+memoized: it reuses the sampler's draw and narrowing helpers and redoes
+the conflict removal and narrowing at every emitted word.
 """
 
 from __future__ import annotations
@@ -12,12 +15,23 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from typing import Sequence
 
 from hypothesis import strategies as st
 
+from paralat.cky import DerivationTree, derivation_yield, rescore
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
-from paralat.lattice import Edge, WordLattice
+from paralat.lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
+from paralat.sampler import (
+    DEPTH_CAP,
+    ParaphraseCandidate,
+    PrunedGrammar,
+    SampleFailure,
+    _draw,
+    _narrow,
+    _Node,
+)
 from paralat.treebank import Tree
 
 
@@ -366,6 +380,72 @@ def word_salad_grammar(vocab: Sequence[str]) -> LatentGrammar:
             }
         },
         lexical={w: {word: 1.0 / len(words) for word in words}},
+    )
+
+
+def reference_sample_one(
+    pruned: PrunedGrammar, lat: WordLattice, seed: int, depth_cap: int = DEPTH_CAP
+) -> ParaphraseCandidate | SampleFailure:
+    """One draw with no memo: the free edges are found by a scan over the
+    current lattice, and every emitted word removes conflicting paths and
+    narrows the grammar afresh."""
+    rng = random.Random(seed)
+    grammar = pruned.grammar
+    pg = pruned
+    current = lat
+    consumed: list[Edge] = []
+    consumed_set: set[Edge] = set()
+
+    if not pg.roots:
+        return SampleFailure("dead-end", seed)
+    root_ctx = _draw(rng, pg.roots)
+    root = _Node(root_ctx[0], root_ctx[1])
+    queue: deque[tuple[_Node, int]] = deque([(root, 0)])
+
+    while queue:
+        node, depth = queue.popleft()
+        if depth > depth_cap:
+            return SampleFailure("depth-cap", seed)
+        ctx = (node.symbol, node.state)
+        if node.symbol in grammar.preterminals:
+            support = pg.lexical.get(ctx, ())
+            free: dict[str, Edge] = {}
+            for e in current.edges:
+                if e not in consumed_set and (e.token not in free or e < free[e.token]):
+                    free[e.token] = e
+            avail = [(w, p) for w, p in support if w in free]
+            if not avail:
+                return SampleFailure("dead-end", seed)
+            word = _draw(rng, avail)
+            edge = free[word]
+            consumed.append(edge)
+            consumed_set.add(edge)
+            node.word = word
+            narrowed = remove_conflicting(current, edge)
+            if len(narrowed.edges) != len(current.edges):
+                current = narrowed
+                pg = _narrow(pg, current.vocabulary())
+        else:
+            support = pg.binary.get(ctx, ())
+            if not support:
+                return SampleFailure("dead-end", seed)
+            rhs = _draw(rng, support)
+            left = _Node(rhs[0], rhs[1])
+            right = _Node(rhs[2], rhs[3])
+            node.children = (left, right)
+            queue.append((left, depth + 1))
+            queue.append((right, depth + 1))
+
+    frozen = root.freeze()
+    witness = enumerate_edge_paths(current, 1)[0]
+    path = tuple(e for e in witness if e in consumed_set)
+    if len(path) != len(consumed):
+        raise AssertionError("consumed edges do not lie on one path")
+    return ParaphraseCandidate(
+        tokens=derivation_yield(frozen),
+        derivation=DerivationTree(root=frozen, logprob=rescore(frozen, grammar)),
+        consumed_path=path,
+        seed=seed,
     )
 
 

@@ -317,6 +317,56 @@ class TestParse:
         out = capsys.readouterr().out
         assert out.startswith("(SBARQ-33-403 (WHNP-7-291 (WP-7-254 what)")
 
+    def test_failed_question_is_noted_and_batch_goes_on(self, grammar_file, tmp_path, capsys):
+        questions = tmp_path / "q.txt"
+        questions.write_text("what day is christmas\nzzz qqq\n", encoding="utf-8")
+        rc = main(["parse", "--grammar", grammar_file, "--input", str(questions)])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert len(out.splitlines()) == 1
+        assert out.startswith("(SBARQ-") and out.endswith(" christmas)))\n")
+        assert err.splitlines() == ["note: zzz qqq: no derivation covers 'zzz qqq'"]
+
+
+def _unknown_mode_argv(command, tmp_path):
+    """``command`` over an empty --input, with a grammar, rules and
+    classifier that do not exist, so any load before the mode check is
+    an exit 2."""
+    questions = tmp_path / "empty.txt"
+    questions.write_text("", encoding="utf-8")
+    missing = str(tmp_path / "missing")
+    argv = [command, "--input", str(questions), "--rules", missing]
+    if command != "build-lattice":
+        argv += ["--grammar", missing]
+    if command == "paraphrase":
+        argv += ["--classifier", missing]
+    return argv
+
+
+class TestUnknownLatticeMode:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("build-lattice", "--mode"), ("sample", "--lattice"), ("paraphrase", "--mode")],
+    )
+    def test_flag_is_usage_error_before_loading(self, command, flag, tmp_path, capsys):
+        assert main([*_unknown_mode_argv(command, tmp_path), flag, "bogus"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert "invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("build-lattice", "mode"), ("sample", "lattice"), ("paraphrase", "mode")],
+    )
+    def test_config_key_is_usage_error_before_loading(self, command, key, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=bogus\n", encoding="utf-8")
+        assert main([*_unknown_mode_argv(command, tmp_path), "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"usage error: config key {key!r}: bad value 'bogus'"]
+
 
 class TestSample:
     def test_output_format_and_determinism(self, grammar_file, tmp_path):

@@ -10,18 +10,34 @@ from oracles import (
     enumerate_strings,
     is_single_path_subset,
     random_multipath_lattice,
+    random_toy_grammar,
+    reference_sample_one,
     word_salad_grammar,
 )
-from paralat.errors import EmptyIntersection
+from paralat.data_files import data_path
+from paralat.errors import EmptyIntersection, ParseFailure
+from paralat.estimation import read_alignments, train_bilayered_grammar, train_grammar
 from paralat.grammar import LatentGrammar, LayerConfig, StateLabel, validate
-from paralat.lattice import build_naive
+from paralat.lattice import (
+    ORIGIN_BILAYERED,
+    ORIGIN_RULE,
+    Edge,
+    WordLattice,
+    build_bilayered,
+    build_from_rules,
+    build_naive,
+    load_rules,
+    remove_conflicting,
+)
 from paralat.sampler import (
+    DEPTH_CAP,
     ParaphraseCandidate,
     SampleFailure,
     prune_grammar,
     sample_many,
     sample_one,
 )
+from paralat.treebank import binarize, read_treebank
 
 S0 = StateLabel(0)
 
@@ -288,3 +304,147 @@ class TestPathInvariant:
         for ctx, table in re_pruned.binary.items():
             for (b, _, c, _), _ in table:
                 assert b in re_pruned.symbols and c in re_pruned.symbols
+
+
+HELDOUT = 8
+DRAWS = 60
+
+
+@pytest.fixture(scope="module")
+def heldout_lattices():
+    """The m1=2 grammar and (question, lattice) for the rules and the
+    bilayered (m1=2, m2=16) lattices of the first bundled held-out
+    questions, leaving out the lattices the grammar has no root over."""
+    trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
+    grammar = train_grammar(trees, m=2, seed=1)
+    _annotated, layered = train_bilayered_grammar(
+        trees, read_alignments(data_path("alignments.tsv")), m1=2, m2=16, seed=1
+    )
+    rules = load_rules(data_path("rewrite_rules.tsv"))
+    with open(data_path("heldout_questions.txt"), encoding="utf-8") as handle:
+        questions = [line.lower().split() for line in handle.read().splitlines()[:HELDOUT]]
+    cases = []
+    for tokens in questions:
+        lattices = [build_from_rules(tokens, rules)]
+        try:
+            lattices.append(build_bilayered(tokens, layered))
+        except ParseFailure:
+            pass
+        for lat in lattices:
+            try:
+                prune_grammar(grammar, lat)
+            except EmptyIntersection:
+                continue
+            cases.append((tokens, lat))
+    assert len(cases) >= HELDOUT
+    assert any(e.origin == ORIGIN_BILAYERED for _tokens, lat in cases for e in lat.edges)
+    return grammar, cases
+
+
+def _reference_many(question, grammar, lat, m_samples, seed, depth_cap=DEPTH_CAP):
+    """``sample_many`` over :func:`oracles.reference_sample_one`."""
+    pruned = prune_grammar(grammar, lat)
+    seen = {tuple(question)}
+    out = []
+    for s in range(seed, seed + m_samples):
+        result = reference_sample_one(pruned, lat, s, depth_cap)
+        if isinstance(result, ParaphraseCandidate) and result.tokens not in seen:
+            seen.add(result.tokens)
+            out.append(result)
+    return out
+
+
+def _fields(candidates):
+    return [
+        (c.tokens, c.consumed_path, c.derivation.root, c.derivation.logprob, c.seed)
+        for c in candidates
+    ]
+
+
+class TestLatticeStateMemo:
+    @pytest.mark.parametrize("seed", [0, 7, 90210])
+    def test_sample_many_equals_unmemoized_reference(self, heldout_lattices, seed):
+        grammar, cases = heldout_lattices
+        total = 0
+        for tokens, lat in cases:
+            got = _fields(sample_many(tokens, grammar, lat, DRAWS, seed))
+            assert got == _fields(_reference_many(tokens, grammar, lat, DRAWS, seed))
+            total += len(got)
+        assert total >= len(cases)
+
+    def test_random_grammars_equal_reference(self):
+        # Small random grammars over random lattices, dead ends included.
+        # Some of them rewrite interminals to interminals most of the
+        # time; a low depth cap keeps their breadth-first frontier small.
+        depth_cap = 8
+        rng = random.Random(5)
+        checked = 0
+        while checked < 40:
+            grammar = random_toy_grammar(rng)
+            chain = random_multipath_lattice(rng)
+            lat = WordLattice(chain.source, chain.sink, tuple(sorted(
+                {e._replace(token="abc"[int(e.token[1]) % 3]) for e in chain.edges}
+            )))
+            if not validate(grammar).ok:
+                continue
+            try:
+                prune_grammar(grammar, lat)
+            except EmptyIntersection:
+                continue
+            checked += 1
+            got = sample_many(["q"], grammar, lat, DRAWS, checked, depth_cap=depth_cap)
+            expected = _reference_many(["q"], grammar, lat, DRAWS, checked, depth_cap)
+            assert _fields(got) == _fields(expected)
+
+    def test_cached_state_keeps_narrowed_support(self):
+        # W is emitted before X is expanded; after "a" only X -> B B
+        # survives, after "c" only X -> D D, so every draw completes.
+        lat = WordLattice(0, 3, tuple(sorted(
+            Edge(src, dst, tok, ORIGIN_RULE)
+            for src, dst, tok in [(0, 1, "a"), (1, 2, "b"), (2, 3, "b"),
+                                  (0, 4, "c"), (4, 5, "d"), (5, 3, "d")]
+        )))
+        grammar = LatentGrammar(
+            layers=LayerConfig(1),
+            interminals=frozenset(["S", "X"]),
+            preterminals=frozenset(["W", "B", "D"]),
+            roots={("S", S0): 1.0},
+            binary={
+                ("S", S0): {("W", S0, "X", S0): 1.0},
+                ("X", S0): {("B", S0, "B", S0): 0.5, ("D", S0, "D", S0): 0.5},
+            },
+            lexical={
+                ("W", S0): {"a": 0.5, "c": 0.5},
+                ("B", S0): {"b": 1.0},
+                ("D", S0): {"d": 1.0},
+            },
+        )
+        pruned = prune_grammar(grammar, lat)
+        states: dict = {}
+        draws = [sample_one(pruned, lat, seed, states=states) for seed in range(20)]
+        assert draws == [reference_sample_one(pruned, lat, seed) for seed in range(20)]
+        assert {d.tokens for d in draws} == {("a", "b", "b"), ("c", "d", "d")}
+        assert len(states) == 3
+
+    def test_private_memo_draw_equals_reference(self, heldout_lattices):
+        grammar, cases = heldout_lattices
+        for _tokens, lat in cases:
+            pruned = prune_grammar(grammar, lat)
+            for seed in range(DRAWS):
+                assert sample_one(pruned, lat, seed) == reference_sample_one(pruned, lat, seed)
+
+    def test_conflict_removal_once_per_state_and_edge(self, heldout_lattices, monkeypatch):
+        grammar, cases = heldout_lattices
+        calls = []
+
+        def recording(lat, edge):
+            calls.append((lat.edges, edge))
+            return remove_conflicting(lat, edge)
+
+        monkeypatch.setattr("paralat.sampler.remove_conflicting", recording)
+        for tokens, lat in cases:
+            calls.clear()
+            got = sample_many(tokens, grammar, lat, DRAWS, 7)
+            assert calls
+            assert len(calls) == len(set(calls))
+            assert _fields(got) == _fields(_reference_many(tokens, grammar, lat, DRAWS, 7))
