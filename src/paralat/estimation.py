@@ -44,6 +44,8 @@ FeatureVector = dict[str, float]
 NodeKey = tuple[int, Path]  # (tree index, node path)
 
 KMEANS_MAX_ITER = 50
+# Floats in one block of the k-means distance tensor (16 MB of float64).
+KMEANS_BLOCK_FLOATS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,19 @@ def _symbol_seed(seed: int, symbol: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(symbol.encode("utf-8"))])
 
 
+def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest center, lowest index on ties.
+
+    The n x k x d squared differences are formed a block of rows at a
+    time; each row's sum and argmin are the same as over the whole tensor.
+    """
+    rows = max(1, KMEANS_BLOCK_FLOATS // max(1, centers.size))
+    return np.concatenate([
+        ((points[i:i + rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        for i in range(0, points.shape[0], rows)
+    ])
+
+
 def _kmeans(
     points: np.ndarray, weights: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -206,8 +221,7 @@ def _kmeans(
 
     labels: np.ndarray | None = None
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
+        new_labels = _nearest_center(points, centers)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels

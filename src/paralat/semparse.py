@@ -14,7 +14,8 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence, TypeVar
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .data_files import atomic_write, finite_float
 from .errors import (
@@ -33,24 +34,66 @@ FeatureDict = dict[str, float]
 
 # --- knowledge base -----------------------------------------------------------
 
+Triple = tuple[str, str, str]
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
+    """Entities, triples and type assertions of a KB.
+
+    Lookups read indexes that are built on first use and cached on the
+    instance; they are not fields, so equality and hashing ignore them.
+    """
+
     entities: tuple[str, ...]  # in file order; order defines resolution rank
-    triples: frozenset[tuple[str, str, str]]
+    triples: frozenset[Triple]
     type_assertions: frozenset[tuple[str, str]]
 
-    @property
+    @cached_property
     def types(self) -> frozenset[str]:
         return frozenset(t for _, t in self.type_assertions)
 
     def subjects(self, relation: str, obj: str) -> frozenset[str]:
-        return frozenset(s for s, r, o in self.triples if r == relation and o == obj)
+        return frozenset(s for s, r, _ in self._by_object.get(obj, ()) if r == relation)
 
     def objects(self, subj: str, relation: str) -> frozenset[str]:
-        return frozenset(o for s, r, o in self.triples if r == relation and s == subj)
+        return frozenset(o for _, r, o in self._by_subject.get(subj, ()) if r == relation)
 
     def entities_of_type(self, type_name: str) -> frozenset[str]:
         return frozenset(e for e, t in self.type_assertions if t == type_name)
+
+    @cached_property
+    def _by_subject(self) -> dict[str, tuple[Triple, ...]]:
+        return _group(self.triples, lambda triple: triple[0])
+
+    @cached_property
+    def _by_object(self) -> dict[str, tuple[Triple, ...]]:
+        return _group(self.triples, lambda triple: triple[2])
+
+    @cached_property
+    def _types_of(self) -> dict[str, tuple[str, ...]]:
+        """Entity -> its asserted types, sorted."""
+        grouped = _group(sorted(self.type_assertions), lambda assertion: assertion[0])
+        return {e: tuple(t for _, t in pairs) for e, pairs in grouped.items()}
+
+    @cached_property
+    def _by_head(self) -> dict[str | None, tuple[tuple[int, str, tuple[str, ...]], ...]]:
+        """First surface token -> (rank, entity, surface), in rank order;
+        entities with an empty surface are under None."""
+        ranked = ((rank, e, entity_surface(e)) for rank, e in enumerate(self.entities))
+        return _group(ranked, lambda entry: entry[2][0] if entry[2] else None)
+
+
+K = TypeVar("K")
+V = TypeVar("V")
+
+
+def _group(items: Iterable[V], key: Callable[[V], K]) -> dict[K, tuple[V, ...]]:
+    """Items by key, each bucket in iteration order."""
+    buckets: dict[K, list[V]] = defaultdict(list)
+    for item in items:
+        buckets[key(item)].append(item)
+    return {k: tuple(bucket) for k, bucket in buckets.items()}
 
 
 def load_kb(path: str) -> KnowledgeGraph:
@@ -266,12 +309,11 @@ def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
             if entity_of[obj] not in kb.objects(entity_of[subj], relation):
                 feasible = False
 
+    constrained_by = {tid: c for tid, _, c in graph.type_nodes}
     for nid, type_name in dict(grounded.type_map).items():
         if type_name is None:
             continue
-        constrained = dict(
-            (tid, c) for tid, _, c in graph.type_nodes
-        )[nid]
+        constrained = constrained_by[nid]
         if constrained == "target":
             target_bound = True
             narrow(kb.entities_of_type(type_name))
@@ -314,22 +356,22 @@ def entity_candidates(
     """(entity, match length, dictionary rank) candidates for a mention.
 
     A KB entity matches when its canonical surface equals the mention or
-    one is a prefix of the other; longer matches rank first, then file
-    order.
+    one is a prefix of the other, at the length of the shorter; longer
+    matches rank first, then file order.  So an entity whose surface is
+    empty (an id with no letter or digit, such as ``_``) matches every
+    mention at length 0, and an empty mention matches every entity at
+    length 0.  Only the mention head's bucket of the KB's surface index
+    and the empty-surface bucket are read.
     """
     mention = tuple(t.lower() for t in mention)
+    if not mention:
+        return [(entity, 0, rank) for rank, entity in enumerate(kb.entities)]
     out = []
-    for rank, entity in enumerate(kb.entities):
-        surface = entity_surface(entity)
-        if surface == mention:
-            match = len(surface)
-        elif surface[: len(mention)] == mention:
-            match = len(mention)
-        elif mention[: len(surface)] == surface:
-            match = len(surface)
-        else:
-            continue
-        out.append((entity, match, rank))
+    for bucket in (kb._by_head.get(mention[0], ()), kb._by_head.get(None, ())):
+        for rank, entity, surface in bucket:
+            match = min(len(surface), len(mention))
+            if surface[:match] == mention[:match]:
+                out.append((entity, match, rank))
     out.sort(key=lambda item: (-item[1], item[2], item[0]))
     return out
 
@@ -435,15 +477,17 @@ def _edge_options(
     options: list[EdgeChoice] = [None]
     found: set[tuple[str, str]] = set()
     for subj, obj, direction in ((n1, n2, "fwd"), (n2, n1, "bwd")):
-        for s, r, o in kb.triples:
-            if subj == target:
-                ok = obj != target and o == entity_of[obj]
-            elif obj == target:
-                ok = s == entity_of[subj]
-            else:
-                ok = s == entity_of[subj] and o == entity_of[obj]
-            if ok:
-                found.add((r, direction))
+        if subj == target:
+            if obj == target:
+                continue
+            rows = kb._by_object.get(entity_of[obj], ())
+        elif obj == target:
+            rows = kb._by_subject.get(entity_of[subj], ())
+        else:
+            rows = tuple(
+                t for t in kb._by_subject.get(entity_of[subj], ()) if t[2] == entity_of[obj]
+            )
+        found.update((r, direction) for _, r, _ in rows)
     options.extend(sorted(found))
     return options
 
@@ -455,9 +499,7 @@ def _type_options(
     if constrained == "target":
         options.extend(sorted(kb.types))
     else:
-        options.extend(
-            sorted(t for e, t in kb.type_assertions if e == entity_of[constrained])
-        )
+        options.extend(kb._types_of.get(entity_of[constrained], ()))
     return options
 
 

@@ -7,7 +7,11 @@ complete paths, grammar languages are unrolled top-down, and each tree
 node's context is looked up from the root on its own.  The one exception
 is ``reference_sample_one``, the sampler's draw before lattice states were
 memoized: it reuses the sampler's draw and narrowing helpers and redoes
-the conflict removal and narrowing at every emitted word.
+the conflict removal and narrowing at every emitted word.  The KB lookups
+below are the scans over every entity, triple or type assertion that the
+indexed ``KnowledgeGraph`` replaced (they share only ``entity_surface``,
+the definition of a surface), and ``reference_kmeans`` is k-means with
+its distance tensor built in one piece.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import random
 from collections import deque
 from typing import Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
 from paralat.cky import DerivationTree, derivation_yield, rescore
@@ -32,6 +37,7 @@ from paralat.sampler import (
     _narrow,
     _Node,
 )
+from paralat.semparse import entity_surface
 from paralat.treebank import Tree
 
 
@@ -466,3 +472,100 @@ def random_trees(depth: int = 3) -> st.SearchStrategy[Tree]:
             st.lists(random_trees(depth - 1), min_size=1, max_size=3),
         ),
     )
+
+
+# --- knowledge-base lookups by scan ------------------------------------------------
+
+
+def scan_entity_candidates(mention, kb):
+    """``semparse.entity_candidates`` over every entity of the KB."""
+    mention = tuple(t.lower() for t in mention)
+    out = []
+    for rank, entity in enumerate(kb.entities):
+        surface = entity_surface(entity)
+        if surface == mention:
+            match = len(surface)
+        elif surface[: len(mention)] == mention:
+            match = len(mention)
+        elif mention[: len(surface)] == surface:
+            match = len(surface)
+        else:
+            continue
+        out.append((entity, match, rank))
+    out.sort(key=lambda item: (-item[1], item[2], item[0]))
+    return out
+
+
+def scan_subjects(kb, relation, obj):
+    return frozenset(s for s, r, o in kb.triples if r == relation and o == obj)
+
+
+def scan_objects(kb, subj, relation):
+    return frozenset(o for s, r, o in kb.triples if r == relation and s == subj)
+
+
+def scan_edge_options(kb, entity_of, target, n1, n2):
+    """``semparse._edge_options`` over every triple of the KB."""
+    options = [None]
+    found = set()
+    for subj, obj, direction in ((n1, n2, "fwd"), (n2, n1, "bwd")):
+        for s, r, o in kb.triples:
+            if subj == target:
+                ok = obj != target and o == entity_of[obj]
+            elif obj == target:
+                ok = s == entity_of[subj]
+            else:
+                ok = s == entity_of[subj] and o == entity_of[obj]
+            if ok:
+                found.add((r, direction))
+    options.extend(sorted(found))
+    return options
+
+
+def scan_type_options(kb, entity_of, constrained):
+    """``semparse._type_options`` over every type assertion of the KB."""
+    options = [None]
+    if constrained == "target":
+        options.extend(sorted({t for _, t in kb.type_assertions}))
+    else:
+        options.extend(
+            sorted(t for e, t in kb.type_assertions if e == entity_of[constrained])
+        )
+    return options
+
+
+# --- k-means with the whole distance tensor ----------------------------------------
+
+
+def reference_kmeans(points, weights, m, rng, max_iter=50):
+    """``estimation._kmeans`` with the n x k x d distance tensor in one piece."""
+    n = points.shape[0]
+    k = min(m, n)
+    centers = np.empty((k, points.shape[1]))
+    probs = weights / weights.sum()
+    first = rng.choice(n, p=probs)
+    centers[0] = points[first]
+    dist2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        mass = weights * dist2
+        total = mass.sum()
+        if total <= 0.0:
+            k = c
+            centers = centers[:k]
+            break
+        centers[c] = points[rng.choice(n, p=mass / total)]
+        dist2 = np.minimum(dist2, ((points - centers[c]) ** 2).sum(axis=1))
+
+    labels = None
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                w = weights[mask]
+                centers[c] = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
+    return labels

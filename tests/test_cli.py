@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -583,6 +585,38 @@ class TestSemparse:
         assert lines[-1].startswith("AVG\t")
         avg_f1 = float(lines[-1].split("\t")[3])
         assert 0.0 <= avg_f1 <= 1.0
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, loaded read-only (stdlib imports only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDistractorKb:
+    def test_distractor_triples_change_no_output(self, tmp_path):
+        """Seeded triples over fresh entities that no mention can resolve to
+        leave the trained model and the eval report byte-identical."""
+        bundled = Path(data_path("kb.tsv"))
+        graphs = Path(data_path("graphs"))
+        distractor = _perfbench_inputs().write_distractor_kb(
+            bundled, graphs, 7, tmp_path, triples=3000, entities=800
+        )
+        outputs = {}
+        for name, kb in (("bundled", bundled), ("distractor", distractor)):
+            out = tmp_path / name
+            out.mkdir()
+            common = ["--kb", str(kb), "--graphs-dir", str(graphs), "--beam", "100"]
+            assert main(["semparse-train", *common, "--qa", data_path("qa_train.tsv"),
+                         "--epochs", "3", "--out", str(out / "model.tsv")]) == 0
+            assert main(["semparse-eval", *common, "--qa", data_path("qa_eval.tsv"),
+                         "--model", str(out / "model.tsv"), "--out", str(out / "eval.tsv")]) == 0
+            outputs[name] = [(out / f).read_bytes() for f in ("model.tsv", "eval.tsv")]
+        assert len(distractor.read_text(encoding="utf-8").splitlines()) >= 3000
+        assert outputs["distractor"] == outputs["bundled"]
 
 
 class TestSeedFanOut:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 
-from oracles import brute_force_features, node_contexts, random_trees
+from oracles import brute_force_features, node_contexts, random_trees, reference_kmeans
 
+from paralat import estimation
 from paralat.errors import AssignmentMismatch, EmptyTreebank, MissingAlignments
 from paralat.estimation import (
     AlignmentRecord,
@@ -150,6 +152,23 @@ class TestClusterStates:
             return {frozenset(g) for g in groups.values()}
 
         assert partition(a, [0, 1, 2]) == partition(b, order)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, None])
+    def test_blocked_kmeans_equals_one_piece_reference(self, monkeypatch, rows_per_block):
+        for seed in range(12):
+            data = np.random.default_rng(seed)
+            n, d, m = int(data.integers(2, 40)), int(data.integers(1, 6)), int(data.integers(1, 8))
+            # Small integer coordinates make distance ties common.
+            points = np.unique(data.integers(0, 4, size=(n, d)).astype(float), axis=0)
+            weights = data.integers(1, 5, size=points.shape[0]).astype(float)
+            k = min(m, points.shape[0])
+            if rows_per_block is not None:
+                monkeypatch.setattr(estimation, "KMEANS_BLOCK_FLOATS", rows_per_block * k * d)
+            labels = estimation._kmeans(points, weights, m, np.random.default_rng(seed))
+            expected = reference_kmeans(
+                points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
+            )
+            assert labels.tolist() == expected.tolist()
 
 
 class TestEstimateMle:

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exhaustive_groundings
+from oracles import (
+    exhaustive_groundings,
+    scan_edge_options,
+    scan_entity_candidates,
+    scan_objects,
+    scan_subjects,
+    scan_type_options,
+)
 from paralat.errors import (
     EmptyGold,
     NoEntityCandidates,
@@ -17,6 +27,8 @@ from paralat.semparse import (
     PerceptronModel,
     QAExample,
     UngroundedGraph,
+    _edge_options,
+    _type_options,
     denotation,
     dot_score,
     entity_candidates,
@@ -151,6 +163,61 @@ class TestEntityResolution:
     def test_no_candidates_raises_in_grounding(self, kb):
         with pytest.raises(NoEntityCandidates):
             ground(_people_graph(), kb)
+
+
+# Ids with empty surfaces ("_", "--"), digits, surfaces that are prefixes
+# of one another, and a lowercase id whose surface equals a CamelCase one.
+_IDS = st.sampled_from([
+    "_", "--", "42", "7", "Paris", "paris", "ParisHilton", "ParisHiltonHotel",
+    "ParisTexas", "Hilton", "HiltonParis", "Hotel42", "Texas",
+])
+_RELATIONS = st.sampled_from(["r", "s", "located.in"])
+_TYPES = st.sampled_from(["city", "person", "hotel"])
+
+
+@st.composite
+def _small_kbs(draw) -> KnowledgeGraph:
+    # Triple and type endpoints are drawn from all ids, so some of them are
+    # missing from ``entities``.
+    return KnowledgeGraph(
+        entities=tuple(draw(st.lists(_IDS, unique=True, max_size=10))),
+        triples=frozenset(draw(st.lists(st.tuples(_IDS, _RELATIONS, _IDS), max_size=25))),
+        type_assertions=frozenset(draw(st.lists(st.tuples(_IDS, _TYPES), max_size=10))),
+    )
+
+
+class TestIndexedLookups:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kb=_small_kbs(),
+        mentions=st.lists(
+            st.lists(
+                st.sampled_from(["paris", "Paris", "hilton", "hotel", "42", "7", "texas", ""]),
+                max_size=3,
+            ),
+            min_size=1, max_size=4,
+        ),
+        entity_of=st.fixed_dictionaries({"a": _IDS, "b": _IDS}),
+    )
+    def test_indexed_lookups_equal_scans(self, kb, mentions, entity_of):
+        fresh = KnowledgeGraph(kb.entities, kb.triples, kb.type_assertions)
+        for mention in mentions + [[], ["paris"]]:
+            assert entity_candidates(mention, kb) == scan_entity_candidates(mention, kb)
+        ids = set(kb.entities) | {e for s, _, o in kb.triples for e in (s, o)} | {"Nowhere"}
+        for entity, relation in itertools.product(sorted(ids), ["r", "s", "located.in"]):
+            assert kb.subjects(relation, entity) == scan_subjects(kb, relation, entity)
+            assert kb.objects(entity, relation) == scan_objects(kb, entity, relation)
+        for n1, n2 in itertools.permutations(["a", "b", "x"], 2):
+            assert _edge_options(kb, entity_of, "x", n1, n2) == scan_edge_options(
+                kb, entity_of, "x", n1, n2
+            )
+        for constrained in ("target", "a", "b"):
+            assert _type_options(kb, entity_of, constrained) == scan_type_options(
+                kb, entity_of, constrained
+            )
+        assert {"_by_subject", "_by_object", "_by_head", "_types_of", "types"} <= set(vars(kb))
+        assert kb == fresh
+        assert hash(kb) == hash(fresh)
 
 
 class TestGround:
