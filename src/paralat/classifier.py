@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data_files import atomic_write, finite_float
+from .data_files import atomic_write, finite_float, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
 from .sampler import ParaphraseCandidate
 
@@ -142,8 +142,8 @@ def compute_features(
 class Gazetteer:
     """Entity surface forms, matched longest-first and case-insensitively.
 
-    The line order of the dictionary file defines the rank used by the
-    entity resolution lattice.
+    ``rank`` maps each lowercased surface form to its position in the
+    dictionary; :meth:`tag` only tests membership in it.
     """
 
     def __init__(self, surfaces: Iterable[Sequence[str]]) -> None:
@@ -159,13 +159,7 @@ class Gazetteer:
 
     @classmethod
     def load(cls, path: str) -> "Gazetteer":
-        with open(path, encoding="utf-8") as handle:
-            lines = [
-                line.strip().split()
-                for line in handle
-                if line.strip() and not line.startswith("#")
-            ]
-        return cls(lines)
+        return cls(line.split() for _, line in records(path))
 
     def tag(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
         """Non-overlapping entity spans, longest match first."""
@@ -223,15 +217,11 @@ LabeledPair = tuple[Sequence[str], Sequence[str], int]
 def read_labeled_pairs(path: str) -> list[LabeledPair]:
     """Read "source<TAB>candidate<TAB>0|1" lines."""
     pairs: list[LabeledPair] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise ClassifierError(f"{path}:{lineno}: bad labeled pair")
-            pairs.append((parts[0].split(), parts[1].split(), int(parts[2])))
+    for lineno, line in records(path):
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise ClassifierError(f"{path}:{lineno}: bad labeled pair")
+        pairs.append((parts[0].split(), parts[1].split(), int(parts[2])))
     return pairs
 
 
@@ -382,20 +372,19 @@ def load_model(path: str) -> ClassifierModel:
     weights: dict[str, float] = {}
     bias: float | None = None
     threshold: float | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            parts = line.rstrip("\n").split("\t")
-            try:
-                if parts[0] == "FEATURE" and len(parts) == 3:
-                    weights[parts[1]] = finite_float(parts[2])
-                elif parts[0] == "BIAS" and len(parts) == 2:
-                    bias = finite_float(parts[1])
-                elif parts[0] == "THRESHOLD" and len(parts) == 2:
-                    threshold = finite_float(parts[1])
-                else:
-                    raise ClassifierError(f"{path}:{lineno}: bad model line")
-            except ValueError as exc:
-                raise ClassifierError(f"{path}:{lineno}: bad number {parts[-1]!r}") from exc
+    for lineno, line in records(path):
+        parts = line.split("\t")
+        try:
+            if parts[0] == "FEATURE" and len(parts) == 3:
+                weights[parts[1]] = finite_float(parts[2])
+            elif parts[0] == "BIAS" and len(parts) == 2:
+                bias = finite_float(parts[1])
+            elif parts[0] == "THRESHOLD" and len(parts) == 2:
+                threshold = finite_float(parts[1])
+            else:
+                raise ClassifierError(f"{path}:{lineno}: bad model line")
+        except ValueError as exc:
+            raise ClassifierError(f"{path}:{lineno}: bad number {parts[-1]!r}") from exc
     if bias is None or threshold is None or set(weights) != set(FEATURE_NAMES):
         raise ClassifierError(f"{path}: incomplete model file")
     return ClassifierModel(

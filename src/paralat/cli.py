@@ -32,7 +32,7 @@ from .classifier import (
 )
 from .classifier import train as train_classifier_model
 from .cky import cky_viterbi, render_derivation
-from .data_files import atomic_write
+from .data_files import atomic_write, records
 from .errors import ParalatError, ParseFailure, EmptyIntersection
 from .estimation import read_alignments, train_bilayered_grammar, train_grammar
 from .grammar import load_grammar, save_grammar, validate
@@ -69,15 +69,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParalatError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+    for lineno, line in records(path):
+        line = line.strip()
+        if "=" not in line:
+            raise ParalatError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        config[key.strip()] = value.strip()
     return config
 
 
@@ -122,12 +119,7 @@ def _read_questions(args) -> list[list[str]]:
         raise _UsageError("give exactly one of --question or --input")
     if args.question is not None:
         return [args.question.lower().split()]
-    with open(args.input, encoding="utf-8") as handle:
-        return [
-            line.lower().split()
-            for line in handle.read().splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+    return [line.lower().split() for _, line in records(args.input)]
 
 
 def _note(tokens, exc: Exception) -> None:

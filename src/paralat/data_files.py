@@ -1,6 +1,7 @@
 """Paths to the bundled desk-scale corpus (treebank, rules, KB, QA suite),
-the number parser of the weight and score fields, and the atomic writer
-every artifact goes through."""
+:func:`records`, the one reader of every line-oriented input file, the
+number parser of the weight and score fields, and the atomic writer every
+artifact goes through."""
 
 from __future__ import annotations
 
@@ -8,11 +9,24 @@ import math
 import os
 import tempfile
 from importlib.resources import files
+from typing import Iterator
 
 
 def data_path(name: str) -> str:
     """Absolute path of a bundled data file, e.g. ``minitreebank.trees``."""
     return str(files("paralat").joinpath("data", name))
+
+
+def records(path: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line without its newline)`` for every line of the
+    UTF-8 text file ``path`` that is not blank and whose first non-blank
+    character is not ``#``."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            head = line.lstrip()
+            if head and head[0] != "#":
+                yield lineno, line
 
 
 def finite_float(text: str) -> float:

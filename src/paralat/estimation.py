@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .data_files import records
 from .errors import (
     AssignmentMismatch,
     EmptyTreebank,
@@ -65,25 +66,22 @@ class AlignmentRecord:
 
 def read_alignments(path: str) -> list[AlignmentRecord]:
     """Read "qidA<TAB>qidB<TAB>i-j[,i-j...]" alignment lines."""
-    records: list[AlignmentRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise EstimationError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                qa, qb = int(parts[0]), int(parts[1])
-                pairs = tuple(
-                    (int(i), int(j))
-                    for i, j in (item.split("-") for item in parts[2].split(","))
-                )
-            except ValueError as exc:
-                raise EstimationError(f"{path}:{lineno}: bad alignment {line!r}") from exc
-            records.append(AlignmentRecord(qa, qb, pairs))
-    return records
+    alignments: list[AlignmentRecord] = []
+    for lineno, line in records(path):
+        line = line.strip()
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise EstimationError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            qa, qb = int(parts[0]), int(parts[1])
+            pairs = tuple(
+                (int(i), int(j))
+                for i, j in (item.split("-") for item in parts[2].split(","))
+            )
+        except ValueError as exc:
+            raise EstimationError(f"{path}:{lineno}: bad alignment {line!r}") from exc
+        alignments.append(AlignmentRecord(qa, qb, pairs))
+    return alignments
 
 
 def aligned_words_index(

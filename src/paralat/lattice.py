@@ -13,7 +13,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .data_files import finite_float
+from .data_files import finite_float, records
 from .errors import EdgeNotInLattice, EmptyQuestion, LatticeError
 from .grammar import LatentGrammar
 
@@ -152,27 +152,23 @@ def load_rules(path: str, min_score: float | None = None) -> ParaphraseRuleDB:
     case-insensitive).
     """
     rules = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise LatticeError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            src = tuple(parts[0].lower().split())
-            tgt = tuple(parts[1].lower().split())
-            try:
-                score = finite_float(parts[2])
-            except ValueError as exc:
-                raise LatticeError(f"{path}:{lineno}: bad score {parts[2]!r}") from exc
-            if not src or not tgt:
-                raise LatticeError(f"{path}:{lineno}: empty phrase")
-            if src == tgt:
-                continue
-            if min_score is not None and score < min_score:
-                continue
-            rules.append((src, tgt, score))
+    for lineno, line in records(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise LatticeError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        src = tuple(parts[0].lower().split())
+        tgt = tuple(parts[1].lower().split())
+        try:
+            score = finite_float(parts[2])
+        except ValueError as exc:
+            raise LatticeError(f"{path}:{lineno}: bad score {parts[2]!r}") from exc
+        if not src or not tgt:
+            raise LatticeError(f"{path}:{lineno}: empty phrase")
+        if src == tgt:
+            continue
+        if min_score is not None and score < min_score:
+            continue
+        rules.append((src, tgt, score))
     return ParaphraseRuleDB(rules=tuple(rules))
 
 

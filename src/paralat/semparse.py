@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .data_files import atomic_write, finite_float
+from .data_files import atomic_write, finite_float, records
 from .errors import (
     EmptyGold,
     NoEntityCandidates,
@@ -108,21 +108,17 @@ def load_kb(path: str) -> KnowledgeGraph:
             seen.add(entity)
             entities.append(entity)
 
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if parts[0] == "TYPE" and len(parts) == 3:
-                note(parts[1])
-                types.add((parts[1], parts[2]))
-            elif len(parts) == 3:
-                note(parts[0])
-                note(parts[2])
-                triples.add((parts[0], parts[1], parts[2]))
-            else:
-                raise SemparseError(f"{path}:{lineno}: bad KB line {line!r}")
+    for lineno, line in records(path):
+        parts = line.split("\t")
+        if parts[0] == "TYPE" and len(parts) == 3:
+            note(parts[1])
+            types.add((parts[1], parts[2]))
+        elif len(parts) == 3:
+            note(parts[0])
+            note(parts[2])
+            triples.add((parts[0], parts[1], parts[2]))
+        else:
+            raise SemparseError(f"{path}:{lineno}: bad KB line {line!r}")
     return KnowledgeGraph(
         entities=tuple(entities),
         triples=frozenset(triples),
@@ -197,35 +193,32 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
     edges: list[tuple[str, str, str]] = []
     text: tuple[str, ...] = ()
     score = 1.0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            kind = parts[0]
-            if kind == "TEXT" and len(parts) >= 2:
-                text = tuple(t.lower() for t in parts[1:])
-            elif kind == "SCORE" and len(parts) == 2:
-                try:
-                    score = finite_float(parts[1])
-                except ValueError as exc:
-                    raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
-            elif kind == "ENTITY" and len(parts) >= 3:
-                entity_nodes.append((parts[1], tuple(t.lower() for t in parts[2:])))
-            elif kind == "TYPE" and len(parts) in (3, 4):
-                constrains = parts[3] if len(parts) == 4 else "target"
-                type_nodes.append((parts[1], parts[2], constrains))
-            elif kind == "EVENT" and len(parts) == 2:
-                events.append(parts[1])
-            elif kind == "TARGET" and len(parts) == 2:
-                if target is not None:
-                    raise SemparseError(f"{path}:{lineno}: second TARGET")
-                target = parts[1]
-            elif kind == "EDGE" and len(parts) == 4:
-                edges.append((parts[1], parts[2], parts[3]))
-            else:
-                raise SemparseError(f"{path}:{lineno}: bad graph line {line!r}")
+    for lineno, line in records(path):
+        line = line.strip()
+        parts = line.split()
+        kind = parts[0]
+        if kind == "TEXT" and len(parts) >= 2:
+            text = tuple(t.lower() for t in parts[1:])
+        elif kind == "SCORE" and len(parts) == 2:
+            try:
+                score = finite_float(parts[1])
+            except ValueError as exc:
+                raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+        elif kind == "ENTITY" and len(parts) >= 3:
+            entity_nodes.append((parts[1], tuple(t.lower() for t in parts[2:])))
+        elif kind == "TYPE" and len(parts) in (3, 4):
+            constrains = parts[3] if len(parts) == 4 else "target"
+            type_nodes.append((parts[1], parts[2], constrains))
+        elif kind == "EVENT" and len(parts) == 2:
+            events.append(parts[1])
+        elif kind == "TARGET" and len(parts) == 2:
+            if target is not None:
+                raise SemparseError(f"{path}:{lineno}: second TARGET")
+            target = parts[1]
+        elif kind == "EDGE" and len(parts) == 4:
+            edges.append((parts[1], parts[2], parts[3]))
+        else:
+            raise SemparseError(f"{path}:{lineno}: bad graph line {line!r}")
     if target is None:
         raise SemparseError(f"{path}: missing TARGET node")
     known = {nid for nid, _ in entity_nodes} | {target} | set(events)
@@ -517,7 +510,16 @@ def ground(
     each type node (a compatible type or skip).
     """
     weights = weights or {}
-    states: list[GroundedGraph] = [
+
+    def truncate(pool: list[GroundedGraph]) -> list[tuple[GroundedGraph, float, FeatureDict]]:
+        scored = []
+        for g in pool:
+            feats = tuple_features(g)
+            scored.append((g, dot_score(weights, feats), feats))
+        scored.sort(key=lambda item: (-item[1], item[0].key()))
+        return scored[:beam]
+
+    kept = truncate([
         GroundedGraph(
             graph=graph,
             entity_map=assignment,
@@ -526,19 +528,10 @@ def ground(
             lattice_score=score,
         )
         for assignment, score in entity_assignments(graph, kb)
-    ]
-
-    def truncate(pool: list[GroundedGraph]) -> list[GroundedGraph]:
-        scored = [
-            (-dot_score(weights, tuple_features(g)), g.key(), g) for g in pool
-        ]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [g for _, _, g in scored[:beam]]
-
-    states = truncate(states)
+    ])
     for event, n1, n2, _pred in graph.entity_edges():
         pool = []
-        for state in states:
+        for state, _, _ in kept:
             entity_of = dict(state.entity_map)
             for choice in _edge_options(kb, entity_of, graph.target, n1, n2):
                 pool.append(
@@ -547,20 +540,15 @@ def ground(
                         edge_map=state.edge_map + (((event, n1, n2), choice),),
                     )
                 )
-        states = truncate(pool)
+        kept = truncate(pool)
     for nid, _label, constrained in graph.type_nodes:
         pool = []
-        for state in states:
+        for state, _, _ in kept:
             entity_of = dict(state.entity_map)
             for choice in _type_options(kb, entity_of, constrained):
                 pool.append(replace(state, type_map=state.type_map + ((nid, choice),)))
-        states = truncate(pool)
-
-    out = []
-    for state in states:
-        feats = tuple_features(state)
-        out.append((state, dot_score(weights, feats), feats))
-    return out
+        kept = truncate(pool)
+    return kept
 
 
 # --- oracle tuples ----------------------------------------------------------------
@@ -639,29 +627,25 @@ def load_qa(path: str, graph_loader) -> list[QAExample]:
     """Read "question<TAB>graph-file[,graph-file...]<TAB>answer|answer..."
     lines; ``graph_loader`` maps a file name to an UngroundedGraph."""
     out: list[QAExample] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SemparseError(f"{path}:{lineno}: bad QA line")
-            question = tuple(parts[0].lower().split())
-            graphs = []
-            for name in parts[1].split(","):
-                if "\0" in name:
-                    raise SemparseError(f"{path}:{lineno}: NUL byte in graph name {name!r}")
-                try:
-                    graphs.append(graph_loader(name))
-                except OSError as exc:
-                    raise SemparseError(
-                        f"{path}:{lineno}: cannot read graph {name!r}: {exc}"
-                    ) from exc
-            gold = frozenset(parts[2].split("|"))
-            if not gold:
-                raise SemparseError(f"{path}:{lineno}: empty gold answers")
-            out.append(QAExample(question=question, graphs=tuple(graphs), gold=gold))
+    for lineno, line in records(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise SemparseError(f"{path}:{lineno}: bad QA line")
+        question = tuple(parts[0].lower().split())
+        graphs = []
+        for name in parts[1].split(","):
+            if "\0" in name:
+                raise SemparseError(f"{path}:{lineno}: NUL byte in graph name {name!r}")
+            try:
+                graphs.append(graph_loader(name))
+            except OSError as exc:
+                raise SemparseError(
+                    f"{path}:{lineno}: cannot read graph {name!r}: {exc}"
+                ) from exc
+        gold = frozenset(parts[2].split("|"))
+        if not gold:
+            raise SemparseError(f"{path}:{lineno}: empty gold answers")
+        out.append(QAExample(question=question, graphs=tuple(graphs), gold=gold))
     return out
 
 
@@ -808,16 +792,15 @@ def save_perceptron(model: PerceptronModel, path: str) -> None:
 
 def load_perceptron_weights(path: str) -> dict[str, float]:
     weights: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] in ("STEPS", "SKIPPED") and len(parts) == 2:
-                continue
-            if parts[0] == "FEATURE" and len(parts) == 3:
-                try:
-                    weights[parts[1]] = finite_float(parts[2])
-                except ValueError as exc:
-                    raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-            else:
-                raise SemparseError(f"{path}:{lineno}: bad model line")
+    for lineno, line in records(path):
+        parts = line.split("\t")
+        if parts[0] in ("STEPS", "SKIPPED") and len(parts) == 2:
+            continue
+        if parts[0] == "FEATURE" and len(parts) == 3:
+            try:
+                weights[parts[1]] = finite_float(parts[2])
+            except ValueError as exc:
+                raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+        else:
+            raise SemparseError(f"{path}:{lineno}: bad model line")
     return weights

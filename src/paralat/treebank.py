@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .data_files import records
 from .errors import (
     EmptyTree,
     PreterminalWithMultipleChildren,
@@ -195,21 +196,13 @@ def is_binary(tree: Tree) -> bool:
     return len(tree.children) == 2 and all(is_binary(c) for c in tree.children)
 
 
-def read_treebank(
-    path: str,
-    preserve_case: frozenset[str] = frozenset(),
-    normalize_trees: bool = True,
-) -> list[Tree]:
-    """Read one bracketed tree per line; blank and "#" lines are skipped."""
+def read_treebank(path: str) -> list[Tree]:
+    """Read one bracketed tree per record line, normalized."""
     trees: list[Tree] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                tree = parse_tree(line)
-            except TreebankError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            trees.append(normalize(tree, preserve_case) if normalize_trees else tree)
+    for lineno, line in records(path):
+        try:
+            tree = parse_tree(line.strip())
+        except TreebankError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        trees.append(normalize(tree))
     return trees

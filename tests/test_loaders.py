@@ -1,15 +1,25 @@
 """Every file loader either loads a mutated copy of its bundled format or
-raises a ParalatError; nothing else escapes."""
+raises a ParalatError; nothing else escapes.  Every line-oriented reader
+skips blank and ``#`` lines alike and names a bad line by its ``file:line``."""
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paralat.classifier import ClassifierModel, load_model, read_labeled_pairs, save_model
+from paralat.classifier import (
+    ClassifierModel,
+    Gazetteer,
+    load_model,
+    read_labeled_pairs,
+    save_model,
+)
+from paralat.cli import _load_config, _read_questions
 from paralat.data_files import data_path
 from paralat.errors import ParalatError
 from paralat.estimation import read_alignments
@@ -62,6 +72,7 @@ LOADERS = {
     "graph": load_ungrounded,
     "qa": lambda path: load_qa(path, _graph_loader),
     "perceptron": load_perceptron_weights,
+    "gazetteer": Gazetteer.load,
 }
 
 
@@ -81,6 +92,7 @@ def seed_texts(tmp_path_factory, bilayered_toy_grammar):
         "kb": "kb.tsv",
         "graph": "graphs/q09_orig.graph",
         "qa": "qa_eval.tsv",
+        "gazetteer": "gazetteer.txt",
     }
     texts = {fmt: _read(data_path(name)) for fmt, name in bundled.items()}
     texts["grammar"] = _read(tmp / "grammar")
@@ -117,3 +129,66 @@ def test_mutated_file_loads_or_raises_paralat_error(fmt, edits, seed_texts):
             LOADERS[fmt](path)
         except ParalatError:
             pass
+
+
+# --- the shared rule: which lines are records ---------------------------------
+
+def _questions(path):
+    return _read_questions(argparse.Namespace(question=None, input=path))
+
+
+# format -> (reader, one bad record line); the bad line is None where every
+# line that is not blank or a comment is a valid record.
+READERS = {
+    "treebank": (read_treebank, "(S (NN x)"),
+    "alignments": (read_alignments, "1\t2"),
+    "rules": (load_rules, "a\tb"),
+    "pairs": (read_labeled_pairs, "a\tb\t2"),
+    "gazetteer": (lambda path: Gazetteer.load(path).surfaces, None),
+    "classifier-model": (load_model, "BOGUS\t1"),
+    "kb": (load_kb, "a\tb"),
+    "graph": (lambda path: load_ungrounded(path, name="g"), "BOGUS x"),
+    "qa": (lambda path: load_qa(path, _graph_loader), "a\tb"),
+    "perceptron": (load_perceptron_weights, "BOGUS\t1"),
+    "config": (_load_config, "no value"),
+    "questions": (_questions, None),
+}
+EXTRA_TEXTS = {
+    "config": "m1 = 4\nseed=3\n",
+    "questions": "what day is christmas\nwhen is easter\n",
+}
+NOISE = ["", " \t ", "# a comment", "  \t# an indented comment"]
+
+
+def _text_of(fmt, seed_texts) -> str:
+    text = EXTRA_TEXTS.get(fmt) or seed_texts[fmt]
+    assert text.endswith("\n")
+    return text
+
+
+def _with_noise(text: str) -> str:
+    """``text`` with every kind of non-record line before its last line,
+    which is a record in every format here."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:-1] + [line + "\n" for line in NOISE] + lines[-1:])
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_blank_and_comment_lines_are_skipped(fmt, seed_texts, tmp_path):
+    reader, _bad = READERS[fmt]
+    text = _text_of(fmt, seed_texts)
+    clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+    clean.write_text(text, encoding="utf-8")
+    noisy.write_text(_with_noise(text), encoding="utf-8")
+    assert reader(str(noisy)) == reader(str(clean))
+
+
+@pytest.mark.parametrize("fmt", sorted(f for f, (_, bad) in READERS.items() if bad))
+def test_bad_line_is_named_by_its_physical_line(fmt, seed_texts, tmp_path):
+    reader, bad = READERS[fmt]
+    text = _with_noise(_text_of(fmt, seed_texts))
+    path = tmp_path / "bad"
+    path.write_text(text + bad + "\n", encoding="utf-8")
+    lineno = text.count("\n") + 1
+    with pytest.raises(ParalatError, match=re.escape(f"{path}:{lineno}: ")):
+        reader(str(path))
