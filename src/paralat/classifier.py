@@ -49,22 +49,27 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
-    """Cumulative BLEU with brevity penalty; add-1 smoothing for n >= 2."""
-    log_precisions = []
-    for n in range(1, max_n + 1):
-        cand = _ngrams(candidate, n)
-        ref = _ngrams(reference, n)
-        matches = sum(min(count, ref[gram]) for gram, count in cand.items())
-        total = max(sum(cand.values()), 0)
+def _log_precisions(matches: Sequence[int], length: int) -> list[float]:
+    """Per-order log precisions of a candidate of ``length`` tokens, given
+    its n-gram matches by order, add-1 smoothed for n >= 2; they stop
+    before the first order with no match."""
+    out = []
+    for n, hits in enumerate(matches, 1):
+        total = max(length - n + 1, 0)
         if n >= 2:
-            matches += 1
+            hits += 1
             total += 1
-        if total == 0 or matches == 0:
-            return 0.0
-        log_precisions.append(math.log(matches / total))
-    brevity = min(0.0, 1.0 - len(reference) / len(candidate))
-    return math.exp(brevity + sum(log_precisions) / max_n)
+        if hits == 0:
+            break
+        out.append(math.log(hits / total))
+    return out
+
+
+def _bleu(log_precisions: Sequence[float], brevity: float, max_n: int) -> float:
+    """Cumulative BLEU up to ``max_n`` from per-order log precisions."""
+    if len(log_precisions) < max_n:
+        return 0.0
+    return math.exp(brevity + sum(log_precisions[:max_n]) / max_n)
 
 
 def _edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
@@ -108,13 +113,22 @@ def compute_features(
     src = [t.lower() for t in source]
     cand = [t.lower() for t in candidate]
 
-    bleus = [_bleu(cand, src, n) for n in range(1, 5)]
-    reverse4 = _bleu(src, cand, 4)
+    # Clipped matches are symmetric, so each order is counted once for
+    # both directions.
+    matches = [
+        sum((_ngrams(cand, n) & _ngrams(src, n)).values()) for n in range(1, 5)
+    ]
+    forward = _log_precisions(matches, len(cand))
+    brevity = min(0.0, 1.0 - len(src) / len(cand))
+    bleus = [_bleu(forward, brevity, n) for n in range(1, 5)]
+    reverse4 = _bleu(
+        _log_precisions(matches, len(src)), min(0.0, 1.0 - len(cand) / len(src)), 4
+    )
     bleu_sym = math.sqrt(bleus[3] * reverse4)
     ter = min(2.0, _edit_distance(cand, src) / len(src))
     length_ratio = len(cand) / len(src)
 
-    overlap = sum((Counter(cand) & Counter(src)).values())
+    overlap = matches[0]
     unigram_precision = overlap / len(cand)
     unigram_recall = overlap / len(src)
 

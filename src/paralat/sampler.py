@@ -1,31 +1,40 @@
 """Grammar restriction and controlled top-down sampling over a lattice.
 
 Restriction keeps only rules that can take part in a derivation over the
-lattice vocabulary (bottom-up closure, so every retained interminal still
-derives some string).  Sampling expands the derivation frontier
-breadth-first; every emitted word consumes a lattice edge, conflicting
-paths are removed, and the restricted grammar is narrowed accordingly, so
-each completed sample draws its words from a single source-to-sink path.
-Dead ends are normal outcomes: the sample fails and its seed is burned.
+lattice vocabulary.  Its bottom-up closure is over symbols, not over
+(symbol, state) contexts: a symbol survives once some context of it has a
+rule whose children survive, so a latent context that derives no string
+over the lattice can stay in the support, and draws that reach it end in
+a dead end (a closure over contexts is ROADMAP item 3).  Sampling expands
+the derivation frontier breadth-first, one level at a time; every emitted
+word consumes a lattice edge, conflicting paths are removed, and the
+restricted grammar is narrowed accordingly, so each completed sample
+draws its words from a single source-to-sink path.  Dead ends are normal
+outcomes: the sample fails and its seed is burned.
 
 Conflict removal and narrowing run once per distinct lattice state per
 question: the draws of one :func:`sample_many` call share a memo of the
 states they reach.  Narrowing depends only on the surviving vocabulary
 (restricting a pruned grammar to a smaller vocabulary equals restricting
 the full grammar to it), so a cached state equals a recomputed one and
-the draws are unchanged.
+the draws are unchanged.  Each state also keeps, per context, the running
+sums of its support's weights, so a rule draw is one bisection, with the
+same pick as a linear scan.  A completed draw's tokens are read off the
+frontier before its derivation is built, and a draw whose tokens
+:func:`sample_many` already has builds and rescores nothing.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Container, Sequence
 
-from .cky import DerivationNode, DerivationTree, derivation_yield, rescore
+from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
-from .grammar import BinaryRhs, Context, LatentGrammar, StateLabel, ctx_key, rhs_key
+from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
 from .lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
 
 DEPTH_CAP = 32
@@ -79,8 +88,9 @@ def _restrict(
             lexical[ctx] = kept
             surviving.add(ctx[0])
 
-    # Bottom-up closure: an interminal survives once some rule has both
-    # children surviving, which also guarantees it derives a string.
+    # Bottom-up closure over symbols: an interminal survives once some
+    # rule of some context of it has both children surviving.  A context
+    # of a surviving symbol may still derive no string over the lattice.
     pending = dict(binary_in)
     while True:
         added = False
@@ -140,42 +150,32 @@ def _narrow(pruned: PrunedGrammar, vocab: frozenset[str]) -> PrunedGrammar:
     return _restrict(pruned.grammar, pruned.lexical, pruned.binary, pruned.roots, vocab)
 
 
-def _draw(rng: random.Random, items: Sequence[tuple]) -> object:
-    """Weighted draw proportional to the second tuple element."""
-    total = sum(p for _, p in items)
-    r = rng.random() * total
-    acc = 0.0
-    for value, p in items:
-        acc += p
-        if r < acc:
-            return value
-    return items[-1][0]
+def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
+    """The draw table of a support of ``(value, weight)`` pairs: its values,
+    the running sums of its weights (sequential ``+``) and their total
+    (builtin ``sum``)."""
+    weights = [p for _, p in items]
+    return tuple(v for v, _ in items), list(accumulate(weights)), sum(weights)
 
 
-class _Node:
-    __slots__ = ("symbol", "state", "word", "children")
-
-    def __init__(self, symbol: str, state: StateLabel) -> None:
-        self.symbol = symbol
-        self.state = state
-        self.word: str | None = None
-        self.children: tuple[_Node, ...] = ()
-
-    def freeze(self) -> DerivationNode:
-        return DerivationNode(
-            symbol=self.symbol,
-            state=self.state,
-            word=self.word,
-            children=tuple(c.freeze() for c in self.children),
-        )
+def _pick(rng: random.Random, values: tuple, cum: list[float], total: float) -> object:
+    """Weighted draw over a support given by its :func:`_table`: the first
+    value whose running sum exceeds the point drawn, else the last."""
+    i = bisect_right(cum, rng.random() * total)
+    return values[i] if i < len(values) else values[-1]
 
 
 class _State:
     """One lattice state of a question: the lattice, the grammar narrowed
     to it, its edges by token (in canonical order), its transitions (the
-    consumed edge to the next state) and, once needed, its witness path."""
+    consumed edge to the next state), once needed its witness path, and
+    the draw tables of the contexts drawn in it (of the roots under None):
+    ``(values, running sums, total, words)``.  A binary context's values
+    are pairs of child contexts; a preterminal's are words, and ``words``
+    is their set (None in the other tables).
+    """
 
-    __slots__ = ("lattice", "pruned", "by_token", "next", "witness")
+    __slots__ = ("lattice", "pruned", "by_token", "next", "witness", "tables")
 
     def __init__(self, lattice: WordLattice, pruned: PrunedGrammar) -> None:
         self.lattice = lattice
@@ -185,6 +185,29 @@ class _State:
             self.by_token.setdefault(e.token, []).append(e)
         self.next: dict[Edge, _State] = {}
         self.witness: tuple[Edge, ...] | None = None
+        self.tables: dict[Context | None, tuple] = {}
+
+    def table(self, ctx: Context | None) -> tuple:
+        """The draw table of ``ctx`` (of the roots for None), built on
+        first use."""
+        table = self.tables.get(ctx)
+        if table is not None:
+            return table
+        pruned = self.pruned
+        if ctx is None:
+            table = (*_table(pruned.roots), None)
+        elif ctx[0] in pruned.grammar.preterminals:
+            support = [
+                (w, p) for w, p in pruned.lexical.get(ctx, ()) if w in self.by_token
+            ]
+            table = (*_table(support), frozenset(w for w, _ in support))
+        else:
+            table = (*_table([
+                (((rhs[0], rhs[1]), (rhs[2], rhs[3])), p)
+                for rhs, p in pruned.binary.get(ctx, ())
+            ]), None)
+        self.tables[ctx] = table
+        return table
 
 
 def sample_one(
@@ -193,7 +216,8 @@ def sample_one(
     seed: int,
     depth_cap: int = DEPTH_CAP,
     states: dict[tuple[Edge, ...], _State] | None = None,
-) -> ParaphraseCandidate | SampleFailure:
+    seen: Container[tuple[str, ...]] = (),
+) -> ParaphraseCandidate | SampleFailure | None:
     """Draw one derivation; breadth-first, with controlled path removal.
 
     Every rule draw renormalizes the original parameters over the support
@@ -201,42 +225,63 @@ def sample_one(
     consumed lattice edge (the canonically least); the removal step then
     drops all paths conflicting with it.  ``states`` is the memo of lattice
     states that the draws over one ``pruned``/``lat`` pair share (see
-    :func:`sample_many`); without it the draw keeps a private one.
+    :func:`sample_many`); without it the draw keeps a private one.  A
+    completed draw whose tokens are in ``seen`` returns None without
+    building its derivation.
     """
     rng = random.Random(seed)
-    grammar = pruned.grammar
     if states is None:
         states = {}
     state = states.get(lat.edges)
     if state is None:
         state = states[lat.edges] = _State(lat, pruned)
-    consumed: list[Edge] = []
-    consumed_set: set[Edge] = set()
+    consumed: set[Edge] = set()
+    spent: set[str] = set()  # the tokens of the consumed edges
 
     if not pruned.roots:
         return SampleFailure("dead-end", seed)
-    root_ctx = _draw(rng, pruned.roots)
-    root = _Node(root_ctx[0], root_ctx[1])
-    queue: deque[tuple[_Node, int]] = deque([(root, 0)])
-
-    while queue:
-        node, depth = queue.popleft()
+    # Each level of the frontier is the list of its contexts, left to
+    # right; ``levels`` keeps each with the word drawn at each position
+    # (None where a binary rule was drawn).
+    values, cum, total, _ = state.table(None)
+    level = [_pick(rng, values, cum, total)]
+    levels: list[tuple[list[Context], list[str | None]]] = []
+    depth = 0
+    while level:
         if depth > depth_cap:
             return SampleFailure("depth-cap", seed)
-        ctx = (node.symbol, node.state)
-        if node.symbol in grammar.preterminals:
-            avail = [
-                (w, p)
-                for w, p in state.pruned.lexical.get(ctx, ())
-                if not consumed_set.issuperset(state.by_token.get(w, ()))
-            ]
-            if not avail:
+        words: list[str | None] = []
+        below: list[Context] = []
+        for ctx in level:
+            values, cum, total, vocab = state.table(ctx)
+            if not values:
                 return SampleFailure("dead-end", seed)
-            word = _draw(rng, avail)
-            edge = next(e for e in state.by_token[word] if e not in consumed_set)
-            consumed.append(edge)
-            consumed_set.add(edge)
-            node.word = word
+            # A preterminal's table (the one with a word set) is its support
+            # unless a word drawn before in this draw has no free edge left.
+            if vocab is not None and not spent.isdisjoint(vocab) and any(
+                consumed.issuperset(state.by_token[w]) for w in spent & vocab
+            ):
+                avail = [
+                    (w, p)
+                    for w, p in state.pruned.lexical.get(ctx, ())
+                    if not consumed.issuperset(state.by_token.get(w, ()))
+                ]
+                if not avail:
+                    return SampleFailure("dead-end", seed)
+                word = _pick(rng, *_table(avail))
+            else:
+                word = _pick(rng, values, cum, total)
+                if vocab is None:
+                    below += word  # the pair of child contexts
+                    words.append(None)
+                    continue
+            if word in spent:
+                edge = next(e for e in state.by_token[word] if e not in consumed)
+            else:
+                edge = state.by_token[word][0]
+                spent.add(word)
+            consumed.add(edge)
+            words.append(word)
             nxt = state.next.get(edge)
             if nxt is None:
                 narrowed = remove_conflicting(state.lattice, edge)
@@ -250,29 +295,42 @@ def sample_one(
                         )
                 state.next[edge] = nxt
             state = nxt
-        else:
-            support = state.pruned.binary.get(ctx, ())
-            if not support:
-                return SampleFailure("dead-end", seed)
-            rhs = _draw(rng, support)
-            left = _Node(rhs[0], rhs[1])
-            right = _Node(rhs[2], rhs[3])
-            node.children = (left, right)
-            queue.append((left, depth + 1))
-            queue.append((right, depth + 1))
+        levels.append((level, words))
+        level = below
+        depth += 1
 
-    frozen = root.freeze()
-    tokens = derivation_yield(frozen)
     # Order the consumed edges along a witness path: after the removals,
     # every remaining source-to-sink path passes through all of them.
     if state.witness is None:
         state.witness = enumerate_edge_paths(state.lattice, 1)[0]
-    path = tuple(e for e in state.witness if e in consumed_set)
+    path = tuple(e for e in state.witness if e in consumed)
     if len(path) != len(consumed):
         raise AssertionError("consumed edges do not lie on one path")
+
+    # Each level's yields, bottom-up: a binary node's is its children's,
+    # which are the next two of the level below.
+    spans: list[tuple[str, ...]] = []
+    for _ctxs, words in reversed(levels):
+        below_spans = iter(spans)
+        spans = [
+            (w,) if w is not None else next(below_spans) + next(below_spans)
+            for w in words
+        ]
+    tokens = spans[0]
+    if tokens in seen:
+        return None
+    nodes: list[DerivationNode] = []
+    for ctxs, words in reversed(levels):
+        below_nodes = iter(nodes)
+        nodes = [
+            DerivationNode(sym, st, w) if w is not None
+            else DerivationNode(sym, st, None, (next(below_nodes), next(below_nodes)))
+            for (sym, st), w in zip(ctxs, words)
+        ]
+    root = nodes[0]
     return ParaphraseCandidate(
         tokens=tokens,
-        derivation=DerivationTree(root=frozen, logprob=rescore(frozen, grammar)),
+        derivation=DerivationTree(root=root, logprob=rescore(root, pruned.grammar)),
         consumed_path=path,
         seed=seed,
     )
@@ -290,7 +348,8 @@ def sample_many(
 
     Seeds run from ``seed`` upward, each starting from the full lattice;
     the draws share one memo of the lattice states they reach.  Duplicates
-    (by token sequence) and the input question itself are dropped.
+    (by token sequence) and the input question itself are dropped before
+    their derivations are built.
     Deterministic for a fixed seed.
     """
     if m_samples < 1:
@@ -301,10 +360,8 @@ def sample_many(
     out: list[ParaphraseCandidate] = []
     seen: set[tuple[str, ...]] = {question_tokens}
     for s in range(seed, seed + m_samples):
-        result = sample_one(pruned, lat, s, depth_cap=depth_cap, states=states)
-        if isinstance(result, SampleFailure):
-            continue
-        if result.tokens in seen:
+        result = sample_one(pruned, lat, s, depth_cap=depth_cap, states=states, seen=seen)
+        if result is None or isinstance(result, SampleFailure):
             continue
         seen.add(result.tokens)
         out.append(result)

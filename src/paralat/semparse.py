@@ -14,7 +14,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .data_files import atomic_write, finite_float, records
@@ -410,7 +410,10 @@ def _name_tokens(name: str) -> list[str]:
     return [t for t in re.split(r"[._|]", name.lower()) if t]
 
 
+@lru_cache(maxsize=4096)
 def _stem_overlap(predicate: str, relation: str) -> int:
+    """Distinct stems shared by two dotted names.  Grounding asks for the
+    same pairs at every beam step, so the answers are cached."""
     pred = {_stem(t) for t in _name_tokens(predicate)}
     rel = {_stem(t) for t in _name_tokens(relation)}
     return len(pred & rel)

@@ -6,8 +6,12 @@ implementation paths it checks: derivations are enumerated one by one
 complete paths, grammar languages are unrolled top-down, and each tree
 node's context is looked up from the root on its own.  The one exception
 is ``reference_sample_one``, the sampler's draw before lattice states were
-memoized: it reuses the sampler's draw and narrowing helpers and redoes
-the conflict removal and narrowing at every emitted word.  The KB lookups
+memoized: it reuses the sampler's narrowing helper, keeps its own copy of
+the linear-scan weighted draw (``reference_draw``) and of the mutable
+derivation node, and redoes the conflict removal and narrowing at every
+emitted word.  ``reference_compute_features`` is the classifier's pair
+features with each BLEU order counted afresh for every cumulative BLEU
+score; it shares the edit distance and the mention count.  The KB lookups
 below are the scans over every entity, triple or type assertion that the
 indexed ``KnowledgeGraph`` replaced (they share only ``entity_surface``,
 the definition of a surface), and ``reference_kmeans`` is k-means with
@@ -19,13 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from paralat.cky import DerivationTree, derivation_yield, rescore
+from paralat.classifier import PairFeatures, _edit_distance, _occurrences
+from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescore
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
 from paralat.sampler import (
@@ -33,9 +38,7 @@ from paralat.sampler import (
     ParaphraseCandidate,
     PrunedGrammar,
     SampleFailure,
-    _draw,
     _narrow,
-    _Node,
 )
 from paralat.semparse import entity_surface
 from paralat.treebank import Tree
@@ -389,6 +392,36 @@ def word_salad_grammar(vocab: Sequence[str]) -> LatentGrammar:
     )
 
 
+def reference_draw(rng: random.Random, items: Sequence[tuple]) -> object:
+    """Weighted draw proportional to the second tuple element."""
+    total = sum(p for _, p in items)
+    r = rng.random() * total
+    acc = 0.0
+    for value, p in items:
+        acc += p
+        if r < acc:
+            return value
+    return items[-1][0]
+
+
+class _Node:
+    __slots__ = ("symbol", "state", "word", "children")
+
+    def __init__(self, symbol: str, state: StateLabel) -> None:
+        self.symbol = symbol
+        self.state = state
+        self.word: str | None = None
+        self.children: tuple[_Node, ...] = ()
+
+    def freeze(self) -> DerivationNode:
+        return DerivationNode(
+            symbol=self.symbol,
+            state=self.state,
+            word=self.word,
+            children=tuple(c.freeze() for c in self.children),
+        )
+
+
 def reference_sample_one(
     pruned: PrunedGrammar, lat: WordLattice, seed: int, depth_cap: int = DEPTH_CAP
 ) -> ParaphraseCandidate | SampleFailure:
@@ -404,7 +437,7 @@ def reference_sample_one(
 
     if not pg.roots:
         return SampleFailure("dead-end", seed)
-    root_ctx = _draw(rng, pg.roots)
+    root_ctx = reference_draw(rng, pg.roots)
     root = _Node(root_ctx[0], root_ctx[1])
     queue: deque[tuple[_Node, int]] = deque([(root, 0)])
 
@@ -422,7 +455,7 @@ def reference_sample_one(
             avail = [(w, p) for w, p in support if w in free]
             if not avail:
                 return SampleFailure("dead-end", seed)
-            word = _draw(rng, avail)
+            word = reference_draw(rng, avail)
             edge = free[word]
             consumed.append(edge)
             consumed_set.add(edge)
@@ -435,7 +468,7 @@ def reference_sample_one(
             support = pg.binary.get(ctx, ())
             if not support:
                 return SampleFailure("dead-end", seed)
-            rhs = _draw(rng, support)
+            rhs = reference_draw(rng, support)
             left = _Node(rhs[0], rhs[1])
             right = _Node(rhs[2], rhs[3])
             node.children = (left, right)
@@ -452,6 +485,58 @@ def reference_sample_one(
         derivation=DerivationTree(root=frozen, logprob=rescore(frozen, grammar)),
         consumed_path=path,
         seed=seed,
+    )
+
+
+def _ngrams(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
+    """Cumulative BLEU with brevity penalty; add-1 smoothing for n >= 2."""
+    log_precisions = []
+    for n in range(1, max_n + 1):
+        cand = _ngrams(candidate, n)
+        ref = _ngrams(reference, n)
+        matches = sum(min(count, ref[gram]) for gram, count in cand.items())
+        total = max(sum(cand.values()), 0)
+        if n >= 2:
+            matches += 1
+            total += 1
+        if total == 0 or matches == 0:
+            return 0.0
+        log_precisions.append(math.log(matches / total))
+    brevity = min(0.0, 1.0 - len(reference) / len(candidate))
+    return math.exp(brevity + sum(log_precisions) / max_n)
+
+
+def reference_compute_features(
+    source: Sequence[str],
+    candidate: Sequence[str],
+    entities: Sequence[tuple[int, int]] = (),
+) -> PairFeatures:
+    """The pair features with one ``_bleu`` call, and so one count of
+    every order up to it, per cumulative BLEU score."""
+    src = [t.lower() for t in source]
+    cand = [t.lower() for t in candidate]
+    bleus = [_bleu(cand, src, n) for n in range(1, 5)]
+    reverse4 = _bleu(src, cand, 4)
+    overlap = sum((Counter(cand) & Counter(src)).values())
+    mentions = Counter(tuple(src[i:j]) for i, j in entities)
+    preserved = all(
+        _occurrences(cand, mention) >= count for mention, count in mentions.items()
+    )
+    return PairFeatures(
+        bleu1=bleus[0],
+        bleu2=bleus[1],
+        bleu3=bleus[2],
+        bleu4=bleus[3],
+        bleu_sym=math.sqrt(bleus[3] * reverse4),
+        ter=min(2.0, _edit_distance(cand, src) / len(src)),
+        length_ratio=len(cand) / len(src),
+        unigram_precision=overlap / len(cand),
+        unigram_recall=overlap / len(src),
+        ne_preserved=1.0 if preserved else 0.0,
     )
 
 

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import reference_compute_features
 from paralat.classifier import (
     ClassifierModel,
     FEATURE_NAMES,
@@ -47,6 +49,11 @@ class TestComputeFeatures:
         assert f.unigram_precision == 0.0
         assert f.bleu1 == 0.0
 
+    def test_brevity_penalty(self):
+        f = compute_features("a b c what".split(), "a b".split())
+        assert f.unigram_precision == 1.0
+        assert f.bleu1 == pytest.approx(math.exp(1.0 - 4 / 2))
+
     def test_unigram_counts(self):
         f = compute_features(
             "what day is nochebuena".split(), "when is nochebuena".split()
@@ -74,6 +81,33 @@ class TestComputeFeatures:
         a = compute_features("a b c".split(), "c b a".split())
         b = compute_features("a b c".split(), "c b a".split())
         assert a == b
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "b", "A", "c", "what", "?"]), min_size=1, max_size=9)
+
+
+@st.composite
+def _pairs(draw):
+    source = draw(_TOKENS)
+    candidate = draw(_TOKENS)
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, len(source) - 1), st.integers(1, len(source))),
+        max_size=3,
+    ))
+    return source, candidate, [(i, j) for i, j in spans if i < j]
+
+
+class TestOnePassBleu:
+    @settings(max_examples=400, deadline=None)
+    @given(_pairs())
+    @example((["a"], ["b"], []))  # no unigram match: every BLEU is 0
+    @example((["a", "b"], ["b", "a"], []))  # no bigram match beyond smoothing
+    @example((["a", "b", "c", "what"], ["a", "b"], [(0, 2)]))  # brevity penalty
+    @example((["a"], ["a", "b", "c", "a", "b", "c", "a", "b", "c"], []))  # long candidate
+    def test_equals_per_order_reference(self, pair):
+        source, candidate, entities = pair
+        got = compute_features(source, candidate, entities)
+        assert got == reference_compute_features(source, candidate, entities)
 
 
 class TestGazetteer:

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from oracles import (
@@ -11,6 +12,7 @@ from oracles import (
     is_single_path_subset,
     random_multipath_lattice,
     random_toy_grammar,
+    reference_draw,
     reference_sample_one,
     word_salad_grammar,
 )
@@ -33,6 +35,8 @@ from paralat.sampler import (
     DEPTH_CAP,
     ParaphraseCandidate,
     SampleFailure,
+    _pick,
+    _table,
     prune_grammar,
     sample_many,
     sample_one,
@@ -448,3 +452,89 @@ class TestLatticeStateMemo:
             assert calls
             assert len(calls) == len(set(calls))
             assert _fields(got) == _fields(_reference_many(tokens, grammar, lat, DRAWS, 7))
+
+
+# Weights with ties, zeros, subnormals and values far apart in magnitude.
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1e-9, 0.1, 0.2, 0.3, 1 / 3, 0.5, 1.0, 7.0]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestDrawTable:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        weights=st.lists(_WEIGHTS, min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pick_equals_linear_draw(self, weights, seed):
+        items = [(f"v{i}", w) for i, w in enumerate(weights)]
+        table = _table(items)
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert _pick(fast, *table) == reference_draw(slow, items)
+
+    def test_all_zero_support_picks_last(self):
+        items = [("a", 0.0), ("b", 0.0), ("c", 0.0)]
+        assert _pick(random.Random(0), *_table(items)) == "c"
+
+
+class TestDrawCounts:
+    """``sample_many`` makes exactly one ``sample_one`` call per draw and
+    rescores only the candidates it returns."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import paralat.sampler as sampler
+
+        calls = Counter()
+        for name in ("sample_one", "rescore"):
+            original = getattr(sampler, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sampler, name, counted)
+        return calls
+
+    def test_duplicates_and_question_are_not_rescored(self, monkeypatch):
+        # Four derivable strings, one of them the question: most of the
+        # 300 draws repeat a string already seen.
+        calls = self._count(monkeypatch)
+        candidates = sample_many(
+            ["a", "b"], _product_grammar(), build_naive("a b c d".split()), 300, seed=3
+        )
+        assert {c.tokens for c in candidates} == {("a", "d"), ("c", "b"), ("c", "d")}
+        assert calls["sample_one"] == 300
+        assert calls["rescore"] == len(candidates)
+
+    def test_heldout_draw_counts(self, heldout_lattices, monkeypatch):
+        grammar, cases = heldout_lattices
+        calls = self._count(monkeypatch)
+        for tokens, lat in cases:
+            calls.clear()
+            candidates = sample_many(tokens, grammar, lat, DRAWS, 7)
+            assert calls["sample_one"] == DRAWS
+            assert calls["rescore"] == len(candidates)
+
+    def test_seen_draw_still_checks_its_path(self, monkeypatch):
+        # With conflict removal switched off, "a d" mixes two paths; the
+        # witness check rejects it even when its tokens were already seen.
+        lat = WordLattice(0, 2, tuple(sorted(
+            Edge(src, dst, tok, ORIGIN_RULE)
+            for src, dst, tok in [(0, 1, "a"), (1, 2, "b"), (0, 3, "c"), (3, 2, "d")]
+        )))
+        monkeypatch.setattr("paralat.sampler.remove_conflicting", lambda lat, edge: lat)
+        pruned = prune_grammar(_product_grammar(), lat)
+        language = set(enumerate_strings(_product_grammar()))
+        mixed = 0
+        for seed in range(50):
+            try:
+                result = sample_one(pruned, lat, seed, seen=language)
+            except AssertionError as exc:
+                assert "one path" in str(exc)
+                mixed += 1
+            else:
+                assert result is None
+        assert 0 < mixed < 50
