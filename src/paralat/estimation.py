@@ -190,14 +190,41 @@ def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     ])
 
 
+def _reassign_moved(
+    points: np.ndarray, labels: np.ndarray, seeded: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """``_nearest_center(points, centers)`` when each row lies on its
+    ``labels`` center of ``seeded`` (at distance 0, the lowest such index)
+    and ``centers`` are ``seeded`` after one update.  A row's nearest center
+    can change only if its own center moved or a moved center now lies on
+    the row, so only those rows are assigned again, one at a time: there
+    are few, and a block of rows would hold rows x centers x dims floats.
+    """
+    moved = np.flatnonzero((centers != seeded).any(axis=1))
+    rows = np.isin(labels, moved)
+    for c in moved:
+        rows |= ((points - centers[c]) ** 2).sum(axis=1) == 0
+    new_labels = labels.copy()
+    for i in np.flatnonzero(rows):
+        new_labels[i] = _nearest_center(points[i:i + 1], centers)[0]
+    return new_labels
+
+
 def _kmeans(
     points: np.ndarray, weights: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Weighted Lloyd k-means with k-means++ seeding; returns labels.
 
-    ``points`` holds distinct rows; ``weights`` their multiplicities.
-    Capped at KMEANS_MAX_ITER iterations; ties in assignment go to the
-    lowest center index.
+    ``points`` holds one row per distinct input, but rows may be equal
+    (``cluster_states`` normalizes them); ``weights`` are their
+    multiplicities.  Capped at KMEANS_MAX_ITER iterations; ties in
+    assignment go to the lowest center index.
+
+    Seeding keeps each row's nearest chosen center.  When it ends with
+    every row on a center (always when ``m`` is at least the number of
+    rows), that center is the row's first assignment, and the second one
+    is computed only for the rows that a center moved by the update (by
+    rounding) could take: usually none or a few.
     """
     n = points.shape[0]
     k = min(m, n)
@@ -206,6 +233,7 @@ def _kmeans(
     first = rng.choice(n, p=probs)
     centers[0] = points[first]
     dist2 = ((points - centers[0]) ** 2).sum(axis=1)
+    nearest = np.zeros(n, dtype=np.intp)
     for c in range(1, k):
         mass = weights * dist2
         total = mass.sum()
@@ -215,19 +243,29 @@ def _kmeans(
             centers = centers[:k]
             break
         centers[c] = points[rng.choice(n, p=mass / total)]
-        dist2 = np.minimum(dist2, ((points - centers[c]) ** 2).sum(axis=1))
+        new = ((points - centers[c]) ** 2).sum(axis=1)
+        nearest[new < dist2] = c
+        dist2 = np.minimum(dist2, new)
 
-    labels: np.ndarray | None = None
-    for _ in range(KMEANS_MAX_ITER):
-        new_labels = _nearest_center(points, centers)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
+    # ``nearest`` is each row's lowest-index center at its least seeding
+    # distance.  When that is 0 for every row (0 in any summation order),
+    # it is the first assignment, the one ``_nearest_center`` would give.
+    seeded = None if dist2.any() else centers.copy()
+    labels = _nearest_center(points, centers) if seeded is None else nearest
+    for _ in range(KMEANS_MAX_ITER - 1):
         for c in range(k):
             mask = labels == c
             if mask.any():
                 w = weights[mask]
                 centers[c] = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
+        if seeded is None:
+            new_labels = _nearest_center(points, centers)
+        else:
+            new_labels = _reassign_moved(points, labels, seeded, centers)
+            seeded = None
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
     return labels
 
 

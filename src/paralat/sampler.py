@@ -10,7 +10,12 @@ the derivation frontier breadth-first, one level at a time; every emitted
 word consumes a lattice edge, conflicting paths are removed, and the
 restricted grammar is narrowed accordingly, so each completed sample
 draws its words from a single source-to-sink path.  Dead ends are normal
-outcomes: the sample fails and its seed is burned.
+outcomes: the sample fails and its seed is burned.  A draw is also a dead
+end once its consumed edges and pending contexts outnumber the edges of
+the longest path of the lattice it started on, since each pending context
+still has to emit a word on an edge of its own and every later lattice
+state keeps a subset of those paths; no completed draw is lost, and no
+frontier level grows past twice that path length.
 
 Conflict removal and narrowing run once per distinct lattice state per
 question: the draws of one :func:`sample_many` call share a memo of the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Container, Sequence
@@ -69,7 +75,9 @@ class ParaphraseCandidate:
 
 @dataclass(frozen=True)
 class SampleFailure:
-    reason: str  # "dead-end" or "depth-cap"
+    # "dead-end" (including a draw that needs more words than the longest
+    # lattice path holds) or "depth-cap"
+    reason: str
     seed: int
 
 
@@ -165,17 +173,36 @@ def _pick(rng: random.Random, values: tuple, cum: list[float], total: float) -> 
     return values[i] if i < len(values) else values[-1]
 
 
+def _longest_path(lat: WordLattice) -> int:
+    """The edge count of the longest source-to-sink path of ``lat``, with
+    the edges relaxed in topological order (no recursion, so a path of any
+    length is fine)."""
+    out = lat.outgoing()
+    pending = Counter(e.dst for e in lat.edges)  # in-edges not yet relaxed
+    dist = {lat.source: 0}
+    ready = [lat.source]
+    while ready:
+        node = ready.pop()
+        for e in out.get(node, ()):
+            dist[e.dst] = max(dist.get(e.dst, 0), dist[node] + 1)
+            pending[e.dst] -= 1
+            if not pending[e.dst]:
+                ready.append(e.dst)
+    return dist[lat.sink]
+
+
 class _State:
     """One lattice state of a question: the lattice, the grammar narrowed
     to it, its edges by token (in canonical order), its transitions (the
-    consumed edge to the next state), once needed its witness path, and
-    the draw tables of the contexts drawn in it (of the roots under None):
-    ``(values, running sums, total, words)``.  A binary context's values
-    are pairs of child contexts; a preterminal's are words, and ``words``
-    is their set (None in the other tables).
+    consumed edge to the next state), once needed its witness path and
+    (in a state that draws start in) the edge count of its longest path,
+    and the draw tables of the contexts drawn in it (of the roots under
+    None): ``(values, running sums, total, words)``.  A binary context's
+    values are pairs of child contexts; a preterminal's are words, and
+    ``words`` is their set (None in the other tables).
     """
 
-    __slots__ = ("lattice", "pruned", "by_token", "next", "witness", "tables")
+    __slots__ = ("lattice", "pruned", "by_token", "next", "witness", "longest", "tables")
 
     def __init__(self, lattice: WordLattice, pruned: PrunedGrammar) -> None:
         self.lattice = lattice
@@ -185,6 +212,7 @@ class _State:
             self.by_token.setdefault(e.token, []).append(e)
         self.next: dict[Edge, _State] = {}
         self.witness: tuple[Edge, ...] | None = None
+        self.longest: int | None = None
         self.tables: dict[Context | None, tuple] = {}
 
     def table(self, ctx: Context | None) -> tuple:
@@ -235,6 +263,9 @@ def sample_one(
     state = states.get(lat.edges)
     if state is None:
         state = states[lat.edges] = _State(lat, pruned)
+    if state.longest is None:
+        state.longest = _longest_path(lat)
+    longest = state.longest
     consumed: set[Edge] = set()
     spent: set[str] = set()  # the tokens of the consumed edges
 
@@ -250,6 +281,11 @@ def sample_one(
     while level:
         if depth > depth_cap:
             return SampleFailure("depth-cap", seed)
+        # Each pending context yields a word, each word consumes its own
+        # edge, and all of them lie on one path of the starting lattice: a
+        # draw that needs more edges than its longest path cannot complete.
+        if len(consumed) + len(level) > longest:
+            return SampleFailure("dead-end", seed)
         words: list[str | None] = []
         below: list[Context] = []
         for ctx in level:

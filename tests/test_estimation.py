@@ -170,6 +170,84 @@ class TestClusterStates:
             )
             assert labels.tolist() == expected.tolist()
 
+    @staticmethod
+    def _count_assignments(monkeypatch):
+        """Record (rows, centers) of every ``_nearest_center`` call."""
+        calls = []
+        original = estimation._nearest_center
+
+        def counted(points, centers):
+            calls.append((points.shape[0], centers.shape[0]))
+            return original(points, centers)
+
+        monkeypatch.setattr(estimation, "_nearest_center", counted)
+        return calls
+
+    def test_seeded_centers_equal_one_piece_reference(self, monkeypatch):
+        # m >= n, m > 2n and k < n.  Rows are scaled copies of each other, so
+        # some are equal once L2-normalized, as in cluster_states, and some
+        # differ only by rounding, so that Lloyd's update can move a center
+        # onto a neighbouring row and the second assignment differ.
+        calls = self._count_assignments(monkeypatch)
+        skipped = relabelled = 0
+        for seed in range(60):
+            data = np.random.default_rng(seed)
+            n, d = int(data.integers(2, 30)), int(data.integers(1, 5))
+            raw = data.integers(0, 3, size=(n, d)) * data.integers(1, 4, size=(n, 1))
+            norms = np.linalg.norm(raw, axis=1, keepdims=True)
+            points = raw / np.where(norms > 0, norms, 1.0)
+            weights = data.integers(1, 5, size=n).astype(float)
+            for m in (n // 2 + 1, n, n + 1, 2 * n + 1):
+                calls.clear()
+                labels = estimation._kmeans(points, weights, m, np.random.default_rng(seed))
+                expected = reference_kmeans(
+                    points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
+                )
+                assert labels.tolist() == expected.tolist()
+                if m >= n:
+                    skipped += not calls
+                    # Rows that a moved center took: full Lloyd passes follow.
+                    relabelled += any(rows == n for rows, _ in calls)
+        assert skipped > 100 and relabelled > 0
+
+    def test_lloyd_runs_only_when_a_row_is_off_center(self, monkeypatch):
+        calls = self._count_assignments(monkeypatch)
+        points, weights = np.eye(5), np.ones(5)
+        for m in (5, 6, 11):
+            labels = estimation._kmeans(points, weights, m, np.random.default_rng(0))
+            assert sorted(labels) == [0, 1, 2, 3, 4]
+        assert calls == []
+        estimation._kmeans(points, weights, 3, np.random.default_rng(0))
+        assert calls and set(calls) == {(5, 3)}
+
+    def test_centers_moved_by_rounding_reassign_only_their_rows(self, monkeypatch):
+        # With weight 3, the mean (3x)/3 of a row differs from x in the last
+        # bit for some rows, so their centers move: each such row is
+        # assigned again on its own, and the other rows keep their centers
+        # without a distance computation.
+        calls = self._count_assignments(monkeypatch)
+        data = np.random.default_rng(0)
+        points = data.random((6, 4))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        weights = np.full(6, 3.0)
+        moved = int(((points * 3.0 / 3.0) != points).any(axis=1).sum())
+        assert 0 < moved < 6
+        labels = estimation._kmeans(points, weights, 6, np.random.default_rng(0))
+        assert labels.tolist() == reference_kmeans(
+            points, weights, 6, np.random.default_rng(0), estimation.KMEANS_MAX_ITER
+        ).tolist()
+        assert sorted(labels) == [0, 1, 2, 3, 4, 5]
+        assert calls == [(1, 6)] * moved
+
+    def test_rows_equal_after_normalization_share_a_state(self, monkeypatch):
+        calls = self._count_assignments(monkeypatch)
+        keys = [(0, ()), (1, ()), (2, ())]
+        vectors = dict(zip(keys, [{"a": 1.0}, {"a": 2.0}, {"b": 1.0}]))
+        assignment = cluster_states(vectors, dict.fromkeys(keys, "S"), m=5, seed=3)
+        states = [assignment.states[key] for key in keys]
+        assert states[0] == states[1] != states[2]
+        assert calls == []
+
 
 class TestEstimateMle:
     def _assignment(self, treebank, state_map):

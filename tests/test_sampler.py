@@ -16,6 +16,7 @@ from oracles import (
     reference_sample_one,
     word_salad_grammar,
 )
+from paralat import sampler
 from paralat.data_files import data_path
 from paralat.errors import EmptyIntersection, ParseFailure
 from paralat.estimation import read_alignments, train_bilayered_grammar, train_grammar
@@ -28,6 +29,7 @@ from paralat.lattice import (
     build_bilayered,
     build_from_rules,
     build_naive,
+    enumerate_edge_paths,
     load_rules,
     remove_conflicting,
 )
@@ -400,6 +402,57 @@ class TestLatticeStateMemo:
             expected = _reference_many(["q"], grammar, lat, DRAWS, checked, depth_cap)
             assert _fields(got) == _fields(expected)
 
+    def test_supercritical_grammar_is_bounded_by_longest_path(self, monkeypatch):
+        # The 28th grammar of test_random_grammars_equal_reference has
+        # S-1 -> S-1 S-1 as the only rule of S-1: a draw that reaches it
+        # doubles its frontier at every level.  Without the longest-path
+        # bound, one such draw at DEPTH_CAP builds 2^32 frontier nodes.
+        rng = random.Random(5)
+        checked = 0
+        while checked < 28:
+            grammar = random_toy_grammar(rng)
+            chain = random_multipath_lattice(rng)
+            lat = WordLattice(chain.source, chain.sink, tuple(sorted(
+                {e._replace(token="abc"[int(e.token[1]) % 3]) for e in chain.edges}
+            )))
+            if not validate(grammar).ok:
+                continue
+            try:
+                prune_grammar(grammar, lat)
+            except EmptyIntersection:
+                continue
+            checked += 1
+        s1 = ("S", StateLabel(1))
+        assert grammar.binary[s1] == {(*s1, *s1): 1.0}
+        longest = max(len(path) for path in enumerate_edge_paths(lat, 10**6))
+
+        # Each level draws at most ``longest`` contexts, over at most
+        # ``longest`` levels, plus the root.
+        budget = DRAWS * (1 + longest * longest)
+        table = sampler._State.table
+        lookups = 0
+
+        def counted(state, ctx):
+            nonlocal lookups
+            lookups += 1
+            assert lookups <= budget, "the frontier outgrew the longest path"
+            return table(state, ctx)
+
+        monkeypatch.setattr(sampler._State, "table", counted)
+        got = sample_many(["q"], grammar, lat, DRAWS, checked)
+        # A completed draw of n words is at most n - 1 <= longest levels deep.
+        expected = _reference_many(["q"], grammar, lat, DRAWS, checked, longest)
+        assert got and _fields(got) == _fields(expected)
+
+    def test_longest_path_equals_enumeration(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            lat = random_multipath_lattice(rng)
+            paths = enumerate_edge_paths(lat, 10**6)
+            assert sampler._longest_path(lat) == max(len(p) for p in paths)
+        # Far longer than the recursion limit.
+        assert sampler._longest_path(build_naive(["a"] * 5000)) == 5000
+
     def test_cached_state_keeps_narrowed_support(self):
         # W is emitted before X is expanded; after "a" only X -> B B
         # survives, after "c" only X -> D D, so every draw completes.
@@ -485,8 +538,6 @@ class TestDrawCounts:
 
     @staticmethod
     def _count(monkeypatch):
-        import paralat.sampler as sampler
-
         calls = Counter()
         for name in ("sample_one", "rescore"):
             original = getattr(sampler, name)
