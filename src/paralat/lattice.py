@@ -280,26 +280,33 @@ def remove_conflicting(lat: WordLattice, edge: Edge) -> WordLattice:
 
 def enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:
     """Up to ``cap`` source-to-sink edge sequences, in canonical DFS order
-    (outgoing edges explored in sorted order)."""
+    (outgoing edges explored in sorted order).  The walk keeps its own
+    stack, so a path may be longer than the recursion limit."""
     if cap < 1:
         raise LatticeError("cap must be >= 1")
+    if lat.source == lat.sink:
+        return [()]
     out = lat.outgoing()
     for edges in out.values():
         edges.sort()
     paths: list[tuple[Edge, ...]] = []
-
-    def walk(node: int, acc: list[Edge]) -> bool:
-        if node == lat.sink:
-            paths.append(tuple(acc))
-            return len(paths) >= cap
-        for e in out.get(node, []):
+    acc: list[Edge] = []  # the path to the node of each stack entry but the first
+    stack = [iter(out.get(lat.source, ()))]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if acc:
+                acc.pop()
+        elif e.dst == lat.sink:
+            paths.append((*acc, e))
+            if len(paths) >= cap:
+                break
+        elif len(acc) == len(lat.edges):
+            raise LatticeError("lattice contains a cycle")
+        else:
             acc.append(e)
-            if walk(e.dst, acc):
-                return True
-            acc.pop()
-        return False
-
-    walk(lat.source, [])
+            stack.append(iter(out.get(e.dst, ())))
     return paths
 
 

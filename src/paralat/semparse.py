@@ -13,9 +13,10 @@ import itertools
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from operator import mul
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .data_files import atomic_write, finite_float, records
 from .errors import (
@@ -43,6 +44,10 @@ class KnowledgeGraph:
 
     Lookups read indexes that are built on first use and cached on the
     instance; they are not fields, so equality and hashing ignore them.
+    One loop over the triples fills both the subject and the object
+    index, whichever is asked for first; entities are indexed by the
+    first token of their surface, so a mention's candidates are surfaced
+    from two buckets only.
     """
 
     entities: tuple[str, ...]  # in file order; order defines resolution rank
@@ -63,37 +68,42 @@ class KnowledgeGraph:
         return frozenset(e for e, t in self.type_assertions if t == type_name)
 
     @cached_property
-    def _by_subject(self) -> dict[str, tuple[Triple, ...]]:
-        return _group(self.triples, lambda triple: triple[0])
+    def _by_subject(self) -> dict[str, list[Triple]]:
+        return self._triple_indexes[0]
 
     @cached_property
-    def _by_object(self) -> dict[str, tuple[Triple, ...]]:
-        return _group(self.triples, lambda triple: triple[2])
+    def _by_object(self) -> dict[str, list[Triple]]:
+        return self._triple_indexes[1]
 
     @cached_property
-    def _types_of(self) -> dict[str, tuple[str, ...]]:
+    def _triple_indexes(self) -> tuple[dict[str, list[Triple]], dict[str, list[Triple]]]:
+        """Triples by subject and by object, filled in one loop."""
+        by_subject: dict[str, list[Triple]] = defaultdict(list)
+        by_object: dict[str, list[Triple]] = defaultdict(list)
+        for triple in self.triples:
+            subj, _, obj = triple
+            by_subject[subj].append(triple)
+            by_object[obj].append(triple)
+        return by_subject, by_object
+
+    @cached_property
+    def _types_of(self) -> dict[str, list[str]]:
         """Entity -> its asserted types, sorted."""
-        grouped = _group(sorted(self.type_assertions), lambda assertion: assertion[0])
-        return {e: tuple(t for _, t in pairs) for e, pairs in grouped.items()}
+        types_of: dict[str, list[str]] = defaultdict(list)
+        for entity, type_name in sorted(self.type_assertions):
+            types_of[entity].append(type_name)
+        return types_of
 
     @cached_property
-    def _by_head(self) -> dict[str | None, tuple[tuple[int, str, tuple[str, ...]], ...]]:
-        """First surface token -> (rank, entity, surface), in rank order;
-        entities with an empty surface are under None."""
-        ranked = ((rank, e, entity_surface(e)) for rank, e in enumerate(self.entities))
-        return _group(ranked, lambda entry: entry[2][0] if entry[2] else None)
-
-
-K = TypeVar("K")
-V = TypeVar("V")
-
-
-def _group(items: Iterable[V], key: Callable[[V], K]) -> dict[K, tuple[V, ...]]:
-    """Items by key, each bucket in iteration order."""
-    buckets: dict[K, list[V]] = defaultdict(list)
-    for item in items:
-        buckets[key(item)].append(item)
-    return {k: tuple(bucket) for k, bucket in buckets.items()}
+    def _by_head(self) -> dict[str | None, list[tuple[int, str]]]:
+        """First surface token -> (rank, entity), in rank order; entities
+        with an empty surface are under None."""
+        by_head: dict[str | None, list[tuple[int, str]]] = defaultdict(list)
+        search = _CAMEL.search
+        for rank, entity in enumerate(self.entities):
+            head = search(entity)
+            by_head[head.group().lower() if head else None].append((rank, entity))
+        return by_head
 
 
 def load_kb(path: str) -> KnowledgeGraph:
@@ -260,13 +270,23 @@ class GroundedGraph:
 
     def key(self) -> str:
         """Canonical text key; defines the deterministic tie-break order."""
-        parts = [f"{nid}={ent}" for nid, ent in self.entity_map]
-        parts += [
-            f"{event}|{n1}|{n2}={'null' if choice is None else choice[0] + ':' + choice[1]}"
-            for (event, n1, n2), choice in self.edge_map
-        ]
-        parts += [f"{nid}={t or 'null'}" for nid, t in self.type_map]
+        parts = [_entity_part(nid, ent) for nid, ent in self.entity_map]
+        parts += [_edge_part(edge, choice) for edge, choice in self.edge_map]
+        parts += [_type_part(nid, t) for nid, t in self.type_map]
         return ";".join(parts)
+
+
+def _entity_part(nid: str, entity: str) -> str:
+    return f"{nid}={entity}"
+
+
+def _edge_part(edge: EdgeKey, choice: EdgeChoice) -> str:
+    event, n1, n2 = edge
+    return f"{event}|{n1}|{n2}={'null' if choice is None else choice[0] + ':' + choice[1]}"
+
+
+def _type_part(nid: str, type_name: str | None) -> str:
+    return f"{nid}={type_name or 'null'}"
 
 
 def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
@@ -361,7 +381,8 @@ def entity_candidates(
         return [(entity, 0, rank) for rank, entity in enumerate(kb.entities)]
     out = []
     for bucket in (kb._by_head.get(mention[0], ()), kb._by_head.get(None, ())):
-        for rank, entity, surface in bucket:
+        for rank, entity in bucket:
+            surface = entity_surface(entity)
             match = min(len(surface), len(mention))
             if surface[:match] == mention[:match]:
                 out.append((entity, match, rank))
@@ -419,45 +440,76 @@ def _stem_overlap(predicate: str, relation: str) -> int:
     return len(pred & rel)
 
 
+# A decision's features: names to add to (``+=``) and names set to 1.0.
+FeatureDelta = tuple[tuple[tuple[str, float], ...], tuple[str, ...]]
+
+
+def _edge_delta(pred: str, choice: EdgeChoice, words: Sequence[str]) -> FeatureDelta:
+    if choice is None:
+        return ((f"align|{pred}|null", 1.0), ("null_edges", 1.0)), ()
+    relation, direction = choice
+    overlap = _stem_overlap(pred, relation)
+    added = (f"align|{pred}|{relation}:{direction}", 1.0), ("stem_overlap", overlap)
+    return added, tuple(f"wordrel|{word}|{relation}" for word in words)
+
+
+def _type_delta(label: str, type_name: str | None) -> FeatureDelta:
+    if type_name is None:
+        return ((f"typealign|{label}|null", 1.0), ("null_types", 1.0)), ()
+    overlap = _stem_overlap(label, type_name)
+    return ((f"typealign|{label}|{type_name}", 1.0), ("stem_overlap", overlap)), ()
+
+
+def _extended(feats: FeatureDict, delta: FeatureDelta) -> FeatureDict:
+    """A copy of ``feats`` with one decision's features added."""
+    out = dict(feats)
+    added, flags = delta
+    for name, value in added:
+        out[name] = out.get(name, 0.0) + value
+    for name in flags:
+        out[name] = 1.0
+    return out
+
+
+def _graph_constants(
+    graph: UngroundedGraph,
+) -> tuple[dict[EdgeKey, str], list[str], dict[str, str]]:
+    """Per-graph inputs of the decision features: each entity edge's NL
+    predicate, the paraphrase's sorted distinct words and each type
+    node's label.  When an event links one node pair under two labels,
+    both of its edges map to the last predicate."""
+    predicates = {
+        (event, n1, n2): pred for event, n1, n2, pred in graph.entity_edges()
+    }
+    type_labels = {nid: label for nid, label, _ in graph.type_nodes}
+    return predicates, sorted(set(graph.text)), type_labels
+
+
+def _base_features(graph: UngroundedGraph, lattice_score: float) -> FeatureDict:
+    return {"classifier_score": graph.classifier_score, "lattice_score": lattice_score}
+
+
 def tuple_features(grounded: GroundedGraph) -> FeatureDict:
     """Explicit named features over one (paraphrase, graph, grounding)
     tuple: alignment indicators, stem overlaps, word-relation pairs, the
     paraphrase classifier score, the entity lattice score, and
-    null-grounding counts."""
+    null-grounding counts.  The fold, over the grounding's decisions in
+    order, of the same per-decision features ``ground`` adds one step at
+    a time."""
     graph = grounded.graph
-    feats: FeatureDict = defaultdict(float)
-    feats["classifier_score"] = graph.classifier_score
-    feats["lattice_score"] = grounded.lattice_score
-
-    predicates = {
-        (event, n1, n2): pred for event, n1, n2, pred in graph.entity_edges()
-    }
-    words = sorted(set(graph.text))
-    for (event, n1, n2), choice in grounded.edge_map:
-        pred = predicates[(event, n1, n2)]
-        if choice is None:
-            feats[f"align|{pred}|null"] += 1.0
-            feats["null_edges"] += 1.0
-        else:
-            relation, direction = choice
-            feats[f"align|{pred}|{relation}:{direction}"] += 1.0
-            feats["stem_overlap"] += _stem_overlap(pred, relation)
-            for word in words:
-                feats[f"wordrel|{word}|{relation}"] = 1.0
-    type_labels = {nid: label for nid, label, _ in graph.type_nodes}
+    predicates, words, type_labels = _graph_constants(graph)
+    feats = _base_features(graph, grounded.lattice_score)
+    for edge, choice in grounded.edge_map:
+        feats = _extended(feats, _edge_delta(predicates[edge], choice, words))
     for nid, type_name in grounded.type_map:
-        label = type_labels[nid]
-        if type_name is None:
-            feats[f"typealign|{label}|null"] += 1.0
-            feats["null_types"] += 1.0
-        else:
-            feats[f"typealign|{label}|{type_name}"] += 1.0
-            feats["stem_overlap"] += _stem_overlap(label, type_name)
-    return dict(feats)
+        feats = _extended(feats, _type_delta(type_labels[nid], type_name))
+    return feats
 
 
 def dot_score(weights: Mapping[str, float], feats: FeatureDict) -> float:
-    return math.fsum(weights.get(name, 0.0) * value for name, value in feats.items())
+    """``math.fsum`` of weight times value over ``feats`` (a missing
+    weight is 0), so the order of the features does not matter."""
+    return math.fsum(map(mul, map(weights.get, feats, itertools.repeat(0.0)), feats.values()))
 
 
 # --- beam-search grounding -------------------------------------------------------
@@ -510,48 +562,71 @@ def ground(
 
     Decision order: joint entity assignment (from the top lattice paths),
     then each entity-entity edge (a compatible relation or skip), then
-    each type node (a compatible type or skip).
+    each type node (a compatible type or skip).  Each state extends its
+    parent by one decision: the parent's features plus the decision's
+    (so they equal ``tuple_features`` of the state) and the parent's key
+    plus the decision's part; it is scored over its whole feature dict.
+    Options, features and key parts are worked out once per step and
+    entity assignment, and only kept states become ``GroundedGraph``s.
     """
     weights = weights or {}
+    predicates, words, type_labels = _graph_constants(graph)
 
-    def truncate(pool: list[GroundedGraph]) -> list[tuple[GroundedGraph, float, FeatureDict]]:
-        scored = []
-        for g in pool:
-            feats = tuple_features(g)
-            scored.append((g, dot_score(weights, feats), feats))
-        scored.sort(key=lambda item: (-item[1], item[0].key()))
-        return scored[:beam]
+    def best(pool, child):
+        """The ``beam`` best (score, key, features, parent, choice) pool
+        entries, as (grounding, score, features, key) states."""
+        pool.sort(key=lambda entry: (-entry[0], entry[1]))
+        return [
+            (child(parent, choice), score, feats, key)
+            for score, key, feats, parent, choice in pool[:beam]
+        ]
 
-    kept = truncate([
-        GroundedGraph(
-            graph=graph,
-            entity_map=assignment,
-            edge_map=(),
-            type_map=(),
-            lattice_score=score,
-        )
-        for assignment, score in entity_assignments(graph, kb)
-    ])
+    def extend(kept, options_of, decide, child):
+        """Every kept state extended by each of its options, truncated."""
+        pool = []
+        menus: dict[tuple[tuple[str, str], ...], list] = {}
+        for state, _, feats, key in kept:
+            menu = menus.get(state.entity_map)
+            if menu is None:
+                menu = menus[state.entity_map] = [
+                    (choice, *decide(choice)) for choice in options_of(dict(state.entity_map))
+                ]
+            for choice, delta, part in menu:
+                child_feats = _extended(feats, delta)
+                child_key = f"{key};{part}" if key else part
+                pool.append((dot_score(weights, child_feats), child_key, child_feats, state, choice))
+        return best(pool, child)
+
+    initial = []
+    for assignment, lattice_score in entity_assignments(graph, kb):
+        feats = _base_features(graph, lattice_score)
+        key = ";".join(_entity_part(nid, ent) for nid, ent in assignment)
+        initial.append((dot_score(weights, feats), key, feats, None, (assignment, lattice_score)))
+    kept = best(initial, lambda _, entities: GroundedGraph(graph, entities[0], (), (), entities[1]))
     for event, n1, n2, _pred in graph.entity_edges():
-        pool = []
-        for state, _, _ in kept:
-            entity_of = dict(state.entity_map)
-            for choice in _edge_options(kb, entity_of, graph.target, n1, n2):
-                pool.append(
-                    replace(
-                        state,
-                        edge_map=state.edge_map + (((event, n1, n2), choice),),
-                    )
-                )
-        kept = truncate(pool)
+        edge = (event, n1, n2)
+        pred = predicates[edge]
+        kept = extend(
+            kept,
+            lambda entity_of: _edge_options(kb, entity_of, graph.target, n1, n2),
+            lambda choice: (_edge_delta(pred, choice, words), _edge_part(edge, choice)),
+            lambda state, choice: GroundedGraph(
+                graph, state.entity_map, state.edge_map + ((edge, choice),), state.type_map,
+                state.lattice_score,
+            ),
+        )
     for nid, _label, constrained in graph.type_nodes:
-        pool = []
-        for state, _, _ in kept:
-            entity_of = dict(state.entity_map)
-            for choice in _type_options(kb, entity_of, constrained):
-                pool.append(replace(state, type_map=state.type_map + ((nid, choice),)))
-        kept = truncate(pool)
-    return kept
+        label = type_labels[nid]
+        kept = extend(
+            kept,
+            lambda entity_of: _type_options(kb, entity_of, constrained),
+            lambda choice: (_type_delta(label, choice), _type_part(nid, choice)),
+            lambda state, choice: GroundedGraph(
+                graph, state.entity_map, state.edge_map, state.type_map + ((nid, choice),),
+                state.lattice_score,
+            ),
+        )
+    return [(grounding, score, feats) for grounding, score, feats, _ in kept]
 
 
 # --- oracle tuples ----------------------------------------------------------------

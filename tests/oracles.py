@@ -15,7 +15,11 @@ score; it shares the edit distance and the mention count.  The KB lookups
 below are the scans over every entity, triple or type assertion that the
 indexed ``KnowledgeGraph`` replaced (they share only ``entity_surface``,
 the definition of a surface), and ``reference_kmeans`` is k-means with
-its distance tensor built in one piece.
+its distance tensor built in one piece.  ``reference_ground`` is the beam
+search that recomputed every state's features and key from scratch at
+every decision step; it shares the option lists, the entity assignments,
+the stem overlap and ``dot_score``.  ``reference_enumerate_edge_paths``
+is the path enumeration that recursed once per edge.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +45,15 @@ from paralat.sampler import (
     SampleFailure,
     _narrow,
 )
-from paralat.semparse import entity_surface
+from paralat.semparse import (
+    GroundedGraph,
+    _edge_options,
+    _stem_overlap,
+    _type_options,
+    dot_score,
+    entity_assignments,
+    entity_surface,
+)
 from paralat.treebank import Tree
 
 
@@ -654,3 +667,113 @@ def reference_kmeans(points, weights, m, rng, max_iter=50):
                 w = weights[mask]
                 centers[c] = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
     return labels
+
+
+# --- grounding with every state recomputed --------------------------------------
+
+
+def reference_key(grounded):
+    """``GroundedGraph.key`` built from the whole grounding."""
+    parts = [f"{nid}={ent}" for nid, ent in grounded.entity_map]
+    parts += [
+        f"{event}|{n1}|{n2}={'null' if choice is None else choice[0] + ':' + choice[1]}"
+        for (event, n1, n2), choice in grounded.edge_map
+    ]
+    parts += [f"{nid}={t or 'null'}" for nid, t in grounded.type_map]
+    return ";".join(parts)
+
+
+def reference_tuple_features(grounded):
+    """``semparse.tuple_features`` in one pass over the whole grounding."""
+    graph = grounded.graph
+    feats = defaultdict(float)
+    feats["classifier_score"] = graph.classifier_score
+    feats["lattice_score"] = grounded.lattice_score
+    predicates = {
+        (event, n1, n2): pred for event, n1, n2, pred in graph.entity_edges()
+    }
+    words = sorted(set(graph.text))
+    for (event, n1, n2), choice in grounded.edge_map:
+        pred = predicates[(event, n1, n2)]
+        if choice is None:
+            feats[f"align|{pred}|null"] += 1.0
+            feats["null_edges"] += 1.0
+        else:
+            relation, direction = choice
+            feats[f"align|{pred}|{relation}:{direction}"] += 1.0
+            feats["stem_overlap"] += _stem_overlap(pred, relation)
+            for word in words:
+                feats[f"wordrel|{word}|{relation}"] = 1.0
+    type_labels = {nid: label for nid, label, _ in graph.type_nodes}
+    for nid, type_name in grounded.type_map:
+        label = type_labels[nid]
+        if type_name is None:
+            feats[f"typealign|{label}|null"] += 1.0
+            feats["null_types"] += 1.0
+        else:
+            feats[f"typealign|{label}|{type_name}"] += 1.0
+            feats["stem_overlap"] += _stem_overlap(label, type_name)
+    return dict(feats)
+
+
+def reference_ground(graph, kb, weights=None, beam=100):
+    """``semparse.ground`` scoring every state from scratch at every step."""
+    weights = weights or {}
+
+    def truncate(pool):
+        scored = []
+        for g in pool:
+            feats = reference_tuple_features(g)
+            scored.append((g, dot_score(weights, feats), feats))
+        scored.sort(key=lambda item: (-item[1], reference_key(item[0])))
+        return scored[:beam]
+
+    kept = truncate([
+        GroundedGraph(graph=graph, entity_map=assignment, edge_map=(), type_map=(),
+                      lattice_score=score)
+        for assignment, score in entity_assignments(graph, kb)
+    ])
+    for event, n1, n2, _pred in graph.entity_edges():
+        pool = []
+        for state, _, _ in kept:
+            entity_of = dict(state.entity_map)
+            for choice in _edge_options(kb, entity_of, graph.target, n1, n2):
+                pool.append(
+                    replace(state, edge_map=state.edge_map + (((event, n1, n2), choice),))
+                )
+        kept = truncate(pool)
+    for nid, _label, constrained in graph.type_nodes:
+        pool = []
+        for state, _, _ in kept:
+            entity_of = dict(state.entity_map)
+            for choice in _type_options(kb, entity_of, constrained):
+                pool.append(replace(state, type_map=state.type_map + ((nid, choice),)))
+        kept = truncate(pool)
+    return kept
+
+
+# --- path enumeration by recursion -----------------------------------------------
+
+
+def reference_enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:
+    """``lattice.enumerate_edge_paths`` as one recursive call per edge."""
+    out: dict[int, list[Edge]] = defaultdict(list)
+    for e in lat.edges:
+        out[e.src].append(e)
+    for edges in out.values():
+        edges.sort()
+    paths: list[tuple[Edge, ...]] = []
+
+    def walk(node: int, acc: list[Edge]) -> bool:
+        if node == lat.sink:
+            paths.append(tuple(acc))
+            return len(paths) >= cap
+        for e in out.get(node, []):
+            acc.append(e)
+            if walk(e.dst, acc):
+                return True
+            acc.pop()
+        return False
+
+    walk(lat.source, [])
+    return paths

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from oracles import cooccurring_edges, random_multipath_lattice
+from oracles import (
+    cooccurring_edges,
+    random_multipath_lattice,
+    reference_enumerate_edge_paths,
+)
 from paralat.errors import EdgeNotInLattice, EmptyQuestion, LatticeError
 from paralat.lattice import (
     Edge,
@@ -188,6 +192,32 @@ class TestEnumeratePaths:
 
     def test_deterministic(self, czech_lattice):
         assert enumerate_paths(czech_lattice, 50) == enumerate_paths(czech_lattice, 50)
+
+    def test_equals_recursive_reference(self, czech_lattice):
+        rng = random.Random(11)
+        lattices = [random_multipath_lattice(rng) for _ in range(50)] + [czech_lattice]
+        for lat in lattices:
+            for cap in (1, 3, 10**6):
+                assert enumerate_edge_paths(lat, cap) == reference_enumerate_edge_paths(lat, cap)
+
+    def test_path_longer_than_recursion_limit(self):
+        lat = build_naive(["a"] * 5000)
+        (path,) = enumerate_edge_paths(lat, 10)
+        assert path == lat.edges
+
+    def test_source_is_sink(self):
+        assert enumerate_edge_paths(WordLattice(source=0, sink=0, edges=()), 1) == [()]
+
+    def test_cycle_raises(self):
+        # The first edge out of node 1 leads back to node 0, so the walk
+        # would go round forever.
+        edges = (
+            Edge(0, 1, "a", ORIGIN_INPUT),
+            Edge(1, 0, "b", ORIGIN_INPUT),
+            Edge(1, 2, "c", ORIGIN_INPUT),
+        )
+        with pytest.raises(LatticeError, match="cycle"):
+            enumerate_edge_paths(WordLattice(source=0, sink=2, edges=edges), 1)
 
 
 class TestBilayeredLattice:

@@ -239,6 +239,13 @@ class TestSampleMany:
         assert [c.tokens for c in a] == [c.tokens for c in b]
         assert [c.seed for c in a] == [c.seed for c in b]
 
+    def test_question_longer_than_recursion_limit(self):
+        question = ["a"] * 1200
+        grammar = word_salad_grammar(["a"])
+        candidates = sample_many(question, grammar, build_naive(question), 20, seed=0)
+        assert candidates
+        assert all(set(c.tokens) == {"a"} and 2 <= len(c.tokens) < 1200 for c in candidates)
+
     def test_empty_intersection_propagates(self, triplet_trees):
         from paralat.estimation import train_grammar
 

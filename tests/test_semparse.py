@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     exhaustive_groundings,
+    reference_ground,
+    reference_key,
     scan_edge_options,
     scan_entity_candidates,
     scan_objects,
     scan_subjects,
     scan_type_options,
 )
+from paralat.data_files import data_path
 from paralat.errors import (
     EmptyGold,
     NoEntityCandidates,
@@ -201,12 +206,17 @@ class TestIndexedLookups:
     )
     def test_indexed_lookups_equal_scans(self, kb, mentions, entity_of):
         fresh = KnowledgeGraph(kb.entities, kb.triples, kb.type_assertions)
-        for mention in mentions + [[], ["paris"]]:
-            assert entity_candidates(mention, kb) == scan_entity_candidates(mention, kb)
+        # One loop fills both triple indexes, whichever lookup asks first.
+        subject_first = KnowledgeGraph(kb.entities, kb.triples, kb.type_assertions)
+        assert kb.subjects("r", "Nowhere") == frozenset()  # object index first
+        assert subject_first.objects("Nowhere", "r") == frozenset()  # subject index first
         ids = set(kb.entities) | {e for s, _, o in kb.triples for e in (s, o)} | {"Nowhere"}
-        for entity, relation in itertools.product(sorted(ids), ["r", "s", "located.in"]):
-            assert kb.subjects(relation, entity) == scan_subjects(kb, relation, entity)
-            assert kb.objects(entity, relation) == scan_objects(kb, entity, relation)
+        for graph in (kb, subject_first):
+            for entity, relation in itertools.product(sorted(ids), ["r", "s", "located.in"]):
+                assert graph.subjects(relation, entity) == scan_subjects(kb, relation, entity)
+                assert graph.objects(entity, relation) == scan_objects(kb, entity, relation)
+        for mention in mentions + [[], ["paris"], ["_"], ["42"]]:
+            assert entity_candidates(mention, kb) == scan_entity_candidates(mention, kb)
         for n1, n2 in itertools.permutations(["a", "b", "x"], 2):
             assert _edge_options(kb, entity_of, "x", n1, n2) == scan_edge_options(
                 kb, entity_of, "x", n1, n2
@@ -216,8 +226,8 @@ class TestIndexedLookups:
                 kb, entity_of, constrained
             )
         assert {"_by_subject", "_by_object", "_by_head", "_types_of", "types"} <= set(vars(kb))
-        assert kb == fresh
-        assert hash(kb) == hash(fresh)
+        assert kb == fresh == subject_first
+        assert hash(kb) == hash(fresh) == hash(subject_first)
 
 
 class TestGround:
@@ -254,6 +264,133 @@ class TestGround:
         for _, score, feats in got:
             assert score == pytest.approx(dot_score(weights, feats))
             assert feats["classifier_score"] == 0.75
+
+
+def _bundled_graphs() -> list[UngroundedGraph]:
+    paths = sorted(Path(data_path("graphs")).glob("*.graph"))
+    return [load_ungrounded(str(path), name=path.name) for path in paths]
+
+
+def _reachable_distractors(kb: KnowledgeGraph, seed: int) -> KnowledgeGraph:
+    """``kb`` plus seeded triples and types among its own entities, so the
+    question graphs see more options at every decision."""
+    rng = random.Random(seed)
+    entities = sorted(kb.entities)
+    relations = sorted({r for _, r, _ in kb.triples})
+    types = sorted(kb.types)
+    triples = {(rng.choice(entities), rng.choice(relations), rng.choice(entities))
+               for _ in range(300)}
+    assertions = {(rng.choice(entities), rng.choice(types)) for _ in range(60)}
+    return KnowledgeGraph(
+        entities=kb.entities,
+        triples=kb.triples | triples,
+        type_assertions=kb.type_assertions | assertions,
+    )
+
+
+def _two_label_graph() -> UngroundedGraph:
+    """One event links e1 and x under two labels of e1, so both entity
+    edges share one node pair (and the last predicate)."""
+    return UngroundedGraph(
+        name="two.labels",
+        target="x",
+        entity_nodes=(("e1", ("france",)),),
+        type_nodes=(("t1", "city", "target"),),
+        events=("ev1",),
+        edges=(
+            ("ev1", "e1", "capital.of"),
+            ("ev1", "e1", "language.poss"),
+            ("ev1", "x", "capital.arg"),
+        ),
+        text=tuple("what is the capital city of france".split()),
+    )
+
+
+def _entityless_graph() -> UngroundedGraph:
+    """Only type nodes on the target: every key starts empty."""
+    return UngroundedGraph(
+        name="no.entity",
+        target="x",
+        entity_nodes=(),
+        type_nodes=(("t1", "city", "target"), ("t2", "language", "target")),
+        events=(),
+        edges=(),
+        text=tuple("which city".split()),
+        classifier_score=-0.25,
+    )
+
+
+class TestIncrementalGround:
+    """``ground`` extends each state by one decision; it must return what
+    scoring every state from scratch returns, entry for entry."""
+
+    BEAMS = (1, 2, 100, 1000)
+
+    def _assert_equal_to_reference(self, graph, kb, weights):
+        for beam in self.BEAMS:
+            got = ground(graph, kb, weights, beam=beam)
+            expected = reference_ground(graph, kb, weights, beam=beam)
+            assert [g for g, _, _ in got] == [g for g, _, _ in expected]
+            assert [score.hex() for _, score, _ in got] == [
+                score.hex() for _, score, _ in expected
+            ]
+            assert [list(f.items()) for _, _, f in got] == [
+                list(f.items()) for _, _, f in expected
+            ]
+            assert [g.key() for g, _, _ in got] == [reference_key(g) for g, _, _ in expected]
+            for g, score, feats in got:
+                assert feats == tuple_features(g)
+                assert score == dot_score(weights or {}, feats)
+
+    def _weight_sets(self, graph, kb, seed):
+        names = sorted({name for _, _, f in reference_ground(graph, kb, None, beam=1000)
+                        for name in f})
+        rng = random.Random(seed)
+        return [
+            None,
+            dict.fromkeys(names, 0.0),
+            {name: rng.uniform(-2.0, 2.0) for name in names},
+        ]
+
+    @pytest.mark.parametrize("distractors", [False, True])
+    def test_bundled_graphs_equal_reference(self, distractors):
+        kb = load_kb(data_path("kb.tsv"))
+        if distractors:
+            kb = _reachable_distractors(kb, seed=7)
+        grounded = 0
+        for index, graph in enumerate(_bundled_graphs()):
+            try:
+                weight_sets = self._weight_sets(graph, kb, seed=index)
+            except NoEntityCandidates:
+                with pytest.raises(NoEntityCandidates):
+                    ground(graph, kb)
+                continue
+            grounded += 1
+            for weights in weight_sets:
+                self._assert_equal_to_reference(graph, kb, weights)
+        assert grounded >= 15
+
+    @pytest.mark.parametrize("graph", [_two_label_graph(), _entityless_graph(), _language_graph()])
+    def test_hand_built_graphs_equal_reference(self, kb, graph):
+        for seed in range(3):
+            for weights in self._weight_sets(graph, kb, seed):
+                self._assert_equal_to_reference(graph, kb, weights)
+
+    def test_two_labels_share_the_last_predicate(self, kb):
+        graph = _two_label_graph()
+        assert [edge[:3] for edge in graph.entity_edges()] == [("ev1", "e1", "x")] * 2
+        got = ground(graph, kb, None, beam=1000)
+        nulls = [feats for g, _, feats in got if [c for _, c in g.edge_map] == [None, None]]
+        assert nulls and all(f["align|language.poss|capital.arg|null"] == 2.0 for f in nulls)
+        assert not any(name.startswith("align|capital.of") for _, _, f in got for name in f)
+
+    def test_entityless_keys_have_no_leading_separator(self, kb):
+        got = ground(_entityless_graph(), kb, None, beam=1000)
+        assert got
+        for grounding, _, _ in got:
+            assert grounding.entity_map == ()
+            assert not grounding.key().startswith(";")
+            assert grounding.key() == reference_key(grounding)
 
 
 class TestOracleSet:
