@@ -190,6 +190,22 @@ def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     ])
 
 
+def _sq_distances(points: np.ndarray, squares: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``((points - center) ** 2).sum(axis=1)``, bit for bit, given
+    ``squares == points ** 2`` (both C-contiguous).
+
+    Where ``center`` is 0, ``(x - 0) ** 2 == x ** 2`` exactly, so only its
+    nonzero columns of ``squares`` are recomputed, in place; each row is
+    then summed as it would be, and the columns are restored.
+    """
+    cols = np.flatnonzero(center)
+    block = points[:, cols]
+    squares[:, cols] = (block - center[cols]) ** 2
+    dist = squares.sum(axis=1)
+    squares[:, cols] = block ** 2
+    return dist
+
+
 def _reassign_moved(
     points: np.ndarray, labels: np.ndarray, seeded: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
@@ -202,8 +218,10 @@ def _reassign_moved(
     """
     moved = np.flatnonzero((centers != seeded).any(axis=1))
     rows = np.isin(labels, moved)
-    for c in moved:
-        rows |= ((points - centers[c]) ** 2).sum(axis=1) == 0
+    if moved.size:
+        squares = points ** 2
+        for c in moved:
+            rows |= _sq_distances(points, squares, centers[c]) == 0
     new_labels = labels.copy()
     for i in np.flatnonzero(rows):
         new_labels[i] = _nearest_center(points[i:i + 1], centers)[0]
@@ -215,10 +233,22 @@ def _kmeans(
 ) -> np.ndarray:
     """Weighted Lloyd k-means with k-means++ seeding; returns labels.
 
-    ``points`` holds one row per distinct input, but rows may be equal
-    (``cluster_states`` normalizes them); ``weights`` are their
+    ``points`` holds one C-contiguous row per distinct input, but rows may
+    be equal (``cluster_states`` normalizes them); ``weights`` are their
     multiplicities.  Capped at KMEANS_MAX_ITER iterations; ties in
     assignment go to the lowest center index.
+
+    Seeding computes distances only where they can change its result, and
+    every float it computes is the one the dense ``((points - center) **
+    2).sum(axis=1)`` over all rows would give.  A row at distance 0 is
+    never drawn and never moves to a later center, so only the rows still
+    at a positive distance (the live rows) are measured: they are kept in
+    one compacted array with their squares, and the rows that reached 0
+    are dropped once they are a quarter of it.  A center is a row, so it
+    has few nonzero columns, and only those columns of the squares are
+    recomputed (:func:`_sq_distances`); each row is still summed over all
+    its columns in the same order, so its distance is bit-equal, and so
+    are the draw probabilities.
 
     Seeding keeps each row's nearest chosen center.  When it ends with
     every row on a center (always when ``m`` is at least the number of
@@ -232,7 +262,8 @@ def _kmeans(
     probs = weights / weights.sum()
     first = rng.choice(n, p=probs)
     centers[0] = points[first]
-    dist2 = ((points - centers[0]) ** 2).sum(axis=1)
+    live, live_points, squares = np.arange(n), points, points ** 2
+    dist2 = _sq_distances(live_points, squares, centers[0])
     nearest = np.zeros(n, dtype=np.intp)
     for c in range(1, k):
         mass = weights * dist2
@@ -243,9 +274,15 @@ def _kmeans(
             centers = centers[:k]
             break
         centers[c] = points[rng.choice(n, p=mass / total)]
-        new = ((points - centers[c]) ** 2).sum(axis=1)
-        nearest[new < dist2] = c
-        dist2 = np.minimum(dist2, new)
+        old = dist2[live]
+        done = old == 0
+        if 4 * np.count_nonzero(done) >= live.size:
+            keep = ~done
+            live, live_points, squares = live[keep], live_points[keep], squares[keep]
+            old = old[keep]
+        new = _sq_distances(live_points, squares, centers[c])
+        nearest[live[new < old]] = c
+        dist2[live] = np.minimum(old, new)
 
     # ``nearest`` is each row's lowest-index center at its least seeding
     # distance.  When that is 0 for every row (0 in any summation order),

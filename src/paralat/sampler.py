@@ -14,8 +14,11 @@ outcomes: the sample fails and its seed is burned.  A draw is also a dead
 end once its consumed edges and pending contexts outnumber the edges of
 the longest path of the lattice it started on, since each pending context
 still has to emit a word on an edge of its own and every later lattice
-state keeps a subset of those paths; no completed draw is lost, and no
-frontier level grows past twice that path length.
+state keeps a subset of those paths; no completed draw is lost.  A level
+that has a level below it draws a binary rule, which adds a context, so
+at level d a draw has at least d + 1 consumed edges and pending contexts:
+it runs at most that path length of levels deep, builds no level wider
+than twice it, and needs no cap on its depth.
 
 Conflict removal and narrowing run once per distinct lattice state per
 question: the draws of one :func:`sample_many` call share a memo of the
@@ -42,8 +45,6 @@ from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
 from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
 from .lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
-
-DEPTH_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ class ParaphraseCandidate:
 
 @dataclass(frozen=True)
 class SampleFailure:
-    # "dead-end" (including a draw that needs more words than the longest
-    # lattice path holds) or "depth-cap"
+    # "dead-end", including a draw that needs more words than the longest
+    # lattice path holds
     reason: str
     seed: int
 
@@ -242,7 +243,6 @@ def sample_one(
     pruned: PrunedGrammar,
     lat: WordLattice,
     seed: int,
-    depth_cap: int = DEPTH_CAP,
     states: dict[tuple[Edge, ...], _State] | None = None,
     seen: Container[tuple[str, ...]] = (),
 ) -> ParaphraseCandidate | SampleFailure | None:
@@ -277,10 +277,7 @@ def sample_one(
     values, cum, total, _ = state.table(None)
     level = [_pick(rng, values, cum, total)]
     levels: list[tuple[list[Context], list[str | None]]] = []
-    depth = 0
     while level:
-        if depth > depth_cap:
-            return SampleFailure("depth-cap", seed)
         # Each pending context yields a word, each word consumes its own
         # edge, and all of them lie on one path of the starting lattice: a
         # draw that needs more edges than its longest path cannot complete.
@@ -333,7 +330,6 @@ def sample_one(
             state = nxt
         levels.append((level, words))
         level = below
-        depth += 1
 
     # Order the consumed edges along a witness path: after the removals,
     # every remaining source-to-sink path passes through all of them.
@@ -378,7 +374,6 @@ def sample_many(
     lat: WordLattice,
     m_samples: int,
     seed: int,
-    depth_cap: int = DEPTH_CAP,
 ) -> list[ParaphraseCandidate]:
     """Collect candidates from ``m_samples`` independent draws.
 
@@ -396,7 +391,7 @@ def sample_many(
     out: list[ParaphraseCandidate] = []
     seen: set[tuple[str, ...]] = {question_tokens}
     for s in range(seed, seed + m_samples):
-        result = sample_one(pruned, lat, s, depth_cap=depth_cap, states=states, seen=seen)
+        result = sample_one(pruned, lat, s, states=states, seen=seen)
         if result is None or isinstance(result, SampleFailure):
             continue
         seen.add(result.tokens)

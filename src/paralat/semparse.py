@@ -195,7 +195,12 @@ class UngroundedGraph:
 
 def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
     """Read a question graph file (ENTITY/TYPE/EVENT/TARGET/EDGE lines,
-    optional TEXT and SCORE lines)."""
+    optional TEXT and SCORE lines).
+
+    Each TARGET, ENTITY, TYPE and EVENT id names one node, an edge joins an
+    EVENT to a node, and a type constrains ``target`` or an ENTITY; a line
+    that breaks one of these rules is named by its ``file:line``.
+    """
     target: str | None = None
     entity_nodes: list[tuple[str, tuple[str, ...]]] = []
     type_nodes: list[tuple[str, str, str]] = []
@@ -203,6 +208,18 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
     edges: list[tuple[str, str, str]] = []
     text: tuple[str, ...] = ()
     score = 1.0
+    kinds: dict[str, tuple[str, int]] = {}  # node id -> (kind, line)
+    type_lines: list[int] = []
+    edge_lines: list[int] = []
+
+    def declare(nid: str, kind: str, lineno: int) -> None:
+        if nid in kinds:
+            other, at = kinds[nid]
+            raise SemparseError(
+                f"{path}:{lineno}: {kind} id {nid!r} already names the {other} of line {at}"
+            )
+        kinds[nid] = (kind, lineno)
+
     for lineno, line in records(path):
         line = line.strip()
         parts = line.split()
@@ -215,30 +232,41 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
             except ValueError as exc:
                 raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
         elif kind == "ENTITY" and len(parts) >= 3:
+            declare(parts[1], kind, lineno)
             entity_nodes.append((parts[1], tuple(t.lower() for t in parts[2:])))
         elif kind == "TYPE" and len(parts) in (3, 4):
+            declare(parts[1], kind, lineno)
             constrains = parts[3] if len(parts) == 4 else "target"
             type_nodes.append((parts[1], parts[2], constrains))
+            type_lines.append(lineno)
         elif kind == "EVENT" and len(parts) == 2:
+            declare(parts[1], kind, lineno)
             events.append(parts[1])
         elif kind == "TARGET" and len(parts) == 2:
             if target is not None:
                 raise SemparseError(f"{path}:{lineno}: second TARGET")
+            declare(parts[1], kind, lineno)
             target = parts[1]
         elif kind == "EDGE" and len(parts) == 4:
             edges.append((parts[1], parts[2], parts[3]))
+            edge_lines.append(lineno)
         else:
             raise SemparseError(f"{path}:{lineno}: bad graph line {line!r}")
     if target is None:
         raise SemparseError(f"{path}: missing TARGET node")
-    known = {nid for nid, _ in entity_nodes} | {target} | set(events)
-    known |= {nid for nid, _, _ in type_nodes}
-    for event, node, _ in edges:
+    for lineno, (event, node, _) in zip(edge_lines, edges):
         if event not in events:
-            raise SemparseError(f"{path}: edge references unknown event {event!r}")
-        if node not in known:
-            raise SemparseError(f"{path}: edge references unknown node {node!r}")
-    graph = UngroundedGraph(
+            raise SemparseError(f"{path}:{lineno}: edge references unknown event {event!r}")
+        if node not in kinds:
+            raise SemparseError(f"{path}:{lineno}: edge references unknown node {node!r}")
+    entity_ids = {nid for nid, _ in entity_nodes}
+    for lineno, (nid, _, constrains) in zip(type_lines, type_nodes):
+        if constrains != "target" and constrains not in entity_ids:
+            raise SemparseError(
+                f"{path}:{lineno}: type {nid!r} constrains {constrains!r},"
+                " which is neither target nor an ENTITY"
+            )
+    return UngroundedGraph(
         name=name or path,
         target=target,
         entity_nodes=tuple(entity_nodes),
@@ -248,10 +276,6 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
         text=text,
         classifier_score=score,
     )
-    for nid, _, constrains in graph.type_nodes:
-        if constrains != "target" and constrains not in known:
-            raise SemparseError(f"{path}: type {nid!r} constrains unknown node")
-    return graph
 
 
 # --- grounded graphs and denotation --------------------------------------------

@@ -39,7 +39,6 @@ from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescor
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
 from paralat.sampler import (
-    DEPTH_CAP,
     ParaphraseCandidate,
     PrunedGrammar,
     SampleFailure,
@@ -55,6 +54,11 @@ from paralat.semparse import (
     entity_surface,
 )
 from paralat.treebank import Tree
+
+# The breadth-first depth past which ``reference_sample_one`` gives up.  No
+# completed draw of n words is deeper than n - 1, so any cap at least the
+# lattice's longest path loses none.
+DEPTH_CAP = 32
 
 
 class TooAmbiguous(Exception):

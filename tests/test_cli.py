@@ -4,9 +4,11 @@ import importlib.util
 import os
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paralat.classifier import ClassifierModel, save_model
 from paralat.cli import build_parser, derive_seed, main
@@ -217,6 +219,51 @@ class TestBadInputs:
         assert message in err
         assert err.startswith("usage error: " if code == 1 else "error: ")
         assert "Traceback" not in err
+
+
+_GRAPH = "TARGET x\nENTITY e1 france\nEVENT ev1\nEDGE ev1 e1 capital.of\nEDGE ev1 x capital.arg\n"
+
+
+def _semparse_train_on(tmp_path, sixth_line):
+    """semparse-train over one QA line whose graph is ``_GRAPH`` plus a
+    sixth line."""
+    (tmp_path / "g.graph").write_text(_GRAPH + sixth_line + "\n", encoding="utf-8")
+    qa = tmp_path / "qa.tsv"
+    qa.write_text("what is the capital of france\tg.graph\tParis\n", encoding="utf-8")
+    return ["semparse-train", "--kb", data_path("kb.tsv"), "--qa", str(qa),
+            "--graphs-dir", str(tmp_path), "--out", str(tmp_path / "percep.tsv")]
+
+
+class TestOddQuestionGraphs:
+    @pytest.mark.parametrize(
+        "sixth_line, message",
+        [
+            ("TYPE t1 city ev1",
+             "type 't1' constrains 'ev1', which is neither target nor an ENTITY"),
+            ("TYPE t1 city x", "type 't1' constrains 'x', which is neither target nor an ENTITY"),
+            ("TYPE t1 city t2\nTYPE t2 city",
+             "type 't1' constrains 't2', which is neither target nor an ENTITY"),
+            ("TYPE t1 city e2", "type 't1' constrains 'e2', which is neither target nor an ENTITY"),
+            ("ENTITY e1 spain", "ENTITY id 'e1' already names the ENTITY of line 2"),
+            ("EVENT ev1", "EVENT id 'ev1' already names the EVENT of line 3"),
+            ("ENTITY x paris", "ENTITY id 'x' already names the TARGET of line 1"),
+            ("EDGE ev2 x capital.arg", "edge references unknown event 'ev2'"),
+            ("EDGE e1 x capital.arg", "edge references unknown event 'e1'"),
+            ("EDGE ev1 e2 capital.arg", "edge references unknown node 'e2'"),
+        ],
+        ids=["type-on-event", "type-on-target-id", "type-on-type", "type-on-unknown",
+             "duplicate-entity", "duplicate-event", "entity-is-target", "edge-unknown-event",
+             "edge-entity-as-event", "edge-unknown-node"],
+    )
+    def test_rejected_at_its_line_without_traceback(self, sixth_line, message, tmp_path, capsys):
+        assert main(_semparse_train_on(tmp_path, sixth_line)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"g.graph:6: {message}" in err
+        assert "Traceback" not in err
+
+    def test_type_on_an_entity_trains(self, tmp_path, capsys):
+        assert main(_semparse_train_on(tmp_path, "TYPE t1 country e1")) == 0
+        assert "5 update steps, 0 skipped examples" in capsys.readouterr().out
 
 
 def _semparse_argv(command, kb):
@@ -585,6 +632,60 @@ class TestSemparse:
         assert lines[-1].startswith("AVG\t")
         avg_f1 = float(lines[-1].split("\t")[3])
         assert 0.0 <= avg_f1 <= 1.0
+
+
+# Small pools, so that ids collide and references resolve often.
+_IDS = st.sampled_from(["x", "e1", "e2", "ev1", "t1", "target"])
+_WORDS = st.lists(
+    st.sampled_from(["france", "spain", "paris", "czech", "republic", "people", "the"]),
+    min_size=1, max_size=2,
+).map(" ".join)
+_LABELS = st.sampled_from(["capital.of", "capital.arg", "city", "speak.in", "location.country"])
+_GRAPH_LINE = st.one_of(
+    st.tuples(st.just("ENTITY"), _IDS, _WORDS),
+    st.tuples(st.just("TYPE"), _IDS, _LABELS),
+    st.tuples(st.just("TYPE"), _IDS, _LABELS, _IDS),
+    st.tuples(st.just("EVENT"), _IDS),
+    st.tuples(st.just("EDGE"), _IDS, _IDS, _LABELS),
+    st.tuples(st.just("TEXT"), _WORDS),
+    st.tuples(st.just("SCORE"), st.sampled_from(["0.5", "-2", "1e-300"])),
+).map(" ".join)
+# One TARGET line and no other, so that most graphs load once their
+# references resolve.
+_QUESTION_GRAPH = st.tuples(_IDS, st.lists(_GRAPH_LINE, max_size=8)).map(
+    lambda graph: "\n".join([f"TARGET {graph[0]}", *graph[1]]) + "\n"
+)
+_QA_LINE = st.tuples(
+    _WORDS,
+    st.lists(st.sampled_from(["g0.graph", "g1.graph"]), min_size=1, max_size=2).map(",".join),
+    st.sampled_from(["Paris", "France|Paris", "Madrid", "Nobody"]),
+).map("\t".join)
+
+
+class TestSemparseFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs=st.lists(_QUESTION_GRAPH, min_size=2, max_size=2),
+        qa_lines=st.lists(_QA_LINE, min_size=1, max_size=3),
+    )
+    def test_odd_graphs_train_and_evaluate_or_exit_with_an_error(self, graphs, qa_lines):
+        # Graphs that load but are odd (shared ids, edges to events or type
+        # nodes, types on any node, one node pair under two labels) run
+        # through the real subcommands: an exit code, never an exception.
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, graph in enumerate(graphs):
+                Path(tmp, f"g{i}.graph").write_text(graph, encoding="utf-8")
+            qa = Path(tmp, "qa.tsv")
+            qa.write_text("".join(line + "\n" for line in qa_lines), encoding="utf-8")
+            model = Path(tmp, "percep.tsv")
+            common = ["--kb", data_path("kb.tsv"), "--qa", str(qa), "--graphs-dir", tmp]
+            trained = main(["semparse-train", *common, "--epochs", "2", "--out", str(model)])
+            assert trained in (0, 1, 2)
+            if trained != 0:
+                model.write_text("STEPS\t0\n", encoding="utf-8")
+            evaluated = main(["semparse-eval", *common, "--model", str(model),
+                              "--out", str(Path(tmp, "report.tsv"))])
+            assert evaluated in (0, 1, 2)
 
 
 def _perfbench_inputs():

@@ -248,6 +248,80 @@ class TestClusterStates:
         assert states[0] == states[1] != states[2]
         assert calls == []
 
+    # Row widths around numpy's pairwise summation: 8-wide unrolled blocks
+    # below 128 elements, halved recursively above.
+    WIDE = (9, 129, 288, 700)
+
+    @staticmethod
+    def _sparse_rows(data, n, d):
+        """``n`` L2-normalized rows of 1-6 nonzero columns out of ``d``; a
+        third are scaled copies of earlier rows, so they are equal, or
+        equal but for rounding, once normalized."""
+        raw = np.zeros((n, d))
+        for i in range(n):
+            if i >= 3 and data.random() < 1 / 3:
+                raw[i] = raw[data.integers(0, i)] * data.integers(2, 6)
+            else:
+                cols = data.choice(d, size=int(data.integers(1, 7)), replace=False)
+                raw[i, cols] = data.integers(1, 4, size=cols.size) * data.random(cols.size)
+        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("d", WIDE)
+    def test_wide_sparse_rows_equal_one_piece_reference(self, d):
+        for seed in range(6):
+            data = np.random.default_rng([seed, d])
+            n = int(data.integers(20, 50))
+            points = self._sparse_rows(data, n, d)
+            weights = data.integers(1, 5, size=n).astype(float)
+            for m in (n // 2 + 1, n, n + 1, 2 * n + 1):
+                labels = estimation._kmeans(points, weights, m, np.random.default_rng(seed))
+                expected = reference_kmeans(
+                    points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
+                )
+                assert labels.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("d", WIDE)
+    def test_sparse_center_distances_are_the_dense_ones(self, d):
+        # Bit for bit, over any subset of the rows, for row centers and for
+        # denser mean centers; ``squares`` is left as it was.
+        data = np.random.default_rng(d)
+        points = self._sparse_rows(data, 40, d)
+        centers = [points[i] for i in range(0, 40, 3)] + [points[:8].mean(axis=0)]
+        for keep in (np.arange(40), np.flatnonzero(data.random(40) < 0.5), np.array([7])):
+            rows = points[keep]
+            squares = rows ** 2
+            for center in centers:
+                got = estimation._sq_distances(rows, squares, center)
+                dense = ((points - center) ** 2).sum(axis=1)[keep]
+                assert got.tobytes() == dense.tobytes()
+                assert squares.tobytes() == (rows ** 2).tobytes()
+
+    def test_seeding_measures_only_rows_still_in_play(self, monkeypatch):
+        # 30 distinct rows, each twice.  Every center is a new distinct row,
+        # so before the c-th center 30 - c distinct rows are at a positive
+        # distance; rows at 0 are dropped once they are a quarter of those
+        # handed over, and nothing is handed over once all rows are at 0.
+        calls = []
+        original = estimation._sq_distances
+
+        def counted(points, squares, center):
+            calls.append(points.shape[0])
+            return original(points, squares, center)
+
+        monkeypatch.setattr(estimation, "_sq_distances", counted)
+        distinct = np.eye(64)[:30]
+        points = np.vstack([distinct, distinct])
+        for m in (30, 60, 121):
+            calls.clear()
+            labels = estimation._kmeans(points, np.ones(60), m, np.random.default_rng(m))
+            assert labels.tolist() == reference_kmeans(
+                points, np.ones(60), m, np.random.default_rng(m)
+            ).tolist()
+            assert len(calls) == 30 and calls[0] == 60
+            assert calls == sorted(calls, reverse=True) and calls[-1] < 4
+            for c, rows in enumerate(calls):
+                assert 3 * rows < 4 * 2 * (30 - c)
+
 
 class TestEstimateMle:
     def _assignment(self, treebank, state_map):

@@ -34,7 +34,6 @@ from paralat.lattice import (
     remove_conflicting,
 )
 from paralat.sampler import (
-    DEPTH_CAP,
     ParaphraseCandidate,
     SampleFailure,
     _pick,
@@ -180,7 +179,8 @@ class TestSampleOne:
                 assert used & alternatives == set()
 
     def test_depth_cap_reports_failure(self):
-        # S -> S S dominates, so most draws recurse past the cap.
+        # S -> S S dominates, so most draws need more words than the two
+        # edges of the lattice: they end as dead ends, with no depth cap.
         grammar = LatentGrammar(
             layers=LayerConfig(1),
             interminals=frozenset(["S"]),
@@ -196,7 +196,35 @@ class TestSampleOne:
         results = [sample_one(pruned, lat, s) for s in range(30)]
         failures = [r for r in results if isinstance(r, SampleFailure)]
         assert failures
-        assert {f.reason for f in failures} <= {"depth-cap", "dead-end"}
+        assert {f.reason for f in failures} == {"dead-end"}
+
+    def test_long_right_branching_draws_complete(self):
+        # S -> W S | W W over a 40-word chain: a draw of n words is n - 1
+        # levels deep, so a cap of 32 levels dropped every draw of 34 words
+        # or more.  Each draw completes exactly when the reference with no
+        # depth cap completes it, with the same fields.
+        words = [f"w{i}" for i in range(40)]
+        grammar = LatentGrammar(
+            layers=LayerConfig(1),
+            interminals=frozenset(["S"]),
+            preterminals=frozenset(["W"]),
+            roots={("S", S0): 1.0},
+            binary={("S", S0): {("W", S0, "S", S0): 0.97, ("W", S0, "W", S0): 0.03}},
+            lexical={("W", S0): dict.fromkeys(words, 1 / 40)},
+        )
+        lat = build_naive(words)
+        pruned = prune_grammar(grammar, lat)
+        states = {}
+        lengths = []
+        for s in range(400):
+            got = sample_one(pruned, lat, s, states=states)
+            expected = reference_sample_one(pruned, lat, s, depth_cap=10**9)
+            if isinstance(expected, SampleFailure):
+                assert isinstance(got, SampleFailure)
+            else:
+                assert _fields([got]) == _fields([expected])
+                lengths.append(len(got.tokens))
+        assert len(lengths) > 250 and sum(n >= 34 for n in lengths) > 20
 
 
 class TestSampleMany:
@@ -354,9 +382,12 @@ def heldout_lattices():
     return grammar, cases
 
 
-def _reference_many(question, grammar, lat, m_samples, seed, depth_cap=DEPTH_CAP):
-    """``sample_many`` over :func:`oracles.reference_sample_one`."""
+def _reference_many(question, grammar, lat, m_samples, seed):
+    """``sample_many`` over :func:`oracles.reference_sample_one`, capped at
+    the depth of the lattice's longest path, which no completed draw
+    reaches (a draw of n words is at most n - 1 levels deep)."""
     pruned = prune_grammar(grammar, lat)
+    depth_cap = max(len(path) for path in enumerate_edge_paths(lat, 10**6))
     seen = {tuple(question)}
     out = []
     for s in range(seed, seed + m_samples):
@@ -388,8 +419,8 @@ class TestLatticeStateMemo:
     def test_random_grammars_equal_reference(self):
         # Small random grammars over random lattices, dead ends included.
         # Some of them rewrite interminals to interminals most of the
-        # time; a low depth cap keeps their breadth-first frontier small.
-        depth_cap = 8
+        # time; the longest-path bound (and the reference's depth cap at
+        # the longest path) keeps their breadth-first frontier small.
         rng = random.Random(5)
         checked = 0
         while checked < 40:
@@ -405,15 +436,15 @@ class TestLatticeStateMemo:
             except EmptyIntersection:
                 continue
             checked += 1
-            got = sample_many(["q"], grammar, lat, DRAWS, checked, depth_cap=depth_cap)
-            expected = _reference_many(["q"], grammar, lat, DRAWS, checked, depth_cap)
+            got = sample_many(["q"], grammar, lat, DRAWS, checked)
+            expected = _reference_many(["q"], grammar, lat, DRAWS, checked)
             assert _fields(got) == _fields(expected)
 
     def test_supercritical_grammar_is_bounded_by_longest_path(self, monkeypatch):
         # The 28th grammar of test_random_grammars_equal_reference has
         # S-1 -> S-1 S-1 as the only rule of S-1: a draw that reaches it
         # doubles its frontier at every level.  Without the longest-path
-        # bound, one such draw at DEPTH_CAP builds 2^32 frontier nodes.
+        # bound, one such draw 32 levels deep builds 2^32 frontier nodes.
         rng = random.Random(5)
         checked = 0
         while checked < 28:
@@ -447,8 +478,7 @@ class TestLatticeStateMemo:
 
         monkeypatch.setattr(sampler._State, "table", counted)
         got = sample_many(["q"], grammar, lat, DRAWS, checked)
-        # A completed draw of n words is at most n - 1 <= longest levels deep.
-        expected = _reference_many(["q"], grammar, lat, DRAWS, checked, longest)
+        expected = _reference_many(["q"], grammar, lat, DRAWS, checked)
         assert got and _fields(got) == _fields(expected)
 
     def test_longest_path_equals_enumeration(self):
