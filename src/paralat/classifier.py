@@ -4,6 +4,9 @@ tagger, and a small logistic-regression classifier.
 Feature extraction is deterministic and dependency-free: smoothed BLEU up
 to order 4 in both directions, word-level edit rate, length ratio, unigram
 precision/recall, and an entity-preservation bit from a gazetteer tagger.
+Scoring a stored model is plain Python too.  numpy is imported inside
+:func:`train`, its only user, so a command that loads a model and filters
+candidates (``paraphrase``) never pays numpy's import time or memory.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .data_files import atomic_write, finite_float, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
@@ -288,6 +289,8 @@ def train(
     (falling back to the training rows when the held-out part is empty or
     single-class).  Deterministic given the seed.
     """
+    import numpy as np
+
     labels = sorted({label for _, _, label in pairs})
     if labels != [0, 1]:
         raise DegenerateLabels(f"need both labels, got {labels}")

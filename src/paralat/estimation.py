@@ -7,6 +7,12 @@ into ``m`` states, and a grammar is read off the state-annotated treebank
 by relative-frequency counting.  A second, semantic layer can be trained from bag-of-word
 features enriched with word alignments of paraphrase pairs; combining both
 layers yields the two-layer grammar used for paraphrase lattices.
+
+numpy is used only by the clustering code, and each clustering function
+imports it itself: the CLI imports this module for every command, so a
+top-level import would make the commands that never train (``parse``,
+``paraphrase``, ``semparse-*``) pay numpy's import time and memory.  A
+repeated import is a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -15,9 +21,7 @@ import math
 import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .data_files import records
 from .errors import (
@@ -40,6 +44,9 @@ from .treebank import (
     iter_nodes,
     tree_yield,
 )
+
+if TYPE_CHECKING:  # annotations only; see the module docstring
+    import numpy as np
 
 FeatureVector = dict[str, float]
 NodeKey = tuple[int, Path]  # (tree index, node path)
@@ -174,6 +181,8 @@ def _canonical_items(vec: FeatureVector) -> tuple[tuple[str, float], ...]:
 
 
 def _symbol_seed(seed: int, symbol: str) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(symbol.encode("utf-8"))])
 
 
@@ -183,6 +192,8 @@ def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     The n x k x d squared differences are formed a block of rows at a
     time; each row's sum and argmin are the same as over the whole tensor.
     """
+    import numpy as np
+
     rows = max(1, KMEANS_BLOCK_FLOATS // max(1, centers.size))
     return np.concatenate([
         ((points[i:i + rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
@@ -198,6 +209,8 @@ def _sq_distances(points: np.ndarray, squares: np.ndarray, center: np.ndarray) -
     nonzero columns of ``squares`` are recomputed, in place; each row is
     then summed as it would be, and the columns are restored.
     """
+    import numpy as np
+
     cols = np.flatnonzero(center)
     block = points[:, cols]
     squares[:, cols] = (block - center[cols]) ** 2
@@ -216,6 +229,8 @@ def _reassign_moved(
     the row, so only those rows are assigned again, one at a time: there
     are few, and a block of rows would hold rows x centers x dims floats.
     """
+    import numpy as np
+
     moved = np.flatnonzero((centers != seeded).any(axis=1))
     rows = np.isin(labels, moved)
     if moved.size:
@@ -256,6 +271,8 @@ def _kmeans(
     is computed only for the rows that a center moved by the update (by
     rounding) could take: usually none or a few.
     """
+    import numpy as np
+
     n = points.shape[0]
     k = min(m, n)
     centers = np.empty((k, points.shape[1]))
@@ -321,6 +338,8 @@ def cluster_states(
     symbol has fewer distinct vectors than ``m`` the extra indices stay
     unused.
     """
+    import numpy as np
+
     if m < 1:
         raise EstimationError(f"state count must be >= 1, got {m}")
     if not vectors:

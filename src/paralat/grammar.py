@@ -248,12 +248,14 @@ def load_grammar(path: str) -> LatentGrammar:
 
 
 def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise MalformedGrammarFile(f"{source}: empty file")
+    # Physical lines, as ``data_files.records`` numbers them: ``splitlines``
+    # would also split at \x0c, \x85, \u2028 and the like.
+    lines = text.split("\n")
     header = lines[0].split()
     if header[:2] != ["LPCFG", "v1"]:
-        raise MalformedGrammarFile(f"{source}: bad header {lines[0]!r}")
+        raise MalformedGrammarFile(f"{source}:1: bad header {lines[0]!r}")
     fields = dict(
         item.split("=", 1) for item in header[2:] if "=" in item
     )
@@ -262,9 +264,9 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
         m1 = int(fields["m1"])
         m2 = int(fields["m2"])
     except (KeyError, ValueError) as exc:
-        raise MalformedGrammarFile(f"{source}: bad header {lines[0]!r}") from exc
+        raise MalformedGrammarFile(f"{source}:1: bad header {lines[0]!r}") from exc
     if n_layers not in (1, 2) or (n_layers == 2) != (m2 > 0):
-        raise MalformedGrammarFile(f"{source}: inconsistent layer header")
+        raise MalformedGrammarFile(f"{source}:1: inconsistent layer header")
     layers = LayerConfig(m1, m2 if n_layers == 2 else None)
 
     roots: dict[Context, float] = {}
@@ -272,6 +274,12 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
     lexical: dict[Context, dict[str, float]] = {}
     interminals: set[str] = set()
     preterminals: set[str] = set()
+
+    def state_of(token: str, lineno: int) -> StateLabel:
+        try:
+            return parse_state(token, layers)
+        except MalformedGrammarFile as exc:
+            raise MalformedGrammarFile(f"{source}:{lineno}: {exc}") from exc
 
     def prob_of(token: str, lineno: int) -> float:
         try:
@@ -288,15 +296,15 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
         parts = line.split("\t")
         kind = parts[0]
         if kind == "ROOT" and len(parts) == 4:
-            ctx = (parts[1], parse_state(parts[2], layers))
+            ctx = (parts[1], state_of(parts[2], lineno))
             if ctx in roots:
                 raise MalformedGrammarFile(f"{source}:{lineno}: duplicate root entry")
             roots[ctx] = prob_of(parts[3], lineno)
         elif kind == "BIN" and len(parts) == 8:
-            ctx = (parts[1], parse_state(parts[2], layers))
+            ctx = (parts[1], state_of(parts[2], lineno))
             rhs = (
-                parts[3], parse_state(parts[4], layers),
-                parts[5], parse_state(parts[6], layers),
+                parts[3], state_of(parts[4], lineno),
+                parts[5], state_of(parts[6], lineno),
             )
             table = binary.setdefault(ctx, {})
             if rhs in table:
@@ -304,7 +312,7 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
             table[rhs] = prob_of(parts[7], lineno)
             interminals.add(parts[1])
         elif kind == "LEX" and len(parts) == 5:
-            ctx = (parts[1], parse_state(parts[2], layers))
+            ctx = (parts[1], state_of(parts[2], lineno))
             table = lexical.setdefault(ctx, {})
             if parts[3] in table:
                 raise MalformedGrammarFile(f"{source}:{lineno}: duplicate lexical rule")

@@ -9,6 +9,7 @@ structured perceptron against minimal-loss oracle groundings.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -417,7 +418,15 @@ def entity_candidates(
 def entity_assignments(
     graph: UngroundedGraph, kb: KnowledgeGraph, top: int = ENTITY_LATTICE_TOP
 ) -> list[tuple[tuple[tuple[str, str], ...], float]]:
-    """Top joint entity assignments with their lattice scores."""
+    """Top joint entity assignments with their lattice scores, best first
+    by (-total match, total rank, assignment).
+
+    Each node's candidates are sorted by (-match, rank) and no two share a
+    rank, so moving any node to its next candidate strictly raises that
+    key.  The assignments therefore come off a heap of the successors of
+    those already taken in exactly the order of sorting the whole product,
+    and at most ``top`` x nodes + 1 of them are formed.
+    """
     node_ids = sorted(graph.entity_ids())
     per_node = []
     for nid in node_ids:
@@ -426,16 +435,27 @@ def entity_assignments(
             raise NoEntityCandidates(
                 f"{graph.name}: no KB entity matches node {nid!r}"
             )
-        per_node.append([(nid, c) for c in cands])
-    joint = []
-    for combo in itertools.product(*per_node):
-        total_match = sum(c[1] for _, c in combo)
-        total_rank = sum(c[2] for _, c in combo)
-        assignment = tuple((nid, c[0]) for nid, c in combo)
-        score = total_match - 0.01 * total_rank
-        joint.append(((-total_match, total_rank, assignment), assignment, score))
-    joint.sort(key=lambda item: item[0])
-    return [(assignment, score) for _, assignment, score in joint[:top]]
+        per_node.append(cands)
+
+    def entry(index: tuple[int, ...]):
+        combo = [cands[i] for cands, i in zip(per_node, index)]
+        assignment = tuple((nid, c[0]) for nid, c in zip(node_ids, combo))
+        return (-sum(c[1] for c in combo), sum(c[2] for c in combo), assignment), index
+
+    start = (0,) * len(per_node)
+    heap = [entry(start)]
+    seen = {start}
+    out = []
+    while heap and len(out) < top:
+        (neg_match, total_rank, assignment), index = heapq.heappop(heap)
+        out.append((assignment, -neg_match - 0.01 * total_rank))
+        for node, i in enumerate(index):
+            if i + 1 < len(per_node[node]):
+                succ = index[:node] + (i + 1,) + index[node + 1:]
+                if succ not in seen:
+                    seen.add(succ)
+                    heapq.heappush(heap, entry(succ))
+    return out
 
 
 # --- features -------------------------------------------------------------------

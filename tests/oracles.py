@@ -20,6 +20,8 @@ search that recomputed every state's features and key from scratch at
 every decision step; it shares the option lists, the entity assignments,
 the stem overlap and ``dot_score``.  ``reference_enumerate_edge_paths``
 is the path enumeration that recursed once per edge.
+``reference_entity_assignments`` sorts the whole product of every entity
+node's candidates; it shares ``entity_candidates``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from hypothesis import strategies as st
 
 from paralat.classifier import PairFeatures, _edit_distance, _occurrences
 from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescore
+from paralat.errors import NoEntityCandidates
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
 from paralat.sampler import (
@@ -51,6 +54,7 @@ from paralat.semparse import (
     _type_options,
     dot_score,
     entity_assignments,
+    entity_candidates,
     entity_surface,
 )
 from paralat.treebank import Tree
@@ -718,6 +722,26 @@ def reference_tuple_features(grounded):
             feats[f"typealign|{label}|{type_name}"] += 1.0
             feats["stem_overlap"] += _stem_overlap(label, type_name)
     return dict(feats)
+
+
+def reference_entity_assignments(graph, kb, top):
+    """``semparse.entity_assignments`` by sorting the whole product of the
+    nodes' candidate lists."""
+    per_node = []
+    for nid in sorted(graph.entity_ids()):
+        cands = entity_candidates(graph.mention_of(nid), kb)
+        if not cands:
+            raise NoEntityCandidates(f"{graph.name}: no KB entity matches node {nid!r}")
+        per_node.append([(nid, c) for c in cands])
+    joint = []
+    for combo in itertools.product(*per_node):
+        total_match = sum(c[1] for _, c in combo)
+        total_rank = sum(c[2] for _, c in combo)
+        assignment = tuple((nid, c[0]) for nid, c in combo)
+        joint.append(((-total_match, total_rank, assignment), assignment,
+                      total_match - 0.01 * total_rank))
+    joint.sort(key=lambda item: item[0])
+    return [(assignment, score) for _, assignment, score in joint[:top]]
 
 
 def reference_ground(graph, kb, weights=None, beam=100):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
+import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -634,6 +640,61 @@ class TestSemparse:
         assert 0.0 <= avg_f1 <= 1.0
 
 
+# Runs each argv of ``sys.argv[1]`` through ``cli.main`` in one fresh
+# interpreter; the last stdout line has, after ``import paralat.cli`` and
+# after each run, the exit code and whether numpy was loaded.
+_NUMPY_PROBE = """
+import json, sys
+import paralat.cli
+report = [["import paralat.cli", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], paralat.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestNumpyOnlyForTraining:
+    def test_commands_that_do_not_train_never_load_numpy(
+        self, grammar_file, classifier_file, bilayered_file, tmp_path
+    ):
+        # The test process has numpy loaded already, so the commands run in
+        # a fresh interpreter; train-grammar, last, shows the probe sees it.
+        question = ["--question", "what day is nochebuena"]
+        rules = ["--rules", data_path("rewrite_rules.tsv")]
+        model = str(tmp_path / "percep.tsv")
+        runs = [
+            ["paraphrase", "--grammar", grammar_file, "--mode", "rules", *rules,
+             "--classifier", classifier_file, "--gazetteer", data_path("gazetteer.txt"),
+             "--m", "30", *question, "--out", str(tmp_path / "rules.tsv")],
+            ["paraphrase", "--grammar", grammar_file, "--mode", "bilayered",
+             "--bilayered-grammar", bilayered_file, "--classifier", classifier_file,
+             "--m", "30", *question, "--out", str(tmp_path / "bilayered.tsv")],
+            ["parse", "--grammar", grammar_file, *question, "--out", str(tmp_path / "parse")],
+            ["sample", "--grammar", grammar_file, "--m", "30", *question,
+             "--out", str(tmp_path / "sample")],
+            ["build-lattice", "--mode", "rules", *rules, *question,
+             "--out", str(tmp_path / "lattice")],
+            ["semparse-train", "--kb", data_path("kb.tsv"), "--qa", data_path("qa_train.tsv"),
+             "--graphs-dir", data_path("graphs"), "--epochs", "2", "--out", model],
+            ["semparse-eval", "--kb", data_path("kb.tsv"), "--qa", data_path("qa_eval.tsv"),
+             "--graphs-dir", data_path("graphs"), "--model", model,
+             "--out", str(tmp_path / "eval")],
+            ["train-grammar", "--treebank", data_path("minitreebank.trees"), "--m1", "2",
+             "--out", str(tmp_path / "g.lpcfg")],
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        expected = [["import paralat.cli", 0, False]]
+        expected += [[argv[0], 0, argv[0] == "train-grammar"] for argv in runs]
+        assert report == expected
+
+
 # Small pools, so that ids collide and references resolve often.
 _IDS = st.sampled_from(["x", "e1", "e2", "ev1", "t1", "target"])
 _WORDS = st.lists(
@@ -686,6 +747,125 @@ class TestSemparseFuzz:
             evaluated = main(["semparse-eval", *common, "--model", str(model),
                               "--out", str(Path(tmp, "report.tsv"))])
             assert evaluated in (0, 1, 2)
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+_FUZZ_WORDS = st.sampled_from(["what", "day", "is", "nochebuena", "when"])
+_FUZZ_QUESTION = st.lists(_FUZZ_WORDS, min_size=1, max_size=4).map(" ".join)
+# Lines that break the format, validation or a context's sum to 1, and a
+# blank one.
+_ODD_GRAMMAR_LINES = st.sampled_from([
+    "ROOT\tS\t0\tnan", "ROOT\tS\t0", "ROOT\tS\t-1\t1", "ROOT\tS\tx\t1",
+    "BIN\tS\t0\tW\t0\tW\t0\t2", "BIN\tW\t0\tW\t0\tW\t0\t1",
+    "BIN\tS\t1:2:3\tW\t0\tW\t0\t1", "BIN\tS\t0\tQ\t0\tW\t0\t1",
+    "LEX\tW\t0\twhat\t0", "LEX\tS\t0\twhat\t1", "LEX\tW\t0\twhat\t1e-300",
+    "LEX\tW\t0:\twhat\t1", "LEX\tW\t0:1\twhat\t1", "LEX\tX\t2\tday\t1", "JUNK", "",
+])
+
+
+@st.composite
+def _grammar_files(draw) -> str:
+    """A grammar file over interminals S, A and preterminals W, X and a
+    few states, whose every root and child context has rules, each
+    context's probabilities summing to 1; sometimes with one odd line or
+    header."""
+    two = draw(st.booleans())
+    state = st.sampled_from(["0:0", "1:1", "0:1"] if two else ["0", "1"])
+
+    def ctx(symbols):
+        return st.tuples(st.sampled_from(symbols), state)
+
+    roots = draw(st.lists(ctx(["S", "A", "W"]), min_size=1, max_size=2, unique=True))
+    anything = ["S", "A", "W", "X"]
+    binary = draw(st.lists(st.tuples(ctx(["S", "A"]), ctx(anything), ctx(anything)),
+                           max_size=6, unique=True))
+    lexical = draw(st.lists(st.tuples(ctx(["W", "X"]), _FUZZ_WORDS), max_size=6, unique=True))
+    todo = roots + [child for _, b, c in binary for child in (b, c)]
+    have = {rule[0] for rule in binary + lexical}
+    while todo:
+        lhs = todo.pop()
+        if lhs in have:
+            continue
+        have.add(lhs)
+        if lhs[0] in ("S", "A"):
+            binary.append((lhs, ("W", lhs[1]), ("X", lhs[1])))
+            todo += [("W", lhs[1]), ("X", lhs[1])]
+        else:
+            lexical.append((lhs, draw(_FUZZ_WORDS)))
+    binary_per = Counter(lhs for lhs, _, _ in binary)
+    lexical_per = Counter(lhs for lhs, _ in lexical)
+    lines = [f"ROOT\t{sym}\t{q}\t{1 / len(roots)!r}" for sym, q in roots]
+    lines += ["\t".join(["BIN", *lhs, *b, *c, repr(1 / binary_per[lhs])]) for lhs, b, c in binary]
+    lines += ["\t".join(["LEX", *lhs, word, repr(1 / lexical_per[lhs])]) for lhs, word in lexical]
+    lines += draw(st.lists(_ODD_GRAMMAR_LINES, max_size=1))
+    layers = "layers=2 m1=2 m2=2" if two else "layers=1 m1=2 m2=0"
+    header = draw(st.sampled_from([
+        f"LPCFG v1 {layers}", f"LPCFG v1 {layers}", f"LPCFG v1 {layers}",
+        f"LPCFG v1 {layers.replace('m1=2', 'm1=1')}", "LPCFG v1 layers=2 m1=2 m2=0",
+        "LPCFG v1 layers=1 m1=two m2=0", "LPCFG v2 layers=1 m1=2 m2=0",
+    ]))
+    return "\n".join([header, *draw(st.permutations(lines))]) + "\n"
+
+
+_RULE_PHRASE = st.lists(
+    st.sampled_from(["what", "day", "is", "nochebuena", "when", "Is", "the"]),
+    min_size=1, max_size=3,
+).map(" ".join)
+_RULE_SCORE = st.sampled_from(["1", "0.5", "-2", "0", "1e-320"])
+_RULE = st.tuples(_RULE_PHRASE, _RULE_PHRASE, _RULE_SCORE).map("\t".join)
+# An empty phrase, a bad score, a wrong field count, and non-records.
+_ODD_RULE_LINES = st.one_of(
+    st.tuples(_RULE_PHRASE, st.just(" "), _RULE_SCORE).map("\t".join),
+    st.tuples(_RULE_PHRASE, _RULE_PHRASE, st.sampled_from(["nan", "inf", "1e999", "x", ""]))
+    .map("\t".join),
+    st.tuples(_RULE_PHRASE, _RULE_PHRASE).map("\t".join),
+    st.tuples(_RULE_PHRASE, _RULE_PHRASE, _RULE_SCORE, _RULE_SCORE).map("\t".join),
+    st.sampled_from(["", "# a comment", "  ", "\t\t"]),
+)
+# Good rules, sometimes with one odd line among them.
+_RULE_FILES = st.tuples(
+    st.lists(_RULE, max_size=6), st.lists(_ODD_RULE_LINES, max_size=1)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+class TestGrammarAndRuleFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(grammar=_grammar_files(), question=_FUZZ_QUESTION,
+           command=st.sampled_from(["parse", "sample"]))
+    def test_grammar_files_parse_and_sample_or_exit_with_an_error(
+        self, grammar, question, command
+    ):
+        # About 60% of these grammars validate and reach CKY or the
+        # sampler; a file that is refused is named in the error.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "g.lpcfg")
+            path.write_text(grammar, encoding="utf-8")
+            argv = [command, "--grammar", str(path), "--question", question]
+            rc, err = _run_quietly(argv + (["--m", "5"] if command == "sample" else []))
+            assert rc in (0, 1, 2)
+            if rc == 2:
+                assert err.splitlines()[-1].startswith(f"error: {path}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=_RULE_FILES, question=_FUZZ_QUESTION,
+           min_score=st.sampled_from([[], ["--min-score=0.7"], ["--min-score=-inf"]]))
+    def test_rule_files_build_lattices_or_exit_with_an_error(self, lines, question, min_score):
+        # About half of these files load; a bad line is named by file:line.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "rules.tsv")
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            rc, err = _run_quietly(["build-lattice", "--mode", "rules", "--rules", str(path),
+                                    "--question", question, *min_score])
+            assert rc in (0, 2)
+            if rc == 2:
+                assert err.startswith(f"error: {path}:")
 
 
 def _perfbench_inputs():

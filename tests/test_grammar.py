@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from paralat.errors import MalformedGrammarFile
@@ -121,6 +123,41 @@ class TestRoundTrip:
             deserialize_grammar(text.replace("LPCFG v1", "LPCFG v9"))
         with pytest.raises(MalformedGrammarFile):
             deserialize_grammar(text.replace("1", "x", 1))
+
+    @pytest.mark.parametrize("header, line", [
+        ("LPCFG v1 layers=1 m1=2 m2=0", "ROOT\tS\tx\t1"),
+        ("LPCFG v1 layers=1 m1=2 m2=0", "ROOT\tS\t0:1\t1"),
+        ("LPCFG v1 layers=2 m1=2 m2=2", "LEX\tW\t0\twhat\t1"),
+        ("LPCFG v1 layers=2 m1=2 m2=2", "BIN\tS\t0:0\tW\t1:2:3\tW\t0:0\t1"),
+    ])
+    def test_bad_state_is_named_by_its_line(self, header, line, tmp_path):
+        path = tmp_path / "g.lpcfg"
+        path.write_text(f"{header}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedGrammarFile, match=re.escape(f"{path}:3: ")):
+            load_grammar(str(path))
+
+    def test_lines_are_counted_at_newlines_only(self, tmp_path):
+        # A form feed or a Unicode line separator inside a line neither
+        # splits it nor shifts the number of a later line.
+        path = tmp_path / "g.lpcfg"
+        path.write_text(
+            "LPCFG v1 layers=1 m1=2 m2=0\nROOT\tS\t0\t1\x0c\n"
+            "LEX\tS\t0\twh\u2028at\t1\nLEX\tS\t0\tday\tx\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedGrammarFile, match=re.escape(f"{path}:4: bad probability")):
+            load_grammar(str(path))
+
+    @pytest.mark.parametrize("header", [
+        "LPCFG v2 layers=1 m1=2 m2=0",
+        "LPCFG v1 layers=1 m1=two m2=0",
+        "LPCFG v1 layers=2 m1=2 m2=0",
+    ])
+    def test_bad_header_is_named_by_line_one(self, header, tmp_path):
+        path = tmp_path / "g.lpcfg"
+        path.write_text(f"{header}\nROOT\tS\t0\t1\n", encoding="utf-8")
+        with pytest.raises(MalformedGrammarFile, match=re.escape(f"{path}:1: ")):
+            load_grammar(str(path))
 
     def test_duplicate_rule_rejected(self):
         text = serialize_grammar(_tiny_grammar())

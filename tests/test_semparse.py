@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     exhaustive_groundings,
+    reference_entity_assignments,
     reference_ground,
     reference_key,
     scan_edge_options,
@@ -36,6 +37,7 @@ from paralat.semparse import (
     _type_options,
     denotation,
     dot_score,
+    entity_assignments,
     entity_candidates,
     evaluate,
     f1_loss,
@@ -228,6 +230,74 @@ class TestIndexedLookups:
         assert {"_by_subject", "_by_object", "_by_head", "_types_of", "types"} <= set(vars(kb))
         assert kb == fresh == subject_first
         assert hash(kb) == hash(fresh) == hash(subject_first)
+
+
+def _entity_graph(mentions) -> UngroundedGraph:
+    return UngroundedGraph(
+        name="entities",
+        target="x",
+        entity_nodes=tuple((f"e{i}", tuple(m)) for i, m in enumerate(mentions, 1)),
+        type_nodes=(),
+        events=(),
+        edges=(),
+    )
+
+
+class _CountedCandidate(tuple):
+    """A candidate tuple that counts its field reads against a limit."""
+
+    reads = 0
+    limit = 0
+
+    def __getitem__(self, index):
+        type(self).reads += 1
+        assert type(self).reads <= type(self).limit, "too many candidate reads"
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+class TestEntityAssignments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kb=_small_kbs(),
+        mentions=st.lists(
+            st.lists(st.sampled_from(["paris", "hilton", "hotel", "42", "texas"]), max_size=2),
+            min_size=1, max_size=3,
+        ),
+        top=st.integers(1, 40),
+    )
+    def test_equals_sorted_product(self, kb, mentions, top):
+        graph = _entity_graph(mentions)
+        try:
+            expected = reference_entity_assignments(graph, kb, top)
+        except NoEntityCandidates:
+            with pytest.raises(NoEntityCandidates):
+                entity_assignments(graph, kb, top)
+            return
+        assert entity_assignments(graph, kb, top) == expected
+
+    def test_many_candidates_form_few_combinations(self, monkeypatch):
+        # Two nodes over 800 tied candidates: a product of 640,000.  Each
+        # combination formed reads the three fields of each node's
+        # candidate once.
+        entities = tuple(f"Qz{i:03d}" for i in range(800))
+        kb = KnowledgeGraph(entities=entities, triples=frozenset(), type_assertions=frozenset())
+        graph = _entity_graph([("qz",), ("qz",)])
+        real = entity_candidates
+        monkeypatch.setattr(
+            "paralat.semparse.entity_candidates",
+            lambda mention, kb: [_CountedCandidate(c) for c in real(mention, kb)],
+        )
+        top, nodes = 10, 2
+        monkeypatch.setattr(_CountedCandidate, "reads", 0)
+        monkeypatch.setattr(_CountedCandidate, "limit", 3 * nodes * (top * nodes + 1))
+        got = entity_assignments(graph, kb, top)
+        assert len(got) == top
+        assert got[0] == ((("e1", "Qz000"), ("e2", "Qz000")), 2.0)
+        assert got[1] == ((("e1", "Qz000"), ("e2", "Qz001")), 2.0 - 0.01)
+        assert _CountedCandidate.reads > 0
 
 
 class TestGround:
