@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from .data_files import atomic_write, finite_float, records
@@ -322,17 +322,18 @@ def train(
         weights -= LEARNING_RATE * grad_w
         bias -= LEARNING_RATE * grad_b
 
-    # Fold standardization into raw-scale weights.
-    raw_w = weights / std
-    raw_b = float(bias - (weights * mean / std).sum())
-
-    def score_row(vec: tuple[float, ...]) -> float:
-        return _sigmoid(raw_b + float(np.dot(raw_w, vec)))
-
+    # Fold standardization into raw-scale weights.  The threshold is
+    # picked among scores of the stored model, so a pair scores the same
+    # here as in filter_candidates.
+    model = ClassifierModel(
+        weights=tuple(float(w) for w in weights / std),
+        bias=float(bias - (weights * mean / std).sum()),
+        threshold=0.5,
+    )
     tune = heldout_groups
     if not tune or len({label for _, label, _ in tune}) < 2:
         tune = train_groups
-    scored = [(score_row(vec), label, count) for vec, label, count in tune]
+    scored = [(model.score(PairFeatures(*vec)), label, count) for vec, label, count in tune]
     best_threshold = 0.5
     best_f1 = -1.0
     for candidate_threshold in sorted({s for s, _, _ in scored}):
@@ -343,11 +344,7 @@ def train(
         if f1 > best_f1 or (f1 == best_f1 and candidate_threshold < best_threshold):
             best_f1 = f1
             best_threshold = candidate_threshold
-    return ClassifierModel(
-        weights=tuple(float(w) for w in raw_w),
-        bias=raw_b,
-        threshold=best_threshold,
-    )
+    return replace(model, threshold=best_threshold)
 
 
 def filter_candidates(

@@ -8,8 +8,9 @@ Each option's type and default are declared once, on its subcommand.
 so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
-stderr and go on.  An unknown lattice mode, from a flag or a config key,
-is a usage error before any input loads.
+stderr and go on.  An unknown lattice mode or a score threshold that is
+``nan`` or infinite, from a flag or a config key, is a usage error before
+any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -32,7 +33,7 @@ from .classifier import (
 )
 from .classifier import train as train_classifier_model
 from .cky import cky_viterbi, render_derivation
-from .data_files import atomic_write, records
+from .data_files import atomic_write, finite_float, records
 from .errors import ParalatError, ParseFailure, EmptyIntersection
 from .estimation import read_alignments, train_bilayered_grammar, train_grammar
 from .grammar import load_grammar, save_grammar, validate
@@ -384,7 +385,7 @@ def build_parser() -> _Parser:
     p = command("build-lattice", _cmd_build_lattice, "dump a question word lattice")
     questions(p)
     lattice_inputs(p, "--mode")
-    p.add_argument("--min-score", type=float)
+    p.add_argument("--min-score", type=finite_float)
     p.add_argument("--out")
 
     p = command("sample", _cmd_sample, "sample lattice-constrained questions", seed=1)
@@ -400,7 +401,7 @@ def build_parser() -> _Parser:
     sampling(p, "--mode", m=300)
     p.add_argument("--classifier", help="trained classifier model file")
     p.add_argument("--gazetteer")
-    p.add_argument("--threshold", type=float, help="override the stored threshold")
+    p.add_argument("--threshold", type=finite_float, help="override the stored threshold")
 
     p = command("semparse-train", _cmd_semparse_train, "train the grounding model")
     dataset(p, "qa_train")

@@ -52,8 +52,6 @@ FeatureVector = dict[str, float]
 NodeKey = tuple[int, Path]  # (tree index, node path)
 
 KMEANS_MAX_ITER = 50
-# Floats in one block of the k-means distance tensor (16 MB of float64).
-KMEANS_BLOCK_FLOATS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -186,21 +184,6 @@ def _symbol_seed(seed: int, symbol: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(symbol.encode("utf-8"))])
 
 
-def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest center, lowest index on ties.
-
-    The n x k x d squared differences are formed a block of rows at a
-    time; each row's sum and argmin are the same as over the whole tensor.
-    """
-    import numpy as np
-
-    rows = max(1, KMEANS_BLOCK_FLOATS // max(1, centers.size))
-    return np.concatenate([
-        ((points[i:i + rows, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        for i in range(0, points.shape[0], rows)
-    ])
-
-
 def _sq_distances(points: np.ndarray, squares: np.ndarray, center: np.ndarray) -> np.ndarray:
     """``((points - center) ** 2).sum(axis=1)``, bit for bit, given
     ``squares == points ** 2`` (both C-contiguous).
@@ -219,30 +202,6 @@ def _sq_distances(points: np.ndarray, squares: np.ndarray, center: np.ndarray) -
     return dist
 
 
-def _reassign_moved(
-    points: np.ndarray, labels: np.ndarray, seeded: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    """``_nearest_center(points, centers)`` when each row lies on its
-    ``labels`` center of ``seeded`` (at distance 0, the lowest such index)
-    and ``centers`` are ``seeded`` after one update.  A row's nearest center
-    can change only if its own center moved or a moved center now lies on
-    the row, so only those rows are assigned again, one at a time: there
-    are few, and a block of rows would hold rows x centers x dims floats.
-    """
-    import numpy as np
-
-    moved = np.flatnonzero((centers != seeded).any(axis=1))
-    rows = np.isin(labels, moved)
-    if moved.size:
-        squares = points ** 2
-        for c in moved:
-            rows |= _sq_distances(points, squares, centers[c]) == 0
-    new_labels = labels.copy()
-    for i in np.flatnonzero(rows):
-        new_labels[i] = _nearest_center(points[i:i + 1], centers)[0]
-    return new_labels
-
-
 def _kmeans(
     points: np.ndarray, weights: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -253,70 +212,52 @@ def _kmeans(
     multiplicities.  Capped at KMEANS_MAX_ITER iterations; ties in
     assignment go to the lowest center index.
 
-    Seeding computes distances only where they can change its result, and
-    every float it computes is the one the dense ``((points - center) **
-    2).sum(axis=1)`` over all rows would give.  A row at distance 0 is
-    never drawn and never moves to a later center, so only the rows still
-    at a positive distance (the live rows) are measured: they are kept in
-    one compacted array with their squares, and the rows that reached 0
-    are dropped once they are a quarter of it.  A center is a row, so it
-    has few nonzero columns, and only those columns of the squares are
-    recomputed (:func:`_sq_distances`); each row is still summed over all
-    its columns in the same order, so its distance is bit-equal, and so
-    are the draw probabilities.
-
-    Seeding keeps each row's nearest chosen center.  When it ends with
-    every row on a center (always when ``m`` is at least the number of
-    rows), that center is the row's first assignment, and the second one
-    is computed only for the rows that a center moved by the update (by
-    rounding) could take: usually none or a few.
+    Every row-to-center distance lives in one matrix ``dist`` of
+    n x min(m, n) floats per symbol.  Column c is
+    :func:`_sq_distances` of center c over all rows: it is computed when
+    seeding chooses the center, and again only when an update moves the
+    center (the new mean differs from the old one).  Each row is summed
+    in the order of the dense ``((points[:, None] - centers[None]) **
+    2).sum(axis=2)``, and a column that is not recomputed holds the floats
+    a recomputation would give, so seeding's D^2 (the running minimum of
+    the columns), the draw probabilities and every ``dist.argmin(axis=1)``
+    assignment are the dense ones, bit for bit.
     """
     import numpy as np
 
     n = points.shape[0]
     k = min(m, n)
     centers = np.empty((k, points.shape[1]))
+    dist = np.empty((n, k))
+    squares = points ** 2
     probs = weights / weights.sum()
     first = rng.choice(n, p=probs)
     centers[0] = points[first]
-    live, live_points, squares = np.arange(n), points, points ** 2
-    dist2 = _sq_distances(live_points, squares, centers[0])
-    nearest = np.zeros(n, dtype=np.intp)
+    dist[:, 0] = _sq_distances(points, squares, centers[0])
+    dist2 = dist[:, 0].copy()
     for c in range(1, k):
         mass = weights * dist2
         total = mass.sum()
         if total <= 0.0:
             # All remaining points coincide with chosen centers.
             k = c
-            centers = centers[:k]
+            centers, dist = centers[:k], dist[:, :k]
             break
         centers[c] = points[rng.choice(n, p=mass / total)]
-        old = dist2[live]
-        done = old == 0
-        if 4 * np.count_nonzero(done) >= live.size:
-            keep = ~done
-            live, live_points, squares = live[keep], live_points[keep], squares[keep]
-            old = old[keep]
-        new = _sq_distances(live_points, squares, centers[c])
-        nearest[live[new < old]] = c
-        dist2[live] = np.minimum(old, new)
+        dist[:, c] = _sq_distances(points, squares, centers[c])
+        dist2 = np.minimum(dist2, dist[:, c])
 
-    # ``nearest`` is each row's lowest-index center at its least seeding
-    # distance.  When that is 0 for every row (0 in any summation order),
-    # it is the first assignment, the one ``_nearest_center`` would give.
-    seeded = None if dist2.any() else centers.copy()
-    labels = _nearest_center(points, centers) if seeded is None else nearest
+    labels = dist.argmin(axis=1)
     for _ in range(KMEANS_MAX_ITER - 1):
         for c in range(k):
             mask = labels == c
             if mask.any():
                 w = weights[mask]
-                centers[c] = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
-        if seeded is None:
-            new_labels = _nearest_center(points, centers)
-        else:
-            new_labels = _reassign_moved(points, labels, seeded, centers)
-            seeded = None
+                center = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
+                if (center != centers[c]).any():
+                    centers[c] = center
+                    dist[:, c] = _sq_distances(points, squares, center)
+        new_labels = dist.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

@@ -764,10 +764,10 @@ def load_qa(path: str, graph_loader) -> list[QAExample]:
                 raise SemparseError(
                     f"{path}:{lineno}: cannot read graph {name!r}: {exc}"
                 ) from exc
-        gold = frozenset(parts[2].split("|"))
-        if not gold:
-            raise SemparseError(f"{path}:{lineno}: empty gold answers")
-        out.append(QAExample(question=question, graphs=tuple(graphs), gold=gold))
+        gold = parts[2].split("|")
+        if "" in gold:
+            raise SemparseError(f"{path}:{lineno}: empty gold answer in {parts[2]!r}")
+        out.append(QAExample(question=question, graphs=tuple(graphs), gold=frozenset(gold)))
     return out
 
 

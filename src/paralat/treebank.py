@@ -22,6 +22,10 @@ from .errors import (
 BIN_PREFIX = "@"
 # Joiner for collapsed unary chains (X -> Y becomes "X+Y").
 UNARY_JOIN = "+"
+# Most nodes a treebank tree may have.  The node count bounds both the
+# nesting depth and the height of the binarized tree, which the recursive
+# tree walks descend, so a larger tree is refused before it is parsed.
+MAX_TREE_NODES = 400
 
 Path = tuple[int, ...]
 
@@ -197,9 +201,15 @@ def is_binary(tree: Tree) -> bool:
 
 
 def read_treebank(path: str) -> list[Tree]:
-    """Read one bracketed tree per record line, normalized."""
+    """Read one bracketed tree per record line, normalized; a tree of
+    more than MAX_TREE_NODES nodes is refused."""
     trees: list[Tree] = []
     for lineno, line in records(path):
+        nodes = line.count("(")
+        if nodes > MAX_TREE_NODES:
+            raise TreebankError(
+                f"{path}:{lineno}: tree has {nodes} nodes, more than {MAX_TREE_NODES}"
+            )
         try:
             tree = parse_tree(line.strip())
         except TreebankError as exc:

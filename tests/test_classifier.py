@@ -19,6 +19,7 @@ from paralat.classifier import (
     train,
 )
 from paralat.cky import DerivationNode, DerivationTree
+from paralat.data_files import data_path
 from paralat.errors import ClassifierError, DegenerateLabels, EmptySentence
 from paralat.grammar import StateLabel
 from paralat.sampler import ParaphraseCandidate
@@ -192,6 +193,18 @@ class TestTrain:
         fn = sum(1 for y, p in zip(labels, predictions) if y == 1 and p == 0)
         f1 = 2 * tp / (2 * tp + fp + fn)
         assert f1 >= 0.3  # all-negative baseline scores 0
+
+    def test_threshold_is_the_stored_model_score_of_a_pair(self):
+        # The threshold is picked among the scores filter_candidates gives,
+        # so a candidate whose features equal the pair that set it is kept.
+        gazetteer = Gazetteer.load(data_path("gazetteer.txt"))
+        pairs = read_labeled_pairs(data_path("classifier_pairs.tsv"))
+        model = train(pairs, epochs=200, seed=0, gazetteer=gazetteer)
+        scores = {
+            model.score(compute_features(source, cand, gazetteer.tag(source)))
+            for source, cand, _ in pairs
+        }
+        assert model.threshold in scores
 
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):

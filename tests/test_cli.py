@@ -21,6 +21,7 @@ from paralat.cli import build_parser, derive_seed, main
 from paralat.data_files import atomic_write, data_path
 from paralat.grammar import save_grammar
 from paralat.semparse import PerceptronModel, save_perceptron
+from paralat.treebank import MAX_TREE_NODES
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,16 @@ def _bad_qa_graph_name(name):
     return argv
 
 
+def _bad_qa_answers(answers):
+    def argv(tmp_path, grammar_file, classifier_file):
+        qa = tmp_path / "qa.tsv"
+        qa.write_text(f"what is the capital of france\tq01_orig.graph\t{answers}\n",
+                      encoding="utf-8")
+        return ["semparse-train", "--kb", data_path("kb.tsv"), "--qa", str(qa),
+                "--graphs-dir", data_path("graphs"), "--out", str(tmp_path / "percep.tsv")]
+    return argv
+
+
 def _bad_rule_score(tmp_path, grammar_file, classifier_file):
     rules = tmp_path / "rules.tsv"
     rules.write_text("when\twhat time\t2.0\nday\tdate\tinf\n", encoding="utf-8")
@@ -210,12 +221,15 @@ class TestBadInputs:
             (_bad_graph_score, 2, "q11_orig.graph:9: bad score 'nan'"),
             (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
             (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
+            (_bad_qa_answers(""), 2, "qa.tsv:1: empty gold answer in ''"),
+            (_bad_qa_answers("Paris||Lyon"), 2, "qa.tsv:1: empty gold answer in 'Paris||Lyon'"),
             (_bad_rule_score, 2, "rules.tsv:2: bad score 'inf'"),
         ],
         ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "grammar-zero", "grammar-deficit",
              "perceptron-weight", "perceptron-weight-inf", "graph-score-nan",
-             "qa-graph-nul", "qa-graph-empty", "rules-score-inf"],
+             "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
+             "rules-score-inf"],
     )
     def test_exit_code_and_message_without_traceback(
         self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys
@@ -421,6 +435,66 @@ class TestUnknownLatticeMode:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [f"usage error: config key {key!r}: bad value 'bogus'"]
+
+
+class TestNonFiniteThreshold:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag", [("build-lattice", "--min-score"), ("paraphrase", "--threshold")]
+    )
+    def test_flag_is_usage_error_before_loading(self, command, flag, value, tmp_path, capsys):
+        assert main([*_unknown_mode_argv(command, tmp_path), f"{flag}={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and f"{flag}: invalid" in err
+
+    @pytest.mark.parametrize(
+        "command, key", [("build-lattice", "min_score"), ("paraphrase", "threshold")]
+    )
+    def test_config_key_is_usage_error_before_loading(self, command, key, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=nan\n", encoding="utf-8")
+        assert main([*_unknown_mode_argv(command, tmp_path), "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"usage error: config key {key!r}: bad value 'nan'"]
+
+
+def _wide_tree(children: int) -> str:
+    return "(S" + " (X w)" * children + ")"
+
+
+def _deep_tree(levels: int) -> str:
+    return "(A (B b) " * levels + "(B b)" + ")" * levels
+
+
+class TestTreeSizeBound:
+    @pytest.mark.parametrize("line", [_deep_tree(1200), _wide_tree(1200)], ids=["deep", "wide"])
+    def test_larger_tree_is_rejected_at_its_line(self, line, tmp_path, capsys):
+        treebank = tmp_path / "big.trees"
+        treebank.write_text(line + "\n", encoding="utf-8")
+        argv = ["train-grammar", "--treebank", str(treebank), "--m1", "2",
+                "--out", str(tmp_path / "g.lpcfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{treebank}:1: " in err
+        assert "Traceback" not in err
+
+    # The widest tree binarizes into the tallest chain; the deepest nests
+    # a unary root over a right-branching spine.
+    @pytest.mark.parametrize(
+        "line", [_wide_tree(MAX_TREE_NODES - 1), "(TOP " + _deep_tree(199) + ")"],
+        ids=["wide", "deep"],
+    )
+    def test_tree_at_the_bound_trains_bilayered(self, line, tmp_path, capsys):
+        assert line.count("(") == MAX_TREE_NODES
+        treebank, alignments = tmp_path / "big.trees", tmp_path / "none.tsv"
+        treebank.write_text(line + "\n", encoding="utf-8")
+        alignments.write_text("", encoding="utf-8")
+        argv = ["train-bilayered", "--treebank", str(treebank), "--alignments", str(alignments),
+                "--m1", "2", "--m2", "4", "--out", str(tmp_path / "g.lpcfg")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
 
 
 class TestSample:
@@ -855,7 +929,7 @@ class TestGrammarAndRuleFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(lines=_RULE_FILES, question=_FUZZ_QUESTION,
-           min_score=st.sampled_from([[], ["--min-score=0.7"], ["--min-score=-inf"]]))
+           min_score=st.sampled_from([[], ["--min-score=0.7"], ["--min-score=-3"]]))
     def test_rule_files_build_lattices_or_exit_with_an_error(self, lines, question, min_score):
         # About half of these files load; a bad line is named by file:line.
         with tempfile.TemporaryDirectory() as tmp:

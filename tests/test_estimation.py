@@ -153,17 +153,14 @@ class TestClusterStates:
 
         assert partition(a, [0, 1, 2]) == partition(b, order)
 
-    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, None])
-    def test_blocked_kmeans_equals_one_piece_reference(self, monkeypatch, rows_per_block):
-        for seed in range(12):
+    @pytest.mark.parametrize("first_seed", [0, 12, 24, 36])
+    def test_blocked_kmeans_equals_one_piece_reference(self, first_seed):
+        for seed in range(first_seed, first_seed + 12):
             data = np.random.default_rng(seed)
             n, d, m = int(data.integers(2, 40)), int(data.integers(1, 6)), int(data.integers(1, 8))
             # Small integer coordinates make distance ties common.
             points = np.unique(data.integers(0, 4, size=(n, d)).astype(float), axis=0)
             weights = data.integers(1, 5, size=points.shape[0]).astype(float)
-            k = min(m, points.shape[0])
-            if rows_per_block is not None:
-                monkeypatch.setattr(estimation, "KMEANS_BLOCK_FLOATS", rows_per_block * k * d)
             labels = estimation._kmeans(points, weights, m, np.random.default_rng(seed))
             expected = reference_kmeans(
                 points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
@@ -172,24 +169,27 @@ class TestClusterStates:
 
     @staticmethod
     def _count_assignments(monkeypatch):
-        """Record (rows, centers) of every ``_nearest_center`` call."""
+        """Record the rows measured by every ``_sq_distances`` call: one
+        call per distance column computed."""
         calls = []
-        original = estimation._nearest_center
+        original = estimation._sq_distances
 
-        def counted(points, centers):
-            calls.append((points.shape[0], centers.shape[0]))
-            return original(points, centers)
+        def counted(points, squares, center):
+            calls.append(points.shape[0])
+            return original(points, squares, center)
 
-        monkeypatch.setattr(estimation, "_nearest_center", counted)
+        monkeypatch.setattr(estimation, "_sq_distances", counted)
         return calls
 
     def test_seeded_centers_equal_one_piece_reference(self, monkeypatch):
         # m >= n, m > 2n and k < n.  Rows are scaled copies of each other, so
         # some are equal once L2-normalized, as in cluster_states, and some
         # differ only by rounding, so that Lloyd's update can move a center
-        # onto a neighbouring row and the second assignment differ.
+        # onto a neighbouring row.  When m >= n every row is a center after
+        # seeding: usually no column is computed after it, and a column is
+        # computed again only for a center the update moved.
         calls = self._count_assignments(monkeypatch)
-        skipped = relabelled = 0
+        unmoved = moved = 0
         for seed in range(60):
             data = np.random.default_rng(seed)
             n, d = int(data.integers(2, 30)), int(data.integers(1, 5))
@@ -204,27 +204,32 @@ class TestClusterStates:
                     points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
                 )
                 assert labels.tolist() == expected.tolist()
+                assert calls and set(calls) == {n}
                 if m >= n:
-                    skipped += not calls
-                    # Rows that a moved center took: full Lloyd passes follow.
-                    relabelled += any(rows == n for rows, _ in calls)
-        assert skipped > 100 and relabelled > 0
+                    unmoved += len(calls) <= n
+                    moved += len(calls) > n
+        assert unmoved > 100 and moved > 0
 
     def test_lloyd_runs_only_when_a_row_is_off_center(self, monkeypatch):
+        # One column per chosen center; with every row on a center no
+        # center moves.  With 3 centers, the two rows off-center join
+        # center 0, whose column is computed again once it moves.
         calls = self._count_assignments(monkeypatch)
         points, weights = np.eye(5), np.ones(5)
         for m in (5, 6, 11):
+            calls.clear()
             labels = estimation._kmeans(points, weights, m, np.random.default_rng(0))
             assert sorted(labels) == [0, 1, 2, 3, 4]
-        assert calls == []
+            assert calls == [5] * 5
+        calls.clear()
         estimation._kmeans(points, weights, 3, np.random.default_rng(0))
-        assert calls and set(calls) == {(5, 3)}
+        assert calls == [5] * 4
 
     def test_centers_moved_by_rounding_reassign_only_their_rows(self, monkeypatch):
         # With weight 3, the mean (3x)/3 of a row differs from x in the last
-        # bit for some rows, so their centers move: each such row is
-        # assigned again on its own, and the other rows keep their centers
-        # without a distance computation.
+        # bit for some rows, so their centers move: each moved center's
+        # column is computed again over all rows, and the other columns
+        # are kept.
         calls = self._count_assignments(monkeypatch)
         data = np.random.default_rng(0)
         points = data.random((6, 4))
@@ -237,7 +242,7 @@ class TestClusterStates:
             points, weights, 6, np.random.default_rng(0), estimation.KMEANS_MAX_ITER
         ).tolist()
         assert sorted(labels) == [0, 1, 2, 3, 4, 5]
-        assert calls == [(1, 6)] * moved
+        assert calls == [6] * (6 + moved)
 
     def test_rows_equal_after_normalization_share_a_state(self, monkeypatch):
         calls = self._count_assignments(monkeypatch)
@@ -246,7 +251,7 @@ class TestClusterStates:
         assignment = cluster_states(vectors, dict.fromkeys(keys, "S"), m=5, seed=3)
         states = [assignment.states[key] for key in keys]
         assert states[0] == states[1] != states[2]
-        assert calls == []
+        assert calls == [3, 3]
 
     # Row widths around numpy's pairwise summation: 8-wide unrolled blocks
     # below 128 elements, halved recursively above.
@@ -262,7 +267,7 @@ class TestClusterStates:
             if i >= 3 and data.random() < 1 / 3:
                 raw[i] = raw[data.integers(0, i)] * data.integers(2, 6)
             else:
-                cols = data.choice(d, size=int(data.integers(1, 7)), replace=False)
+                cols = data.choice(d, size=min(d, int(data.integers(1, 7))), replace=False)
                 raw[i, cols] = data.integers(1, 4, size=cols.size) * data.random(cols.size)
         return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
@@ -296,19 +301,27 @@ class TestClusterStates:
                 assert got.tobytes() == dense.tobytes()
                 assert squares.tobytes() == (rows ** 2).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 127, 128, 129, 257, 288, 700, 1025])
+    def test_distance_columns_are_the_three_d_reference_sums(self, d):
+        # Each column equals the reference's n x k x d sum over its last
+        # axis, bit for bit: dense and sparse rows, centers that are rows
+        # and centers that are not (means and random points).
+        data = np.random.default_rng([d, 1])
+        dense = data.random((30, d))
+        dense /= np.linalg.norm(dense, axis=1, keepdims=True)
+        for points in (dense, self._sparse_rows(data, 30, d)):
+            centers = np.vstack([points[::4], points[:9].mean(axis=0), data.random((2, d))])
+            expected = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            squares = points ** 2
+            for c, center in enumerate(centers):
+                got = estimation._sq_distances(points, squares, center)
+                assert got.tobytes() == expected[:, c].tobytes()
+
     def test_seeding_measures_only_rows_still_in_play(self, monkeypatch):
         # 30 distinct rows, each twice.  Every center is a new distinct row,
-        # so before the c-th center 30 - c distinct rows are at a positive
-        # distance; rows at 0 are dropped once they are a quarter of those
-        # handed over, and nothing is handed over once all rows are at 0.
-        calls = []
-        original = estimation._sq_distances
-
-        def counted(points, squares, center):
-            calls.append(points.shape[0])
-            return original(points, squares, center)
-
-        monkeypatch.setattr(estimation, "_sq_distances", counted)
+        # and each chosen center gets one column over all 60 rows; the
+        # mean of two equal rows is the row, so no center moves.
+        calls = self._count_assignments(monkeypatch)
         distinct = np.eye(64)[:30]
         points = np.vstack([distinct, distinct])
         for m in (30, 60, 121):
@@ -317,10 +330,7 @@ class TestClusterStates:
             assert labels.tolist() == reference_kmeans(
                 points, np.ones(60), m, np.random.default_rng(m)
             ).tolist()
-            assert len(calls) == 30 and calls[0] == 60
-            assert calls == sorted(calls, reverse=True) and calls[-1] < 4
-            for c, rows in enumerate(calls):
-                assert 3 * rows < 4 * 2 * (30 - c)
+            assert calls == [60] * 30
 
 
 class TestEstimateMle:
