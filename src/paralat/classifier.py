@@ -101,23 +101,36 @@ def _occurrences(haystack: Sequence[str], needle: Sequence[str]) -> int:
     return count
 
 
+def _source_ngrams(source: Sequence[str]) -> list[Counter]:
+    """The n-gram counts of the lowercased ``source``, orders 1 to 4, as
+    :func:`compute_features` takes them."""
+    src = [t.lower() for t in source]
+    return [_ngrams(src, n) for n in range(1, 5)]
+
+
 def compute_features(
     source: Sequence[str],
     candidate: Sequence[str],
     entities: Sequence[tuple[int, int]] = (),
+    source_grams: Sequence[Counter] | None = None,
 ) -> PairFeatures:
     """Deterministic pair features; ``entities`` are token spans over the
     source whose surface strings must reappear verbatim in the candidate
-    for the preservation bit to be 1."""
+    for the preservation bit to be 1.  ``source_grams`` is
+    ``_source_ngrams(source)``, counted once by a caller that scores many
+    candidates against one source."""
     if not source or not candidate:
         raise EmptySentence("both sentences must be non-empty")
     src = [t.lower() for t in source]
     cand = [t.lower() for t in candidate]
+    if source_grams is None:
+        source_grams = _source_ngrams(src)
 
     # Clipped matches are symmetric, so each order is counted once for
     # both directions.
     matches = [
-        sum((_ngrams(cand, n) & _ngrams(src, n)).values()) for n in range(1, 5)
+        sum((_ngrams(cand, n) & grams).values())
+        for n, grams in enumerate(source_grams, 1)
     ]
     forward = _log_precisions(matches, len(cand))
     brevity = min(0.0, 1.0 - len(src) / len(cand))
@@ -361,8 +374,9 @@ def filter_candidates(
     """
     cut = model.threshold if threshold is None else threshold
     spans = gazetteer.tag(source) if gazetteer is not None else ()
+    grams = _source_ngrams(source)
     scored = [
-        (cand, model.score(compute_features(source, cand.tokens, spans)))
+        (cand, model.score(compute_features(source, cand.tokens, spans, grams)))
         for cand in candidates
     ]
     kept = [(c, s) for c, s in scored if s >= cut]

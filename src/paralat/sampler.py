@@ -5,41 +5,55 @@ lattice vocabulary.  Its bottom-up closure is over symbols, not over
 (symbol, state) contexts: a symbol survives once some context of it has a
 rule whose children survive, so a latent context that derives no string
 over the lattice can stay in the support, and draws that reach it end in
-a dead end (a closure over contexts is ROADMAP item 3).  Sampling expands
-the derivation frontier breadth-first, one level at a time; every emitted
-word consumes a lattice edge, conflicting paths are removed, and the
-restricted grammar is narrowed accordingly, so each completed sample
-draws its words from a single source-to-sink path.  Dead ends are normal
-outcomes: the sample fails and its seed is burned.  A draw is also a dead
-end once its consumed edges and pending contexts outnumber the edges of
-the longest path of the lattice it started on, since each pending context
-still has to emit a word on an edge of its own and every later lattice
-state keeps a subset of those paths; no completed draw is lost.  A level
-that has a level below it draws a binary rule, which adds a context, so
-at level d a draw has at least d + 1 consumed edges and pending contexts:
-it runs at most that path length of levels deep, builds no level wider
-than twice it, and needs no cap on its depth.
+a dead end (filtering the supports by a closure over contexts changes the
+draws; it is ROADMAP item 1).  Sampling expands the derivation frontier
+breadth-first, one level at a time; every emitted word consumes a lattice
+edge, conflicting paths are removed, and the supports are narrowed
+accordingly, so each completed sample draws its words from a single
+source-to-sink path.  Dead ends are normal outcomes: the sample fails and
+its seed is burned.  A draw is also a dead end once its consumed edges
+and pending contexts outnumber the edges of the longest path of the
+lattice it started on, since each pending context still has to emit a
+word on an edge of its own and every later lattice state keeps a subset
+of those paths; no completed draw is lost.  A level that has a level
+below it draws a binary rule, which adds a context, so at level d a draw
+has at least d + 1 consumed edges and pending contexts: it runs at most
+that path length of levels deep, builds no level wider than twice it,
+and needs no cap on its depth.
 
-Conflict removal and narrowing run once per distinct lattice state per
-question: the draws of one :func:`sample_many` call share a memo of the
-states they reach.  Narrowing depends only on the surviving vocabulary
-(restricting a pruned grammar to a smaller vocabulary equals restricting
-the full grammar to it), so a cached state equals a recomputed one and
-the draws are unchanged.  Each state also keeps, per context, the running
-sums of its support's weights, so a rule draw is one bisection, with the
-same pick as a linear scan.  A completed draw's tokens are read off the
-frontier before its derivation is built, and a draw whose tokens
-:func:`sample_many` already has builds and rescores nothing.
+The draws of one :func:`sample_many` call share a memo of the lattice
+states they reach, keyed by edge masks (bit i for edge i of the
+question's lattice).  In a valid lattice an edge survives conflict
+removal for a consumed edge exactly when one of the two reaches the
+other, so a state's mask is the AND of the consumed edges' compatibility
+masks: a move is an AND and a lookup, and conflict removal runs once per
+distinct state.  A state narrows the supports to its surviving symbols,
+the symbol closure over its vocabulary (restricting a pruned grammar to
+a smaller vocabulary equals restricting the full grammar to it), so a
+cached state equals a recomputed one and the draws are unchanged.
+
+The question also keeps ``live``, the closure over contexts for its whole
+vocabulary.  A context outside it derives no string over the question,
+nor over any later state, whose vocabulary is smaller.  So a draw that
+picks one, as its root or as a child of a binary rule, is doomed, and it
+ends at that pick; when no root context is live, a draw ends before its
+generator is seeded.  These draws end as they would have, later.
+
+Each state also keeps, per context, the running sums of its support's
+weights, so a rule draw is one bisection, with the same pick as a linear
+scan.  A completed draw's tokens are read off the frontier before its
+derivation is built, and a draw whose tokens :func:`sample_many` already
+has builds and rescores nothing.
 """
 
 from __future__ import annotations
 
-import random
+import _random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Container, Sequence
+from typing import Collection, Container, Sequence
 
 from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
@@ -82,81 +96,64 @@ class SampleFailure:
     seed: int
 
 
-def _restrict(
-    grammar: LatentGrammar,
-    lexical_in: dict[Context, Sequence[tuple[str, float]]],
-    binary_in: dict[Context, Sequence[tuple[BinaryRhs, float]]],
-    roots_in: Sequence[tuple[Context, float]],
-    vocab: frozenset[str],
-) -> PrunedGrammar:
-    lexical: dict[Context, tuple[tuple[str, float], ...]] = {}
-    surviving: set[str] = set()
-    for ctx, entries in lexical_in.items():
-        kept = tuple(e for e in entries if e[0] in vocab)
-        if kept:
-            lexical[ctx] = kept
-            surviving.add(ctx[0])
-
-    # Bottom-up closure over symbols: an interminal survives once some
-    # rule of some context of it has both children surviving.  A context
-    # of a surviving symbol may still derive no string over the lattice.
-    pending = dict(binary_in)
-    while True:
+def _close(surviving: set[str], pairs: dict[str, Collection[tuple[str, str]]]) -> frozenset[str]:
+    """Bottom-up closure over symbols: ``surviving`` grows by every symbol
+    with a rule (in ``pairs``, the child symbols of its contexts' binary
+    rules) whose two children survive, until no symbol is added."""
+    pending = {sym: rules for sym, rules in pairs.items() if sym not in surviving}
+    added = True
+    while added:
         added = False
-        for ctx in list(pending):
-            if ctx[0] in surviving:
-                continue
-            if any(
-                rhs[0] in surviving and rhs[2] in surviving
-                for rhs, _ in pending[ctx]
-            ):
-                surviving.add(ctx[0])
+        for sym in list(pending):
+            if any(b in surviving and c in surviving for b, c in pending[sym]):
+                surviving.add(sym)
+                del pending[sym]
                 added = True
-        if not added:
-            break
-
-    binary: dict[Context, tuple[tuple[BinaryRhs, float], ...]] = {}
-    for ctx, entries in binary_in.items():
-        if ctx[0] not in surviving:
-            continue
-        kept = tuple(
-            e for e in entries if e[0][0] in surviving and e[0][2] in surviving
-        )
-        if kept:
-            binary[ctx] = kept
-
-    roots = tuple((ctx, p) for ctx, p in roots_in if ctx[0] in surviving)
-    return PrunedGrammar(
-        grammar=grammar,
-        roots=roots,
-        binary=binary,
-        lexical=lexical,
-        symbols=frozenset(surviving),
-    )
+    return frozenset(surviving)
 
 
 def prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
     """Restrict ``grammar`` to rules usable over ``lat``.
 
+    A preterminal survives when a word of it is on the lattice, an
+    interminal as :func:`_close` finds it.  A context of a surviving symbol
+    may still derive no string over the lattice.
+
     Raises EmptyIntersection when no root entry survives.
     """
-    lexical_in = {
-        ctx: sorted(table.items()) for ctx, table in grammar.lexical.items()
-    }
-    binary_in = {
-        ctx: [(rhs, table[rhs]) for rhs in sorted(table, key=rhs_key)]
-        for ctx, table in grammar.binary.items()
-    }
-    roots_in = [(ctx, grammar.roots[ctx]) for ctx in sorted(grammar.roots, key=ctx_key)]
-    pruned = _restrict(grammar, lexical_in, binary_in, roots_in, lat.vocabulary())
-    if not pruned.roots:
+    vocab = lat.vocabulary()
+    lexical: dict[Context, tuple[tuple[str, float], ...]] = {}
+    for ctx, table in grammar.lexical.items():
+        kept = tuple((w, table[w]) for w in sorted(table) if w in vocab)
+        if kept:
+            lexical[ctx] = kept
+    pairs: dict[str, set[tuple[str, str]]] = {}
+    for (sym, _), table in grammar.binary.items():
+        pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs in table)
+    surviving = _close({sym for sym, _ in lexical}, pairs)
+
+    binary: dict[Context, tuple[tuple[BinaryRhs, float], ...]] = {}
+    for ctx, table in grammar.binary.items():
+        if ctx[0] not in surviving:
+            continue
+        kept = tuple(
+            (rhs, table[rhs])
+            for rhs in sorted(table, key=rhs_key)
+            if rhs[0] in surviving and rhs[2] in surviving
+        )
+        if kept:
+            binary[ctx] = kept
+
+    roots = tuple(
+        (ctx, grammar.roots[ctx])
+        for ctx in sorted(grammar.roots, key=ctx_key)
+        if ctx[0] in surviving
+    )
+    if not roots:
         raise EmptyIntersection("no grammar root survives over the lattice")
-    return pruned
-
-
-def _narrow(pruned: PrunedGrammar, vocab: frozenset[str]) -> PrunedGrammar:
-    """Re-restrict an already pruned grammar to a smaller vocabulary."""
-    return _restrict(pruned.grammar, pruned.lexical, pruned.binary, pruned.roots, vocab)
+    return PrunedGrammar(
+        grammar=grammar, roots=roots, binary=binary, lexical=lexical, symbols=surviving
+    )
 
 
 def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
@@ -167,74 +164,167 @@ def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
     return tuple(v for v, _ in items), list(accumulate(weights)), sum(weights)
 
 
-def _pick(rng: random.Random, values: tuple, cum: list[float], total: float) -> object:
+def _pick(rng: _random.Random, values: tuple, cum: list[float], total: float) -> object:
     """Weighted draw over a support given by its :func:`_table`: the first
     value whose running sum exceeds the point drawn, else the last."""
     i = bisect_right(cum, rng.random() * total)
     return values[i] if i < len(values) else values[-1]
 
 
-def _longest_path(lat: WordLattice) -> int:
-    """The edge count of the longest source-to-sink path of ``lat``, with
-    the edges relaxed in topological order (no recursion, so a path of any
-    length is fine)."""
+def _topological(lat: WordLattice) -> list[int]:
+    """The nodes of ``lat`` that the source reaches, in a topological order
+    (no recursion, so a path of any length is fine)."""
     out = lat.outgoing()
-    pending = Counter(e.dst for e in lat.edges)  # in-edges not yet relaxed
-    dist = {lat.source: 0}
+    pending = Counter(e.dst for e in lat.edges)  # in-edges not yet walked
+    order = []
     ready = [lat.source]
     while ready:
         node = ready.pop()
+        order.append(node)
         for e in out.get(node, ()):
-            dist[e.dst] = max(dist.get(e.dst, 0), dist[node] + 1)
             pending[e.dst] -= 1
             if not pending[e.dst]:
                 ready.append(e.dst)
+    return order
+
+
+def _longest_path(lat: WordLattice) -> int:
+    """The edge count of the longest source-to-sink path of ``lat``."""
+    inc = lat.incoming()
+    dist = {lat.source: 0}
+    for node in _topological(lat)[1:]:
+        dist[node] = max(dist[e.src] for e in inc[node]) + 1
     return dist[lat.sink]
 
 
+def _compat(lat: WordLattice) -> list[int]:
+    """Per edge of ``lat``, the bitmask (bit i for ``lat.edges[i]``) of the
+    edges that share a source-to-sink path with it: those whose ``dst``
+    reaches its ``src``, itself, and those its ``dst`` reaches."""
+    index = {e: i for i, e in enumerate(lat.edges)}
+    inc, out = lat.incoming(), lat.outgoing()
+    order = _topological(lat)
+    into: dict[int, int] = {}  # node -> the edges whose dst reaches it
+    for node in order:
+        mask = 0
+        for e in inc.get(node, ()):
+            mask |= into[e.src] | 1 << index[e]
+        into[node] = mask
+    outof: dict[int, int] = {}  # node -> the edges it reaches
+    for node in reversed(order):
+        mask = 0
+        for e in out.get(node, ()):
+            mask |= outof[e.dst] | 1 << index[e]
+        outof[node] = mask
+    return [into[e.src] | 1 << i | outof[e.dst] for i, e in enumerate(lat.edges)]
+
+
+def _live(pruned: PrunedGrammar) -> frozenset[Context]:
+    """The contexts that derive some string under ``pruned``: a preterminal
+    context with a word, and, closed bottom-up, an interminal context with
+    a rule whose two child contexts are live."""
+    live = set(pruned.lexical)
+    pending = dict(pruned.binary)
+    added = True
+    while added:
+        added = False
+        for ctx in list(pending):
+            if any(
+                (rhs[0], rhs[1]) in live and (rhs[2], rhs[3]) in live
+                for rhs, _ in pending[ctx]
+            ):
+                live.add(ctx)
+                del pending[ctx]
+                added = True
+    return frozenset(live)
+
+
+class _Question:
+    """What the lattice states of one question's draws share: the pruned
+    grammar and lattice the draws start from, the edge count of its longest
+    path, each edge's index and compatibility mask (see :func:`_compat`),
+    each preterminal symbol's words and each interminal's child-symbol
+    pairs, the contexts that derive a string over its vocabulary
+    (:func:`_live`), and whether no root context does."""
+
+    __slots__ = ("pruned", "lattice", "longest", "index", "compat", "words", "pairs",
+                 "live", "doomed")
+
+    def __init__(self, pruned: PrunedGrammar, lat: WordLattice) -> None:
+        self.pruned = pruned
+        self.lattice = lat
+        self.longest = _longest_path(lat)
+        self.index = {e: i for i, e in enumerate(lat.edges)}
+        self.compat = _compat(lat)
+        self.words: dict[str, set[str]] = {}
+        for (sym, _), entries in pruned.lexical.items():
+            self.words.setdefault(sym, set()).update(w for w, _ in entries)
+        self.pairs: dict[str, set[tuple[str, str]]] = {}
+        for (sym, _), entries in pruned.binary.items():
+            self.pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs, _ in entries)
+        self.live = _live(pruned)
+        self.doomed = not any(ctx in self.live for ctx, _ in pruned.roots)
+
+    def symbols(self, vocab: frozenset[str]) -> frozenset[str]:
+        """The symbols of the pruned grammar that survive over ``vocab``."""
+        return _close(
+            {sym for sym, words in self.words.items() if not words.isdisjoint(vocab)},
+            self.pairs,
+        )
+
+
 class _State:
-    """One lattice state of a question: the lattice, the grammar narrowed
-    to it, its edges by token (in canonical order), its transitions (the
-    consumed edge to the next state), once needed its witness path and
-    (in a state that draws start in) the edge count of its longest path,
-    and the draw tables of the contexts drawn in it (of the roots under
-    None): ``(values, running sums, total, words)``.  A binary context's
-    values are pairs of child contexts; a preterminal's are words, and
-    ``words`` is their set (None in the other tables).
+    """One lattice state of a question: its edge mask (bit i for edge i of
+    the question's lattice), its lattice, the symbols surviving over it,
+    the edge mask of each of its tokens, once needed its witness path, and
+    the draw tables of the contexts drawn in it (of the roots under None):
+    ``(values, running sums, total, edges)``.  A binary context's values
+    are pairs of child contexts, and the roots' are contexts, with None for
+    one that is not live; a preterminal's are words, and ``edges`` is the
+    mask of their edges (None in the other tables).
     """
 
-    __slots__ = ("lattice", "pruned", "by_token", "next", "witness", "longest", "tables")
+    __slots__ = ("question", "mask", "lattice", "symbols", "tokens", "witness", "tables")
 
-    def __init__(self, lattice: WordLattice, pruned: PrunedGrammar) -> None:
+    def __init__(
+        self, question: _Question, mask: int, lattice: WordLattice, symbols: frozenset[str]
+    ) -> None:
+        self.question = question
+        self.mask = mask
         self.lattice = lattice
-        self.pruned = pruned
-        self.by_token: dict[str, list[Edge]] = {}
+        self.symbols = symbols
+        self.tokens: dict[str, int] = {}
         for e in lattice.edges:
-            self.by_token.setdefault(e.token, []).append(e)
-        self.next: dict[Edge, _State] = {}
-        self.witness: tuple[Edge, ...] | None = None
-        self.longest: int | None = None
+            self.tokens[e.token] = self.tokens.get(e.token, 0) | 1 << question.index[e]
+        self.witness: list[tuple[int, Edge]] | None = None
         self.tables: dict[Context | None, tuple] = {}
 
     def table(self, ctx: Context | None) -> tuple:
         """The draw table of ``ctx`` (of the roots for None), built on
-        first use."""
+        first use from the question's pruned grammar, kept to this state's
+        symbols and tokens."""
         table = self.tables.get(ctx)
         if table is not None:
             return table
-        pruned = self.pruned
+        pruned = self.question.pruned
+        live = self.question.live
+        symbols = self.symbols
         if ctx is None:
-            table = (*_table(pruned.roots), None)
+            table = (*_table([(c if c in live else None, p) for c, p in pruned.roots]), None)
         elif ctx[0] in pruned.grammar.preterminals:
-            support = [
-                (w, p) for w, p in pruned.lexical.get(ctx, ()) if w in self.by_token
-            ]
-            table = (*_table(support), frozenset(w for w, _ in support))
+            support = [(w, p) for w, p in pruned.lexical.get(ctx, ()) if w in self.tokens]
+            edges = 0
+            for w, _ in support:
+                edges |= self.tokens[w]
+            table = (*_table(support), edges)
         else:
-            table = (*_table([
-                (((rhs[0], rhs[1]), (rhs[2], rhs[3])), p)
-                for rhs, p in pruned.binary.get(ctx, ())
-            ]), None)
+            support = []
+            if ctx[0] in symbols:
+                for (b, bs, c, cs), p in pruned.binary.get(ctx, ()):
+                    if b in symbols and c in symbols:
+                        pair = ((b, bs), (c, cs))
+                        support.append((pair if pair[0] in live and pair[1] in live else None, p))
+            table = (*_table(support), None)
         self.tables[ctx] = table
         return table
 
@@ -243,7 +333,7 @@ def sample_one(
     pruned: PrunedGrammar,
     lat: WordLattice,
     seed: int,
-    states: dict[tuple[Edge, ...], _State] | None = None,
+    states: dict[int, _State] | None = None,
     seen: Container[tuple[str, ...]] = (),
 ) -> ParaphraseCandidate | SampleFailure | None:
     """Draw one derivation; breadth-first, with controlled path removal.
@@ -253,90 +343,103 @@ def sample_one(
     consumed lattice edge (the canonically least); the removal step then
     drops all paths conflicting with it.  ``states`` is the memo of lattice
     states that the draws over one ``pruned``/``lat`` pair share (see
-    :func:`sample_many`); without it the draw keeps a private one.  A
-    completed draw whose tokens are in ``seen`` returns None without
-    building its derivation.
+    :func:`sample_many`); without it the draw keeps a private one.  A memo
+    used with another pair raises ValueError.  A completed draw whose
+    tokens are in ``seen`` returns None without building its derivation.
     """
-    rng = random.Random(seed)
     if states is None:
         states = {}
-    state = states.get(lat.edges)
+    full = (1 << len(lat.edges)) - 1
+    state = states.get(full)
     if state is None:
-        state = states[lat.edges] = _State(lat, pruned)
-    if state.longest is None:
-        state.longest = _longest_path(lat)
-    longest = state.longest
-    consumed: set[Edge] = set()
-    spent: set[str] = set()  # the tokens of the consumed edges
-
-    if not pruned.roots:
+        if states:
+            raise ValueError("the state memo belongs to another lattice")
+        state = states[full] = _State(_Question(pruned, lat), full, lat, pruned.symbols)
+    question = state.question
+    if (question.lattice is not lat and question.lattice != lat) or (
+        question.pruned is not pruned and question.pruned != pruned
+    ):
+        raise ValueError("the state memo belongs to another lattice or grammar")
+    if question.doomed:
         return SampleFailure("dead-end", seed)
+
+    # random.Random's C base class: the same stream, seeded without the
+    # Python-level __init__ and seed wrappers.
+    rng = _random.Random(seed)
+    compat = question.compat
+    longest = question.longest
+    used = 0  # the mask of the consumed edges
+    n_used = 0
     # Each level of the frontier is the list of its contexts, left to
     # right; ``levels`` keeps each with the word drawn at each position
-    # (None where a binary rule was drawn).
+    # (None where a binary rule was drawn).  A context that is not live
+    # can never complete, so a draw that picks one ends there.
     values, cum, total, _ = state.table(None)
-    level = [_pick(rng, values, cum, total)]
+    root = _pick(rng, values, cum, total)
+    if root is None:
+        return SampleFailure("dead-end", seed)
+    level = [root]
     levels: list[tuple[list[Context], list[str | None]]] = []
     while level:
         # Each pending context yields a word, each word consumes its own
         # edge, and all of them lie on one path of the starting lattice: a
         # draw that needs more edges than its longest path cannot complete.
-        if len(consumed) + len(level) > longest:
+        if n_used + len(level) > longest:
             return SampleFailure("dead-end", seed)
         words: list[str | None] = []
         below: list[Context] = []
         for ctx in level:
-            values, cum, total, vocab = state.table(ctx)
+            values, cum, total, edges = state.table(ctx)
             if not values:
                 return SampleFailure("dead-end", seed)
-            # A preterminal's table (the one with a word set) is its support
-            # unless a word drawn before in this draw has no free edge left.
-            if vocab is not None and not spent.isdisjoint(vocab) and any(
-                consumed.issuperset(state.by_token[w]) for w in spent & vocab
-            ):
+            if edges is None:
+                pair = _pick(rng, values, cum, total)
+                if pair is None:
+                    return SampleFailure("dead-end", seed)
+                below += pair
+                words.append(None)
+                continue
+            tokens = state.tokens
+            # A preterminal's table is its support unless a word drawn
+            # before in this draw has no free edge left.
+            if used & edges and any(not tokens[w] & ~used for w in values):
                 avail = [
                     (w, p)
-                    for w, p in state.pruned.lexical.get(ctx, ())
-                    if not consumed.issuperset(state.by_token.get(w, ()))
+                    for w, p in question.pruned.lexical[ctx]
+                    if tokens.get(w, 0) & ~used
                 ]
                 if not avail:
                     return SampleFailure("dead-end", seed)
                 word = _pick(rng, *_table(avail))
             else:
                 word = _pick(rng, values, cum, total)
-                if vocab is None:
-                    below += word  # the pair of child contexts
-                    words.append(None)
-                    continue
-            if word in spent:
-                edge = next(e for e in state.by_token[word] if e not in consumed)
-            else:
-                edge = state.by_token[word][0]
-                spent.add(word)
-            consumed.add(edge)
+            free = tokens[word] & ~used
+            bit = free & -free  # the canonically least free edge
+            used |= bit
+            n_used += 1
             words.append(word)
-            nxt = state.next.get(edge)
-            if nxt is None:
-                narrowed = remove_conflicting(state.lattice, edge)
-                if len(narrowed.edges) == len(state.lattice.edges):
-                    nxt = state
-                else:
-                    nxt = states.get(narrowed.edges)
-                    if nxt is None:
-                        nxt = states[narrowed.edges] = _State(
-                            narrowed, _narrow(state.pruned, narrowed.vocabulary())
-                        )
-                state.next[edge] = nxt
-            state = nxt
+            # The edges left are those compatible with every consumed one.
+            i = bit.bit_length() - 1
+            mask = state.mask & compat[i]
+            if mask != state.mask:
+                nxt = states.get(mask)
+                if nxt is None:
+                    narrowed = remove_conflicting(state.lattice, lat.edges[i])
+                    nxt = states[mask] = _State(
+                        question, mask, narrowed, question.symbols(narrowed.vocabulary())
+                    )
+                state = nxt
         levels.append((level, words))
         level = below
 
     # Order the consumed edges along a witness path: after the removals,
     # every remaining source-to-sink path passes through all of them.
     if state.witness is None:
-        state.witness = enumerate_edge_paths(state.lattice, 1)[0]
-    path = tuple(e for e in state.witness if e in consumed)
-    if len(path) != len(consumed):
+        state.witness = [
+            (question.index[e], e) for e in enumerate_edge_paths(state.lattice, 1)[0]
+        ]
+    path = tuple(e for i, e in state.witness if used >> i & 1)
+    if len(path) != n_used:
         raise AssertionError("consumed edges do not lie on one path")
 
     # Each level's yields, bottom-up: a binary node's is its children's,
@@ -386,7 +489,7 @@ def sample_many(
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     pruned = prune_grammar(grammar, lat)  # raises EmptyIntersection
-    states: dict[tuple[Edge, ...], _State] = {}
+    states: dict[int, _State] = {}
     question_tokens = tuple(question)
     out: list[ParaphraseCandidate] = []
     seen: set[tuple[str, ...]] = {question_tokens}

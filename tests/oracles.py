@@ -6,16 +6,17 @@ implementation paths it checks: derivations are enumerated one by one
 complete paths, grammar languages are unrolled top-down, and each tree
 node's context is looked up from the root on its own.  The one exception
 is ``reference_sample_one``, the sampler's draw before lattice states were
-memoized: it reuses the sampler's narrowing helper, keeps its own copy of
-the linear-scan weighted draw (``reference_draw``) and of the mutable
-derivation node, and redoes the conflict removal and narrowing at every
-emitted word.  ``reference_compute_features`` is the classifier's pair
-features with each BLEU order counted afresh for every cumulative BLEU
-score; it shares the edit distance and the mention count.  The KB lookups
-below are the scans over every entity, triple or type assertion that the
-indexed ``KnowledgeGraph`` replaced (they share only ``entity_surface``,
-the definition of a surface), and ``reference_kmeans`` is k-means with
-its distance tensor built in one piece.  ``reference_ground`` is the beam
+memoized: it shares the conflict removal and the path enumeration, keeps
+its own grammar narrowing (``reference_narrow``), linear-scan weighted
+draw (``reference_draw``) and mutable derivation node, and redoes the
+conflict removal and narrowing at every emitted word.
+``reference_compute_features`` is the classifier's pair features with
+each BLEU order counted afresh for every cumulative BLEU score; it shares
+the edit distance and the mention count.  The KB lookups below are the
+scans over every entity, triple or type assertion that the indexed
+``KnowledgeGraph`` replaced (they share only ``entity_surface``, the
+definition of a surface), and ``reference_kmeans`` is k-means with its
+distance tensor built in one piece.  ``reference_ground`` is the beam
 search that recomputed every state's features and key from scratch at
 every decision step; it shares the option lists, the entity assignments,
 the stem overlap and ``dot_score``.  ``reference_enumerate_edge_paths``
@@ -41,12 +42,7 @@ from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescor
 from paralat.errors import NoEntityCandidates
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
-from paralat.sampler import (
-    ParaphraseCandidate,
-    PrunedGrammar,
-    SampleFailure,
-    _narrow,
-)
+from paralat.sampler import ParaphraseCandidate, PrunedGrammar, SampleFailure
 from paralat.semparse import (
     GroundedGraph,
     _edge_options,
@@ -425,6 +421,43 @@ def reference_draw(rng: random.Random, items: Sequence[tuple]) -> object:
     return items[-1][0]
 
 
+def reference_narrow(pruned: PrunedGrammar, vocab: frozenset[str]) -> PrunedGrammar:
+    """Re-restrict a pruned grammar to a smaller vocabulary: keep the words
+    in ``vocab``, close over symbols bottom-up one sweep at a time, then
+    keep the rules and roots whose symbols survive."""
+    lexical = {}
+    surviving = set()
+    for ctx, entries in pruned.lexical.items():
+        kept = tuple(e for e in entries if e[0] in vocab)
+        if kept:
+            lexical[ctx] = kept
+            surviving.add(ctx[0])
+    while True:
+        added = False
+        for ctx, entries in pruned.binary.items():
+            if ctx[0] not in surviving and any(
+                rhs[0] in surviving and rhs[2] in surviving for rhs, _ in entries
+            ):
+                surviving.add(ctx[0])
+                added = True
+        if not added:
+            break
+    binary = {}
+    for ctx, entries in pruned.binary.items():
+        kept = tuple(
+            e for e in entries if e[0][0] in surviving and e[0][2] in surviving
+        )
+        if ctx[0] in surviving and kept:
+            binary[ctx] = kept
+    return PrunedGrammar(
+        grammar=pruned.grammar,
+        roots=tuple((ctx, p) for ctx, p in pruned.roots if ctx[0] in surviving),
+        binary=binary,
+        lexical=lexical,
+        symbols=frozenset(surviving),
+    )
+
+
 class _Node:
     __slots__ = ("symbol", "state", "word", "children")
 
@@ -484,7 +517,7 @@ def reference_sample_one(
             narrowed = remove_conflicting(current, edge)
             if len(narrowed.edges) != len(current.edges):
                 current = narrowed
-                pg = _narrow(pg, current.vocabulary())
+                pg = reference_narrow(pg, current.vocabulary())
         else:
             support = pg.binary.get(ctx, ())
             if not support:

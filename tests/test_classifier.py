@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_compute_features
+from paralat import classifier
 from paralat.classifier import (
     ClassifierModel,
     FEATURE_NAMES,
@@ -17,6 +18,7 @@ from paralat.classifier import (
     read_labeled_pairs,
     save_model,
     train,
+    _source_ngrams,
 )
 from paralat.cky import DerivationNode, DerivationTree
 from paralat.data_files import data_path
@@ -109,6 +111,36 @@ class TestOnePassBleu:
         source, candidate, entities = pair
         got = compute_features(source, candidate, entities)
         assert got == reference_compute_features(source, candidate, entities)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pairs(), st.lists(_TOKENS, max_size=4))
+    def test_source_counted_once_equals_reference(self, pair, others):
+        # One count of the source's n-grams serves every candidate.
+        source, candidate, entities = pair
+        grams = _source_ngrams(source)
+        for cand in [candidate, *others]:
+            got = compute_features(source, cand, entities, grams)
+            assert got == reference_compute_features(source, cand, entities)
+
+    def test_filter_counts_source_once(self, monkeypatch):
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return _source_ngrams(source)
+
+        monkeypatch.setattr(classifier, "_source_ngrams", counted)
+        model = ClassifierModel(weights=(1.0,) * len(FEATURE_NAMES), bias=0.0, threshold=0.0)
+        source = "what day is christmas".split()
+        candidates = [_candidate(t.split(), i) for i, t in enumerate(
+            ["what day is xmas", "which day is christmas", "when is christmas"]
+        )]
+        kept = filter_candidates(model, source, candidates)
+        assert calls == [source]
+        assert [s for _, s in kept] == sorted(
+            (model.score(reference_compute_features(source, c.tokens)) for c in candidates),
+            reverse=True,
+        )
 
 
 class TestGazetteer:

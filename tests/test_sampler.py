@@ -13,6 +13,7 @@ from oracles import (
     random_multipath_lattice,
     random_toy_grammar,
     reference_draw,
+    reference_narrow,
     reference_sample_one,
     word_salad_grammar,
 )
@@ -535,13 +536,164 @@ class TestLatticeStateMemo:
             calls.append((lat.edges, edge))
             return remove_conflicting(lat, edge)
 
+        states = []
+        init = sampler._State.__init__
+
+        def counted(state, *args):
+            states.append(state)
+            init(state, *args)
+
         monkeypatch.setattr("paralat.sampler.remove_conflicting", recording)
+        monkeypatch.setattr(sampler._State, "__init__", counted)
+        total = 0
         for tokens, lat in cases:
             calls.clear()
+            states.clear()
             got = sample_many(tokens, grammar, lat, DRAWS, 7)
-            assert calls
+            total += len(calls)
+            # A case whose draws all end before a word is emitted (at a
+            # pick that is not live) removes nothing.
             assert len(calls) == len(set(calls))
+            assert len(calls) <= len(states)
             assert _fields(got) == _fields(_reference_many(tokens, grammar, lat, DRAWS, 7))
+        assert total
+
+
+S1 = StateLabel(1)
+
+
+def _dead_state_grammar(roots: dict) -> LatentGrammar:
+    """X-0 derives "a a"; X-1's only rule needs B, whose one word "b" is on
+    no lattice below, so X survives pruning but X-1 derives nothing."""
+    return LatentGrammar(
+        layers=LayerConfig(2),
+        interminals=frozenset(["S", "X"]),
+        preterminals=frozenset(["A", "B"]),
+        roots=roots,
+        binary={
+            ("S", S0): {("A", S0, "X", S0): 0.5, ("A", S0, "X", S1): 0.5},
+            ("S", S1): {("X", S1, "X", S1): 1.0},
+            ("X", S0): {("A", S0, "A", S0): 0.6, ("X", S1, "A", S0): 0.4},
+            ("X", S1): {("A", S0, "B", S0): 1.0},
+        },
+        lexical={("A", S0): {"a": 1.0}, ("B", S0): {"b": 1.0}},
+    )
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestStateMasks:
+    def test_mask_equals_iterated_conflict_removal(self):
+        # On a valid lattice an edge survives the consumed edges exactly
+        # when one of it and each of them reaches the other, so the AND of
+        # their compatibility masks is the edge set conflict removal keeps.
+        rng = random.Random(14)
+        steps = 0
+        for _ in range(200):
+            lat = random_multipath_lattice(rng)
+            compat = sampler._compat(lat)
+            mask = (1 << len(lat.edges)) - 1
+            current = lat
+            free = list(lat.edges)
+            while free:
+                edge = free.pop(rng.randrange(len(free)))
+                mask &= compat[lat.edges.index(edge)]
+                current = remove_conflicting(current, edge)
+                assert [lat.edges[i] for i in _bits(mask)] == list(current.edges)
+                free = [e for e in free if e in current.edges]
+                steps += 1
+        assert steps > 600
+
+    def test_memo_states_match_their_lattices(self, heldout_lattices):
+        # Every state of a real memo: its mask names its lattice's edges,
+        # and its symbols are those of the grammar narrowed to it afresh.
+        grammar, cases = heldout_lattices
+        for _tokens, lat in cases:
+            pruned = prune_grammar(grammar, lat)
+            states: dict = {}
+            for seed in range(DRAWS):
+                sample_one(pruned, lat, seed, states=states)
+            for mask, state in states.items():
+                assert [lat.edges[i] for i in _bits(mask)] == list(state.lattice.edges)
+                narrowed = reference_narrow(pruned, state.lattice.vocabulary())
+                assert state.symbols == narrowed.symbols
+
+    def test_draw_ends_at_pick_of_dead_context(self, monkeypatch):
+        grammar = _dead_state_grammar({("S", S0): 1.0})
+        lat = build_naive(["a", "a", "a"])
+        pruned = prune_grammar(grammar, lat)
+        # X-1 keeps no rule, but S-0 and X-0 still rewrite to it.
+        assert pruned.symbols == {"S", "X", "A"} and ("X", S1) not in pruned.binary
+        assert (("A", S0, "X", S1), 0.5) in pruned.binary[("S", S0)]
+        table = sampler._State.table
+        looked_up = []
+
+        def counted(state, ctx):
+            looked_up.append(ctx)
+            return table(state, ctx)
+
+        monkeypatch.setattr(sampler._State, "table", counted)
+        states: dict = {}
+        lookups = Counter()
+        for seed in range(60):
+            looked_up.clear()
+            result = sample_one(pruned, lat, seed, states=states)
+            if isinstance(result, SampleFailure):
+                # The draw ends at the binary pick of S or X-0 that reaches
+                # X-1: it never looks X-1 up.
+                assert looked_up[-1] in {("S", S0), ("X", S0)}
+                lookups[len(looked_up)] += 1
+            else:
+                assert result.tokens == ("a", "a", "a")
+            assert ("X", S1) not in looked_up
+        assert set(lookups) == {2, 4}
+        monkeypatch.undo()
+        got = sample_many(["q"], grammar, lat, DRAWS, 3)
+        assert got and _fields(got) == _fields(_reference_many(["q"], grammar, lat, DRAWS, 3))
+
+    def test_no_live_root_seeds_no_generator(self, monkeypatch):
+        grammar = _dead_state_grammar({("S", S1): 1.0})
+        lat = build_naive(["a", "a", "a"])
+        pruned = prune_grammar(grammar, lat)
+        assert [ctx for ctx, _ in pruned.roots] == [("S", S1)]
+
+        def no_generator(seed):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(sampler._random, "Random", no_generator)
+        states: dict = {}
+        for seed in range(20):
+            assert sample_one(pruned, lat, seed, states=states) == SampleFailure("dead-end", seed)
+        got = sample_many(["q"], grammar, lat, DRAWS, 0)
+        monkeypatch.undo()
+        assert got == _reference_many(["q"], grammar, lat, DRAWS, 0) == []
+
+    def test_c_generator_stream_equals_random_random(self):
+        for seed in [*range(1000), 2**32, 2**32 + 7, 2**64 + 3, 10**30]:
+            fast, slow = sampler._random.Random(seed), random.Random(seed)
+            assert [fast.random() for _ in range(5)] == [slow.random() for _ in range(5)]
+
+    def test_memo_of_another_lattice_or_grammar_is_refused(self):
+        grammar = _product_grammar()
+        lat = build_naive("a b c d".split())
+        pruned = prune_grammar(grammar, lat)
+        states: dict = {}
+        sample_one(pruned, lat, 0, states=states)
+        # An equal lattice and grammar may share the memo.
+        same = WordLattice(lat.source, lat.sink, tuple(lat.edges))
+        assert sample_one(prune_grammar(grammar, same), same, 1, states=states) == sample_one(
+            pruned, lat, 1
+        )
+        other_words = build_naive("c d a b".split())  # as many edges
+        shorter = build_naive("a b".split())
+        longer = build_naive("a b c d a".split())
+        for other in (other_words, shorter, longer):
+            with pytest.raises(ValueError):
+                sample_one(prune_grammar(grammar, other), other, 0, states=states)
+        with pytest.raises(ValueError):
+            sample_one(prune_grammar(word_salad_grammar("abcd"), lat), lat, 0, states=states)
 
 
 # Weights with ties, zeros, subnormals and values far apart in magnitude.
