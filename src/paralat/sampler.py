@@ -11,7 +11,7 @@ breadth-first, one level at a time; every emitted word consumes a lattice
 edge, conflicting paths are removed, and the supports are narrowed
 accordingly, so each completed sample draws its words from a single
 source-to-sink path.  Dead ends are normal outcomes: the sample fails and
-its seed is burned.  A draw is also a dead end once its consumed edges
+its seed yields nothing.  A draw is also a dead end once its consumed edges
 and pending contexts outnumber the edges of the longest path of the
 lattice it started on, since each pending context still has to emit a
 word on an edge of its own and every later lattice state keeps a subset
@@ -36,8 +36,18 @@ The question also keeps ``live``, the closure over contexts for its whole
 vocabulary.  A context outside it derives no string over the question,
 nor over any later state, whose vocabulary is smaller.  So a draw that
 picks one, as its root or as a child of a binary rule, is doomed, and it
-ends at that pick; when no root context is live, a draw ends before its
-generator is seeded.  These draws end as they would have, later.
+ends at that pick; when no root context is live, a draw ends before it
+reads a random number.  These draws end as they would have, later.
+
+A draw reads the floats ``random.Random(seed).random()`` gives, one per
+pick, from its seed's stream: the seed's generator and the floats it has
+given so far, kept in a bounded cache and extended on demand.  Each draw
+reads its stream from the start with its own cursor, so it sees the same
+floats whatever ran before it.  Seeding a generator costs far more than
+a float, and :func:`sample_many` calls whose seed ranges overlap (the
+CLI's neighbouring questions share all but one seed) read the same
+streams, so a stream is seeded once per run rather than once per draw.
+Each thread has a cache of its own, so the cache needs no lock.
 
 Each state also keeps, per context, the running sums of its support's
 weights, so a rule draw is one bisection, with the same pick as a linear
@@ -49,11 +59,12 @@ has builds and rescores nothing.
 from __future__ import annotations
 
 import _random
+import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Collection, Container, Sequence
+from typing import Collection, Container, Iterator, Sequence
 
 from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
@@ -164,11 +175,50 @@ def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
     return tuple(v for v, _ in items), list(accumulate(weights)), sum(weights)
 
 
-def _pick(rng: _random.Random, values: tuple, cum: list[float], total: float) -> object:
-    """Weighted draw over a support given by its :func:`_table`: the first
-    value whose running sum exceeds the point drawn, else the last."""
-    i = bisect_right(cum, rng.random() * total)
+def _pick(u: float, values: tuple, cum: list[float], total: float) -> object:
+    """Weighted draw over a support given by its :func:`_table`, for the
+    uniform float ``u`` in [0, 1): the first value whose running sum
+    exceeds ``u * total``, else the last."""
+    i = bisect_right(cum, u * total)
     return values[i] if i < len(values) else values[-1]
+
+
+# At least the draws of one question (``--m`` is 300 by default), so the
+# streams of a question window stay cached; a stream is about 2.8 KB.
+_STREAMS_KEPT = 1024
+
+
+class _Streams(threading.local):
+    """This thread's cached streams: seed -> (its generator, the floats
+    the generator has given)."""
+
+    def __init__(self) -> None:
+        self.by_seed: dict[int, tuple[_random.Random, list[float]]] = {}
+
+
+_streams = _Streams()
+
+
+def _stream(seed: int) -> Iterator[float]:
+    """The floats of ``random.Random(seed).random()``, in order, read from
+    the seed's cached stream and extended on demand.  When the cache is
+    full, a new seed's stream replaces the oldest one."""
+    streams = _streams.by_seed
+    entry = streams.get(seed)
+    if entry is None:
+        if len(streams) >= _STREAMS_KEPT:
+            del streams[next(iter(streams))]
+        # random.Random's C base class: the same stream, seeded without
+        # the Python-level __init__ and seed wrappers.
+        entry = streams[seed] = (_random.Random(seed), [])
+    rng, floats = entry
+    yield from floats  # the floats given so far, and any appended meanwhile
+    i = len(floats)
+    while True:
+        if i == len(floats):
+            floats.append(rng.random())
+        yield floats[i]
+        i += 1
 
 
 def _topological(lat: WordLattice) -> list[int]:
@@ -363,9 +413,7 @@ def sample_one(
     if question.doomed:
         return SampleFailure("dead-end", seed)
 
-    # random.Random's C base class: the same stream, seeded without the
-    # Python-level __init__ and seed wrappers.
-    rng = _random.Random(seed)
+    draw = _stream(seed).__next__
     compat = question.compat
     longest = question.longest
     used = 0  # the mask of the consumed edges
@@ -375,7 +423,7 @@ def sample_one(
     # (None where a binary rule was drawn).  A context that is not live
     # can never complete, so a draw that picks one ends there.
     values, cum, total, _ = state.table(None)
-    root = _pick(rng, values, cum, total)
+    root = _pick(draw(), values, cum, total)
     if root is None:
         return SampleFailure("dead-end", seed)
     level = [root]
@@ -393,7 +441,7 @@ def sample_one(
             if not values:
                 return SampleFailure("dead-end", seed)
             if edges is None:
-                pair = _pick(rng, values, cum, total)
+                pair = _pick(draw(), values, cum, total)
                 if pair is None:
                     return SampleFailure("dead-end", seed)
                 below += pair
@@ -410,9 +458,9 @@ def sample_one(
                 ]
                 if not avail:
                     return SampleFailure("dead-end", seed)
-                word = _pick(rng, *_table(avail))
+                word = _pick(draw(), *_table(avail))
             else:
-                word = _pick(rng, values, cum, total)
+                word = _pick(draw(), values, cum, total)
             free = tokens[word] & ~used
             bit = free & -free  # the canonically least free edge
             used |= bit

@@ -199,19 +199,19 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
     optional TEXT and SCORE lines).
 
     Each TARGET, ENTITY, TYPE and EVENT id names one node, an edge joins an
-    EVENT to a node, and a type constrains ``target`` or an ENTITY; a line
-    that breaks one of these rules is named by its ``file:line``.
+    EVENT to a node and is given once, and a type constrains ``target`` or
+    an ENTITY; a line that breaks one of these rules is named by its
+    ``file:line``.
     """
     target: str | None = None
     entity_nodes: list[tuple[str, tuple[str, ...]]] = []
     type_nodes: list[tuple[str, str, str]] = []
     events: list[str] = []
-    edges: list[tuple[str, str, str]] = []
     text: tuple[str, ...] = ()
     score = 1.0
     kinds: dict[str, tuple[str, int]] = {}  # node id -> (kind, line)
     type_lines: list[int] = []
-    edge_lines: list[int] = []
+    edges: dict[tuple[str, str, str], int] = {}  # edge -> line, in file order
 
     def declare(nid: str, kind: str, lineno: int) -> None:
         if nid in kinds:
@@ -249,13 +249,17 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
             declare(parts[1], kind, lineno)
             target = parts[1]
         elif kind == "EDGE" and len(parts) == 4:
-            edges.append((parts[1], parts[2], parts[3]))
-            edge_lines.append(lineno)
+            edge = (parts[1], parts[2], parts[3])
+            if edge in edges:
+                raise SemparseError(
+                    f"{path}:{lineno}: edge {' '.join(edge)!r} repeats line {edges[edge]}"
+                )
+            edges[edge] = lineno
         else:
             raise SemparseError(f"{path}:{lineno}: bad graph line {line!r}")
     if target is None:
         raise SemparseError(f"{path}: missing TARGET node")
-    for lineno, (event, node, _) in zip(edge_lines, edges):
+    for (event, node, _), lineno in edges.items():
         if event not in events:
             raise SemparseError(f"{path}:{lineno}: edge references unknown event {event!r}")
         if node not in kinds:

@@ -270,10 +270,11 @@ class TestOddQuestionGraphs:
             ("EDGE ev2 x capital.arg", "edge references unknown event 'ev2'"),
             ("EDGE e1 x capital.arg", "edge references unknown event 'e1'"),
             ("EDGE ev1 e2 capital.arg", "edge references unknown node 'e2'"),
+            ("EDGE ev1 e1 capital.of", "edge 'ev1 e1 capital.of' repeats line 4"),
         ],
         ids=["type-on-event", "type-on-target-id", "type-on-type", "type-on-unknown",
              "duplicate-entity", "duplicate-event", "entity-is-target", "edge-unknown-event",
-             "edge-entity-as-event", "edge-unknown-node"],
+             "edge-entity-as-event", "edge-unknown-node", "duplicate-edge"],
     )
     def test_rejected_at_its_line_without_traceback(self, sixth_line, message, tmp_path, capsys):
         assert main(_semparse_train_on(tmp_path, sixth_line)) == 2

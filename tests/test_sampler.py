@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -659,10 +661,14 @@ class TestStateMasks:
         pruned = prune_grammar(grammar, lat)
         assert [ctx for ctx, _ in pruned.roots] == [("S", S1)]
 
-        def no_generator(seed):
-            raise AssertionError("a generator was seeded")
+        def no_stream(seed):
+            raise AssertionError("a random stream was requested")
 
-        monkeypatch.setattr(sampler._random, "Random", no_generator)
+        # A cached stream would need no generator, so the stream itself is
+        # refused, and so is seeding one into an empty cache.
+        monkeypatch.setattr(sampler, "_stream", no_stream)
+        monkeypatch.setattr(sampler._streams, "by_seed", {})
+        monkeypatch.setattr(sampler._random, "Random", no_stream)
         states: dict = {}
         for seed in range(20):
             assert sample_one(pruned, lat, seed, states=states) == SampleFailure("dead-end", seed)
@@ -670,10 +676,88 @@ class TestStateMasks:
         monkeypatch.undo()
         assert got == _reference_many(["q"], grammar, lat, DRAWS, 0) == []
 
-    def test_c_generator_stream_equals_random_random(self):
-        for seed in [*range(1000), 2**32, 2**32 + 7, 2**64 + 3, 10**30]:
+    def test_c_generator_stream_equals_random_random(self, monkeypatch):
+        # A benchmark draw reads at most 18 floats; a fresh stream is read
+        # past that, then read again from the cache and extended, and two
+        # readers of one seed take turns.
+        monkeypatch.setattr(sampler._streams, "by_seed", {})
+        seeds = [*range(1000), 2**32, 2**32 + 7, 2**64 + 3, 10**30]
+        for seed in seeds:
             fast, slow = sampler._random.Random(seed), random.Random(seed)
             assert [fast.random() for _ in range(5)] == [slow.random() for _ in range(5)]
+            reference = random.Random(seed)
+            expected = [reference.random() for _ in range(40)]
+            first = sampler._stream(seed)
+            assert [next(first) for _ in range(25)] == expected[:25]
+            again, other = sampler._stream(seed), sampler._stream(seed)
+            assert [(next(again), next(other)) for _ in range(40)] == list(zip(expected, expected))
+            assert [next(first) for _ in range(15)] == expected[25:]
+        assert list(sampler._streams.by_seed) == seeds
+
+    @staticmethod
+    def _windows(cases, grammar, order):
+        # Question i draws seeds 100 + i onwards, as the CLI's derived seeds
+        # do, so neighbouring questions share DRAWS - 1 streams.
+        return {i: _fields(sample_many(cases[i][0], grammar, cases[i][1], DRAWS, 100 + i))
+                for i in order}
+
+    def test_draws_do_not_depend_on_cached_streams(self, heldout_lattices, monkeypatch):
+        grammar, cases = heldout_lattices
+        forward = range(len(cases))
+        monkeypatch.setattr(sampler._streams, "by_seed", {})
+        in_order = self._windows(cases, grammar, forward)
+        assert len(sampler._streams.by_seed) == DRAWS + len(cases) - 1
+        reverse = self._windows(cases, grammar, reversed(forward))
+        cold = {}
+        for i in forward:
+            monkeypatch.setattr(sampler._streams, "by_seed", {})
+            cold.update(self._windows(cases, grammar, [i]))
+        assert in_order == reverse == cold
+        for i, (tokens, lat) in enumerate(cases):
+            assert in_order[i] == _fields(_reference_many(tokens, grammar, lat, DRAWS, 100 + i))
+
+    def test_threads_keep_their_own_streams(self):
+        # Threads read the same seeds' streams at once, switching often:
+        # each still gets random.Random(seed)'s floats.
+        expected = {}
+        for seed in range(300):
+            reference = random.Random(seed)
+            expected[seed] = [reference.random() for _ in range(30)]
+        barrier = threading.Barrier(4, timeout=60)
+        wrong, finished = [], []
+
+        def work():
+            for seed, floats in expected.items():
+                barrier.wait()
+                stream = sampler._stream(seed)
+                if [next(stream) for _ in floats] != floats:
+                    wrong.append(seed)
+            finished.append(True)  # an exception in a thread would not fail the test
+
+        threads = [threading.Thread(target=work) for _ in range(barrier.parties)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == len(threads) and wrong == []
+
+    def test_draws_past_the_cache_bound(self, heldout_lattices, monkeypatch):
+        # More draws than the cache keeps: every stream of the second,
+        # overlapping window has been replaced before it is read again.
+        grammar, cases = heldout_lattices
+        tokens, lat = cases[0]
+        m = sampler._STREAMS_KEPT + 100
+        monkeypatch.setattr(sampler._streams, "by_seed", {})
+        for seed in (0, 1):
+            got = _fields(sample_many(tokens, grammar, lat, m, seed))
+            assert len(sampler._streams.by_seed) == sampler._STREAMS_KEPT
+            assert got and got == _fields(_reference_many(tokens, grammar, lat, m, seed))
 
     def test_memo_of_another_lattice_or_grammar_is_refused(self):
         grammar = _product_grammar()
@@ -714,11 +798,11 @@ class TestDrawTable:
         table = _table(items)
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(20):
-            assert _pick(fast, *table) == reference_draw(slow, items)
+            assert _pick(fast.random(), *table) == reference_draw(slow, items)
 
     def test_all_zero_support_picks_last(self):
         items = [("a", 0.0), ("b", 0.0), ("c", 0.0)]
-        assert _pick(random.Random(0), *_table(items)) == "c"
+        assert _pick(random.Random(0).random(), *_table(items)) == "c"
 
 
 class TestDrawCounts:

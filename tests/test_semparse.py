@@ -583,6 +583,20 @@ class TestFiles:
         with pytest.raises(SemparseError, match=r"bad.graph:2: bad score 'high'"):
             load_ungrounded(str(path))
 
+    def test_graph_file_repeated_edge(self, tmp_path):
+        # A repeated EDGE line would give grounding two decisions for one
+        # edge; the same nodes under another label are another edge.
+        path = tmp_path / "bad.graph"
+        lines = ["TARGET x", "ENTITY e1 france", "EVENT ev1", "EDGE ev1 e1 capital.of",
+                 "EDGE ev1 x capital.arg", "EDGE ev1 e1 located.in"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(load_ungrounded(str(path)).edges) == 3
+        path.write_text("\n".join(lines + ["EDGE ev1 e1 capital.of"]) + "\n", encoding="utf-8")
+        with pytest.raises(
+            SemparseError, match=r"bad.graph:7: edge 'ev1 e1 capital.of' repeats line 4"
+        ):
+            load_ungrounded(str(path))
+
     def test_perceptron_file_roundtrip(self, tmp_path, kb):
         example = QAExample(
             question=tuple("what is czech republic 's language".split()),
