@@ -8,9 +8,9 @@ Each option's type and default are declared once, on its subcommand.
 so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
-stderr and go on.  An unknown lattice mode or a score threshold that is
-``nan`` or infinite, from a flag or a config key, is a usage error before
-any input loads.
+stderr and go on.  An unknown lattice mode, a score threshold that is
+``nan`` or infinite, or a ``--beam`` below 1, from a flag or a config key,
+is a usage error before any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -275,6 +275,8 @@ def _cmd_paraphrase(args) -> int:
 
 
 def _load_dataset(args, qa_path: str | None):
+    if args.beam < 1:
+        raise _UsageError(f"--beam must be at least 1, got {args.beam}")
     kb = load_kb(_require(args.kb, "kb"))
     qa_path = _require(qa_path, "qa")
     graphs_dir = _require(args.graphs_dir, "graphs-dir")

@@ -391,34 +391,24 @@ def estimate_mle(
     root_counts: Counter[Context] = Counter()
     binary_counts: dict[Context, Counter[BinaryRhs]] = defaultdict(Counter)
     lexical_counts: dict[Context, Counter[str]] = defaultdict(Counter)
-    interminals: set[str] = set()
-    preterminals: set[str] = set()
 
     for tid, tree in enumerate(treebank):
         root_counts[(tree.label, state_at(tid, (), tree.label))] += 1
         for path, node in iter_nodes(tree):
             ctx = (node.label, state_at(tid, path, node.label))
             if node.is_preterminal:
-                preterminals.add(node.label)
                 lexical_counts[ctx][node.word] += 1
             else:
                 if len(node.children) != 2:
                     raise EstimationError(
                         f"tree {tid} is not binarized at node {path}"
                     )
-                interminals.add(node.label)
                 left, right = node.children
                 rhs = (
                     left.label, state_at(tid, path + (0,), left.label),
                     right.label, state_at(tid, path + (1,), right.label),
                 )
                 binary_counts[ctx][rhs] += 1
-
-    both = interminals & preterminals
-    if both:
-        raise EstimationError(
-            f"symbols used both as interminal and preterminal: {sorted(both)}"
-        )
 
     n_trees = len(treebank)
     roots = {ctx: count / n_trees for ctx, count in root_counts.items()}
@@ -430,14 +420,13 @@ def estimate_mle(
         ctx: {word: c / sum(table.values()) for word, c in table.items()}
         for ctx, table in lexical_counts.items()
     }
-    return LatentGrammar(
-        layers=layers,
-        interminals=frozenset(interminals),
-        preterminals=frozenset(preterminals),
-        roots=roots,
-        binary=binary,
-        lexical=lexical,
-    )
+    grammar = LatentGrammar(layers=layers, roots=roots, binary=binary, lexical=lexical)
+    both = grammar.interminals & grammar.preterminals
+    if both:
+        raise EstimationError(
+            f"symbols used both as interminal and preterminal: {sorted(both)}"
+        )
+    return grammar
 
 
 def annotate_bilayered(

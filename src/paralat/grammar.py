@@ -2,9 +2,11 @@
 
 A grammar has root, binary and lexical parameter tables.  Binary rules
 rewrite an interminal into two nonterminals; lexical rules rewrite a
-preterminal into a word.  Every nonterminal occurrence carries a
-:class:`StateLabel` with a syntactic state and, in two-layer grammars, a
-semantic state.
+preterminal into a word.  The symbol sets are read off the tables: an
+interminal is a symbol with binary rules and a preterminal one with
+lexical rules, so they cannot disagree with them.  Every nonterminal
+occurrence carries a :class:`StateLabel` with a syntactic state and, in
+two-layer grammars, a semantic state.
 
 Probabilities are kept in linear space as the canonical values (the file
 format stores them as decimal text that round-trips float64 exactly);
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .data_files import atomic_write
@@ -81,12 +84,26 @@ def parse_state(text: str, layers: LayerConfig) -> StateLabel:
 
 @dataclass(frozen=True)
 class LatentGrammar:
+    """Root, binary and lexical tables over (symbol, state) contexts.
+
+    The symbol sets are derived from the tables and cached on the
+    instance; they are not fields, so equality ignores them.
+    """
+
     layers: LayerConfig
-    interminals: frozenset[str]
-    preterminals: frozenset[str]
     roots: Mapping[Context, float]
     binary: Mapping[Context, Mapping[BinaryRhs, float]]
     lexical: Mapping[Context, Mapping[str, float]]
+
+    @cached_property
+    def interminals(self) -> frozenset[str]:
+        """The symbols with binary rules."""
+        return frozenset(sym for sym, _ in self.binary)
+
+    @cached_property
+    def preterminals(self) -> frozenset[str]:
+        """The symbols with lexical rules."""
+        return frozenset(sym for sym, _ in self.lexical)
 
     @property
     def nonterminals(self) -> frozenset[str]:
@@ -118,7 +135,9 @@ def validate(grammar: LatentGrammar) -> ValidationReport:
 
     The report lists every violation; an empty list means the grammar is
     safe for parsing and sampling (no reachable context lacks a
-    distribution).
+    distribution).  What the loader and the MLE already refuse is not
+    checked again: a symbol of both kinds, a probability outside (0, 1],
+    a grammar without roots.
     """
     bad: list[str] = []
     notes: list[str] = []
@@ -131,56 +150,36 @@ def validate(grammar: LatentGrammar) -> ValidationReport:
     else:
         notes.append(f"layer config: {layers.m1} latent states")
 
-    overlap = grammar.interminals & grammar.preterminals
-    if overlap:
-        bad.append(f"symbols both interminal and preterminal: {sorted(overlap)}")
-
     def check_state(sym: str, state: StateLabel, where: str) -> None:
         if not 0 <= state.syn < layers.m1:
             bad.append(f"{where}: ({sym},{format_state(state)}) syntactic state out of range")
-        if layers.two_layer:
-            if state.sem is None or not 0 <= state.sem < layers.m2:
-                bad.append(f"{where}: ({sym},{format_state(state)}) semantic state out of range")
-        elif state.sem is not None:
-            bad.append(f"{where}: ({sym},{format_state(state)}) has a semantic state in a one-layer grammar")
+        if layers.two_layer and not 0 <= state.sem < layers.m2:
+            bad.append(f"{where}: ({sym},{format_state(state)}) semantic state out of range")
 
-    if not grammar.roots:
-        bad.append("no root entries")
     total = math.fsum(grammar.roots.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         bad.append(f"root distribution sums to {total!r}")
-    for (sym, state), prob in grammar.roots.items():
+    for sym, state in grammar.roots:
         check_state(sym, state, "root")
         if sym not in grammar.nonterminals:
             bad.append(f"root symbol {sym!r} has no rules")
-        if not (0.0 < prob <= 1.0) or not math.isfinite(prob):
-            bad.append(f"root ({sym},{format_state(state)}) probability {prob!r} out of (0,1]")
 
     for (sym, state), table in grammar.binary.items():
         check_state(sym, state, "binary")
-        if sym not in grammar.interminals:
-            bad.append(f"binary parent {sym!r} is not an interminal")
         total = math.fsum(table.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             bad.append(f"binary ({sym},{format_state(state)}) sums to {total!r}")
-        for (b, sb, c, sc), prob in table.items():
+        for b, sb, c, sc in table:
             check_state(b, sb, f"binary rhs of ({sym},{format_state(state)})")
             check_state(c, sc, f"binary rhs of ({sym},{format_state(state)})")
             if b not in grammar.nonterminals or c not in grammar.nonterminals:
                 bad.append(f"binary rule ({sym},{format_state(state)}) -> {b} {c} uses unknown symbols")
-            if not (0.0 < prob <= 1.0) or not math.isfinite(prob):
-                bad.append(f"binary rule under ({sym},{format_state(state)}) probability {prob!r} out of (0,1]")
 
     for (sym, state), table in grammar.lexical.items():
         check_state(sym, state, "lexical")
-        if sym not in grammar.preterminals:
-            bad.append(f"lexical parent {sym!r} is not a preterminal")
         total = math.fsum(table.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             bad.append(f"lexical ({sym},{format_state(state)}) sums to {total!r}")
-        for word, prob in table.items():
-            if not (0.0 < prob <= 1.0) or not math.isfinite(prob):
-                bad.append(f"lexical rule ({sym},{format_state(state)}) -> {word!r} probability {prob!r} out of (0,1]")
 
     # Deficit check: every context referenced as a root or as a binary child
     # must have an expansion table of the right kind.
@@ -272,8 +271,6 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
     roots: dict[Context, float] = {}
     binary: dict[Context, dict[BinaryRhs, float]] = {}
     lexical: dict[Context, dict[str, float]] = {}
-    interminals: set[str] = set()
-    preterminals: set[str] = set()
 
     def state_of(token: str, lineno: int) -> StateLabel:
         try:
@@ -310,29 +307,21 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
             if rhs in table:
                 raise MalformedGrammarFile(f"{source}:{lineno}: duplicate binary rule")
             table[rhs] = prob_of(parts[7], lineno)
-            interminals.add(parts[1])
         elif kind == "LEX" and len(parts) == 5:
             ctx = (parts[1], state_of(parts[2], lineno))
             table = lexical.setdefault(ctx, {})
             if parts[3] in table:
                 raise MalformedGrammarFile(f"{source}:{lineno}: duplicate lexical rule")
             table[parts[3]] = prob_of(parts[4], lineno)
-            preterminals.add(parts[1])
         else:
             raise MalformedGrammarFile(f"{source}:{lineno}: unparseable line {line!r}")
 
     if not roots:
         raise MalformedGrammarFile(f"{source}: header requires at least one ROOT entry")
-    if interminals & preterminals:
+    grammar = LatentGrammar(layers=layers, roots=roots, binary=binary, lexical=lexical)
+    both = grammar.interminals & grammar.preterminals
+    if both:
         raise MalformedGrammarFile(
-            f"{source}: symbols used as both binary and lexical parents: "
-            f"{sorted(interminals & preterminals)}"
+            f"{source}: symbols used as both binary and lexical parents: {sorted(both)}"
         )
-    return LatentGrammar(
-        layers=layers,
-        interminals=frozenset(interminals),
-        preterminals=frozenset(preterminals),
-        roots=roots,
-        binary=binary,
-        lexical=lexical,
-    )
+    return grammar

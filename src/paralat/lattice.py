@@ -127,7 +127,8 @@ def build_naive(tokens: Sequence[str]) -> WordLattice:
 
 @dataclass(frozen=True)
 class ParaphraseRuleDB:
-    """Lexical and phrasal rewrites: source phrase -> target phrase."""
+    """Lexical and phrasal rewrites: source phrase -> target phrase, none
+    of them an identity (:func:`load_rules` drops those)."""
 
     rules: tuple[tuple[tuple[str, ...], tuple[str, ...], float], ...]
 
@@ -213,8 +214,6 @@ def build_from_rules(tokens: Sequence[str], db: ParaphraseRuleDB) -> WordLattice
                 break
             span = tuple(lowered[start:end])
             for tgt in index.get(span, []):
-                if list(tgt) == lowered[start:end]:
-                    continue
                 next_node = _add_parallel_path(
                     edges, next_node, start, end, tgt, ORIGIN_RULE
                 )

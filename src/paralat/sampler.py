@@ -64,12 +64,14 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Collection, Container, Iterator, Sequence
+from typing import Collection, Container, Iterator, Sequence, TypeVar
 
 from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
 from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
 from .lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,18 @@ class SampleFailure:
     seed: int
 
 
-def _close(surviving: set[str], pairs: dict[str, Collection[tuple[str, str]]]) -> frozenset[str]:
-    """Bottom-up closure over symbols: ``surviving`` grows by every symbol
-    with a rule (in ``pairs``, the child symbols of its contexts' binary
-    rules) whose two children survive, until no symbol is added."""
-    pending = {sym: rules for sym, rules in pairs.items() if sym not in surviving}
+def _close(surviving: set[T], pairs: dict[T, Collection[tuple[T, T]]]) -> frozenset[T]:
+    """Bottom-up closure, over symbols or over contexts: ``surviving`` grows
+    by every key of ``pairs`` with a rule (a pair of children in its
+    collection) whose two children survive, until no key is added."""
+    pending = {key: rules for key, rules in pairs.items() if key not in surviving}
     added = True
     while added:
         added = False
-        for sym in list(pending):
-            if any(b in surviving and c in surviving for b, c in pending[sym]):
-                surviving.add(sym)
-                del pending[sym]
+        for key in list(pending):
+            if any(b in surviving and c in surviving for b, c in pending[key]):
+                surviving.add(key)
+                del pending[key]
                 added = True
     return frozenset(surviving)
 
@@ -273,20 +275,13 @@ def _live(pruned: PrunedGrammar) -> frozenset[Context]:
     """The contexts that derive some string under ``pruned``: a preterminal
     context with a word, and, closed bottom-up, an interminal context with
     a rule whose two child contexts are live."""
-    live = set(pruned.lexical)
-    pending = dict(pruned.binary)
-    added = True
-    while added:
-        added = False
-        for ctx in list(pending):
-            if any(
-                (rhs[0], rhs[1]) in live and (rhs[2], rhs[3]) in live
-                for rhs, _ in pending[ctx]
-            ):
-                live.add(ctx)
-                del pending[ctx]
-                added = True
-    return frozenset(live)
+    return _close(
+        set(pruned.lexical),
+        {
+            ctx: [((b, bs), (c, cs)) for (b, bs, c, cs), _ in entries]
+            for ctx, entries in pruned.binary.items()
+        },
+    )
 
 
 class _Question:

@@ -569,13 +569,12 @@ def _edge_options(
     n1: str,
     n2: str,
 ) -> list[EdgeChoice]:
-    """Skip plus every KB relation compatible with the grounded endpoints."""
+    """Skip plus every KB relation compatible with the grounded endpoints,
+    ``n1`` and ``n2`` being two distinct nodes (see ``entity_edges``)."""
     options: list[EdgeChoice] = [None]
     found: set[tuple[str, str]] = set()
     for subj, obj, direction in ((n1, n2, "fwd"), (n2, n1, "bwd")):
         if subj == target:
-            if obj == target:
-                continue
             rows = kb._by_object.get(entity_of[obj], ())
         elif obj == target:
             rows = kb._by_subject.get(entity_of[subj], ())
@@ -824,11 +823,8 @@ def perceptron_train(
     oracles = [oracle_set(ex.graphs, kb, ex.gold, big_beam) for ex in dataset]
     for _ in range(epochs):
         for example, oracle in zip(dataset, oracles):
-            if not oracle:
-                model.skipped += 1
-                continue
-            predicted = _predict(example.graphs, kb, model.weights, beam)
-            if predicted is None:
+            predicted = _predict(example.graphs, kb, model.weights, beam) if oracle else None
+            if predicted is None:  # no oracle tuple, or no prediction (a beam below 1)
                 model.skipped += 1
                 continue
             _, predicted_feats = predicted

@@ -63,8 +63,6 @@ def bilayered_toy_grammar() -> LatentGrammar:
     }
     return LatentGrammar(
         layers=LayerConfig(64, 1000),
-        interminals=frozenset(["SBARQ", "WHNP", "SQ"]),
-        preterminals=frozenset(["WP", "NN", "AUX", "WRB", "JJ"]),
         roots=roots,
         binary=binary,
         lexical=lexical,

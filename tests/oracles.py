@@ -358,8 +358,6 @@ def random_toy_grammar(rng: random.Random) -> LatentGrammar:
     roots = {ctx: w / total for ctx, w in zip(root_ctxs, weights)}
     return LatentGrammar(
         layers=LayerConfig(m),
-        interminals=frozenset(interminals),
-        preterminals=frozenset(preterminals),
         roots=roots,
         binary=binary,
         lexical=lexical,
@@ -396,8 +394,6 @@ def word_salad_grammar(vocab: Sequence[str]) -> LatentGrammar:
     w = ("W", StateLabel(0))
     return LatentGrammar(
         layers=LayerConfig(1),
-        interminals=frozenset(["S"]),
-        preterminals=frozenset(["W"]),
         roots={s: 1.0},
         binary={
             s: {

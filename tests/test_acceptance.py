@@ -93,8 +93,6 @@ def _product_grammar() -> LatentGrammar:
     s0 = StateLabel(0)
     return LatentGrammar(
         layers=LayerConfig(1),
-        interminals=frozenset(["S"]),
-        preterminals=frozenset(["A", "B"]),
         roots={("S", s0): 1.0},
         binary={("S", s0): {("A", s0, "B", s0): 1.0}},
         lexical={

@@ -15,8 +15,6 @@ def _chain_grammar() -> LatentGrammar:
     s0 = StateLabel(0)
     return LatentGrammar(
         layers=LayerConfig(1),
-        interminals=frozenset(["S"]),
-        preterminals=frozenset(["A", "B"]),
         roots={("S", s0): 1.0},
         binary={("S", s0): {("A", s0, "B", s0): 1.0}},
         lexical={("A", s0): {"a": 0.25, "z": 0.75}, ("B", s0): {"b": 1.0}},
@@ -28,8 +26,6 @@ def _ambiguous_grammar() -> LatentGrammar:
     s0, s1 = StateLabel(0), StateLabel(1)
     return LatentGrammar(
         layers=LayerConfig(2),
-        interminals=frozenset(["S"]),
-        preterminals=frozenset(["A", "B"]),
         roots={("S", s0): 1.0},
         binary={
             ("S", s0): {("A", s0, "B", s0): 0.6, ("A", s1, "B", s1): 0.4}
@@ -48,8 +44,6 @@ class TestCkyViterbi:
         s0 = StateLabel(0)
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(),
-            preterminals=frozenset(["A"]),
             roots={("A", s0): 1.0},
             binary={},
             lexical={("A", s0): {"hi": 0.5, "yo": 0.5}},
@@ -92,8 +86,6 @@ class TestCkyViterbi:
         s0, s1 = StateLabel(0), StateLabel(1)
         grammar = LatentGrammar(
             layers=LayerConfig(2),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A", "B"]),
             roots={("S", s0): 1.0},
             binary={
                 ("S", s0): {("A", s0, "B", s0): 0.5, ("A", s1, "B", s1): 0.5}

@@ -72,6 +72,12 @@ class TestComputeFeatures:
         )
         assert f.ne_preserved == 0.0
 
+    def test_empty_entity_span_occurs_nowhere(self):
+        # An empty mention is counted 0 times, so even the identical
+        # candidate does not preserve it.
+        tokens = "what day is nochebuena".split()
+        assert compute_features(tokens, tokens, entities=[(2, 2)]).ne_preserved == 0.0
+
     def test_feature_vector_has_ten_values(self):
         tokens = ["a", "b"]
         assert len(compute_features(tokens, tokens).as_vector()) == len(FEATURE_NAMES)

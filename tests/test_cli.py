@@ -356,6 +356,14 @@ class TestAtomicWrite:
         assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
+_VALID_BODY = (
+    "ROOT\tS\t0\t1\n"
+    "BIN\tS\t0\tA\t0\tB\t0\t1\n"
+    "LEX\tA\t0\ta\t1\n"
+    "LEX\tB\t0\tb\t1\n"
+)
+
+
 class TestValidateGrammar:
     def test_fresh_mle_grammar_validates(self, grammar_file, capsys):
         assert main(["validate-grammar", "--grammar", grammar_file]) == 0
@@ -373,6 +381,43 @@ class TestValidateGrammar:
         save_grammar(broken, str(path))
         assert main(["validate-grammar", "--grammar", str(path)]) == 2
         assert "violation" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "header, body, violation",
+        [
+            ("layers=1 m1=2 m2=0", _VALID_BODY + "LEX\tB\t2\tb\t1\n",
+             "lexical: (B,2) syntactic state out of range"),
+            ("layers=2 m1=1 m2=2", _VALID_BODY.replace("\t0\t", "\t0:0\t")
+             + "LEX\tB\t0:2\tb\t1\n", "lexical: (B,0:2) semantic state out of range"),
+            ("layers=1 m1=1 m2=0", _VALID_BODY.replace("S\t0\t1", "S\t0\t0.5"),
+             "root distribution sums to 0.5"),
+            ("layers=1 m1=1 m2=0",
+             _VALID_BODY.replace("S\t0\t1", "S\t0\t0.5") + "ROOT\tZ\t0\t0.5\n",
+             "root symbol 'Z' has no rules"),
+            ("layers=1 m1=1 m2=0", _VALID_BODY.replace("B\t0\t1", "B\t0\t0.5"),
+             "binary (S,0) sums to 0.5"),
+            ("layers=1 m1=1 m2=0", _VALID_BODY.replace("B\t0\t1", "B\t0\t0.5")
+             + "BIN\tS\t0\tA\t0\tQ\t0\t0.5\n", "binary rule (S,0) -> A Q uses unknown symbols"),
+            ("layers=1 m1=1 m2=0", _VALID_BODY.replace("a\t1", "a\t0.5"),
+             "lexical (A,0) sums to 0.5"),
+            ("layers=1 m1=2 m2=0", _VALID_BODY.replace("B\t0\t1", "B\t0\t0.5")
+             + "BIN\tS\t0\tS\t1\tB\t0\t0.5\n",
+             "deficit: interminal context (S,1) has no binary rules"),
+            ("layers=1 m1=2 m2=0", _VALID_BODY.replace("A\t0\tB", "A\t1\tB"),
+             "deficit: preterminal context (A,1) has no lexical rules"),
+        ],
+        ids=["syntactic-range", "semantic-range", "root-sum", "root-without-rules",
+             "binary-sum", "unknown-symbol", "lexical-sum", "interminal-deficit",
+             "preterminal-deficit"],
+    )
+    def test_each_violation_exits_2_and_is_named(self, header, body, violation, tmp_path, capsys):
+        path = tmp_path / "bad.lpcfg"
+        path.write_text(f"LPCFG v1 {header}\n{body}", encoding="utf-8")
+        assert main(["validate-grammar", "--grammar", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-2:] == [f"violation: {violation}", "1 violation(s)"]
+        assert err == f"error: {path}: grammar is invalid\n"
 
 
 class TestParse:
@@ -713,6 +758,53 @@ class TestSemparse:
         assert lines[-1].startswith("AVG\t")
         avg_f1 = float(lines[-1].split("\t")[3])
         assert 0.0 <= avg_f1 <= 1.0
+
+
+    def test_original_only_reads_each_first_graph(self, tmp_path):
+        # --original-only trains as a QA file that lists only each line's
+        # first graph does.
+        first_only = tmp_path / "first_only.tsv"
+        with open(data_path("qa_train.tsv"), encoding="utf-8") as handle:
+            rows = [line.split("\t") for line in handle if line.strip()]
+        assert any("," in graphs for _, graphs, _ in rows)
+        first_only.write_text(
+            "".join(f"{q}\t{graphs.split(',')[0]}\t{gold}" for q, graphs, gold in rows),
+            encoding="utf-8",
+        )
+        common = ["semparse-train", "--kb", data_path("kb.tsv"),
+                  "--graphs-dir", data_path("graphs")]
+        models = {}
+        for name, extra in [("flag", ["--qa", data_path("qa_train.tsv"), "--original-only"]),
+                            ("first", ["--qa", str(first_only)]),
+                            ("all", ["--qa", data_path("qa_train.tsv")])]:
+            models[name] = tmp_path / f"{name}.tsv"
+            assert main([*common, *extra, "--out", str(models[name])]) == 0
+        assert models["flag"].read_bytes() == models["first"].read_bytes()
+        assert models["flag"].read_bytes() != models["all"].read_bytes()
+
+
+class TestBeamBelowOne:
+    """A beam below 1 is a usage error before the KB loads: the KB given
+    does not exist, so any load would exit 2."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["semparse-train", "semparse-eval"])
+    def test_flag_is_usage_error_before_loading(self, command, value, tmp_path, capsys):
+        argv = _semparse_argv(command, str(tmp_path / "missing"))
+        assert main([*argv, f"--beam={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: --beam must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("command", ["semparse-train", "semparse-eval"])
+    def test_config_key_is_usage_error_before_loading(self, command, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("beam=0\n", encoding="utf-8")
+        argv = _semparse_argv(command, str(tmp_path / "missing"))
+        assert main([*argv, "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: --beam must be at least 1, got 0\n"
 
 
 # Runs each argv of ``sys.argv[1]`` through ``cli.main`` in one fresh

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from paralat.cli import main
 from paralat.errors import MalformedGrammarFile
 from paralat.estimation import train_grammar
 from paralat.grammar import (
@@ -22,8 +23,6 @@ def _tiny_grammar(binary_mass: float = 1.0) -> LatentGrammar:
     s0 = StateLabel(0)
     return LatentGrammar(
         layers=LayerConfig(1),
-        interminals=frozenset(["S"]),
-        preterminals=frozenset(["A", "B"]),
         roots={("S", s0): 1.0},
         binary={("S", s0): {("A", s0, "B", s0): binary_mass}},
         lexical={("A", s0): {"a": 1.0}, ("B", s0): {"b": 1.0}},
@@ -44,8 +43,6 @@ class TestValidate:
         s = StateLabel(0, 0)
         grammar = LatentGrammar(
             layers=LayerConfig(24, 1000),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A", "B"]),
             roots={("S", s): 1.0},
             binary={("S", s): {("A", s, "B", s): 1.0}},
             lexical={("A", s): {"a": 1.0}, ("B", s): {"b": 1.0}},
@@ -54,25 +51,36 @@ class TestValidate:
         assert report.ok
         assert any("24,000 latent states" in note for note in report.notes)
 
-    def test_symbol_misuse_reported(self):
-        s0 = StateLabel(0)
-        grammar = LatentGrammar(
-            layers=LayerConfig(1),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["S", "A"]),
-            roots={("S", s0): 1.0},
-            binary={("S", s0): {("A", s0, "A", s0): 1.0}},
-            lexical={("S", s0): {"oops": 1.0}, ("A", s0): {"a": 1.0}},
+    def test_symbol_misuse_reported(self, tmp_path, capsys):
+        # A symbol with both binary and lexical rules is refused where a
+        # grammar is made: by the loader, naming the file, and by the MLE.
+        path = tmp_path / "both.lpcfg"
+        path.write_text(
+            "LPCFG v1 layers=1 m1=1 m2=0\n"
+            "ROOT\tS\t0\t1\n"
+            "BIN\tS\t0\tX\t0\tX\t0\t1\n"
+            "BIN\tX\t0\tA\t0\tA\t0\t1\n"
+            "LEX\tX\t0\tx\t1\n"
+            "LEX\tA\t0\ta\t1\n",
+            encoding="utf-8",
         )
-        report = validate(grammar)
-        assert any("both interminal and preterminal" in v for v in report.violations)
+        assert main(["validate-grammar", "--grammar", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: symbols used as both binary and lexical parents: ['X']\n"
+
+        trees = tmp_path / "both.trees"
+        trees.write_text("(S (X a) (X (A b) (B c)))\n", encoding="utf-8")
+        out = tmp_path / "both-mle.lpcfg"
+        argv = ["train-grammar", "--treebank", str(trees), "--m1", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: symbols used both as interminal and preterminal: ['X']\n"
+        assert not out.exists()
 
     def test_deficit_reported_for_missing_child_support(self):
         s0, s1 = StateLabel(0), StateLabel(1)
         grammar = LatentGrammar(
             layers=LayerConfig(2),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A"]),
             roots={("S", s0): 1.0},
             binary={("S", s0): {("A", s0, "A", s1, ): 1.0}},
             lexical={("A", s0): {"a": 1.0}},

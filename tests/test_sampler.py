@@ -55,8 +55,6 @@ def _product_grammar() -> LatentGrammar:
     a b (0.42), a d (0.18), c b (0.28), c d (0.12)."""
     return LatentGrammar(
         layers=LayerConfig(1),
-        interminals=frozenset(["S"]),
-        preterminals=frozenset(["A", "B"]),
         roots={("S", S0): 1.0},
         binary={("S", S0): {("A", S0, "B", S0): 1.0}},
         lexical={
@@ -70,8 +68,6 @@ def _closure_grammar() -> LatentGrammar:
     """Five rules; X only derives "b b", so pruning to {a} must drop it."""
     return LatentGrammar(
         layers=LayerConfig(1),
-        interminals=frozenset(["S", "X"]),
-        preterminals=frozenset(["A", "B"]),
         roots={("S", S0): 0.7, ("X", S0): 0.3},
         binary={
             ("S", S0): {("A", S0, "A", S0): 0.5, ("A", S0, "B", S0): 0.5},
@@ -119,8 +115,6 @@ class TestSampleOne:
     def test_single_derivation_any_seed(self):
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A", "B"]),
             roots={("S", S0): 1.0},
             binary={("S", S0): {("A", S0, "B", S0): 1.0}},
             lexical={("A", S0): {"a": 1.0}, ("B", S0): {"b": 1.0}},
@@ -146,8 +140,6 @@ class TestSampleOne:
         # language ?" draws every word from the lattice path that runs
         # through "people 's" and "is speaking".
         sentence = "what is czech republic 's language ?".split()
-        interminals = {f"S{i}" for i in range(len(sentence) - 1)}
-        preterminals = {f"W{i}" for i in range(len(sentence))}
         binary = {}
         for i in range(len(sentence) - 1):
             tail = (f"S{i + 1}", S0) if i + 2 < len(sentence) else (f"W{i + 1}", S0)
@@ -155,8 +147,6 @@ class TestSampleOne:
         lexical = {(f"W{i}", S0): {tok: 1.0} for i, tok in enumerate(sentence)}
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(interminals),
-            preterminals=frozenset(preterminals),
             roots={("S0", S0): 1.0},
             binary=binary,
             lexical=lexical,
@@ -186,8 +176,6 @@ class TestSampleOne:
         # edges of the lattice: they end as dead ends, with no depth cap.
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A"]),
             roots={("S", S0): 1.0},
             binary={
                 ("S", S0): {("S", S0, "S", S0): 0.9, ("A", S0, "A", S0): 0.1}
@@ -209,8 +197,6 @@ class TestSampleOne:
         words = [f"w{i}" for i in range(40)]
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["W"]),
             roots={("S", S0): 1.0},
             binary={("S", S0): {("W", S0, "S", S0): 0.97, ("W", S0, "W", S0): 0.03}},
             lexical={("W", S0): dict.fromkeys(words, 1 / 40)},
@@ -234,8 +220,6 @@ class TestSampleMany:
     def test_input_question_excluded(self):
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A", "B"]),
             roots={("S", S0): 1.0},
             binary={("S", S0): {("A", S0, "B", S0): 1.0}},
             lexical={("A", S0): {"a": 1.0}, ("B", S0): {"b": 1.0}},
@@ -247,8 +231,6 @@ class TestSampleMany:
         # Exactly three derivable strings; the input is excluded.
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(["S"]),
-            preterminals=frozenset(["A", "B"]),
             roots={("S", S0): 1.0},
             binary={("S", S0): {("A", S0, "B", S0): 1.0}},
             lexical={
@@ -503,8 +485,6 @@ class TestLatticeStateMemo:
         )))
         grammar = LatentGrammar(
             layers=LayerConfig(1),
-            interminals=frozenset(["S", "X"]),
-            preterminals=frozenset(["W", "B", "D"]),
             roots={("S", S0): 1.0},
             binary={
                 ("S", S0): {("W", S0, "X", S0): 1.0},
@@ -569,8 +549,6 @@ def _dead_state_grammar(roots: dict) -> LatentGrammar:
     no lattice below, so X survives pruning but X-1 derives nothing."""
     return LatentGrammar(
         layers=LayerConfig(2),
-        interminals=frozenset(["S", "X"]),
-        preterminals=frozenset(["A", "B"]),
         roots=roots,
         binary={
             ("S", S0): {("A", S0, "X", S0): 0.5, ("A", S0, "X", S1): 0.5},

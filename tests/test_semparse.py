@@ -142,6 +142,43 @@ class TestDenotation:
         assert denotation(full, kb) <= denotation(edge_nulled, kb)
 
 
+    @pytest.mark.parametrize(
+        "direction, type_choice, expected",
+        [
+            ("fwd", "location.city", {"CzechLanguage"}),
+            ("bwd", "location.city", set()),  # Prague has no capital CzechRepublic
+            ("fwd", "time.date", set()),  # Prague is not a date
+        ],
+        ids=["feasible", "infeasible-edge", "entity-lacks-type"],
+    )
+    def test_entity_entity_edge_and_entity_type(self, kb, direction, type_choice, expected):
+        graph = UngroundedGraph(
+            name="capital.lang",
+            target="x",
+            entity_nodes=(("e1", ("czech", "republic")), ("e2", ("prague",))),
+            type_nodes=(("t1", "city", "e2"),),
+            events=("ev1", "ev2"),
+            edges=(
+                ("ev1", "e1", "capital.poss"), ("ev1", "e2", "capital.arg"),
+                ("ev2", "e1", "language.poss"), ("ev2", "x", "language.arg"),
+            ),
+            text=tuple("what is the language of the country whose capital is prague".split()),
+        )
+        assert [edge[:3] for edge in graph.entity_edges()] == [
+            ("ev1", "e1", "e2"), ("ev2", "e1", "x"),
+        ]
+        grounded = GroundedGraph(
+            graph=graph,
+            entity_map=(("e1", "CzechRepublic"), ("e2", "Prague")),
+            edge_map=(
+                (("ev1", "e1", "e2"), ("capital", direction)),
+                (("ev2", "e1", "x"), ("official_language", "fwd")),
+            ),
+            type_map=(("t1", type_choice),),
+        )
+        assert denotation(grounded, kb) == expected
+
+
 class TestF1Loss:
     def test_exact_match(self):
         assert f1_loss({"A"}, {"A"}) == 0.0
@@ -538,6 +575,11 @@ class TestPerceptron:
         report = evaluate([example], kb, model.averaged(), beam=100)
         assert report.avg_f1 == 1.0
         assert model.skipped == 0
+
+    def test_evaluation_with_no_questions_averages_zero(self, kb):
+        report = evaluate([], kb, {})
+        assert report.per_question == ()
+        assert report.avg_precision == report.avg_recall == report.avg_f1 == 0.0
 
 
 class TestFiles:

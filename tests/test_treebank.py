@@ -66,6 +66,9 @@ class TestParseTree:
         assert render(tree) == "(X (Y y) (Z z))"
         assert parse_tree(render(tree)) == tree
 
+    def test_str_is_the_rendering(self):
+        assert str(parse_tree("(X (Y y) (Z z))")) == "(X (Y y) (Z z))"
+
 
 class TestRoundTrip:
     @given(random_trees())
