@@ -10,10 +10,11 @@ code object).  Code run in a subprocess is not traced.
     PYTHONPATH=src python3 scripts/line_coverage.py --allowed scripts/line_coverage_allowed.txt
 
 With ``--allowed``, it exits 1 when an uncovered line is missing from the
-allow-list.  The list has one ``<file><TAB><stripped source line>`` entry
-per line, ``#`` comments and blank lines skipped, so an edit elsewhere in
-a file does not break it.  Entries that are now covered are reported and
-do not fail the check.  A run takes about two minutes on two cores.
+allow-list, and when an allow-list entry matches no uncovered line (the
+line is covered now, or gone), so the list shrinks with the code.  The
+list has one ``<file><TAB><stripped source line>`` entry per line, ``#``
+comments and blank lines skipped, so an edit elsewhere in a file does not
+break it.  A run takes about two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ def check(
     return new, stale
 
 
+def verdict(new: list[str], stale: list[str]) -> int:
+    """Report what :func:`check` found; the exit code, 1 when anything
+    was found."""
+    for entry in stale:
+        print(f"stale allow-list entry, no uncovered line matches it: {entry}", file=sys.stderr)
+    for entry in new:
+        print(f"not in the allow-list: {entry}", file=sys.stderr)
+    return 1 if new or stale else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--allowed", type=Path, help="allow-list of uncovered lines")
@@ -129,12 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{n_missed} of {total} executable lines uncovered")
     if args.allowed is None:
         return 0
-    new, stale = check(missed, read_allowed(args.allowed))
-    for entry in stale:
-        print(f"covered now, can leave the allow-list: {entry}")
-    for entry in new:
-        print(f"not in the allow-list: {entry}", file=sys.stderr)
-    return 1 if new else 0
+    return verdict(*check(missed, read_allowed(args.allowed)))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ parse over the full joint state space, which stays small because only
 observed (symbol, state) contexts carry rules.  Unknown words can be
 admitted through a tiny floor probability attached to every preterminal
 context; that floor exists only for parsing and never for generation.
+
+The chart index (the rule tables re-keyed for chart filling, in log
+space) depends only on the grammar, so it is built once per grammar
+object, by its first parse, and kept on it; grammars are not changed
+after they are built.
 """
 
 from __future__ import annotations
@@ -96,6 +101,19 @@ class _Index:
                 self.by_children.setdefault(key, []).append((ctx, math.log(prob)))
 
 
+def _index(grammar: LatentGrammar) -> _Index:
+    """The grammar's chart index, built by its first parse.
+
+    The index lives in the grammar object's own ``__dict__``, as a
+    ``cached_property`` value would, so it cannot be read for another
+    grammar.  Two threads may both build it; either result is the same.
+    """
+    index = grammar.__dict__.get("_cky_index")
+    if index is None:
+        index = grammar.__dict__["_cky_index"] = _Index(grammar)
+    return index
+
+
 def cky_viterbi(
     tokens: Sequence[str],
     grammar: LatentGrammar,
@@ -109,7 +127,7 @@ def cky_viterbi(
     """
     if not tokens:
         raise ParseFailure("empty input")
-    index = _Index(grammar)
+    index = _index(grammar)
     n = len(tokens)
 
     # chart[(i, j)][ctx] = (logp, tiebreak, backpointer)

@@ -4,6 +4,10 @@ tagger, and a small logistic-regression classifier.
 Feature extraction is deterministic and dependency-free: smoothed BLEU up
 to order 4 in both directions, word-level edit rate, length ratio, unigram
 precision/recall, and an entity-preservation bit from a gazetteer tagger.
+The edit rate is the word-level Levenshtein distance over the source
+length, capped at 2; the distance comes from Myers' bit-vector algorithm
+(Myers 1999, JACM 46(3), in Hyyrö's 2001 form for whole sequences), the
+same integer as the dynamic-programming table.
 Scoring a stored model is plain Python too.  numpy is imported inside
 :func:`train`, its only user, so a command that loads a model and filters
 candidates (``paraphrase``) never pays numpy's import time or memory.
@@ -12,10 +16,11 @@ candidates (``paraphrase``) never pays numpy's import time or memory.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .data_files import atomic_write, finite_float, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
@@ -40,14 +45,32 @@ class PairFeatures:
     ne_preserved: float
 
     def as_vector(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return _feature_values(self)
 
 
 FEATURE_NAMES = tuple(f.name for f in fields(PairFeatures))
+_feature_values = operator.attrgetter(*FEATURE_NAMES)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _grams(tokens: Sequence[str], n: int) -> Iterable[Hashable]:
+    """The order-``n`` grams of ``tokens`` in order: the tokens themselves
+    for order 1, tuples of ``n`` tokens above it."""
+    if n == 1:
+        return tokens
+    return zip(*(tokens[i:] for i in range(n)))
+
+
+def _clipped_matches(tokens: Sequence[str], n: int, reference: Counter) -> int:
+    """The order-``n`` grams of ``tokens`` that match one in ``reference``,
+    each reference gram matched at most as often as it occurs there."""
+    left = dict(reference)
+    hits = 0
+    for gram in _grams(tokens, n):
+        count = left.get(gram)
+        if count:
+            left[gram] = count - 1
+            hits += 1
+    return hits
 
 
 def _log_precisions(matches: Sequence[int], length: int) -> list[float]:
@@ -74,17 +97,38 @@ def _bleu(log_precisions: Sequence[float], brevity: float, max_n: int) -> float:
 
 
 def _edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, 1):
-        cur = [i]
-        for j, tok_b in enumerate(b, 1):
-            cur.append(min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (tok_a != tok_b),
-            ))
-        prev = cur
-    return prev[-1]
+    """Levenshtein distance between two token sequences.
+
+    Bit ``i`` of ``pv`` and ``mv`` says whether the current column of the
+    distance table rises or falls by one from row ``i`` to row ``i + 1``
+    (rows follow ``a``); each token of ``b`` advances the column, and
+    ``dist`` follows its last row.  Python integers carry any number of
+    bits, so ``a`` may be of any length.
+    """
+    if not a:
+        return len(b)
+    peq: dict[str, int] = {}
+    for i, tok in enumerate(a):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = full, 0, len(a)
+    for tok in b:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full & ~(xh | pv))
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # Row 0 of the table rises by one per column, so a 1 enters ph.
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (full & ~(xv | ph))
+        mv = ph & xv
+    return dist
 
 
 def _occurrences(haystack: Sequence[str], needle: Sequence[str]) -> int:
@@ -105,7 +149,7 @@ def _source_ngrams(source: Sequence[str]) -> list[Counter]:
     """The n-gram counts of the lowercased ``source``, orders 1 to 4, as
     :func:`compute_features` takes them."""
     src = [t.lower() for t in source]
-    return [_ngrams(src, n) for n in range(1, 5)]
+    return [Counter(_grams(src, n)) for n in range(1, 5)]
 
 
 def compute_features(
@@ -129,8 +173,7 @@ def compute_features(
     # Clipped matches are symmetric, so each order is counted once for
     # both directions.
     matches = [
-        sum((_ngrams(cand, n) & grams).values())
-        for n, grams in enumerate(source_grams, 1)
+        _clipped_matches(cand, n, grams) for n, grams in enumerate(source_grams, 1)
     ]
     forward = _log_precisions(matches, len(cand))
     brevity = min(0.0, 1.0 - len(src) / len(cand))
@@ -397,22 +440,31 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClassifierModel:
+    """Read a model file: one FEATURE line per feature name, one BIAS
+    line and one THRESHOLD line, in any order; a repeated line is an
+    error."""
     weights: dict[str, float] = {}
     bias: float | None = None
     threshold: float | None = None
+    seen: dict[str, int] = {}  # line key -> its line number
     for lineno, line in records(path):
         parts = line.split("\t")
+        if (parts[0], len(parts)) not in (("FEATURE", 3), ("BIAS", 2), ("THRESHOLD", 2)):
+            raise ClassifierError(f"{path}:{lineno}: bad model line")
+        key = parts[0] if len(parts) == 2 else f"{parts[0]} {parts[1]!r}"
+        if key in seen:
+            raise ClassifierError(f"{path}:{lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
-            if parts[0] == "FEATURE" and len(parts) == 3:
-                weights[parts[1]] = finite_float(parts[2])
-            elif parts[0] == "BIAS" and len(parts) == 2:
-                bias = finite_float(parts[1])
-            elif parts[0] == "THRESHOLD" and len(parts) == 2:
-                threshold = finite_float(parts[1])
-            else:
-                raise ClassifierError(f"{path}:{lineno}: bad model line")
+            value = finite_float(parts[-1])
         except ValueError as exc:
             raise ClassifierError(f"{path}:{lineno}: bad number {parts[-1]!r}") from exc
+        if parts[0] == "FEATURE":
+            weights[parts[1]] = value
+        elif parts[0] == "BIAS":
+            bias = value
+        else:
+            threshold = value
     if bias is None or threshold is None or set(weights) != set(FEATURE_NAMES):
         raise ClassifierError(f"{path}: incomplete model file")
     return ClassifierModel(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .data_files import finite_float, records
@@ -71,7 +72,13 @@ def _make(source: int, sink: int, edges: Iterable[Edge]) -> WordLattice:
 
 def check_lattice(lat: WordLattice) -> None:
     """Assert the structural invariants: DAG, unique source/sink, and
-    every edge on some source-to-sink path."""
+    every edge on some source-to-sink path.
+
+    No separate check is needed for an edge into the source or out of the
+    sink: in a DAG whose every other node has an incoming edge, the source
+    cannot have one too, or every node would have a predecessor and the
+    graph a cycle; the same holds for the sink and outgoing edges.
+    """
     out = lat.outgoing()
     inc = lat.incoming()
     # Kahn toposort for acyclicity.
@@ -93,10 +100,6 @@ def check_lattice(lat: WordLattice) -> None:
             raise LatticeError(f"node {n} is a second source")
         if n != lat.sink and not out.get(n):
             raise LatticeError(f"node {n} is a second sink")
-    if inc.get(lat.source):
-        raise LatticeError("source has incoming edges")
-    if out.get(lat.sink):
-        raise LatticeError("sink has outgoing edges")
 
 
 def _reach(adjacency: dict[int, list[Edge]], start: int, forward: bool) -> set[int]:
@@ -128,19 +131,26 @@ def build_naive(tokens: Sequence[str]) -> WordLattice:
 @dataclass(frozen=True)
 class ParaphraseRuleDB:
     """Lexical and phrasal rewrites: source phrase -> target phrase, none
-    of them an identity (:func:`load_rules` drops those)."""
+    of them an identity (:func:`load_rules` drops those).
+
+    The source index and the longest source phrase are derived from the
+    rules on first use and cached on the instance; they are not fields,
+    so equality ignores them.
+    """
 
     rules: tuple[tuple[tuple[str, ...], tuple[str, ...], float], ...]
 
-    @property
+    @cached_property
     def by_source(self) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
-        index: dict[tuple[str, ...], list[tuple[str, ...]]] = defaultdict(list)
+        """The distinct targets of each source phrase, in rule order."""
+        index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for src, tgt, _ in self.rules:
-            if tgt not in index[src]:
-                index[src].append(tgt)
+            targets = index.setdefault(src, [])
+            if tgt not in targets:
+                targets.append(tgt)
         return index
 
-    @property
+    @cached_property
     def max_source_len(self) -> int:
         return max((len(src) for src, _, _ in self.rules), default=0)
 

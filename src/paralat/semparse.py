@@ -913,12 +913,20 @@ def save_perceptron(model: PerceptronModel, path: str) -> None:
 
 
 def load_perceptron_weights(path: str) -> dict[str, float]:
+    """The FEATURE weights of a perceptron file; a feature named on two
+    lines is an error."""
     weights: dict[str, float] = {}
+    feature_lines: dict[str, int] = {}
     for lineno, line in records(path):
         parts = line.split("\t")
         if parts[0] in ("STEPS", "SKIPPED") and len(parts) == 2:
             continue
         if parts[0] == "FEATURE" and len(parts) == 3:
+            if parts[1] in feature_lines:
+                raise SemparseError(
+                    f"{path}:{lineno}: FEATURE {parts[1]!r} repeats line {feature_lines[parts[1]]}"
+                )
+            feature_lines[parts[1]] = lineno
             try:
                 weights[parts[1]] = finite_float(parts[2])
             except ValueError as exc:

@@ -11,8 +11,10 @@ its own grammar narrowing (``reference_narrow``), linear-scan weighted
 draw (``reference_draw``) and mutable derivation node, and redoes the
 conflict removal and narrowing at every emitted word.
 ``reference_compute_features`` is the classifier's pair features with
-each BLEU order counted afresh for every cumulative BLEU score; it shares
-the edit distance and the mention count.  The KB lookups below are the
+each BLEU order counted afresh for every cumulative BLEU score, by
+``Counter`` intersection; it shares the mention count, and its edit
+distance is ``reference_edit_distance``, the full dynamic-programming
+table, not the bit-vector kernel it checks.  The KB lookups below are the
 scans over every entity, triple or type assertion that the indexed
 ``KnowledgeGraph`` replaced (they share only ``entity_surface``, the
 definition of a surface), and ``reference_kmeans`` is k-means with its
@@ -37,7 +39,7 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from paralat.classifier import PairFeatures, _edit_distance, _occurrences
+from paralat.classifier import PairFeatures, _occurrences
 from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescore
 from paralat.errors import NoEntityCandidates
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
@@ -542,6 +544,22 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def reference_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
+    """Levenshtein distance by the dynamic-programming table, one row per
+    token of ``a``."""
+    prev = list(range(len(b) + 1))
+    for i, tok_a in enumerate(a, 1):
+        cur = [i]
+        for j, tok_b in enumerate(b, 1):
+            cur.append(min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (tok_a != tok_b),
+            ))
+        prev = cur
+    return prev[-1]
+
+
 def _bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
     """Cumulative BLEU with brevity penalty; add-1 smoothing for n >= 2."""
     log_precisions = []
@@ -582,7 +600,7 @@ def reference_compute_features(
         bleu3=bleus[2],
         bleu4=bleus[3],
         bleu_sym=math.sqrt(bleus[3] * reverse4),
-        ter=min(2.0, _edit_distance(cand, src) / len(src)),
+        ter=min(2.0, reference_edit_distance(cand, src) / len(src)),
         length_ratio=len(cand) / len(src),
         unigram_precision=overlap / len(cand),
         unigram_recall=overlap / len(src),

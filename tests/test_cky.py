@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from oracles import best_logprob, enumerate_strings, random_toy_grammar
+from paralat import cky
 from paralat.cky import cky_viterbi, derivation_yield, render_derivation, rescore
+from paralat.data_files import data_path
 from paralat.errors import ParseFailure
+from paralat.estimation import read_alignments, train_bilayered_grammar, train_grammar
 from paralat.grammar import LatentGrammar, LayerConfig, StateLabel, validate
+from paralat.lattice import build_bilayered
+from paralat.treebank import binarize, read_treebank
 
 
 def _chain_grammar() -> LatentGrammar:
@@ -72,6 +78,13 @@ class TestCkyViterbi:
             cky_viterbi(["b", "b"], _chain_grammar(), allow_unknown=False)
         with pytest.raises(ParseFailure):
             cky_viterbi([], _chain_grammar())
+        with pytest.raises(ParseFailure, match="unknown word 'q'"):
+            cky_viterbi(["a", "q"], _chain_grammar(), allow_unknown=False)
+        # With no lexical rule at all, the unknown-word floor has no
+        # preterminal to go to.
+        no_words = replace(_chain_grammar(), lexical={})
+        with pytest.raises(ParseFailure, match="no lexical rule covers 'a'"):
+            cky_viterbi(["a"], no_words)
 
     def test_unknown_word_floor_allows_parse(self):
         tree = cky_viterbi(["qqq", "b"], _chain_grammar())
@@ -125,3 +138,61 @@ class TestOracleEquivalence:
                 )
                 checked += 1
         assert checked >= 50
+
+
+@pytest.fixture(scope="module")
+def heldout_grammars():
+    """The bilayered (m1=2, m2=16) and the one-layer (m=2) grammar of the
+    bundled treebank, and the 50 bundled held-out questions."""
+    trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
+    _annotated, layered = train_bilayered_grammar(
+        trees, read_alignments(data_path("alignments.tsv")), m1=2, m2=16, seed=1
+    )
+    with open(data_path("heldout_questions.txt"), encoding="utf-8") as handle:
+        questions = [line.lower().split() for line in handle.read().splitlines()]
+    assert len(questions) == 50
+    return layered, train_grammar(trees, m=2, seed=1), questions
+
+
+def _parse(tokens, grammar):
+    """The derivation of ``tokens``, or the message of its ParseFailure."""
+    try:
+        return cky_viterbi(tokens, grammar)
+    except ParseFailure as exc:
+        return str(exc)
+
+
+class TestChartIndex:
+    def test_built_once_per_grammar_object(self, heldout_grammars, monkeypatch):
+        layered, _plain, questions = heldout_grammars
+        built_for = []
+        build = cky._Index.__init__
+
+        def counted(self, grammar):
+            built_for.append(grammar)
+            build(self, grammar)
+
+        monkeypatch.setattr(cky._Index, "__init__", counted)
+        # A copy has equal tables but no index yet.
+        grammar = replace(layered)
+        for tokens in questions:
+            try:
+                build_bilayered(tokens, grammar)
+            except ParseFailure:
+                pass
+        assert len(built_for) == 1 and built_for[0] is grammar
+        other = replace(layered)
+        _parse(questions[0], other)
+        assert len(built_for) == 2 and built_for[1] is other
+
+    def test_alternating_grammars_parse_as_with_fresh_indexes(
+        self, heldout_grammars, monkeypatch
+    ):
+        layered, plain, questions = heldout_grammars
+        a, b = replace(layered), replace(plain)
+        with monkeypatch.context() as patch:
+            patch.setattr(cky, "_index", cky._Index)  # a fresh index per parse
+            fresh = [[_parse(tokens, g) for g in (a, b)] for tokens in questions]
+        cached = [[_parse(tokens, g) for g in (a, b, a)] for tokens in questions]
+        assert cached == [[on_a, on_b, on_a] for on_a, on_b in fresh]
+        assert any(on_a != on_b for on_a, on_b in fresh)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_compute_features
+from oracles import reference_compute_features, reference_edit_distance
 from paralat import classifier
 from paralat.classifier import (
     ClassifierModel,
@@ -18,6 +18,7 @@ from paralat.classifier import (
     read_labeled_pairs,
     save_model,
     train,
+    _edit_distance,
     _source_ngrams,
 )
 from paralat.cky import DerivationNode, DerivationTree
@@ -147,6 +148,23 @@ class TestOnePassBleu:
             (model.score(reference_compute_features(source, c.tokens)) for c in candidates),
             reverse=True,
         )
+
+
+# Four tokens make repeats common; up to 150 of them span three 64-bit words.
+_SEQUENCES = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=150)
+
+
+class TestEditDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(_SEQUENCES, _SEQUENCES)
+    @example([], [])
+    @example([], ["a", "b"])
+    @example(["a", "b"], [])
+    @example(["a"] * 64, ["a"] * 64)
+    @example(["a", "b"] * 40, ["b", "a"] * 33)
+    @example(["c"] * 65, ["a", "c", "d"] * 30)
+    def test_equals_dynamic_programming(self, a, b):
+        assert _edit_distance(a, b) == reference_edit_distance(a, b)
 
 
 class TestGazetteer:

@@ -134,6 +134,19 @@ def _bad_model(kind, value):
     return argv
 
 
+def _repeated_model_line(kind):
+    """The trained model with its first ``kind`` line written again at
+    the end, as line 13."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        with open(classifier_file, encoding="utf-8") as handle:
+            text = handle.read()
+        model = tmp_path / "clf.tsv"
+        model.write_text(text + re.search(rf"(?m)^{kind}\t.*\n", text).group(), encoding="utf-8")
+        return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
+                "--question", "when is easter", "--m", "5"]
+    return argv
+
+
 def _zero_probability(tmp_path, grammar_file, classifier_file):
     with open(grammar_file, encoding="utf-8") as handle:
         text = handle.read()
@@ -167,6 +180,10 @@ def _bad_perceptron(value):
     def argv(tmp_path, grammar_file, classifier_file):
         return _semparse_eval(tmp_path, f"FEATURE\tbias\t{value}\n")
     return argv
+
+
+def _repeated_perceptron_feature(tmp_path, grammar_file, classifier_file):
+    return _semparse_eval(tmp_path, "FEATURE\tbias\t1.0\nFEATURE\tbias\t2.0\n")
 
 
 def _bad_graph_score(tmp_path, grammar_file, classifier_file):
@@ -214,10 +231,14 @@ class TestBadInputs:
             (_bad_model("FEATURE", "nan"), 2, "clf.tsv:1: bad number 'nan'"),
             (_bad_model("BIAS", "inf"), 2, "clf.tsv:11: bad number 'inf'"),
             (_bad_model("THRESHOLD", "nan"), 2, "clf.tsv:12: bad number 'nan'"),
+            (_repeated_model_line("FEATURE"), 2, "clf.tsv:13: FEATURE 'bleu1' repeats line 1"),
+            (_repeated_model_line("BIAS"), 2, "clf.tsv:13: BIAS repeats line 11"),
+            (_repeated_model_line("THRESHOLD"), 2, "clf.tsv:13: THRESHOLD repeats line 12"),
             (_zero_probability, 2, "out of (0,1]"),
             (_deficit_context, 2, "deficit.lpcfg: invalid grammar: deficit:"),
             (_bad_perceptron("abc"), 2, "percep.tsv:2: bad weight 'abc'"),
             (_bad_perceptron("-inf"), 2, "percep.tsv:2: bad weight '-inf'"),
+            (_repeated_perceptron_feature, 2, "percep.tsv:3: FEATURE 'bias' repeats line 2"),
             (_bad_graph_score, 2, "q11_orig.graph:9: bad score 'nan'"),
             (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
             (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
@@ -226,8 +247,10 @@ class TestBadInputs:
             (_bad_rule_score, 2, "rules.tsv:2: bad score 'inf'"),
         ],
         ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
-             "model-bias-inf", "model-threshold-nan", "grammar-zero", "grammar-deficit",
-             "perceptron-weight", "perceptron-weight-inf", "graph-score-nan",
+             "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
+             "model-repeated-bias", "model-repeated-threshold", "grammar-zero",
+             "grammar-deficit", "perceptron-weight", "perceptron-weight-inf",
+             "perceptron-repeated-feature", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf"],
     )

@@ -9,6 +9,7 @@ from oracles import (
     random_multipath_lattice,
     reference_enumerate_edge_paths,
 )
+from paralat.data_files import data_path
 from paralat.errors import EdgeNotInLattice, EmptyQuestion, LatticeError
 from paralat.lattice import (
     Edge,
@@ -56,6 +57,23 @@ class TestBuildFromRules:
         people = [e for e in lat.edges if e.token == "people"]
         assert citizens[0].src == people[0].src
         assert citizens[0].dst == people[0].dst
+
+    def test_empty_question(self, czech_rule_db):
+        with pytest.raises(EmptyQuestion):
+            build_from_rules([], czech_rule_db)
+
+    def test_source_index_built_once(self):
+        db = load_rules(data_path("rewrite_rules.tsv"))
+        index = db.by_source
+        with open(data_path("heldout_questions.txt"), encoding="utf-8") as handle:
+            for line in handle:
+                build_from_rules(line.split(), db)
+        assert db.by_source is index
+        assert db == ParaphraseRuleDB(rules=db.rules)  # the cache is not a field
+        # A plain dict: looking up a phrase with no rule adds no key.
+        with pytest.raises(KeyError):
+            index[("no", "such", "phrase")]
+        assert ("no", "such", "phrase") not in index
 
     def test_empty_db_equals_naive(self):
         lat = build_from_rules(CZECH_QUESTION, ParaphraseRuleDB(rules=()))
@@ -205,6 +223,10 @@ class TestEnumeratePaths:
         (path,) = enumerate_edge_paths(lat, 10)
         assert path == lat.edges
 
+    def test_cap_below_one(self, czech_lattice):
+        with pytest.raises(LatticeError, match="cap must be >= 1"):
+            enumerate_edge_paths(czech_lattice, 0)
+
     def test_source_is_sink(self):
         assert enumerate_edge_paths(WordLattice(source=0, sink=0, edges=()), 1) == [()]
 
@@ -235,12 +257,39 @@ class TestBilayeredLattice:
         )
         assert lat == build_naive("when is nochebuena celebrated".split())
 
+    def test_empty_question(self, bilayered_toy_grammar):
+        with pytest.raises(EmptyQuestion):
+            build_bilayered([], bilayered_toy_grammar)
+
     def test_one_layer_grammar_rejected(self, triplet_trees):
         from paralat.estimation import train_grammar
 
         grammar = train_grammar(triplet_trees, m=2, seed=0)
         with pytest.raises(LatticeError):
             build_bilayered(["what"], grammar)
+
+
+def _edges(*pairs):
+    return tuple(Edge(src, dst, f"w{src}{dst}", ORIGIN_INPUT) for src, dst in pairs)
+
+
+class TestCheckLattice:
+    @pytest.mark.parametrize(
+        "source, sink, pairs, message",
+        [
+            (0, 2, [(0, 1), (1, 2), (2, 1)], "lattice contains a cycle"),
+            (0, 2, [(0, 1), (1, 2), (3, 1)], "node 3 is a second source"),
+            (0, 2, [(0, 1), (1, 2), (1, 3)], "node 3 is a second sink"),
+            # An edge into the source leaves a node with no incoming edge.
+            (1, 2, [(0, 1), (1, 2)], "node 0 is a second source"),
+            # An edge out of the sink leaves a node with no outgoing edge.
+            (0, 1, [(0, 1), (1, 2)], "node 2 is a second sink"),
+        ],
+        ids=["cycle", "second-source", "second-sink", "into-source", "out-of-sink"],
+    )
+    def test_refused(self, source, sink, pairs, message):
+        with pytest.raises(LatticeError, match=message):
+            check_lattice(WordLattice(source=source, sink=sink, edges=_edges(*pairs)))
 
 
 class TestDump:

@@ -1,11 +1,14 @@
-"""``scripts/line_coverage.py`` finds a file's executable lines and checks
-uncovered lines against an allow-list keyed by file and stripped text.
+"""``scripts/line_coverage.py`` finds a file's executable lines, checks
+uncovered lines against an allow-list keyed by file and stripped text,
+and fails on an uncovered line the list lacks or an entry that is stale.
 The traced tier-1 run itself takes minutes, so CI runs it, not this file."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 LINE_COVERAGE = Path(__file__).resolve().parents[1] / "scripts" / "line_coverage.py"
 
@@ -44,3 +47,19 @@ def test_check_matches_by_file_and_text(tmp_path):
     new, stale = script.check(missed, script.read_allowed(allowed))
     assert new == ["src/a.py:12: return 0", "src/c.py:1: raise X()"]
     assert stale == ["src/b.py\traise Gone()"]
+
+
+@pytest.mark.parametrize(
+    "new, stale, code",
+    [
+        ([], [], 0),
+        (["src/a.py:12: return 0"], [], 1),
+        ([], ["src/b.py\traise Gone()"], 1),
+        (["src/a.py:12: return 0"], ["src/b.py\traise Gone()"], 1),
+    ],
+    ids=["clean", "new", "stale", "both"],
+)
+def test_verdict_fails_on_new_and_stale_entries(new, stale, code, capsys):
+    assert _script().verdict(new, stale) == code
+    err = capsys.readouterr().err
+    assert all(entry in err for entry in new + stale)

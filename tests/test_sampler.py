@@ -244,6 +244,11 @@ class TestSampleMany:
         candidates = sample_many(["a", "b"], grammar, lat, 1000, seed=0)
         assert {c.tokens for c in candidates} == language - {("a", "b")}
 
+    def test_zero_samples_refused(self, czech_lattice):
+        grammar = word_salad_grammar(sorted(czech_lattice.vocabulary()))
+        with pytest.raises(ValueError, match="m_samples must be >= 1"):
+            sample_many(["what"], grammar, czech_lattice, 0, seed=0)
+
     def test_deterministic(self, czech_lattice):
         grammar = word_salad_grammar(sorted(czech_lattice.vocabulary()))
         question = "what language do people in czech republic speak ?".split()
