@@ -230,6 +230,23 @@ def build_from_rules(tokens: Sequence[str], db: ParaphraseRuleDB) -> WordLattice
     return _make(0, n, edges)
 
 
+def _alternatives(grammar: LatentGrammar) -> dict[tuple[str, int], tuple[str, ...]]:
+    """Per (preterminal, semantic state), the sorted words of its lexical
+    rules under any syntactic state, built by the grammar's first
+    bilayered lattice.  The map lives in the grammar object's own
+    ``__dict__``, as ``cky._index`` keeps the chart index, so it cannot be
+    read for another grammar."""
+    alternatives = grammar.__dict__.get("_lattice_alternatives")
+    if alternatives is None:
+        words: dict[tuple[str, int], set[str]] = defaultdict(set)
+        for (sym, state), table in grammar.lexical.items():
+            words[(sym, state.sem)].update(table)
+        alternatives = grammar.__dict__["_lattice_alternatives"] = {
+            key: tuple(sorted(alts)) for key, alts in words.items()
+        }
+    return alternatives
+
+
 def build_bilayered(
     tokens: Sequence[str], grammar: LatentGrammar
 ) -> WordLattice:
@@ -249,15 +266,11 @@ def build_bilayered(
         raise LatticeError("bilayered lattices need a two-layer grammar")
     derivation = cky_viterbi(tokens, grammar)  # may raise ParseFailure
 
-    # Alternatives per (preterminal, semantic state), from the full grammar.
-    alternatives: dict[tuple[str, int], set[str]] = defaultdict(set)
-    for (sym, state), table in grammar.lexical.items():
-        alternatives[(sym, state.sem)].update(table)
-
+    alternatives = _alternatives(grammar)
     n = len(tokens)
     edges = [Edge(i, i + 1, tok, ORIGIN_INPUT) for i, tok in enumerate(tokens)]
     for pos, leaf in enumerate(lexical_leaves(derivation.root)):
-        for alt in sorted(alternatives.get((leaf.symbol, leaf.state.sem), ())):
+        for alt in alternatives.get((leaf.symbol, leaf.state.sem), ()):
             if alt != tokens[pos]:
                 edges.append(Edge(pos, pos + 1, alt, ORIGIN_BILAYERED))
     return _make(0, n, edges)

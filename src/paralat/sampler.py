@@ -6,7 +6,7 @@ lattice vocabulary.  Its bottom-up closure is over symbols, not over
 rule whose children survive, so a latent context that derives no string
 over the lattice can stay in the support, and draws that reach it end in
 a dead end (filtering the supports by a closure over contexts changes the
-draws; it is ROADMAP item 1).  Sampling expands the derivation frontier
+draws; it is ROADMAP item 6).  Sampling expands the derivation frontier
 breadth-first, one level at a time; every emitted word consumes a lattice
 edge, conflicting paths are removed, and the supports are narrowed
 accordingly, so each completed sample draws its words from a single
@@ -50,15 +50,31 @@ streams, so a stream is seeded once per run rather than once per draw.
 Each thread has a cache of its own, so the cache needs no lock.
 
 Each state also keeps, per context, the running sums of its support's
-weights, so a rule draw is one bisection, with the same pick as a linear
-scan.  A completed draw's tokens are read off the frontier before its
-derivation is built, and a draw whose tokens :func:`sample_many` already
-has builds and rescores nothing.
+weights (the last one infinite, so a float that passes every sum picks
+the last value), so a rule draw is one bisection, with the same pick as
+a linear scan.
+
+The draws of one memo also share a trie of their picks, rooted on the
+question.  An inner node is the draw table of one pick, its running
+sums and total, with a child slot per value; a leaf is a dead end or a
+completed draw.  A draw's configuration is a function of its pick
+prefix, and its k-th pick always reads the k-th float of its stream, so
+a draw descends the trie by one bisection per pick, with no lattice
+state, no table lookup and no frontier.  Only a draw that reaches an
+empty slot walks: it starts again from the first float of its stream,
+as a draw did before the trie, and adds its picks and its leaf to the
+trie.  Every state is still first reached by a walk, so conflict
+removal still runs once per distinct state, and the witness-path check
+runs once per distinct completed draw.  A completed leaf keeps its
+tokens, read off the frontier, and its consumed path; it builds and
+rescores its derivation only on the first visit that returns it, and a
+visit whose tokens are in ``seen`` builds and rescores nothing.
 """
 
 from __future__ import annotations
 
 import _random
+import math
 import threading
 from bisect import bisect_right
 from collections import Counter
@@ -171,18 +187,20 @@ def prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
 
 def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
     """The draw table of a support of ``(value, weight)`` pairs: its values,
-    the running sums of its weights (sequential ``+``) and their total
-    (builtin ``sum``)."""
+    the running sums of its weights (sequential ``+``) with the last one
+    replaced by infinity, and their total (builtin ``sum``)."""
     weights = [p for _, p in items]
-    return tuple(v for v, _ in items), list(accumulate(weights)), sum(weights)
+    cum = list(accumulate(weights))
+    if cum:
+        cum[-1] = math.inf
+    return tuple(v for v, _ in items), cum, sum(weights)
 
 
 def _pick(u: float, values: tuple, cum: list[float], total: float) -> object:
     """Weighted draw over a support given by its :func:`_table`, for the
     uniform float ``u`` in [0, 1): the first value whose running sum
-    exceeds ``u * total``, else the last."""
-    i = bisect_right(cum, u * total)
-    return values[i] if i < len(values) else values[-1]
+    exceeds ``u * total``, else (the infinite last sum) the last."""
+    return values[bisect_right(cum, u * total)]
 
 
 # At least the draws of one question (``--m`` is 300 by default), so the
@@ -290,10 +308,11 @@ class _Question:
     path, each edge's index and compatibility mask (see :func:`_compat`),
     each preterminal symbol's words and each interminal's child-symbol
     pairs, the contexts that derive a string over its vocabulary
-    (:func:`_live`), and whether no root context does."""
+    (:func:`_live`), whether no root context does, and the one-item slot
+    of the root of its draws' pick trie (see :func:`_graft`)."""
 
     __slots__ = ("pruned", "lattice", "longest", "index", "compat", "words", "pairs",
-                 "live", "doomed")
+                 "live", "doomed", "root")
 
     def __init__(self, pruned: PrunedGrammar, lat: WordLattice) -> None:
         self.pruned = pruned
@@ -309,6 +328,7 @@ class _Question:
             self.pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs, _ in entries)
         self.live = _live(pruned)
         self.doomed = not any(ctx in self.live for ctx, _ in pruned.roots)
+        self.root: list[tuple | str | _Draw | None] = [None]
 
     def symbols(self, vocab: frozenset[str]) -> frozenset[str]:
         """The symbols of the pruned grammar that survive over ``vocab``."""
@@ -374,41 +394,50 @@ class _State:
         return table
 
 
-def sample_one(
-    pruned: PrunedGrammar,
-    lat: WordLattice,
-    seed: int,
-    states: dict[int, _State] | None = None,
-    seen: Container[tuple[str, ...]] = (),
-) -> ParaphraseCandidate | SampleFailure | None:
-    """Draw one derivation; breadth-first, with controlled path removal.
+class _Draw:
+    """A completed draw, a leaf of its question's pick trie: its tokens,
+    its consumed edges in witness-path order, its frontier levels (see
+    :func:`_walk`), and its derivation once a visit returns it."""
 
-    Every rule draw renormalizes the original parameters over the support
-    that currently survives.  Each emitted word consumes one not yet
-    consumed lattice edge (the canonically least); the removal step then
-    drops all paths conflicting with it.  ``states`` is the memo of lattice
-    states that the draws over one ``pruned``/``lat`` pair share (see
-    :func:`sample_many`); without it the draw keeps a private one.  A memo
-    used with another pair raises ValueError.  A completed draw whose
-    tokens are in ``seen`` returns None without building its derivation.
-    """
-    if states is None:
-        states = {}
-    full = (1 << len(lat.edges)) - 1
-    state = states.get(full)
-    if state is None:
-        if states:
-            raise ValueError("the state memo belongs to another lattice")
-        state = states[full] = _State(_Question(pruned, lat), full, lat, pruned.symbols)
+    __slots__ = ("tokens", "path", "levels", "derivation")
+
+    def __init__(self, tokens: tuple[str, ...], path: tuple[Edge, ...], levels: list) -> None:
+        self.tokens = tokens
+        self.path = path
+        self.levels = levels
+        self.derivation: DerivationTree | None = None
+
+
+def _graft(root: list, picks: list[tuple[list[float], float, float]], leaf: str | _Draw) -> None:
+    """Add a draw to its question's trie: ``root`` is the slot of the
+    trie's root, ``picks`` the running sums, total and float of each of
+    the draw's picks, and ``leaf`` where the draw ended.  An empty slot
+    on the way gets an inner node, ``(running sums, total, child slots)``
+    with one slot per value of the pick's table."""
+    kids, i = root, 0
+    for cum, total, u in picks:
+        if kids[i] is None:
+            kids[i] = (cum, total, [None] * len(cum))
+        kids, i = kids[i][2], bisect_right(cum, u * total)
+    kids[i] = leaf
+
+
+def _walk(
+    state: _State, states: dict[int, _State], seed: int
+) -> tuple[list[tuple[list[float], float, float]], str | _Draw]:
+    """The draw of ``seed`` from the root ``state`` of a memo: the running
+    sums, total and float of each pick it makes, and its leaf, the
+    failure reason of a dead end or the completed :class:`_Draw`."""
     question = state.question
-    if (question.lattice is not lat and question.lattice != lat) or (
-        question.pruned is not pruned and question.pruned != pruned
-    ):
-        raise ValueError("the state memo belongs to another lattice or grammar")
-    if question.doomed:
-        return SampleFailure("dead-end", seed)
-
     draw = _stream(seed).__next__
+    picks: list[tuple[list[float], float, float]] = []
+
+    def pick(values: tuple, cum: list[float], total: float) -> object:
+        u = draw()
+        picks.append((cum, total, u))
+        return _pick(u, values, cum, total)
+
+    edges_of = question.lattice.edges
     compat = question.compat
     longest = question.longest
     used = 0  # the mask of the consumed edges
@@ -418,9 +447,9 @@ def sample_one(
     # (None where a binary rule was drawn).  A context that is not live
     # can never complete, so a draw that picks one ends there.
     values, cum, total, _ = state.table(None)
-    root = _pick(draw(), values, cum, total)
+    root = pick(values, cum, total)
     if root is None:
-        return SampleFailure("dead-end", seed)
+        return picks, "dead-end"
     level = [root]
     levels: list[tuple[list[Context], list[str | None]]] = []
     while level:
@@ -428,17 +457,17 @@ def sample_one(
         # edge, and all of them lie on one path of the starting lattice: a
         # draw that needs more edges than its longest path cannot complete.
         if n_used + len(level) > longest:
-            return SampleFailure("dead-end", seed)
+            return picks, "dead-end"
         words: list[str | None] = []
         below: list[Context] = []
         for ctx in level:
             values, cum, total, edges = state.table(ctx)
             if not values:
-                return SampleFailure("dead-end", seed)
+                return picks, "dead-end"
             if edges is None:
-                pair = _pick(draw(), values, cum, total)
+                pair = pick(values, cum, total)
                 if pair is None:
-                    return SampleFailure("dead-end", seed)
+                    return picks, "dead-end"
                 below += pair
                 words.append(None)
                 continue
@@ -452,10 +481,10 @@ def sample_one(
                     if tokens.get(w, 0) & ~used
                 ]
                 if not avail:
-                    return SampleFailure("dead-end", seed)
-                word = _pick(draw(), *_table(avail))
+                    return picks, "dead-end"
+                word = pick(*_table(avail))
             else:
-                word = _pick(draw(), values, cum, total)
+                word = pick(values, cum, total)
             free = tokens[word] & ~used
             bit = free & -free  # the canonically least free edge
             used |= bit
@@ -467,7 +496,7 @@ def sample_one(
             if mask != state.mask:
                 nxt = states.get(mask)
                 if nxt is None:
-                    narrowed = remove_conflicting(state.lattice, lat.edges[i])
+                    narrowed = remove_conflicting(state.lattice, edges_of[i])
                     nxt = states[mask] = _State(
                         question, mask, narrowed, question.symbols(narrowed.vocabulary())
                     )
@@ -494,9 +523,12 @@ def sample_one(
             (w,) if w is not None else next(below_spans) + next(below_spans)
             for w in words
         ]
-    tokens = spans[0]
-    if tokens in seen:
-        return None
+    return picks, _Draw(spans[0], path, levels)
+
+
+def _derivation(levels: list, grammar: LatentGrammar) -> DerivationTree:
+    """The derivation of a completed draw's frontier ``levels``, scored
+    under ``grammar``."""
     nodes: list[DerivationNode] = []
     for ctxs, words in reversed(levels):
         below_nodes = iter(nodes)
@@ -506,11 +538,64 @@ def sample_one(
             for (sym, st), w in zip(ctxs, words)
         ]
     root = nodes[0]
+    return DerivationTree(root=root, logprob=rescore(root, grammar))
+
+
+def sample_one(
+    pruned: PrunedGrammar,
+    lat: WordLattice,
+    seed: int,
+    states: dict[int, _State] | None = None,
+    seen: Container[tuple[str, ...]] = (),
+) -> ParaphraseCandidate | SampleFailure | None:
+    """Draw one derivation; breadth-first, with controlled path removal.
+
+    Every rule draw renormalizes the original parameters over the support
+    that currently survives.  Each emitted word consumes one not yet
+    consumed lattice edge (the canonically least); the removal step then
+    drops all paths conflicting with it.  ``states`` is the memo of lattice
+    states that the draws over one ``pruned``/``lat`` pair share (see
+    :func:`sample_many`); without it the draw keeps a private one.  A memo
+    used with another pair raises ValueError.  A completed draw whose
+    tokens are in ``seen`` returns None without building its derivation.
+
+    A draw first follows its floats down the memo's pick trie; only a
+    draw that reaches an empty slot walks (:func:`_walk`) and adds its
+    picks to the trie.
+    """
+    if states is None:
+        states = {}
+    full = (1 << len(lat.edges)) - 1
+    state = states.get(full)
+    if state is None:
+        if states:
+            raise ValueError("the state memo belongs to another lattice")
+        state = states[full] = _State(_Question(pruned, lat), full, lat, pruned.symbols)
+    question = state.question
+    if (question.lattice is not lat and question.lattice != lat) or (
+        question.pruned is not pruned and question.pruned != pruned
+    ):
+        raise ValueError("the state memo belongs to another lattice or grammar")
+    if question.doomed:
+        return SampleFailure("dead-end", seed)
+
+    node = question.root[0]
+    if node is not None:
+        draw = _stream(seed).__next__
+        while type(node) is tuple:
+            cum, total, kids = node
+            node = kids[bisect_right(cum, draw() * total)]
+    if node is None:
+        picks, node = _walk(state, states, seed)
+        _graft(question.root, picks, node)
+    if type(node) is str:
+        return SampleFailure(node, seed)
+    if node.tokens in seen:
+        return None
+    if node.derivation is None:
+        node.derivation = _derivation(node.levels, pruned.grammar)
     return ParaphraseCandidate(
-        tokens=tokens,
-        derivation=DerivationTree(root=root, logprob=rescore(root, pruned.grammar)),
-        consumed_path=path,
-        seed=seed,
+        tokens=node.tokens, derivation=node.derivation, consumed_path=node.path, seed=seed
     )
 
 

@@ -220,6 +220,12 @@ def _bad_rule_score(tmp_path, grammar_file, classifier_file):
             "--question", "when is easter"]
 
 
+def _build_lattice_argv(*args):
+    def argv(tmp_path, grammar_file, classifier_file):
+        return ["build-lattice", *args]
+    return argv
+
+
 class TestBadInputs:
     @pytest.mark.parametrize(
         "make_argv, code, message",
@@ -245,6 +251,13 @@ class TestBadInputs:
             (_bad_qa_answers(""), 2, "qa.tsv:1: empty gold answer in ''"),
             (_bad_qa_answers("Paris||Lyon"), 2, "qa.tsv:1: empty gold answer in 'Paris||Lyon'"),
             (_bad_rule_score, 2, "rules.tsv:2: bad score 'inf'"),
+            (_build_lattice_argv(), 1, "give exactly one of --question or --input"),
+            (_build_lattice_argv("--question", "when is easter", "--input", "questions.txt"),
+             1, "give exactly one of --question or --input"),
+            (_build_lattice_argv("--mode", "rules", "--question", "when is easter"),
+             1, "--rules is required for mode 'rules'"),
+            (_build_lattice_argv("--mode", "bilayered", "--question", "when is easter"),
+             1, "--bilayered-grammar is required for mode 'bilayered'"),
         ],
         ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
@@ -252,7 +265,8 @@ class TestBadInputs:
              "grammar-deficit", "perceptron-weight", "perceptron-weight-inf",
              "perceptron-repeated-feature", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
-             "rules-score-inf"],
+             "rules-score-inf", "no-question", "two-questions", "rules-missing",
+             "bilayered-grammar-missing"],
     )
     def test_exit_code_and_message_without_traceback(
         self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from paralat.lattice import (
     ORIGIN_INPUT,
     ParaphraseRuleDB,
     WordLattice,
+    _alternatives,
     build_bilayered,
     build_from_rules,
     build_naive,
@@ -260,6 +262,23 @@ class TestBilayeredLattice:
     def test_empty_question(self, bilayered_toy_grammar):
         with pytest.raises(EmptyQuestion):
             build_bilayered([], bilayered_toy_grammar)
+
+    def test_each_grammar_keeps_its_own_alternatives(self, bilayered_toy_grammar):
+        tokens = "what day is nochebuena".split()
+        first = build_bilayered(tokens, bilayered_toy_grammar)
+        day = next(ctx for ctx, table in bilayered_toy_grammar.lexical.items() if "day" in table)
+        other = dataclasses.replace(
+            bilayered_toy_grammar,
+            lexical={**bilayered_toy_grammar.lexical, day: {"day": 0.5, "date": 0.5}},
+        )
+        second = build_bilayered(tokens, other)
+        assert {e.token for e in second.edges if e.origin == ORIGIN_BILAYERED} == {"date", "when"}
+        assert build_bilayered(tokens, bilayered_toy_grammar) == first
+        # Built once per grammar object, and never shared between two.
+        mine = _alternatives(bilayered_toy_grammar)
+        assert _alternatives(bilayered_toy_grammar) is mine
+        assert _alternatives(other) is not mine
+        assert mine[(day[0], day[1].sem)] == ("day", "when")
 
     def test_one_layer_grammar_rejected(self, triplet_trees):
         from paralat.estimation import train_grammar

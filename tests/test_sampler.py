@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
@@ -620,11 +621,13 @@ class TestStateMasks:
             return table(state, ctx)
 
         monkeypatch.setattr(sampler._State, "table", counted)
-        states: dict = {}
         lookups = Counter()
+        results = []
         for seed in range(60):
+            # A fresh memo, so the draw walks rather than replays a trie.
             looked_up.clear()
-            result = sample_one(pruned, lat, seed, states=states)
+            result = sample_one(pruned, lat, seed, states={})
+            results.append(result)
             if isinstance(result, SampleFailure):
                 # The draw ends at the binary pick of S or X-0 that reaches
                 # X-1: it never looks X-1 up.
@@ -634,6 +637,14 @@ class TestStateMasks:
                 assert result.tokens == ("a", "a", "a")
             assert ("X", S1) not in looked_up
         assert set(lookups) == {2, 4}
+        # With a shared memo, a seed replayed after every other one was
+        # walked follows the trie and looks nothing up.
+        states: dict = {}
+        for seed in range(60):
+            sample_one(pruned, lat, seed, states=states)
+        looked_up.clear()
+        assert [sample_one(pruned, lat, seed, states=states) for seed in range(60)] == results
+        assert looked_up == []
         monkeypatch.undo()
         got = sample_many(["q"], grammar, lat, DRAWS, 3)
         assert got and _fields(got) == _fields(_reference_many(["q"], grammar, lat, DRAWS, 3))
@@ -787,6 +798,14 @@ class TestDrawTable:
         items = [("a", 0.0), ("b", 0.0), ("c", 0.0)]
         assert _pick(random.Random(0).random(), *_table(items)) == "c"
 
+    def test_last_running_sum_is_infinite(self):
+        # So a bisection never runs past the last value, in _pick and in
+        # a descent of the pick trie alike.
+        assert _table([("a", 0.25), ("b", 0.5), ("c", 0.25)]) == (
+            ("a", "b", "c"), [0.25, 0.75, math.inf], 1.0
+        )
+        assert _table([]) == ((), [], 0)
+
 
 class TestDrawCounts:
     """``sample_many`` makes exactly one ``sample_one`` call per draw and
@@ -845,3 +864,71 @@ class TestDrawCounts:
             else:
                 assert result is None
         assert 0 < mixed < 50
+
+
+def _draw_fields(result):
+    """A draw's seed, tokens, consumed path and derivation, or its failure."""
+    if isinstance(result, ParaphraseCandidate):
+        return (result.seed, result.tokens, result.consumed_path,
+                result.derivation.root, result.derivation.logprob)
+    return result
+
+
+class TestPickTrie:
+    """The draws of one memo share a trie of their picks: a draw that
+    replays known picks gives what a walk from a fresh memo gives."""
+
+    def test_shared_memo_in_any_order_equals_fresh_memos(self, heldout_lattices, monkeypatch):
+        grammar, cases = heldout_lattices
+        walk = sampler._walk
+        walks = 0
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return walk(*args)
+
+        rng = random.Random(18)
+        draws = 0
+        for _tokens, lat in cases:
+            pruned = prune_grammar(grammar, lat)
+            seeds = list(range(DRAWS))
+            fresh = {s: _draw_fields(sample_one(pruned, lat, s, states={})) for s in seeds}
+            shuffled = rng.sample(seeds, len(seeds))
+            monkeypatch.setattr(sampler, "_walk", counted)
+            for order in (seeds[::-1], shuffled):
+                states: dict = {}
+                assert {s: _draw_fields(sample_one(pruned, lat, s, states=states))
+                        for s in order} == fresh
+                draws += len(order)
+            monkeypatch.undo()
+        # Most draws replay picks an earlier draw of their memo made.
+        assert 0 < walks < draws / 2
+
+    def test_seen_leaf_returns_a_candidate_later(self, monkeypatch):
+        grammar = _product_grammar()
+        lat = build_naive("a b c d".split())
+        pruned = prune_grammar(grammar, lat)
+        seeds = range(40)
+        fresh = [sample_one(pruned, lat, s, states={}) for s in seeds]
+        rescore = sampler.rescore
+        rescored = []
+
+        def counted(root, grammar):
+            rescored.append(root)
+            return rescore(root, grammar)
+
+        monkeypatch.setattr(sampler, "rescore", counted)
+        states: dict = {}
+        language = set(enumerate_strings(grammar))
+        for s in seeds:
+            assert not isinstance(sample_one(pruned, lat, s, states=states, seen=language),
+                                  ParaphraseCandidate)
+        assert rescored == []
+        # The same leaves, now visited with their tokens unseen, return
+        # their candidates, each derivation built and rescored once.
+        again = [sample_one(pruned, lat, s, states=states) for s in seeds]
+        assert again == fresh
+        roots = [c.derivation.root for c in again if isinstance(c, ParaphraseCandidate)]
+        assert len(roots) > len(rescored) > 1
+        assert sorted(map(repr, rescored)) == sorted({repr(root) for root in roots})
