@@ -40,14 +40,15 @@ ends at that pick; when no root context is live, a draw ends before it
 reads a random number.  These draws end as they would have, later.
 
 A draw reads the floats ``random.Random(seed).random()`` gives, one per
-pick, from its seed's stream: the seed's generator and the floats it has
-given so far, kept in a bounded cache and extended on demand.  Each draw
-reads its stream from the start with its own cursor, so it sees the same
-floats whatever ran before it.  Seeding a generator costs far more than
-a float, and :func:`sample_many` calls whose seed ranges overlap (the
-CLI's neighbouring questions share all but one seed) read the same
-streams, so a stream is seeded once per run rather than once per draw.
-Each thread has a cache of its own, so the cache needs no lock.
+pick, from its seed's stream: the seed's generator and the list of the
+floats it has given so far, kept in a bounded cache.  A draw's k-th pick
+reads the k-th float of the list, which is extended from the generator
+when it runs short, so a draw sees the same floats whatever ran before
+it.  Seeding a generator costs far more than a float, and
+:func:`sample_many` calls whose seed ranges overlap (the CLI's
+neighbouring questions share all but one seed) read the same streams, so
+a stream is seeded once per run rather than once per draw.  Each thread
+has a cache of its own, so the cache needs no lock.
 
 Each state also keeps, per context, the running sums of its support's
 weights (the last one infinite, so a float that passes every sum picks
@@ -59,16 +60,18 @@ question.  An inner node is the draw table of one pick, its running
 sums and total, with a child slot per value; a leaf is a dead end or a
 completed draw.  A draw's configuration is a function of its pick
 prefix, and its k-th pick always reads the k-th float of its stream, so
-a draw descends the trie by one bisection per pick, with no lattice
-state, no table lookup and no frontier.  Only a draw that reaches an
-empty slot walks: it starts again from the first float of its stream,
-as a draw did before the trie, and adds its picks and its leaf to the
-trie.  Every state is still first reached by a walk, so conflict
-removal still runs once per distinct state, and the witness-path check
-runs once per distinct completed draw.  A completed leaf keeps its
-tokens, read off the frontier, and its consumed path; it builds and
-rescores its derivation only on the first visit that returns it, and a
-visit whose tokens are in ``seen`` builds and rescores nothing.
+a draw descends the trie by one bisection per pick, indexing its
+stream's list, with no lattice state, no table lookup and no frontier.
+Only a draw that reaches an empty slot walks: it starts again from the
+first float of its stream, as a draw did before the trie, and adds its
+picks and its leaf to the trie.  Every state is still first reached by
+a walk, so conflict removal still runs once per distinct state, and the
+witness-path check runs once per distinct completed draw.  A completed
+leaf keeps its tokens, read off the frontier, and its consumed path.  A
+draw builds no derivation: a candidate's ``derivation`` is built and
+rescored from its leaf when it is first read, and kept on the leaf, so
+it is built at most once per leaf, and never for a leaf whose
+candidates nobody reads.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Collection, Container, Iterator, Sequence, TypeVar
+from typing import Collection, Container, Sequence, TypeVar
 
 from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
@@ -105,16 +108,52 @@ class PrunedGrammar:
     symbols: frozenset[str]
 
 
-@dataclass(frozen=True)
 class ParaphraseCandidate:
-    tokens: tuple[str, ...]
-    derivation: DerivationTree
-    consumed_path: tuple[Edge, ...]
-    seed: int
+    """A completed draw: its tokens, derivation, consumed edges in path
+    order and seed.  ``derivation`` is given built, or as the draw's leaf
+    in its question's pick trie (:class:`_Draw`), which builds it on the
+    first read and keeps it.  Candidates are equal when all four are."""
+
+    __slots__ = ("tokens", "_derivation", "consumed_path", "seed")
+
+    def __init__(
+        self,
+        tokens: tuple[str, ...],
+        derivation: DerivationTree | _Draw,
+        consumed_path: tuple[Edge, ...],
+        seed: int,
+    ) -> None:
+        self.tokens = tokens
+        self._derivation = derivation
+        self.consumed_path = consumed_path
+        self.seed = seed
+
+    @property
+    def derivation(self) -> DerivationTree:
+        source = self._derivation
+        return source if type(source) is DerivationTree else source.derivation()
 
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
+
+    def _fields(self) -> tuple:
+        return (self.tokens, self.derivation, self.consumed_path, self.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ParaphraseCandidate:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        # Equal candidates have equal tokens, paths and seeds, so the hash
+        # leaves the derivation unbuilt.
+        return hash((self.tokens, self.consumed_path, self.seed))
+
+    def __repr__(self) -> str:
+        tokens, derivation, path, seed = self._fields()
+        return (f"ParaphraseCandidate(tokens={tokens!r}, derivation={derivation!r}, "
+                f"consumed_path={path!r}, seed={seed!r})")
 
 
 @dataclass(frozen=True)
@@ -219,10 +258,12 @@ class _Streams(threading.local):
 _streams = _Streams()
 
 
-def _stream(seed: int) -> Iterator[float]:
-    """The floats of ``random.Random(seed).random()``, in order, read from
-    the seed's cached stream and extended on demand.  When the cache is
-    full, a new seed's stream replaces the oldest one."""
+def _stream(seed: int) -> tuple[_random.Random, list[float]]:
+    """The seed's cached stream: its generator and the floats of
+    ``random.Random(seed).random()`` it has given so far.  A draw's k-th
+    pick reads ``floats[k]``, first appending ``rng.random()`` when the
+    list is k long.  When the cache is full, a new seed's stream replaces
+    the oldest one."""
     streams = _streams.by_seed
     entry = streams.get(seed)
     if entry is None:
@@ -231,14 +272,7 @@ def _stream(seed: int) -> Iterator[float]:
         # random.Random's C base class: the same stream, seeded without
         # the Python-level __init__ and seed wrappers.
         entry = streams[seed] = (_random.Random(seed), [])
-    rng, floats = entry
-    yield from floats  # the floats given so far, and any appended meanwhile
-    i = len(floats)
-    while True:
-        if i == len(floats):
-            floats.append(rng.random())
-        yield floats[i]
-        i += 1
+    return entry
 
 
 def _topological(lat: WordLattice) -> list[int]:
@@ -397,15 +431,38 @@ class _State:
 class _Draw:
     """A completed draw, a leaf of its question's pick trie: its tokens,
     its consumed edges in witness-path order, its frontier levels (see
-    :func:`_walk`), and its derivation once a visit returns it."""
+    :func:`_walk`), the grammar it was drawn from, and its derivation
+    once a candidate's ``derivation`` has been read."""
 
-    __slots__ = ("tokens", "path", "levels", "derivation")
+    __slots__ = ("tokens", "path", "levels", "grammar", "tree")
 
-    def __init__(self, tokens: tuple[str, ...], path: tuple[Edge, ...], levels: list) -> None:
+    def __init__(
+        self,
+        tokens: tuple[str, ...],
+        path: tuple[Edge, ...],
+        levels: list,
+        grammar: LatentGrammar,
+    ) -> None:
         self.tokens = tokens
         self.path = path
         self.levels = levels
-        self.derivation: DerivationTree | None = None
+        self.grammar = grammar
+        self.tree: DerivationTree | None = None
+
+    def derivation(self) -> DerivationTree:
+        """The derivation of this draw's frontier levels, scored under its
+        grammar: built on the first call, then kept."""
+        if self.tree is None:
+            nodes: list[DerivationNode] = []
+            for ctxs, words in reversed(self.levels):
+                below = iter(nodes)
+                nodes = [
+                    DerivationNode(sym, st, w) if w is not None
+                    else DerivationNode(sym, st, None, (next(below), next(below)))
+                    for (sym, st), w in zip(ctxs, words)
+                ]
+            self.tree = DerivationTree(root=nodes[0], logprob=rescore(nodes[0], self.grammar))
+        return self.tree
 
 
 def _graft(root: list, picks: list[tuple[list[float], float, float]], leaf: str | _Draw) -> None:
@@ -429,11 +486,14 @@ def _walk(
     sums, total and float of each pick it makes, and its leaf, the
     failure reason of a dead end or the completed :class:`_Draw`."""
     question = state.question
-    draw = _stream(seed).__next__
+    rng, floats = _stream(seed)
     picks: list[tuple[list[float], float, float]] = []
 
     def pick(values: tuple, cum: list[float], total: float) -> object:
-        u = draw()
+        k = len(picks)
+        if k == len(floats):
+            floats.append(rng.random())
+        u = floats[k]
         picks.append((cum, total, u))
         return _pick(u, values, cum, total)
 
@@ -523,22 +583,7 @@ def _walk(
             (w,) if w is not None else next(below_spans) + next(below_spans)
             for w in words
         ]
-    return picks, _Draw(spans[0], path, levels)
-
-
-def _derivation(levels: list, grammar: LatentGrammar) -> DerivationTree:
-    """The derivation of a completed draw's frontier ``levels``, scored
-    under ``grammar``."""
-    nodes: list[DerivationNode] = []
-    for ctxs, words in reversed(levels):
-        below_nodes = iter(nodes)
-        nodes = [
-            DerivationNode(sym, st, w) if w is not None
-            else DerivationNode(sym, st, None, (next(below_nodes), next(below_nodes)))
-            for (sym, st), w in zip(ctxs, words)
-        ]
-    root = nodes[0]
-    return DerivationTree(root=root, logprob=rescore(root, grammar))
+    return picks, _Draw(spans[0], path, levels, question.pruned.grammar)
 
 
 def sample_one(
@@ -557,11 +602,13 @@ def sample_one(
     states that the draws over one ``pruned``/``lat`` pair share (see
     :func:`sample_many`); without it the draw keeps a private one.  A memo
     used with another pair raises ValueError.  A completed draw whose
-    tokens are in ``seen`` returns None without building its derivation.
+    tokens are in ``seen`` returns None.
 
-    A draw first follows its floats down the memo's pick trie; only a
-    draw that reaches an empty slot walks (:func:`_walk`) and adds its
-    picks to the trie.
+    A draw first follows its floats down the memo's pick trie, its k-th
+    pick reading the k-th float of its seed's stream; only a draw that
+    reaches an empty slot walks (:func:`_walk`) and adds its picks to the
+    trie.  The candidate builds and rescores its derivation when it is
+    first read (see :class:`ParaphraseCandidate`).
     """
     if states is None:
         states = {}
@@ -581,10 +628,14 @@ def sample_one(
 
     node = question.root[0]
     if node is not None:
-        draw = _stream(seed).__next__
+        rng, floats = _stream(seed)
+        k = 0
         while type(node) is tuple:
+            if k == len(floats):
+                floats.append(rng.random())
             cum, total, kids = node
-            node = kids[bisect_right(cum, draw() * total)]
+            node = kids[bisect_right(cum, floats[k] * total)]
+            k += 1
     if node is None:
         picks, node = _walk(state, states, seed)
         _graft(question.root, picks, node)
@@ -592,11 +643,7 @@ def sample_one(
         return SampleFailure(node, seed)
     if node.tokens in seen:
         return None
-    if node.derivation is None:
-        node.derivation = _derivation(node.levels, pruned.grammar)
-    return ParaphraseCandidate(
-        tokens=node.tokens, derivation=node.derivation, consumed_path=node.path, seed=seed
-    )
+    return ParaphraseCandidate(node.tokens, node, node.path, seed)
 
 
 def sample_many(
@@ -610,8 +657,9 @@ def sample_many(
 
     Seeds run from ``seed`` upward, each starting from the full lattice;
     the draws share one memo of the lattice states they reach.  Duplicates
-    (by token sequence) and the input question itself are dropped before
-    their derivations are built.
+    (by token sequence) and the input question itself are dropped.  No
+    derivation is built here: each candidate builds its own when it is
+    first read.
     Deterministic for a fixed seed.
     """
     if m_samples < 1:

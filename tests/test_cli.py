@@ -456,6 +456,25 @@ class TestValidateGrammar:
         assert out.splitlines()[-2:] == [f"violation: {violation}", "1 violation(s)"]
         assert err == f"error: {path}: grammar is invalid\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read {path}: "),
+            ("", "{path}: empty file\n"),
+            ("LPCFG v1 layers=1 m1=1 m2=0\n" + _VALID_BODY + "BIN\tS\t0\tA\t0\tB\t0\t1\n",
+             "{path}:6: duplicate binary rule\n"),
+        ],
+        ids=["missing", "empty", "duplicate-binary-rule"],
+    )
+    def test_unloadable_grammar_exits_2_and_names_the_file(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.lpcfg"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main(["validate-grammar", "--grammar", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: " + message.format(path=path))
+
 
 class TestParse:
     def test_figure_notation(self, tmp_path, bilayered_toy_grammar, capsys):

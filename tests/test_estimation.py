@@ -7,7 +7,7 @@ from hypothesis import given
 from oracles import brute_force_features, node_contexts, random_trees, reference_kmeans
 
 from paralat import estimation
-from paralat.errors import AssignmentMismatch, EmptyTreebank, MissingAlignments
+from paralat.errors import AssignmentMismatch, EmptyTreebank, EstimationError, MissingAlignments
 from paralat.estimation import (
     AlignmentRecord,
     StateAssignment,
@@ -111,8 +111,20 @@ class TestExtractFeatures:
         with pytest.raises(MissingAlignments):
             extract_features(triplet_trees[0], "semantic")
 
+    def test_unknown_layer_is_refused(self, triplet_trees):
+        with pytest.raises(EstimationError, match="unknown feature layer 'bogus'"):
+            extract_features(triplet_trees[0], "bogus")
+
 
 class TestClusterStates:
+    def test_state_count_below_one_is_refused(self):
+        with pytest.raises(EstimationError, match="state count must be >= 1, got 0"):
+            cluster_states({(0, ()): {"x": 1.0}}, {(0, ()): "S"}, m=0, seed=0)
+
+    def test_no_vectors_is_refused(self):
+        with pytest.raises(EstimationError, match="no vectors to cluster"):
+            cluster_states({}, {}, m=2, seed=0)
+
     def test_single_state_assigns_zero(self, triplet_trees):
         assignment = train_syntactic_assignment(triplet_trees, m=1, seed=0)
         assert set(assignment.states.values()) == {0}
@@ -381,6 +393,12 @@ class TestEstimateMle:
     def test_empty_treebank(self):
         with pytest.raises(EmptyTreebank):
             estimate_mle([], StateAssignment(m=1, states={}))
+
+    def test_training_on_an_empty_treebank_is_refused(self):
+        with pytest.raises(EmptyTreebank, match="cannot train on an empty treebank"):
+            train_grammar([], m=2, seed=0)
+        with pytest.raises(EmptyTreebank, match="cannot train on an empty treebank"):
+            train_bilayered_grammar([], TRIPLET_ALIGNMENTS, m1=2, m2=2, seed=0)
 
     def test_deterministic_serialization(self, triplet_trees):
         a = serialize_grammar(train_grammar(triplet_trees, m=4, seed=13))

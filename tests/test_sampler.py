@@ -21,6 +21,7 @@ from oracles import (
     word_salad_grammar,
 )
 from paralat import sampler
+from paralat.classifier import Gazetteer, filter_candidates, read_labeled_pairs, train
 from paralat.data_files import data_path
 from paralat.errors import EmptyIntersection, ParseFailure
 from paralat.estimation import read_alignments, train_bilayered_grammar, train_grammar
@@ -389,6 +390,15 @@ def _reference_many(question, grammar, lat, m_samples, seed):
     return out
 
 
+def _read(seed, k):
+    """The k-th float of ``seed``'s cached stream, read as a pick reads it:
+    the list is extended from the stream's generator when it is k long."""
+    rng, floats = sampler._stream(seed)
+    if k == len(floats):
+        floats.append(rng.random())
+    return floats[k]
+
+
 def _fields(candidates):
     return [
         (c.tokens, c.consumed_path, c.derivation.root, c.derivation.logprob, c.seed)
@@ -672,8 +682,7 @@ class TestStateMasks:
 
     def test_c_generator_stream_equals_random_random(self, monkeypatch):
         # A benchmark draw reads at most 18 floats; a fresh stream is read
-        # past that, then read again from the cache and extended, and two
-        # readers of one seed take turns.
+        # past that, then read again from the cache and extended.
         monkeypatch.setattr(sampler._streams, "by_seed", {})
         seeds = [*range(1000), 2**32, 2**32 + 7, 2**64 + 3, 10**30]
         for seed in seeds:
@@ -681,11 +690,9 @@ class TestStateMasks:
             assert [fast.random() for _ in range(5)] == [slow.random() for _ in range(5)]
             reference = random.Random(seed)
             expected = [reference.random() for _ in range(40)]
-            first = sampler._stream(seed)
-            assert [next(first) for _ in range(25)] == expected[:25]
-            again, other = sampler._stream(seed), sampler._stream(seed)
-            assert [(next(again), next(other)) for _ in range(40)] == list(zip(expected, expected))
-            assert [next(first) for _ in range(15)] == expected[25:]
+            assert [_read(seed, k) for k in range(25)] == expected[:25]
+            assert [_read(seed, k) for k in range(40)] == expected
+            assert sampler._stream(seed)[1] == expected
         assert list(sampler._streams.by_seed) == seeds
 
     @staticmethod
@@ -723,8 +730,7 @@ class TestStateMasks:
         def work():
             for seed, floats in expected.items():
                 barrier.wait()
-                stream = sampler._stream(seed)
-                if [next(stream) for _ in floats] != floats:
+                if [_read(seed, k) for k in range(len(floats))] != floats:
                     wrong.append(seed)
             finished.append(True)  # an exception in a thread would not fail the test
 
@@ -809,7 +815,9 @@ class TestDrawTable:
 
 class TestDrawCounts:
     """``sample_many`` makes exactly one ``sample_one`` call per draw and
-    rescores only the candidates it returns."""
+    rescores none: a candidate's derivation is built and rescored on its
+    first read, so only the candidates it returns are ever rescored, and
+    each at most once."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -833,6 +841,16 @@ class TestDrawCounts:
         )
         assert {c.tokens for c in candidates} == {("a", "d"), ("c", "b"), ("c", "d")}
         assert calls["sample_one"] == 300
+        assert calls["rescore"] == 0
+        self._read_twice(candidates, calls)
+
+    @staticmethod
+    def _read_twice(candidates, calls):
+        """Reading every candidate's derivation rescores each once; a
+        second read rescores nothing."""
+        first = [(c.derivation.root, c.derivation.logprob) for c in candidates]
+        assert calls["rescore"] == len(candidates)
+        assert [(c.derivation.root, c.derivation.logprob) for c in candidates] == first
         assert calls["rescore"] == len(candidates)
 
     def test_heldout_draw_counts(self, heldout_lattices, monkeypatch):
@@ -842,7 +860,33 @@ class TestDrawCounts:
             calls.clear()
             candidates = sample_many(tokens, grammar, lat, DRAWS, 7)
             assert calls["sample_one"] == DRAWS
-            assert calls["rescore"] == len(candidates)
+            assert calls["rescore"] == 0
+            self._read_twice(candidates, calls)
+
+    def test_paraphrase_path_rescores_nothing(self, heldout_lattices, monkeypatch):
+        # The CLI's paraphrase path, sample_many and filter_candidates, at
+        # the benchmark's m: no derivation is built.  Then every completed
+        # draw of those seeds is seen, and none builds one either.
+        grammar, cases = heldout_lattices
+        model = train(read_labeled_pairs(data_path("classifier_pairs.tsv")))
+        gazetteer = Gazetteer.load(data_path("gazetteer.txt"))
+        calls = self._count(monkeypatch)
+        kept = 0
+        for tokens, lat in cases:
+            calls.clear()
+            candidates = sample_many(tokens, grammar, lat, 400, 7)
+            kept += len(filter_candidates(model, tokens, candidates, gazetteer))
+            assert calls["sample_one"] == 400
+            assert calls["rescore"] == 0
+            self._read_twice(candidates, calls)
+            calls.clear()
+            pruned, states = prune_grammar(grammar, lat), {}
+            seen = {tuple(tokens)} | {c.tokens for c in candidates}
+            for s in range(7, 407):
+                result = sample_one(pruned, lat, s, states=states, seen=seen)
+                assert not isinstance(result, ParaphraseCandidate)
+            assert calls["rescore"] == 0
+        assert kept > 0
 
     def test_seen_draw_still_checks_its_path(self, monkeypatch):
         # With conflict removal switched off, "a d" mixes two paths; the
@@ -926,9 +970,26 @@ class TestPickTrie:
                                   ParaphraseCandidate)
         assert rescored == []
         # The same leaves, now visited with their tokens unseen, return
-        # their candidates, each derivation built and rescored once.
+        # their candidates; reading their derivations builds and rescores
+        # each leaf's once, though several seeds reach one leaf.
         again = [sample_one(pruned, lat, s, states=states) for s in seeds]
-        assert again == fresh
+        assert rescored == []
         roots = [c.derivation.root for c in again if isinstance(c, ParaphraseCandidate)]
         assert len(roots) > len(rescored) > 1
         assert sorted(map(repr, rescored)) == sorted({repr(root) for root in roots})
+        monkeypatch.undo()
+        assert again == fresh
+
+    def test_candidate_equals_one_with_its_derivation_built(self):
+        # A sampled candidate reads as the candidate given its built
+        # derivation (as tests and callers construct one): equal, with
+        # the same hash and repr, and unequal to anything else.
+        lat = build_naive("a b c d".split())
+        sampled = sample_many(["a", "b"], _product_grammar(), lat, 40, 0)
+        assert sampled
+        for cand in sampled:
+            built = ParaphraseCandidate(cand.tokens, cand.derivation, cand.consumed_path, cand.seed)
+            assert built == cand and hash(built) == hash(cand) and repr(built) == repr(cand)
+            assert repr(cand).startswith(f"ParaphraseCandidate(tokens={cand.tokens!r}, ")
+            assert cand != (cand.tokens, cand.derivation, cand.consumed_path, cand.seed)
+            assert cand != SampleFailure("dead-end", cand.seed)

@@ -8,9 +8,11 @@ from oracles import random_trees
 from paralat.errors import (
     EmptyTree,
     PreterminalWithMultipleChildren,
+    TreebankError,
     UnbalancedBrackets,
 )
 from paralat.treebank import (
+    Tree,
     binarize,
     debinarize,
     expand_unaries,
@@ -20,6 +22,16 @@ from paralat.treebank import (
     render,
     tree_yield,
 )
+
+
+class TestTree:
+    def test_node_needs_children_or_a_word(self):
+        with pytest.raises(TreebankError, match="'X' must have either children or a word"):
+            Tree("X")
+
+    def test_node_cannot_have_children_and_a_word(self):
+        with pytest.raises(TreebankError, match="'X' must have either children or a word"):
+            Tree("X", children=(Tree("Y", word="y"),), word="w")
 
 
 class TestParseTree:
@@ -113,6 +125,11 @@ class TestBinarize:
             "(SBARQ (WHNP (WP what) (NN day)) (SQ (AUX is) (NN nochebuena)))"
         )
         assert binarize(tree) == tree
+
+    def test_unary_node_is_refused(self):
+        # (A (B b)) parses; only normalize collapses its unary A.
+        with pytest.raises(TreebankError, match="cannot binarize unary node 'A'"):
+            binarize(parse_tree("(S (A (B b)) (C c))"))
 
     def test_ternary(self):
         tree = parse_tree("(A (B b) (C c) (D d))")
