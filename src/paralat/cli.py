@@ -9,8 +9,8 @@ so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
 stderr and go on.  An unknown lattice mode, a score threshold that is
-``nan`` or infinite, or a ``--beam`` below 1, from a flag or a config key,
-is a usage error before any input loads.
+``nan`` or infinite, or a ``--beam`` or ``--epochs`` below 1, from a flag
+or a config key, is a usage error before any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -250,7 +250,13 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _check_epochs(args) -> None:
+    if args.epochs < 1:
+        raise _UsageError(f"--epochs must be at least 1, got {args.epochs}")
+
+
 def _cmd_train_classifier(args) -> int:
+    _check_epochs(args)
     pairs_path = _require(args.pairs, "pairs")
     out = _require(args.out, "out")
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
@@ -294,6 +300,7 @@ def _load_dataset(args, qa_path: str | None):
 
 
 def _cmd_semparse_train(args) -> int:
+    _check_epochs(args)
     kb, dataset = _load_dataset(args, args.qa_train)
     out = _require(args.out, "out")
     model = perceptron_train(dataset, kb, epochs=args.epochs, beam=args.beam)

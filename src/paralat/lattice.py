@@ -9,7 +9,7 @@ database, and parallel words proposed by a two-layer grammar.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -81,19 +81,8 @@ def check_lattice(lat: WordLattice) -> None:
     """
     out = lat.outgoing()
     inc = lat.incoming()
-    # Kahn toposort for acyclicity.
-    nodes = set(lat.nodes)
-    indeg = {n: len(inc.get(n, [])) for n in nodes}
-    queue = deque(n for n in nodes if indeg[n] == 0)
-    seen = 0
-    while queue:
-        n = queue.popleft()
-        seen += 1
-        for e in out.get(n, []):
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                queue.append(e.dst)
-    if seen != len(nodes):
+    nodes = lat.nodes
+    if len(topological_order(lat, out)) != len(nodes):
         raise LatticeError("lattice contains a cycle")
     for n in nodes:
         if n != lat.source and not inc.get(n):
@@ -102,18 +91,78 @@ def check_lattice(lat: WordLattice) -> None:
             raise LatticeError(f"node {n} is a second sink")
 
 
-def _reach(adjacency: dict[int, list[Edge]], start: int, forward: bool) -> set[int]:
-    """Nodes reachable from ``start`` over ``adjacency``: the outgoing map
-    walked forward, or the incoming map walked backward."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for e in adjacency.get(queue.popleft(), []):
-            nxt = e.dst if forward else e.src
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+def topological_order(
+    lat: WordLattice, out: dict[int, list[Edge]] | None = None
+) -> list[int]:
+    """The nodes of ``lat`` in a topological order: Kahn's walk from every
+    node with no incoming edge, over ``out`` (``lat.outgoing()`` unless
+    given).  A node on a cycle, or reached only through one, is left out,
+    so the order is shorter than ``lat.nodes`` exactly when the lattice
+    has a cycle."""
+    if out is None:
+        out = lat.outgoing()
+    pending = Counter(e.dst for e in lat.edges)  # in-edges not yet walked
+    order = sorted({lat.source, lat.sink, *out}.difference(pending))
+    for node in order:  # the walk appends to the list it reads
+        for e in out.get(node, ()):
+            pending[e.dst] -= 1
+            if not pending[e.dst]:
+                order.append(e.dst)
+    return order
+
+
+def _crossed(
+    order: list[int], adjacency: dict[int, list[Edge]], forward: bool,
+    copies: dict[Edge, int], cyclic: bool,
+) -> dict[int, int]:
+    """Per node, the mask of the edges a walk from it crosses: over the
+    outgoing map walked forward, or the incoming map walked backward.
+    Without a cycle, ``order`` lists each node after the far ends of its
+    edges, so one pass suffices; with one, passes repeat until no mask
+    grows."""
+    crossed: dict[int, int] = {}
+    grown = True
+    while grown:
+        grown = False
+        for node in order:
+            mask = 0
+            for e in adjacency.get(node, ()):
+                mask |= copies[e] | crossed.get(e.dst if forward else e.src, 0)
+            if mask != crossed.get(node, 0):
+                crossed[node] = mask
+                grown = cyclic
+    return crossed
+
+
+def conflict_masks(lat: WordLattice) -> tuple[dict[Edge, int], list[int], bool]:
+    """Each edge's first position in ``lat.edges``; per position, the mask
+    (bit i for ``lat.edges[i]``) of the edges that share a source-to-sink
+    path with its edge, as :func:`remove_conflicting` keeps them: the edge
+    and its copies, the edges whose ``dst`` reaches its ``src``, and those
+    its ``dst`` reaches; and whether the edges are in canonical order
+    (sorted, no copies).  Built on the lattice's first call and kept in
+    its own ``__dict__``, so equality, hash and repr ignore them and an
+    equal lattice builds its own."""
+    cached = lat.__dict__.get("_conflict_masks")
+    if cached is None:
+        edges = lat.edges
+        position: dict[Edge, int] = {}
+        copies: dict[Edge, int] = {}  # edge -> the bits of it and its copies
+        for i, e in enumerate(edges):
+            position.setdefault(e, i)
+            copies[e] = copies.get(e, 0) | 1 << i
+        inc, out = lat.incoming(), lat.outgoing()
+        nodes = {lat.source, lat.sink, *inc, *out}
+        order = topological_order(lat, out)
+        cyclic = len(order) != len(nodes)
+        if cyclic:
+            order += sorted(nodes.difference(order))
+        into = _crossed(order, inc, False, copies, cyclic)
+        outof = _crossed(order[::-1], out, True, copies, cyclic)
+        masks = [into.get(e.src, 0) | copies[e] | outof.get(e.dst, 0) for e in edges]
+        canonical = all(a < b for a, b in zip(edges, edges[1:]))
+        cached = lat.__dict__["_conflict_masks"] = (position, masks, canonical)
+    return cached
 
 
 # --- builders ----------------------------------------------------------------
@@ -286,18 +335,20 @@ def remove_conflicting(lat: WordLattice, edge: Edge) -> WordLattice:
     contains both; in a DAG this reduces to reachability between the two
     edges' endpoints.  The chosen edge itself is always retained, and the
     result is again a well-formed lattice (all surviving paths pass
-    through ``edge``).
+    through ``edge``).  The kept edges are the set bits of the chosen
+    edge's conflict mask (:func:`conflict_masks`, built on the lattice's
+    first removal), in the lattice's order, sorted again only when that
+    order is not canonical.
     """
-    if edge not in lat.edges:
+    position, masks, canonical = conflict_masks(lat)
+    i = position.get(edge)
+    if i is None:
         raise EdgeNotInLattice(f"{edge} not in lattice")
-    before = _reach(lat.incoming(), edge.src, forward=False)
-    after = _reach(lat.outgoing(), edge.dst, forward=True)
-    kept = [
-        e
-        for e in lat.edges
-        if e == edge or e.dst in before or e.src in after
-    ]
-    return WordLattice(source=lat.source, sink=lat.sink, edges=_canonical(kept))
+    # bin() lists the bits from the highest; reversed, bit i is character i.
+    kept = [e for e, bit in zip(lat.edges, bin(masks[i])[:1:-1]) if bit == "1"]
+    return WordLattice(
+        source=lat.source, sink=lat.sink, edges=tuple(kept) if canonical else _canonical(kept)
+    )
 
 
 def enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:

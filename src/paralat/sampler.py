@@ -26,11 +26,16 @@ states they reach, keyed by edge masks (bit i for edge i of the
 question's lattice).  In a valid lattice an edge survives conflict
 removal for a consumed edge exactly when one of the two reaches the
 other, so a state's mask is the AND of the consumed edges' compatibility
-masks: a move is an AND and a lookup, and conflict removal runs once per
-distinct state.  A state narrows the supports to its surviving symbols,
-the symbol closure over its vocabulary (restricting a pruned grammar to
-a smaller vocabulary equals restricting the full grammar to it), so a
-cached state equals a recomputed one and the draws are unchanged.
+masks, which the question reads from its lattice
+(:func:`~paralat.lattice.conflict_masks`, the masks conflict removal
+itself uses): a move is an AND and a lookup, and conflict removal runs
+once per distinct state, for the lattice the state keeps.  A new state
+takes the rest from the question: its token masks are the question's
+kept to its mask, and its symbols, the symbol closure over its
+vocabulary (restricting a pruned grammar to a smaller vocabulary equals
+restricting the full grammar to it), come from a memo keyed by the
+preterminal symbols with a word among its tokens.  So a cached state
+equals a recomputed one and the draws are unchanged.
 
 The question also keeps ``live``, the closure over contexts for its whole
 vocabulary.  A context outside it derives no string over the question,
@@ -53,25 +58,30 @@ has a cache of its own, so the cache needs no lock.
 Each state also keeps, per context, the running sums of its support's
 weights (the last one infinite, so a float that passes every sum picks
 the last value), so a rule draw is one bisection, with the same pick as
-a linear scan.
+a linear scan.  A table depends only on the state's symbols, or for a
+preterminal on which of its words' edges the state keeps, so states
+share the tables through the question.
 
 The draws of one memo also share a trie of their picks, rooted on the
-question.  An inner node is the draw table of one pick, its running
-sums and total, with a child slot per value; a leaf is a dead end or a
-completed draw.  A draw's configuration is a function of its pick
-prefix, and its k-th pick always reads the k-th float of its stream, so
-a draw descends the trie by one bisection per pick, indexing its
-stream's list, with no lattice state, no table lookup and no frontier.
-Only a draw that reaches an empty slot walks: it starts again from the
-first float of its stream, as a draw did before the trie, and adds its
-picks and its leaf to the trie.  Every state is still first reached by
-a walk, so conflict removal still runs once per distinct state, and the
-witness-path check runs once per distinct completed draw.  A completed
-leaf keeps its tokens, read off the frontier, and its consumed path.  A
-draw builds no derivation: a candidate's ``derivation`` is built and
-rescored from its leaf when it is first read, and kept on the leaf, so
-it is built at most once per leaf, and never for a leaf whose
-candidates nobody reads.
+question.  An inner node is the draw table of one pick, the index of
+the float it reads, its running sums and total, with a child slot per
+value; a pick from a single value reads no float and makes no node.  A
+leaf is a dead end or a completed draw.  A draw's configuration is a
+function of its pick prefix, and its k-th pick always reads the k-th
+float of its stream, so a draw descends the trie by one bisection per
+node, indexing its stream's list, with no lattice state, no table lookup
+and no frontier.  Only a draw that reaches an empty slot walks: it
+starts again from the first float of its stream, as a draw did before
+the trie, and adds its picks and its leaf to the trie.  Every state is
+still first reached by a walk, so conflict removal still runs once per
+distinct state.  A completed walk orders its consumed edges along a path
+by the topological ranks of their sources and checks each consecutive
+pair against the compatibility masks, once per distinct completed draw.
+A completed leaf keeps its tokens, read off the frontier, and its
+consumed path.  A draw builds no derivation: a candidate's
+``derivation`` is built and rescored from its leaf when it is first
+read, and kept on the leaf, so it is built at most once per leaf, and
+never for a leaf whose candidates nobody reads.
 """
 
 from __future__ import annotations
@@ -80,15 +90,22 @@ import _random
 import math
 import threading
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 from typing import Collection, Container, Sequence, TypeVar
 
 from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
 from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
-from .lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
+from .lattice import (
+    Edge,
+    WordLattice,
+    conflict_masks,
+    remove_conflicting,
+    topological_order,
+)
 
 T = TypeVar("T")
 
@@ -156,10 +173,11 @@ class ParaphraseCandidate:
                 f"consumed_path={path!r}, seed={seed!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SampleFailure:
     # "dead-end", including a draw that needs more words than the longest
-    # lattice path holds
+    # lattice path holds.  Not frozen: most draws build one, and a frozen
+    # dataclass sets each field through object.__setattr__.
     reason: str
     seed: int
 
@@ -261,9 +279,9 @@ _streams = _Streams()
 def _stream(seed: int) -> tuple[_random.Random, list[float]]:
     """The seed's cached stream: its generator and the floats of
     ``random.Random(seed).random()`` it has given so far.  A draw's k-th
-    pick reads ``floats[k]``, first appending ``rng.random()`` when the
-    list is k long.  When the cache is full, a new seed's stream replaces
-    the oldest one."""
+    pick reads ``floats[k]``, first appending ``rng.random()`` until the
+    list is longer than k.  When the cache is full, a new seed's stream
+    replaces the oldest one."""
     streams = _streams.by_seed
     entry = streams.get(seed)
     if entry is None:
@@ -275,52 +293,15 @@ def _stream(seed: int) -> tuple[_random.Random, list[float]]:
     return entry
 
 
-def _topological(lat: WordLattice) -> list[int]:
-    """The nodes of ``lat`` that the source reaches, in a topological order
-    (no recursion, so a path of any length is fine)."""
-    out = lat.outgoing()
-    pending = Counter(e.dst for e in lat.edges)  # in-edges not yet walked
-    order = []
-    ready = [lat.source]
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for e in out.get(node, ()):
-            pending[e.dst] -= 1
-            if not pending[e.dst]:
-                ready.append(e.dst)
-    return order
-
-
-def _longest_path(lat: WordLattice) -> int:
-    """The edge count of the longest source-to-sink path of ``lat``."""
+def _depths(lat: WordLattice) -> dict[int, int]:
+    """Per node of ``lat``, the edge count of the longest path to it from
+    the source.  It grows along every edge, so it also ranks the nodes in
+    a topological order."""
     inc = lat.incoming()
-    dist = {lat.source: 0}
-    for node in _topological(lat)[1:]:
-        dist[node] = max(dist[e.src] for e in inc[node]) + 1
-    return dist[lat.sink]
-
-
-def _compat(lat: WordLattice) -> list[int]:
-    """Per edge of ``lat``, the bitmask (bit i for ``lat.edges[i]``) of the
-    edges that share a source-to-sink path with it: those whose ``dst``
-    reaches its ``src``, itself, and those its ``dst`` reaches."""
-    index = {e: i for i, e in enumerate(lat.edges)}
-    inc, out = lat.incoming(), lat.outgoing()
-    order = _topological(lat)
-    into: dict[int, int] = {}  # node -> the edges whose dst reaches it
-    for node in order:
-        mask = 0
-        for e in inc.get(node, ()):
-            mask |= into[e.src] | 1 << index[e]
-        into[node] = mask
-    outof: dict[int, int] = {}  # node -> the edges it reaches
-    for node in reversed(order):
-        mask = 0
-        for e in out.get(node, ()):
-            mask |= outof[e.dst] | 1 << index[e]
-        outof[node] = mask
-    return [into[e.src] | 1 << i | outof[e.dst] for i, e in enumerate(lat.edges)]
+    depth = {lat.source: 0}
+    for node in topological_order(lat)[1:]:
+        depth[node] = max(depth[e.src] for e in inc[node]) + 1
+    return depth
 
 
 def _live(pruned: PrunedGrammar) -> frozenset[Context]:
@@ -339,91 +320,126 @@ def _live(pruned: PrunedGrammar) -> frozenset[Context]:
 class _Question:
     """What the lattice states of one question's draws share: the pruned
     grammar and lattice the draws start from, the edge count of its longest
-    path, each edge's index and compatibility mask (see :func:`_compat`),
-    each preterminal symbol's words and each interminal's child-symbol
-    pairs, the contexts that derive a string over its vocabulary
-    (:func:`_live`), whether no root context does, and the one-item slot
-    of the root of its draws' pick trie (see :func:`_graft`)."""
+    path, each edge's compatibility mask (see
+    :func:`~paralat.lattice.conflict_masks`) and the depth of its ``src``
+    (a topological rank, see :func:`_depths`), each token's edge mask, the
+    bit set (over ``preterminals``) of the preterminal symbols each token
+    is a word of, each interminal's child-symbol pairs, the symbols
+    surviving over each bit set of preterminals (filled as states need
+    them), the edge mask of each preterminal context's words, the draw
+    tables shared by states (see :meth:`_State.table`), the contexts that
+    derive a string over its vocabulary (:func:`_live`), whether no root
+    context does, and the one-item slot of the root of its draws' pick
+    trie (see :func:`_graft`)."""
 
-    __slots__ = ("pruned", "lattice", "longest", "index", "compat", "words", "pairs",
-                 "live", "doomed", "root")
+    __slots__ = ("pruned", "lattice", "longest", "compat", "rank", "tokens", "preterminals",
+                 "kinds", "pairs", "symbols", "word_edges", "tables", "live", "doomed", "root")
 
     def __init__(self, pruned: PrunedGrammar, lat: WordLattice) -> None:
         self.pruned = pruned
         self.lattice = lat
-        self.longest = _longest_path(lat)
-        self.index = {e: i for i, e in enumerate(lat.edges)}
-        self.compat = _compat(lat)
-        self.words: dict[str, set[str]] = {}
+        depth = _depths(lat)
+        self.longest = depth[lat.sink]
+        self.compat = conflict_masks(lat)[1]
+        self.rank = [depth[e.src] for e in lat.edges]
+        self.tokens: dict[str, int] = {}
+        for i, e in enumerate(lat.edges):
+            self.tokens[e.token] = self.tokens.get(e.token, 0) | 1 << i
+        self.preterminals = sorted({sym for sym, _ in pruned.lexical})
+        self.kinds = dict.fromkeys(self.tokens, 0)
         for (sym, _), entries in pruned.lexical.items():
-            self.words.setdefault(sym, set()).update(w for w, _ in entries)
+            bit = 1 << self.preterminals.index(sym)
+            for w, _ in entries:
+                self.kinds[w] = self.kinds.get(w, 0) | bit
         self.pairs: dict[str, set[tuple[str, str]]] = {}
         for (sym, _), entries in pruned.binary.items():
             self.pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs, _ in entries)
+        self.symbols: dict[int, frozenset[str]] = {}
+        self.word_edges = {
+            ctx: reduce(or_, (self.tokens.get(w, 0) for w, _ in entries))
+            for ctx, entries in pruned.lexical.items()
+        }
+        self.tables: dict[tuple[Context | None, frozenset[str] | int], tuple] = {}
         self.live = _live(pruned)
         self.doomed = not any(ctx in self.live for ctx, _ in pruned.roots)
         self.root: list[tuple | str | _Draw | None] = [None]
 
-    def symbols(self, vocab: frozenset[str]) -> frozenset[str]:
-        """The symbols of the pruned grammar that survive over ``vocab``."""
-        return _close(
-            {sym for sym, words in self.words.items() if not words.isdisjoint(vocab)},
-            self.pairs,
-        )
-
 
 class _State:
     """One lattice state of a question: its edge mask (bit i for edge i of
-    the question's lattice), its lattice, the symbols surviving over it,
-    the edge mask of each of its tokens, once needed its witness path, and
-    the draw tables of the contexts drawn in it (of the roots under None):
-    ``(values, running sums, total, edges)``.  A binary context's values
-    are pairs of child contexts, and the roots' are contexts, with None for
-    one that is not live; a preterminal's are words, and ``edges`` is the
-    mask of their edges (None in the other tables).
+    the question's lattice), its lattice, the edge mask of each of its
+    tokens (the question's, kept to its mask), the symbols surviving over
+    them, and the draw tables of the contexts drawn in it (of the roots
+    under None): ``(values, running sums, total, edges)``.  A binary
+    context's values are pairs of child contexts, and the roots' are
+    contexts, with None for one that is not live; a preterminal's are
+    words, and ``edges`` is the mask of their edges (None in the other
+    tables).
     """
 
-    __slots__ = ("question", "mask", "lattice", "symbols", "tokens", "witness", "tables")
+    __slots__ = ("question", "mask", "lattice", "symbols", "tokens", "tables")
 
-    def __init__(
-        self, question: _Question, mask: int, lattice: WordLattice, symbols: frozenset[str]
-    ) -> None:
+    def __init__(self, question: _Question, mask: int, lattice: WordLattice) -> None:
         self.question = question
         self.mask = mask
         self.lattice = lattice
-        self.symbols = symbols
         self.tokens: dict[str, int] = {}
-        for e in lattice.edges:
-            self.tokens[e.token] = self.tokens.get(e.token, 0) | 1 << question.index[e]
-        self.witness: list[tuple[int, Edge]] | None = None
+        present = 0  # the preterminals with a word among the tokens
+        kinds = question.kinds
+        for token, edges in question.tokens.items():
+            edges &= mask
+            if edges:
+                self.tokens[token] = edges
+                present |= kinds[token]
+        symbols = question.symbols.get(present)
+        if symbols is None:
+            # Restricting the pruned grammar to a smaller vocabulary equals
+            # restricting the full grammar to it.
+            symbols = question.symbols[present] = _close(
+                {sym for i, sym in enumerate(question.preterminals) if present >> i & 1},
+                question.pairs,
+            )
+        self.symbols = symbols
         self.tables: dict[Context | None, tuple] = {}
 
     def table(self, ctx: Context | None) -> tuple:
         """The draw table of ``ctx`` (of the roots for None), built on
         first use from the question's pruned grammar, kept to this state's
-        symbols and tokens."""
+        symbols and tokens.  A preterminal's table depends only on which of
+        its words' edges the state keeps, the others only on the state's
+        symbols, so states share them through the question, keyed by the
+        context and that mask or those symbols."""
         table = self.tables.get(ctx)
         if table is not None:
             return table
-        pruned = self.question.pruned
-        live = self.question.live
-        symbols = self.symbols
-        if ctx is None:
-            table = (*_table([(c if c in live else None, p) for c, p in pruned.roots]), None)
-        elif ctx[0] in pruned.grammar.preterminals:
-            support = [(w, p) for w, p in pruned.lexical.get(ctx, ()) if w in self.tokens]
-            edges = 0
-            for w, _ in support:
-                edges |= self.tokens[w]
-            table = (*_table(support), edges)
+        question = self.question
+        pruned = question.pruned
+        if ctx is not None and ctx[0] in pruned.grammar.preterminals:
+            edges = question.word_edges.get(ctx, 0) & self.mask
+            table = question.tables.get((ctx, edges))
+            if table is None:
+                tokens = self.tokens
+                table = question.tables[ctx, edges] = (
+                    *_table([(w, p) for w, p in pruned.lexical.get(ctx, ()) if w in tokens]),
+                    edges,
+                )
         else:
-            support = []
-            if ctx[0] in symbols:
-                for (b, bs, c, cs), p in pruned.binary.get(ctx, ()):
-                    if b in symbols and c in symbols:
-                        pair = ((b, bs), (c, cs))
-                        support.append((pair if pair[0] in live and pair[1] in live else None, p))
-            table = (*_table(support), None)
+            symbols = self.symbols
+            table = question.tables.get((ctx, symbols))
+            if table is None:
+                live = question.live
+                if ctx is None:
+                    support = [(c if c in live else None, p) for c, p in pruned.roots]
+                else:
+                    support = []
+                    if ctx[0] in symbols:
+                        for (b, bs, c, cs), p in pruned.binary.get(ctx, ()):
+                            if b in symbols and c in symbols:
+                                pair = ((b, bs), (c, cs))
+                                support.append(
+                                    (pair if pair[0] in live and pair[1] in live else None, p)
+                                )
+                table = question.tables[ctx, symbols] = (*_table(support), None)
         self.tables[ctx] = table
         return table
 
@@ -465,33 +481,42 @@ class _Draw:
         return self.tree
 
 
-def _graft(root: list, picks: list[tuple[list[float], float, float]], leaf: str | _Draw) -> None:
+def _graft(root: list, picks: list[tuple[list[float], float, float] | None],
+           leaf: str | _Draw) -> None:
     """Add a draw to its question's trie: ``root`` is the slot of the
     trie's root, ``picks`` the running sums, total and float of each of
-    the draw's picks, and ``leaf`` where the draw ended.  An empty slot
-    on the way gets an inner node, ``(running sums, total, child slots)``
-    with one slot per value of the pick's table."""
+    the draw's picks (None for a pick from a single value, whose outcome
+    no float changes), and ``leaf`` where the draw ended.  An empty slot
+    on the way gets an inner node, ``(float index, running sums, total,
+    child slots)`` with one slot per value of the pick's table; a pick
+    from a single value gets no node."""
     kids, i = root, 0
-    for cum, total, u in picks:
-        if kids[i] is None:
-            kids[i] = (cum, total, [None] * len(cum))
-        kids, i = kids[i][2], bisect_right(cum, u * total)
+    for k, pick in enumerate(picks):
+        if pick is not None:
+            cum, total, u = pick
+            if kids[i] is None:
+                kids[i] = (k, cum, total, [None] * len(cum))
+            kids, i = kids[i][3], bisect_right(cum, u * total)
     kids[i] = leaf
 
 
 def _walk(
     state: _State, states: dict[int, _State], seed: int
-) -> tuple[list[tuple[list[float], float, float]], str | _Draw]:
+) -> tuple[list[tuple[list[float], float, float] | None], str | _Draw]:
     """The draw of ``seed`` from the root ``state`` of a memo: the running
-    sums, total and float of each pick it makes, and its leaf, the
-    failure reason of a dead end or the completed :class:`_Draw`."""
+    sums, total and float of each pick it makes (None for a pick from a
+    single value, which reads no float), and its leaf, the failure reason
+    of a dead end or the completed :class:`_Draw`."""
     question = state.question
     rng, floats = _stream(seed)
-    picks: list[tuple[list[float], float, float]] = []
+    picks: list[tuple[list[float], float, float] | None] = []
 
     def pick(values: tuple, cum: list[float], total: float) -> object:
+        if len(values) == 1:
+            picks.append(None)
+            return values[0]
         k = len(picks)
-        if k == len(floats):
+        while k >= len(floats):
             floats.append(rng.random())
         u = floats[k]
         picks.append((cum, total, u))
@@ -556,23 +581,28 @@ def _walk(
             if mask != state.mask:
                 nxt = states.get(mask)
                 if nxt is None:
-                    narrowed = remove_conflicting(state.lattice, edges_of[i])
                     nxt = states[mask] = _State(
-                        question, mask, narrowed, question.symbols(narrowed.vocabulary())
+                        question, mask, remove_conflicting(state.lattice, edges_of[i])
                     )
                 state = nxt
         levels.append((level, words))
         level = below
 
-    # Order the consumed edges along a witness path: after the removals,
-    # every remaining source-to-sink path passes through all of them.
-    if state.witness is None:
-        state.witness = [
-            (question.index[e], e) for e in enumerate_edge_paths(state.lattice, 1)[0]
-        ]
-    path = tuple(e for i, e in state.witness if used >> i & 1)
-    if len(path) != n_used:
-        raise AssertionError("consumed edges do not lie on one path")
+    # Order the consumed edges by the depths of their sources and check
+    # that each neighbouring pair shares a path, by both edges' masks: in
+    # a DAG, a chain of edges that each reach the next lies on one path.
+    # Narrowing by the same masks keeps this true; the check fails on
+    # masks that do not say so.
+    order = []
+    while used:
+        bit = used & -used
+        order.append(bit.bit_length() - 1)
+        used ^= bit
+    order.sort(key=question.rank.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if not compat[a] >> b & compat[b] >> a & 1:
+            raise AssertionError("consumed edges do not lie on one path")
+    path = tuple(edges_of[i] for i in order)
 
     # Each level's yields, bottom-up: a binary node's is its children's,
     # which are the next two of the level below.
@@ -604,11 +634,11 @@ def sample_one(
     used with another pair raises ValueError.  A completed draw whose
     tokens are in ``seen`` returns None.
 
-    A draw first follows its floats down the memo's pick trie, its k-th
-    pick reading the k-th float of its seed's stream; only a draw that
-    reaches an empty slot walks (:func:`_walk`) and adds its picks to the
-    trie.  The candidate builds and rescores its derivation when it is
-    first read (see :class:`ParaphraseCandidate`).
+    A draw first follows its floats down the memo's pick trie, each node
+    reading the float of its pick's index in the seed's stream; only a
+    draw that reaches an empty slot walks (:func:`_walk`) and adds its
+    picks to the trie.  The candidate builds and rescores its derivation
+    when it is first read (see :class:`ParaphraseCandidate`).
     """
     if states is None:
         states = {}
@@ -617,7 +647,7 @@ def sample_one(
     if state is None:
         if states:
             raise ValueError("the state memo belongs to another lattice")
-        state = states[full] = _State(_Question(pruned, lat), full, lat, pruned.symbols)
+        state = states[full] = _State(_Question(pruned, lat), full, lat)
     question = state.question
     if (question.lattice is not lat and question.lattice != lat) or (
         question.pruned is not pruned and question.pruned != pruned
@@ -627,15 +657,13 @@ def sample_one(
         return SampleFailure("dead-end", seed)
 
     node = question.root[0]
-    if node is not None:
+    if type(node) is tuple:
         rng, floats = _stream(seed)
-        k = 0
         while type(node) is tuple:
-            if k == len(floats):
+            k, cum, total, kids = node
+            while k >= len(floats):
                 floats.append(rng.random())
-            cum, total, kids = node
             node = kids[bisect_right(cum, floats[k] * total)]
-            k += 1
     if node is None:
         picks, node = _walk(state, states, seed)
         _graft(question.root, picks, node)

@@ -7,8 +7,9 @@ complete paths, grammar languages are unrolled top-down, and each tree
 node's context is looked up from the root on its own.  The one exception
 is ``reference_sample_one``, the sampler's draw before lattice states were
 memoized: it shares the conflict removal and the path enumeration, keeps
-its own grammar narrowing (``reference_narrow``), linear-scan weighted
-draw (``reference_draw``) and mutable derivation node, and redoes the
+its own grammar narrowing (``reference_narrow``), conflict removal
+(``reference_remove_conflicting``), linear-scan weighted draw
+(``reference_draw``) and mutable derivation node, and redoes the
 conflict removal and narrowing at every emitted word.
 ``reference_compute_features`` is the classifier's pair features with
 each BLEU order counted afresh for every cumulative BLEU score, by
@@ -22,7 +23,9 @@ distance tensor built in one piece.  ``reference_ground`` is the beam
 search that recomputed every state's features and key from scratch at
 every decision step; it shares the option lists, the entity assignments,
 the stem overlap and ``dot_score``.  ``reference_enumerate_edge_paths``
-is the path enumeration that recursed once per edge.
+is the path enumeration that recursed once per edge, and
+``reference_remove_conflicting`` the conflict removal that walked the
+lattice breadth-first from the chosen edge on every call.
 ``reference_entity_assignments`` sorts the whole product of every entity
 node's candidates; it shares ``entity_candidates``.
 """
@@ -41,9 +44,9 @@ from hypothesis import strategies as st
 
 from paralat.classifier import PairFeatures, _occurrences
 from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescore
-from paralat.errors import NoEntityCandidates
+from paralat.errors import EdgeNotInLattice, NoEntityCandidates
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
-from paralat.lattice import Edge, WordLattice, enumerate_edge_paths, remove_conflicting
+from paralat.lattice import Edge, WordLattice, enumerate_edge_paths
 from paralat.sampler import ParaphraseCandidate, PrunedGrammar, SampleFailure
 from paralat.semparse import (
     GroundedGraph,
@@ -512,7 +515,7 @@ def reference_sample_one(
             consumed.append(edge)
             consumed_set.add(edge)
             node.word = word
-            narrowed = remove_conflicting(current, edge)
+            narrowed = reference_remove_conflicting(current, edge)
             if len(narrowed.edges) != len(current.edges):
                 current = narrowed
                 pg = reference_narrow(pg, current.vocabulary())
@@ -852,3 +855,38 @@ def reference_enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edg
 
     walk(lat.source, [])
     return paths
+
+
+# --- conflict removal by breadth-first walks ---------------------------------------
+
+
+def reference_remove_conflicting(lat: WordLattice, edge: Edge) -> WordLattice:
+    """``lattice.remove_conflicting`` as two breadth-first walks from the
+    chosen edge on every call: back from its ``src`` over the incoming
+    edges and on from its ``dst`` over the outgoing ones.  An edge is kept
+    when it equals the chosen one, ends at a node the first walk reaches
+    or starts at one the second reaches; the kept edges are sorted, with
+    copies dropped."""
+    if edge not in lat.edges:
+        raise EdgeNotInLattice(f"{edge} not in lattice")
+    inc: dict[int, list[Edge]] = defaultdict(list)
+    out: dict[int, list[Edge]] = defaultdict(list)
+    for e in lat.edges:
+        inc[e.dst].append(e)
+        out[e.src].append(e)
+
+    def reach(start: int, forward: bool) -> set[int]:
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for e in (out if forward else inc)[queue.popleft()]:
+                nxt = e.dst if forward else e.src
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen
+
+    before = reach(edge.src, forward=False)
+    after = reach(edge.dst, forward=True)
+    kept = {e for e in lat.edges if e == edge or e.dst in before or e.src in after}
+    return WordLattice(source=lat.source, sink=lat.sink, edges=tuple(sorted(kept)))

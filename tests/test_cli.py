@@ -220,6 +220,30 @@ def _bad_rule_score(tmp_path, grammar_file, classifier_file):
             "--question", "when is easter"]
 
 
+def _epochs(command, value):
+    """``command`` with ``--epochs value`` over inputs that do not exist,
+    so an input that loads would exit 2."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        missing = str(tmp_path / "missing")
+        if command == "train-classifier":
+            inputs = ["--pairs", missing, "--out", missing + ".out"]
+        else:
+            inputs = _semparse_argv(command, missing)[1:]
+        return [command, *inputs, "--epochs", value]
+    return argv
+
+
+def _aligned(alignment):
+    """train-bilayered over a two-tree treebank and one alignment line."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        treebank, alignments = tmp_path / "two.trees", tmp_path / "one.tsv"
+        treebank.write_text("(S (A a) (B b))\n(S (A c) (B d))\n", encoding="utf-8")
+        alignments.write_text(alignment + "\n", encoding="utf-8")
+        return ["train-bilayered", "--treebank", str(treebank), "--alignments",
+                str(alignments), "--m1", "1", "--m2", "1", "--out", str(tmp_path / "g.lpcfg")]
+    return argv
+
+
 def _build_lattice_argv(*args):
     def argv(tmp_path, grammar_file, classifier_file):
         return ["build-lattice", *args]
@@ -258,6 +282,14 @@ class TestBadInputs:
              1, "--rules is required for mode 'rules'"),
             (_build_lattice_argv("--mode", "bilayered", "--question", "when is easter"),
              1, "--bilayered-grammar is required for mode 'bilayered'"),
+            (_epochs("train-classifier", "0"), 1,
+             "usage error: --epochs must be at least 1, got 0"),
+            (_epochs("train-classifier", "-2"), 1,
+             "usage error: --epochs must be at least 1, got -2"),
+            (_epochs("semparse-train", "-1"), 1,
+             "usage error: --epochs must be at least 1, got -1"),
+            (_aligned("0\t2\t0-0"), 2, "alignment references unknown tree"),
+            (_aligned("0\t1\t0-2"), 2, "alignment index out of range"),
         ],
         ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
@@ -266,7 +298,8 @@ class TestBadInputs:
              "perceptron-repeated-feature", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
-             "bilayered-grammar-missing"],
+             "bilayered-grammar-missing", "classifier-epochs-0", "classifier-epochs-negative",
+             "semparse-epochs-negative", "alignment-unknown-tree", "alignment-index-range"],
     )
     def test_exit_code_and_message_without_traceback(
         self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys
@@ -308,10 +341,11 @@ class TestOddQuestionGraphs:
             ("EDGE e1 x capital.arg", "edge references unknown event 'e1'"),
             ("EDGE ev1 e2 capital.arg", "edge references unknown node 'e2'"),
             ("EDGE ev1 e1 capital.of", "edge 'ev1 e1 capital.of' repeats line 4"),
+            ("TARGET y", "second TARGET"),
         ],
         ids=["type-on-event", "type-on-target-id", "type-on-type", "type-on-unknown",
              "duplicate-entity", "duplicate-event", "entity-is-target", "edge-unknown-event",
-             "edge-entity-as-event", "edge-unknown-node", "duplicate-edge"],
+             "edge-entity-as-event", "edge-unknown-node", "duplicate-edge", "second-target"],
     )
     def test_rejected_at_its_line_without_traceback(self, sixth_line, message, tmp_path, capsys):
         assert main(_semparse_train_on(tmp_path, sixth_line)) == 2

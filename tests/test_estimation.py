@@ -394,6 +394,11 @@ class TestEstimateMle:
         with pytest.raises(EmptyTreebank):
             estimate_mle([], StateAssignment(m=1, states={}))
 
+    def test_tree_that_is_not_binarized(self):
+        tree = normalize(parse_tree("(S (A a) (B b) (C c))"))
+        with pytest.raises(EstimationError, match=r"tree 0 is not binarized at node \(\)"):
+            estimate_mle([tree], self._assignment([tree], {}))
+
     def test_training_on_an_empty_treebank_is_refused(self):
         with pytest.raises(EmptyTreebank, match="cannot train on an empty treebank"):
             train_grammar([], m=2, seed=0)

@@ -4,12 +4,15 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     cooccurring_edges,
     random_multipath_lattice,
     reference_enumerate_edge_paths,
+    reference_remove_conflicting,
 )
+from paralat import lattice as lattice_module
 from paralat.data_files import data_path
 from paralat.errors import EdgeNotInLattice, EmptyQuestion, LatticeError
 from paralat.lattice import (
@@ -23,6 +26,7 @@ from paralat.lattice import (
     build_from_rules,
     build_naive,
     check_lattice,
+    conflict_masks,
     dump_lattice,
     enumerate_edge_paths,
     enumerate_paths,
@@ -186,6 +190,81 @@ class TestRemoveConflicting:
     def test_missing_edge(self, czech_lattice):
         with pytest.raises(EdgeNotInLattice):
             remove_conflicting(czech_lattice, Edge(0, 1, "nope", ORIGIN_INPUT))
+
+
+_EDGES = st.lists(
+    st.builds(Edge, st.integers(0, 4), st.integers(0, 4), st.sampled_from("ab"),
+              st.just(ORIGIN_INPUT)),
+    max_size=9,
+)
+
+
+class TestConflictMasks:
+    """``remove_conflicting`` reads conflict masks kept on the lattice; it
+    keeps what two breadth-first walks from the chosen edge keep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges=_EDGES, data=st.data())
+    # Not in canonical order; with a copy of an edge; with a cycle 1-2-1.
+    @example(edges=[Edge(1, 2, "a", ORIGIN_INPUT), Edge(0, 1, "b", ORIGIN_INPUT)],
+             data=None)
+    @example(edges=[Edge(0, 1, "a", ORIGIN_INPUT), Edge(1, 2, "b", ORIGIN_INPUT),
+                    Edge(0, 1, "a", ORIGIN_INPUT)], data=None)
+    @example(edges=[Edge(0, 1, "a", ORIGIN_INPUT), Edge(1, 2, "b", ORIGIN_INPUT),
+                    Edge(2, 1, "a", ORIGIN_INPUT), Edge(2, 3, "b", ORIGIN_INPUT)],
+             data=None)
+    def test_equals_reference_on_any_edge_list(self, edges, data):
+        source, sink = (0, 4) if data is None else (
+            data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
+        lat = WordLattice(source=source, sink=sink, edges=tuple(edges))
+        for edge in lat.edges:
+            # Twice: the first removal builds the masks, the second reads them.
+            for _ in range(2):
+                assert remove_conflicting(lat, edge) == reference_remove_conflicting(lat, edge)
+        missing = Edge(9, 9, "z", ORIGIN_INPUT)
+        for removal in (remove_conflicting, reference_remove_conflicting):
+            with pytest.raises(EdgeNotInLattice):
+                removal(lat, missing)
+
+    def test_built_once_per_lattice_object(self, czech_lattice, monkeypatch):
+        crossed = lattice_module._crossed
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return crossed(*args)
+
+        monkeypatch.setattr(lattice_module, "_crossed", counted)
+        # A copy, so a cache from another test cannot hide the first build.
+        lat = WordLattice(czech_lattice.source, czech_lattice.sink, czech_lattice.edges)
+        for edge in lat.edges:
+            remove_conflicting(lat, edge)
+        # One walk into each node and one out of it.
+        assert len(calls) == 2
+        equal = WordLattice(lat.source, lat.sink, tuple(lat.edges))
+        assert equal == lat and equal is not lat
+        remove_conflicting(equal, lat.edges[0])
+        assert len(calls) == 4
+        assert conflict_masks(equal)[1] == conflict_masks(lat)[1]
+        assert conflict_masks(equal)[1] is not conflict_masks(lat)[1]
+
+    def test_cache_is_not_part_of_the_value(self, czech_lattice):
+        lat = WordLattice(czech_lattice.source, czech_lattice.sink, czech_lattice.edges)
+        fresh = WordLattice(lat.source, lat.sink, lat.edges)
+        remove_conflicting(lat, lat.edges[0])
+        assert "_conflict_masks" in vars(lat) and "_conflict_masks" not in vars(fresh)
+        assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
+        assert dataclasses.astuple(lat) == dataclasses.astuple(fresh)
+
+    def test_masks_name_the_edges_kept(self):
+        rng = random.Random(21)
+        for _ in range(25):
+            lat = random_multipath_lattice(rng)
+            position, masks, canonical = conflict_masks(lat)
+            assert canonical and position == {e: i for i, e in enumerate(lat.edges)}
+            for edge, mask in zip(lat.edges, masks):
+                kept = [e for i, e in enumerate(lat.edges) if mask >> i & 1]
+                assert kept == list(reference_remove_conflicting(lat, edge).edges)
 
 
 class TestEnumeratePaths:

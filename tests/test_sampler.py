@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import sys
@@ -17,6 +18,7 @@ from oracles import (
     random_toy_grammar,
     reference_draw,
     reference_narrow,
+    reference_remove_conflicting,
     reference_sample_one,
     word_salad_grammar,
 )
@@ -34,6 +36,7 @@ from paralat.lattice import (
     build_bilayered,
     build_from_rules,
     build_naive,
+    conflict_masks,
     enumerate_edge_paths,
     load_rules,
     remove_conflicting,
@@ -392,9 +395,10 @@ def _reference_many(question, grammar, lat, m_samples, seed):
 
 def _read(seed, k):
     """The k-th float of ``seed``'s cached stream, read as a pick reads it:
-    the list is extended from the stream's generator when it is k long."""
+    the list is extended from the stream's generator until it is longer
+    than k."""
     rng, floats = sampler._stream(seed)
-    if k == len(floats):
+    while k >= len(floats):
         floats.append(rng.random())
     return floats[k]
 
@@ -487,9 +491,12 @@ class TestLatticeStateMemo:
         for _ in range(50):
             lat = random_multipath_lattice(rng)
             paths = enumerate_edge_paths(lat, 10**6)
-            assert sampler._longest_path(lat) == max(len(p) for p in paths)
+            depth = sampler._depths(lat)
+            assert depth[lat.sink] == max(len(p) for p in paths)
+            # A topological rank: it grows along every edge.
+            assert all(depth[e.src] < depth[e.dst] for e in lat.edges)
         # Far longer than the recursion limit.
-        assert sampler._longest_path(build_naive(["a"] * 5000)) == 5000
+        assert sampler._depths(build_naive(["a"] * 5000))[5000] == 5000
 
     def test_cached_state_keeps_narrowed_support(self):
         # W is emitted before X is expanded; after "a" only X -> B B
@@ -589,14 +596,14 @@ class TestStateMasks:
         steps = 0
         for _ in range(200):
             lat = random_multipath_lattice(rng)
-            compat = sampler._compat(lat)
+            compat = conflict_masks(lat)[1]
             mask = (1 << len(lat.edges)) - 1
             current = lat
             free = list(lat.edges)
             while free:
                 edge = free.pop(rng.randrange(len(free)))
                 mask &= compat[lat.edges.index(edge)]
-                current = remove_conflicting(current, edge)
+                current = reference_remove_conflicting(current, edge)
                 assert [lat.edges[i] for i in _bits(mask)] == list(current.edges)
                 free = [e for e in free if e in current.edges]
                 steps += 1
@@ -613,6 +620,12 @@ class TestStateMasks:
                 sample_one(pruned, lat, seed, states=states)
             for mask, state in states.items():
                 assert [lat.edges[i] for i in _bits(mask)] == list(state.lattice.edges)
+                # Its tokens, taken from the question's, are its lattice's.
+                assert state.tokens == {
+                    token: sum(1 << lat.edges.index(e) for e in state.lattice.edges
+                               if e.token == token)
+                    for token in state.lattice.vocabulary()
+                }
                 narrowed = reference_narrow(pruned, state.lattice.vocabulary())
                 assert state.symbols == narrowed.symbols
 
@@ -889,13 +902,19 @@ class TestDrawCounts:
         assert kept > 0
 
     def test_seen_draw_still_checks_its_path(self, monkeypatch):
-        # With conflict removal switched off, "a d" mixes two paths; the
-        # witness check rejects it even when its tokens were already seen.
+        # The question's masks are corrupted so that "a" and "c" seem to
+        # share a path with every edge: narrowing then keeps "d" after "a"
+        # and "b" after "c", and those draws mix two paths.  The path check
+        # rejects them even when their tokens were already seen.
         lat = WordLattice(0, 2, tuple(sorted(
             Edge(src, dst, tok, ORIGIN_RULE)
             for src, dst, tok in [(0, 1, "a"), (1, 2, "b"), (0, 3, "c"), (3, 2, "d")]
         )))
-        monkeypatch.setattr("paralat.sampler.remove_conflicting", lambda lat, edge: lat)
+        position, masks, canonical = conflict_masks(lat)
+        full = (1 << len(lat.edges)) - 1
+        corrupted = [full if e.token in "ac" else mask for e, mask in zip(lat.edges, masks)]
+        monkeypatch.setattr(sampler, "conflict_masks",
+                            lambda lat: (position, corrupted, canonical))
         pruned = prune_grammar(_product_grammar(), lat)
         language = set(enumerate_strings(_product_grammar()))
         mixed = 0
@@ -993,3 +1012,53 @@ class TestPickTrie:
             assert repr(cand).startswith(f"ParaphraseCandidate(tokens={cand.tokens!r}, ")
             assert cand != (cand.tokens, cand.derivation, cand.consumed_path, cand.seed)
             assert cand != SampleFailure("dead-end", cand.seed)
+
+    def test_single_value_picks_make_no_node(self, heldout_lattices):
+        # _product_grammar's one root and one S rule are picks from a
+        # single value: they read no float and make no node, so the trie's
+        # first node is A's word pick, reading float 2, and B's reads 3.
+        lat = build_naive("a b c d".split())
+        pruned = prune_grammar(_product_grammar(), lat)
+        states: dict = {}
+        draws = [sample_one(pruned, lat, s, states=states) for s in range(40)]
+        assert draws == [reference_sample_one(pruned, lat, s) for s in range(40)]
+        first = states[(1 << len(lat.edges)) - 1].question.root[0]
+        assert first[0] == 2 and len(first[1]) == 2
+        assert {kid[0] for kid in first[3]} == {3}
+        # Over the held-out lattices, every node has a choice to make, and
+        # each node on a trie path reads a later float than its parent's.
+        grammar, cases = heldout_lattices
+        nodes = 0
+        for _tokens, lat in cases:
+            pruned = prune_grammar(grammar, lat)
+            states = {}
+            for seed in range(DRAWS):
+                sample_one(pruned, lat, seed, states=states)
+            root = states[(1 << len(lat.edges)) - 1].question.root[0]
+            stack = [(root, -1)] if type(root) is tuple else []
+            while stack:
+                (k, cum, _total, kids), parent = stack.pop()
+                assert len(cum) > 1 and k > parent
+                nodes += 1
+                stack += [(kid, k) for kid in kids if type(kid) is tuple]
+        assert nodes
+
+
+class TestSampleFailure:
+    def test_equality_hash_and_repr_of_a_frozen_dataclass(self):
+        @dataclasses.dataclass(frozen=True)
+        class SampleFailure:  # frozen, with the same fields
+            reason: str
+            seed: int
+
+        SampleFailure.__qualname__ = "SampleFailure"  # as at module level
+        for args in [("dead-end", 0), ("dead-end", 7), ("other", 7)]:
+            got, expected = sampler.SampleFailure(*args), SampleFailure(*args)
+            assert repr(got) == repr(expected) == "SampleFailure(reason=%r, seed=%r)" % args
+            assert hash(got) == hash(expected)
+            assert got == sampler.SampleFailure(reason=args[0], seed=args[1])
+        failure = sampler.SampleFailure("dead-end", 7)
+        assert failure != sampler.SampleFailure("dead-end", 8)
+        assert failure != sampler.SampleFailure("other", 7)
+        assert failure != ("dead-end", 7) and failure != SampleFailure("dead-end", 7)
+        assert len({failure, sampler.SampleFailure("dead-end", 7)}) == 1
