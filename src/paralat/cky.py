@@ -10,6 +10,9 @@ The chart index (the rule tables re-keyed for chart filling, in log
 space) depends only on the grammar, so it is built once per grammar
 object, by its first parse, and kept on it; grammars are not changed
 after they are built.
+
+The yield of a derivation and its score under a grammar are read only by
+tests; ``derivation_yield`` and ``rescore`` are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ def lexical_leaves(node: DerivationNode) -> Iterator[DerivationNode]:
         yield from lexical_leaves(child)
 
 
-def derivation_yield(node: DerivationNode) -> tuple[str, ...]:
-    return tuple(leaf.word for leaf in lexical_leaves(node))
-
-
 def render_derivation(node: DerivationNode) -> str:
     """Bracketed derivation with "label-h1[-h2]" node names."""
     name = f"{node.symbol}-{format_state(node.state).replace(':', '-')}"
@@ -60,26 +59,6 @@ def render_derivation(node: DerivationNode) -> str:
         return f"({name} {node.word})"
     inner = " ".join(render_derivation(c) for c in node.children)
     return f"({name} {inner})"
-
-
-def rescore(node: DerivationNode, grammar: LatentGrammar) -> float:
-    """Sum of rule log-parameters of a derivation, root prior included."""
-    total = math.log(grammar.roots[(node.symbol, node.state)])
-
-    def walk(n: DerivationNode) -> None:
-        nonlocal total
-        ctx = (n.symbol, n.state)
-        if n.is_lexical:
-            total += math.log(grammar.lexical[ctx][n.word])
-            return
-        left, right = n.children
-        rhs = (left.symbol, left.state, right.symbol, right.state)
-        total += math.log(grammar.binary[ctx][rhs])
-        walk(left)
-        walk(right)
-
-    walk(node)
-    return total
 
 
 class _Index:

@@ -11,6 +11,8 @@ same integer as the dynamic-programming table.
 Scoring a stored model is plain Python too.  numpy is imported inside
 :func:`train`, its only user, so a command that loads a model and filters
 candidates (``paraphrase``) never pays numpy's import time or memory.
+Only tests look a stored weight up by feature name (``weight_of``, in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -270,9 +272,6 @@ class ClassifierModel:
             w * x for w, x in zip(self.weights, features.as_vector())
         )
         return _sigmoid(z)
-
-    def weight_of(self, name: str) -> float:
-        return self.weights[FEATURE_NAMES.index(name)]
 
 
 def _sigmoid(z: float) -> float:

@@ -4,7 +4,9 @@ A lattice is a token-labeled DAG with one source and one sink; every edge
 lies on at least one source-to-sink path, and the input question survives
 as one such path in every freshly built lattice.  Three builders are
 provided: the bare question chain, parallel paths from a phrasal rewrite
-database, and parallel words proposed by a two-layer grammar.
+database, and parallel words proposed by a two-layer grammar.  Only
+tests list a lattice's paths as token sequences; ``enumerate_paths`` is
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -381,13 +383,6 @@ def enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:
             acc.append(e)
             stack.append(iter(out.get(e.dst, ())))
     return paths
-
-
-def enumerate_paths(lat: WordLattice, cap: int) -> list[tuple[str, ...]]:
-    """Token sequences of up to ``cap`` source-to-sink paths."""
-    return [
-        tuple(e.token for e in path) for path in enumerate_edge_paths(lat, cap)
-    ]
 
 
 def dump_lattice(lat: WordLattice) -> str:

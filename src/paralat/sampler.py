@@ -6,7 +6,7 @@ lattice vocabulary.  Its bottom-up closure is over symbols, not over
 rule whose children survive, so a latent context that derives no string
 over the lattice can stay in the support, and draws that reach it end in
 a dead end (filtering the supports by a closure over contexts changes the
-draws; it is ROADMAP item 6).  Sampling expands the derivation frontier
+draws; it is ROADMAP item 5).  Sampling expands the derivation frontier
 breadth-first, one level at a time; every emitted word consumes a lattice
 edge, conflicting paths are removed, and the supports are narrowed
 accordingly, so each completed sample draws its words from a single
@@ -77,11 +77,9 @@ still first reached by a walk, so conflict removal still runs once per
 distinct state.  A completed walk orders its consumed edges along a path
 by the topological ranks of their sources and checks each consecutive
 pair against the compatibility masks, once per distinct completed draw.
-A completed leaf keeps its tokens, read off the frontier, and its
-consumed path.  A draw builds no derivation: a candidate's
-``derivation`` is built and rescored from its leaf when it is first
-read, and kept on the leaf, so it is built at most once per leaf, and
-never for a leaf whose candidates nobody reads.
+A completed leaf keeps its tokens, read off the words of the frontier
+levels, and its consumed path, which with the seed are all a candidate
+is: no draw builds a derivation tree, since no command reads one.
 """
 
 from __future__ import annotations
@@ -96,7 +94,6 @@ from itertools import accumulate
 from operator import or_
 from typing import Collection, Container, Sequence, TypeVar
 
-from .cky import DerivationNode, DerivationTree, rescore
 from .errors import EmptyIntersection
 from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
 from .lattice import (
@@ -122,55 +119,19 @@ class PrunedGrammar:
     roots: tuple[tuple[Context, float], ...]
     binary: dict[Context, tuple[tuple[BinaryRhs, float], ...]]
     lexical: dict[Context, tuple[tuple[str, float], ...]]
-    symbols: frozenset[str]
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ParaphraseCandidate:
-    """A completed draw: its tokens, derivation, consumed edges in path
-    order and seed.  ``derivation`` is given built, or as the draw's leaf
-    in its question's pick trie (:class:`_Draw`), which builds it on the
-    first read and keeps it.  Candidates are equal when all four are."""
+    """A completed draw: its words, consumed edges in path order and seed."""
 
-    __slots__ = ("tokens", "_derivation", "consumed_path", "seed")
-
-    def __init__(
-        self,
-        tokens: tuple[str, ...],
-        derivation: DerivationTree | _Draw,
-        consumed_path: tuple[Edge, ...],
-        seed: int,
-    ) -> None:
-        self.tokens = tokens
-        self._derivation = derivation
-        self.consumed_path = consumed_path
-        self.seed = seed
-
-    @property
-    def derivation(self) -> DerivationTree:
-        source = self._derivation
-        return source if type(source) is DerivationTree else source.derivation()
+    tokens: tuple[str, ...]
+    consumed_path: tuple[Edge, ...]
+    seed: int
 
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    def _fields(self) -> tuple:
-        return (self.tokens, self.derivation, self.consumed_path, self.seed)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ParaphraseCandidate:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        # Equal candidates have equal tokens, paths and seeds, so the hash
-        # leaves the derivation unbuilt.
-        return hash((self.tokens, self.consumed_path, self.seed))
-
-    def __repr__(self) -> str:
-        tokens, derivation, path, seed = self._fields()
-        return (f"ParaphraseCandidate(tokens={tokens!r}, derivation={derivation!r}, "
-                f"consumed_path={path!r}, seed={seed!r})")
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -237,9 +198,7 @@ def prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
     )
     if not roots:
         raise EmptyIntersection("no grammar root survives over the lattice")
-    return PrunedGrammar(
-        grammar=grammar, roots=roots, binary=binary, lexical=lexical, symbols=surviving
-    )
+    return PrunedGrammar(grammar=grammar, roots=roots, binary=binary, lexical=lexical)
 
 
 def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
@@ -444,41 +403,13 @@ class _State:
         return table
 
 
+@dataclass(slots=True)
 class _Draw:
-    """A completed draw, a leaf of its question's pick trie: its tokens,
-    its consumed edges in witness-path order, its frontier levels (see
-    :func:`_walk`), the grammar it was drawn from, and its derivation
-    once a candidate's ``derivation`` has been read."""
+    """A completed draw, a leaf of its question's pick trie: its tokens and
+    its consumed edges in witness-path order."""
 
-    __slots__ = ("tokens", "path", "levels", "grammar", "tree")
-
-    def __init__(
-        self,
-        tokens: tuple[str, ...],
-        path: tuple[Edge, ...],
-        levels: list,
-        grammar: LatentGrammar,
-    ) -> None:
-        self.tokens = tokens
-        self.path = path
-        self.levels = levels
-        self.grammar = grammar
-        self.tree: DerivationTree | None = None
-
-    def derivation(self) -> DerivationTree:
-        """The derivation of this draw's frontier levels, scored under its
-        grammar: built on the first call, then kept."""
-        if self.tree is None:
-            nodes: list[DerivationNode] = []
-            for ctxs, words in reversed(self.levels):
-                below = iter(nodes)
-                nodes = [
-                    DerivationNode(sym, st, w) if w is not None
-                    else DerivationNode(sym, st, None, (next(below), next(below)))
-                    for (sym, st), w in zip(ctxs, words)
-                ]
-            self.tree = DerivationTree(root=nodes[0], logprob=rescore(nodes[0], self.grammar))
-        return self.tree
+    tokens: tuple[str, ...]
+    path: tuple[Edge, ...]
 
 
 def _graft(root: list, picks: list[tuple[list[float], float, float] | None],
@@ -528,7 +459,7 @@ def _walk(
     used = 0  # the mask of the consumed edges
     n_used = 0
     # Each level of the frontier is the list of its contexts, left to
-    # right; ``levels`` keeps each with the word drawn at each position
+    # right; ``levels`` keeps the word drawn at each position of each
     # (None where a binary rule was drawn).  A context that is not live
     # can never complete, so a draw that picks one ends there.
     values, cum, total, _ = state.table(None)
@@ -536,7 +467,7 @@ def _walk(
     if root is None:
         return picks, "dead-end"
     level = [root]
-    levels: list[tuple[list[Context], list[str | None]]] = []
+    levels: list[list[str | None]] = []
     while level:
         # Each pending context yields a word, each word consumes its own
         # edge, and all of them lie on one path of the starting lattice: a
@@ -585,7 +516,7 @@ def _walk(
                         question, mask, remove_conflicting(state.lattice, edges_of[i])
                     )
                 state = nxt
-        levels.append((level, words))
+        levels.append(words)
         level = below
 
     # Order the consumed edges by the depths of their sources and check
@@ -607,13 +538,13 @@ def _walk(
     # Each level's yields, bottom-up: a binary node's is its children's,
     # which are the next two of the level below.
     spans: list[tuple[str, ...]] = []
-    for _ctxs, words in reversed(levels):
+    for words in reversed(levels):
         below_spans = iter(spans)
         spans = [
             (w,) if w is not None else next(below_spans) + next(below_spans)
             for w in words
         ]
-    return picks, _Draw(spans[0], path, levels, question.pruned.grammar)
+    return picks, _Draw(spans[0], path)
 
 
 def sample_one(
@@ -623,7 +554,7 @@ def sample_one(
     states: dict[int, _State] | None = None,
     seen: Container[tuple[str, ...]] = (),
 ) -> ParaphraseCandidate | SampleFailure | None:
-    """Draw one derivation; breadth-first, with controlled path removal.
+    """Draw one paraphrase; breadth-first, with controlled path removal.
 
     Every rule draw renormalizes the original parameters over the support
     that currently survives.  Each emitted word consumes one not yet
@@ -637,8 +568,7 @@ def sample_one(
     A draw first follows its floats down the memo's pick trie, each node
     reading the float of its pick's index in the seed's stream; only a
     draw that reaches an empty slot walks (:func:`_walk`) and adds its
-    picks to the trie.  The candidate builds and rescores its derivation
-    when it is first read (see :class:`ParaphraseCandidate`).
+    picks to the trie.
     """
     if states is None:
         states = {}
@@ -671,7 +601,7 @@ def sample_one(
         return SampleFailure(node, seed)
     if node.tokens in seen:
         return None
-    return ParaphraseCandidate(node.tokens, node, node.path, seed)
+    return ParaphraseCandidate(node.tokens, node.path, seed)
 
 
 def sample_many(
@@ -685,9 +615,7 @@ def sample_many(
 
     Seeds run from ``seed`` upward, each starting from the full lattice;
     the draws share one memo of the lattice states they reach.  Duplicates
-    (by token sequence) and the input question itself are dropped.  No
-    derivation is built here: each candidate builds its own when it is
-    first read.
+    (by token sequence) and the input question itself are dropped.
     Deterministic for a fixed seed.
     """
     if m_samples < 1:

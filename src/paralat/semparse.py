@@ -4,7 +4,9 @@ Question graphs (hand-authored files; one designated TARGET node) are
 grounded into KB subgraphs by beam search over per-edge and per-type
 decisions, executed as conjunctive queries with TARGET as the answer
 variable, and scored by a linear model trained with the averaged
-structured perceptron against minimal-loss oracle groundings.
+structured perceptron against minimal-loss oracle groundings.  The best
+F1 those groundings reach (``oracle_best_f1``) is read only by tests and
+is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -166,12 +168,6 @@ class UngroundedGraph:
 
     def entity_ids(self) -> tuple[str, ...]:
         return tuple(nid for nid, _ in self.entity_nodes)
-
-    def mention_of(self, node_id: str) -> tuple[str, ...]:
-        for nid, mention in self.entity_nodes:
-            if nid == node_id:
-                return mention
-        raise SemparseError(f"{self.name}: unknown entity node {node_id!r}")
 
     def entity_edges(self) -> tuple[tuple[str, str, str, str], ...]:
         """Entity-entity edges: (event, node1, node2, NL predicate).
@@ -431,10 +427,11 @@ def entity_assignments(
     those already taken in exactly the order of sorting the whole product,
     and at most ``top`` x nodes + 1 of them are formed.
     """
-    node_ids = sorted(graph.entity_ids())
+    nodes = sorted(graph.entity_nodes)  # ids are unique, so sorted by id
+    node_ids = [nid for nid, _ in nodes]
     per_node = []
-    for nid in node_ids:
-        cands = entity_candidates(graph.mention_of(nid), kb)
+    for nid, mention in nodes:
+        cands = entity_candidates(mention, kb)
         if not cands:
             raise NoEntityCandidates(
                 f"{graph.name}: no KB entity matches node {nid!r}"
@@ -887,20 +884,6 @@ def evaluate(
                 predicted = frozenset()
         rows.append((" ".join(example.question), *_precision_recall_f1(predicted, example.gold)))
     return EvalReport(per_question=tuple(rows))
-
-
-def oracle_best_f1(
-    graphs: Sequence[UngroundedGraph],
-    kb: KnowledgeGraph,
-    gold: frozenset[str] | set[str],
-    big_beam: int = ORACLE_BEAM,
-) -> float:
-    """Best reachable F1 over all groundings of all graphs (0 if nothing
-    grounds)."""
-    oracle = oracle_set(graphs, kb, gold, big_beam)
-    if not oracle:
-        return 0.0
-    return 1.0 - oracle[0].loss
 
 
 # --- model file ----------------------------------------------------------------------

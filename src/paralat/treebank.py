@@ -3,10 +3,13 @@
 Trees are immutable.  A preterminal node carries its terminal word directly
 (``Tree("NN", word="day")``); all other nodes carry children.  Node handles
 are paths: tuples of child indices from the root (the root is ``()``).
+Only tests undo normalization or binarization; ``expand_unaries``,
+``debinarize`` and ``is_binary`` are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,8 +21,10 @@ from .errors import (
     UnbalancedBrackets,
 )
 
-# Prefix for intermediate symbols introduced by binarization.
+# Prefix for intermediate symbols introduced by binarization, which no
+# treebank label may start with (a label is the token after a bracket).
 BIN_PREFIX = "@"
+_RESERVED_LABEL = re.compile(r"\(\s*(" + re.escape(BIN_PREFIX) + r"[^\s()]*)")
 # Joiner for collapsed unary chains (X -> Y becomes "X+Y").
 UNARY_JOIN = "+"
 # Most nodes a treebank tree may have.  The node count bounds both the
@@ -149,23 +154,11 @@ def normalize(tree: Tree, preserve_case: frozenset[str] = frozenset()) -> Tree:
     )
 
 
-def expand_unaries(tree: Tree) -> Tree:
-    """Split "X+Y" composite labels back into unary chains (rendering aid)."""
-    parts = tree.label.split(UNARY_JOIN)
-    if tree.is_preterminal:
-        node = Tree(parts[-1], word=tree.word)
-    else:
-        node = Tree(parts[-1], children=tuple(expand_unaries(c) for c in tree.children))
-    for label in reversed(parts[:-1]):
-        node = Tree(label, children=(node,))
-    return node
-
-
 def binarize(tree: Tree) -> Tree:
     """Right-branching binarization with "@Parent" intermediate symbols.
 
     A node A with children B C D becomes (A B (@A C D)).  Requires a
-    normalized tree (no unary internal nodes).  Inverse: :func:`debinarize`.
+    normalized tree (no unary internal nodes).
     """
     if tree.is_preterminal:
         return tree
@@ -180,29 +173,10 @@ def binarize(tree: Tree) -> Tree:
     return Tree(tree.label, children=tuple(children))
 
 
-def debinarize(tree: Tree) -> Tree:
-    """Collapse "@"-symbols introduced by :func:`binarize`."""
-    if tree.is_preterminal:
-        return tree
-    children: list[Tree] = []
-    for child in tree.children:
-        child = debinarize(child)
-        if child.label.startswith(BIN_PREFIX):
-            children.extend(child.children)
-        else:
-            children.append(child)
-    return Tree(tree.label, children=tuple(children))
-
-
-def is_binary(tree: Tree) -> bool:
-    if tree.is_preterminal:
-        return True
-    return len(tree.children) == 2 and all(is_binary(c) for c in tree.children)
-
-
 def read_treebank(path: str) -> list[Tree]:
     """Read one bracketed tree per record line, normalized; a tree of
-    more than MAX_TREE_NODES nodes is refused."""
+    more than MAX_TREE_NODES nodes, or with a label that starts with
+    BIN_PREFIX, is refused."""
     trees: list[Tree] = []
     for lineno, line in records(path):
         nodes = line.count("(")
@@ -214,5 +188,11 @@ def read_treebank(path: str) -> list[Tree]:
             tree = parse_tree(line.strip())
         except TreebankError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        reserved = _RESERVED_LABEL.search(line)
+        if reserved:
+            raise TreebankError(
+                f"{path}:{lineno}: label {reserved[1]!r} starts with {BIN_PREFIX!r}, "
+                "which binarization reserves"
+            )
         trees.append(normalize(tree))
     return trees

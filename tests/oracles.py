@@ -28,6 +28,14 @@ is the path enumeration that recursed once per edge, and
 lattice breadth-first from the chosen edge on every call.
 ``reference_entity_assignments`` sorts the whole product of every entity
 node's candidates; it shares ``entity_candidates``.
+
+The library read-outs that only tests use live here too, as references:
+a derivation's yield (``derivation_yield``) and its score under a grammar
+(``rescore``), a lattice's paths as token sequences (``enumerate_paths``),
+the best F1 of a question's oracle groundings (``oracle_best_f1``), a
+classifier weight looked up by feature name (``weight_of``), and the
+inverses of tree normalization and binarization (``expand_unaries``,
+``debinarize``) with the check ``is_binary``.
 """
 
 from __future__ import annotations
@@ -42,14 +50,17 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from paralat.classifier import PairFeatures, _occurrences
-from paralat.cky import DerivationNode, DerivationTree, derivation_yield, rescore
+from paralat.classifier import FEATURE_NAMES, ClassifierModel, PairFeatures, _occurrences
+from paralat.cky import DerivationNode
 from paralat.errors import EdgeNotInLattice, NoEntityCandidates
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths
 from paralat.sampler import ParaphraseCandidate, PrunedGrammar, SampleFailure
 from paralat.semparse import (
+    ORACLE_BEAM,
     GroundedGraph,
+    KnowledgeGraph,
+    UngroundedGraph,
     _edge_options,
     _stem_overlap,
     _type_options,
@@ -57,8 +68,9 @@ from paralat.semparse import (
     entity_assignments,
     entity_candidates,
     entity_surface,
+    oracle_set,
 )
-from paralat.treebank import Tree
+from paralat.treebank import BIN_PREFIX, UNARY_JOIN, Tree
 
 # The breadth-first depth past which ``reference_sample_one`` gives up.  No
 # completed draw of n words is deeper than n - 1, so any cap at least the
@@ -110,6 +122,35 @@ def enumerate_derivations(
         if prior is not None:
             result.append((ctx, math.log(prior) + logp))
     return result
+
+
+def derivation_yield(node: DerivationNode) -> tuple[str, ...]:
+    """The words of a derivation's leaves, left to right."""
+    words, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if n.word is not None:
+            words.append(n.word)
+        else:
+            stack.extend(reversed(n.children))
+    return tuple(words)
+
+
+def rescore(node: DerivationNode, grammar: LatentGrammar) -> float:
+    """Sum of rule log-parameters of a derivation, root prior included."""
+    total = math.log(grammar.roots[(node.symbol, node.state)])
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        ctx = (n.symbol, n.state)
+        if n.word is not None:
+            total += math.log(grammar.lexical[ctx][n.word])
+            continue
+        left, right = n.children
+        rhs = (left.symbol, left.state, right.symbol, right.state)
+        total += math.log(grammar.binary[ctx][rhs])
+        stack += (right, left)
+    return total
 
 
 def best_logprob(tokens: Sequence[str], grammar: LatentGrammar) -> float | None:
@@ -178,6 +219,12 @@ def cooccurring_edges(lat: WordLattice, chosen: Edge) -> set[Edge]:
         if chosen in path:
             keep.update(path)
     return keep
+
+
+def enumerate_paths(lat: WordLattice, cap: int) -> list[tuple[str, ...]]:
+    """Token sequences of up to ``cap`` source-to-sink paths, in the order
+    of ``lattice.enumerate_edge_paths``."""
+    return [tuple(e.token for e in path) for path in enumerate_edge_paths(lat, cap)]
 
 
 def path_contains_in_order(path: Sequence[Edge], consumed: Sequence[Edge]) -> bool:
@@ -324,6 +371,41 @@ def brute_force_features(tree: Tree, layer: str, aligned=None) -> dict:
     return out
 
 
+# --- normalization and binarization undone ------------------------------------
+
+
+def expand_unaries(tree: Tree) -> Tree:
+    """Split "X+Y" composite labels back into unary chains (a rendering aid)."""
+    parts = tree.label.split(UNARY_JOIN)
+    if tree.is_preterminal:
+        node = Tree(parts[-1], word=tree.word)
+    else:
+        node = Tree(parts[-1], children=tuple(expand_unaries(c) for c in tree.children))
+    for label in reversed(parts[:-1]):
+        node = Tree(label, children=(node,))
+    return node
+
+
+def debinarize(tree: Tree) -> Tree:
+    """Collapse the "@"-symbols that ``treebank.binarize`` introduces."""
+    if tree.is_preterminal:
+        return tree
+    children: list[Tree] = []
+    for child in tree.children:
+        child = debinarize(child)
+        if child.label.startswith(BIN_PREFIX):
+            children.extend(child.children)
+        else:
+            children.append(child)
+    return Tree(tree.label, children=tuple(children))
+
+
+def is_binary(tree: Tree) -> bool:
+    if tree.is_preterminal:
+        return True
+    return len(tree.children) == 2 and all(is_binary(c) for c in tree.children)
+
+
 # --- random instances ---------------------------------------------------------
 
 
@@ -455,7 +537,6 @@ def reference_narrow(pruned: PrunedGrammar, vocab: frozenset[str]) -> PrunedGram
         roots=tuple((ctx, p) for ctx, p in pruned.roots if ctx[0] in surviving),
         binary=binary,
         lexical=lexical,
-        symbols=frozenset(surviving),
     )
 
 
@@ -467,14 +548,6 @@ class _Node:
         self.state = state
         self.word: str | None = None
         self.children: tuple[_Node, ...] = ()
-
-    def freeze(self) -> DerivationNode:
-        return DerivationNode(
-            symbol=self.symbol,
-            state=self.state,
-            word=self.word,
-            children=tuple(c.freeze() for c in self.children),
-        )
 
 
 def reference_sample_one(
@@ -530,17 +603,11 @@ def reference_sample_one(
             queue.append((left, depth + 1))
             queue.append((right, depth + 1))
 
-    frozen = root.freeze()
     witness = enumerate_edge_paths(current, 1)[0]
     path = tuple(e for e in witness if e in consumed_set)
     if len(path) != len(consumed):
         raise AssertionError("consumed edges do not lie on one path")
-    return ParaphraseCandidate(
-        tokens=derivation_yield(frozen),
-        derivation=DerivationTree(root=frozen, logprob=rescore(frozen, grammar)),
-        consumed_path=path,
-        seed=seed,
-    )
+    return ParaphraseCandidate(tokens=derivation_yield(root), consumed_path=path, seed=seed)
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -579,6 +646,11 @@ def _bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> flo
         log_precisions.append(math.log(matches / total))
     brevity = min(0.0, 1.0 - len(reference) / len(candidate))
     return math.exp(brevity + sum(log_precisions) / max_n)
+
+
+def weight_of(model: ClassifierModel, name: str) -> float:
+    """The stored weight of the feature ``name``."""
+    return model.weights[FEATURE_NAMES.index(name)]
 
 
 def reference_compute_features(
@@ -778,8 +850,8 @@ def reference_entity_assignments(graph, kb, top):
     """``semparse.entity_assignments`` by sorting the whole product of the
     nodes' candidate lists."""
     per_node = []
-    for nid in sorted(graph.entity_ids()):
-        cands = entity_candidates(graph.mention_of(nid), kb)
+    for nid, mention in sorted(graph.entity_nodes):
+        cands = entity_candidates(mention, kb)
         if not cands:
             raise NoEntityCandidates(f"{graph.name}: no KB entity matches node {nid!r}")
         per_node.append([(nid, c) for c in cands])
@@ -792,6 +864,20 @@ def reference_entity_assignments(graph, kb, top):
                       total_match - 0.01 * total_rank))
     joint.sort(key=lambda item: item[0])
     return [(assignment, score) for _, assignment, score in joint[:top]]
+
+
+def oracle_best_f1(
+    graphs: Sequence[UngroundedGraph],
+    kb: KnowledgeGraph,
+    gold: frozenset[str] | set[str],
+    big_beam: int = ORACLE_BEAM,
+) -> float:
+    """Best reachable F1 over all groundings of all graphs (0 if nothing
+    grounds)."""
+    oracle = oracle_set(graphs, kb, gold, big_beam)
+    if not oracle:
+        return 0.0
+    return 1.0 - oracle[0].loss
 
 
 def reference_ground(graph, kb, weights=None, beam=100):

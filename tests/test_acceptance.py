@@ -18,6 +18,7 @@ from oracles import (
     enumerate_strings,
     exhaustive_groundings,
     is_single_path_subset,
+    oracle_best_f1,
     random_multipath_lattice,
     random_toy_grammar,
     word_salad_grammar,
@@ -50,7 +51,6 @@ from paralat.semparse import (
     load_kb,
     load_qa,
     load_ungrounded,
-    oracle_best_f1,
     perceptron_train,
     tuple_features,
 )

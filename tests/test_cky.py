@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import best_logprob, enumerate_strings, random_toy_grammar
+from oracles import best_logprob, derivation_yield, enumerate_strings, random_toy_grammar, rescore
 from paralat import cky
-from paralat.cky import cky_viterbi, derivation_yield, render_derivation, rescore
+from paralat.cky import cky_viterbi, render_derivation
 from paralat.data_files import data_path
 from paralat.errors import ParseFailure
 from paralat.estimation import read_alignments, train_bilayered_grammar, train_grammar

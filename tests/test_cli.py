@@ -244,6 +244,21 @@ def _aligned(alignment):
     return argv
 
 
+def _reserved_label(command):
+    """``command`` over a treebank whose second tree has a label that
+    starts as binarization's intermediate labels do."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        treebank, alignments = tmp_path / "two.trees", tmp_path / "none.tsv"
+        treebank.write_text("(S (A a) (B b))\n(@S (A c) (B d))\n", encoding="utf-8")
+        alignments.write_text("", encoding="utf-8")
+        argv = [command, "--treebank", str(treebank), "--m1", "1",
+                "--out", str(tmp_path / "g.lpcfg")]
+        if command == "train-bilayered":
+            argv += ["--alignments", str(alignments), "--m2", "1"]
+        return argv
+    return argv
+
+
 def _build_lattice_argv(*args):
     def argv(tmp_path, grammar_file, classifier_file):
         return ["build-lattice", *args]
@@ -290,6 +305,10 @@ class TestBadInputs:
              "usage error: --epochs must be at least 1, got -1"),
             (_aligned("0\t2\t0-0"), 2, "alignment references unknown tree"),
             (_aligned("0\t1\t0-2"), 2, "alignment index out of range"),
+            (_reserved_label("train-grammar"), 2,
+             "two.trees:2: label '@S' starts with '@', which binarization reserves"),
+            (_reserved_label("train-bilayered"), 2,
+             "two.trees:2: label '@S' starts with '@', which binarization reserves"),
         ],
         ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
@@ -299,7 +318,8 @@ class TestBadInputs:
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
              "bilayered-grammar-missing", "classifier-epochs-0", "classifier-epochs-negative",
-             "semparse-epochs-negative", "alignment-unknown-tree", "alignment-index-range"],
+             "semparse-epochs-negative", "alignment-unknown-tree", "alignment-index-range",
+             "grammar-reserved-label", "bilayered-reserved-label"],
     )
     def test_exit_code_and_message_without_traceback(
         self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys

@@ -29,11 +29,11 @@ from paralat.lattice import (
     conflict_masks,
     dump_lattice,
     enumerate_edge_paths,
-    enumerate_paths,
     load_rules,
     remove_conflicting,
 )
 from conftest import CZECH_QUESTION, PEOPLE_ALTERNATIVES
+from oracles import enumerate_paths
 
 
 class TestBuildNaive:

@@ -69,6 +69,11 @@ def _product_grammar() -> LatentGrammar:
     )
 
 
+def _symbols(pruned) -> set[str]:
+    """The symbols of a pruned grammar: those with a word or a rule left."""
+    return {sym for sym, _ in pruned.lexical} | {sym for sym, _ in pruned.binary}
+
+
 def _closure_grammar() -> LatentGrammar:
     """Five rules; X only derives "b b", so pruning to {a} must drop it."""
     return LatentGrammar(
@@ -92,7 +97,7 @@ class TestPruneGrammar:
 
     def test_closure_removes_unreachable_interminal(self):
         pruned = prune_grammar(_closure_grammar(), build_naive(["a"]))
-        assert pruned.symbols == {"S", "A"}
+        assert _symbols(pruned) == {"S", "A"}
         assert ("B", S0) not in pruned.lexical
         assert list(pruned.binary[("S", S0)]) == [(("A", S0, "A", S0), 0.5)]
         # Conditional distributions are kept unrenormalized.
@@ -130,7 +135,6 @@ class TestSampleOne:
             result = sample_one(pruned, lat, seed)
             assert isinstance(result, ParaphraseCandidate)
             assert result.tokens == ("a", "b")
-            assert result.derivation.logprob == pytest.approx(0.0)
 
     def test_consumed_path_matches_tokens(self):
         grammar = _product_grammar()
@@ -216,7 +220,7 @@ class TestSampleOne:
             if isinstance(expected, SampleFailure):
                 assert isinstance(got, SampleFailure)
             else:
-                assert _fields([got]) == _fields([expected])
+                assert got == expected
                 lengths.append(len(got.tokens))
         assert len(lengths) > 250 and sum(n >= 34 for n in lengths) > 20
 
@@ -334,12 +338,12 @@ class TestPathInvariant:
         re_pruned = prune_grammar(grammar, smaller)
         vocab = smaller.vocabulary()
         for (sym, _), table in re_pruned.lexical.items():
-            assert sym in re_pruned.symbols
+            assert sym in _symbols(re_pruned)
             for word, _ in table:
                 assert word in vocab
         for ctx, table in re_pruned.binary.items():
             for (b, _, c, _), _ in table:
-                assert b in re_pruned.symbols and c in re_pruned.symbols
+                assert b in _symbols(re_pruned) and c in _symbols(re_pruned)
 
 
 HELDOUT = 8
@@ -403,21 +407,14 @@ def _read(seed, k):
     return floats[k]
 
 
-def _fields(candidates):
-    return [
-        (c.tokens, c.consumed_path, c.derivation.root, c.derivation.logprob, c.seed)
-        for c in candidates
-    ]
-
-
 class TestLatticeStateMemo:
     @pytest.mark.parametrize("seed", [0, 7, 90210])
     def test_sample_many_equals_unmemoized_reference(self, heldout_lattices, seed):
         grammar, cases = heldout_lattices
         total = 0
         for tokens, lat in cases:
-            got = _fields(sample_many(tokens, grammar, lat, DRAWS, seed))
-            assert got == _fields(_reference_many(tokens, grammar, lat, DRAWS, seed))
+            got = sample_many(tokens, grammar, lat, DRAWS, seed)
+            assert got == _reference_many(tokens, grammar, lat, DRAWS, seed)
             total += len(got)
         assert total >= len(cases)
 
@@ -443,7 +440,7 @@ class TestLatticeStateMemo:
             checked += 1
             got = sample_many(["q"], grammar, lat, DRAWS, checked)
             expected = _reference_many(["q"], grammar, lat, DRAWS, checked)
-            assert _fields(got) == _fields(expected)
+            assert got == expected
 
     def test_supercritical_grammar_is_bounded_by_longest_path(self, monkeypatch):
         # The 28th grammar of test_random_grammars_equal_reference has
@@ -484,7 +481,7 @@ class TestLatticeStateMemo:
         monkeypatch.setattr(sampler._State, "table", counted)
         got = sample_many(["q"], grammar, lat, DRAWS, checked)
         expected = _reference_many(["q"], grammar, lat, DRAWS, checked)
-        assert got and _fields(got) == _fields(expected)
+        assert got and got == expected
 
     def test_longest_path_equals_enumeration(self):
         rng = random.Random(3)
@@ -560,7 +557,7 @@ class TestLatticeStateMemo:
             # pick that is not live) removes nothing.
             assert len(calls) == len(set(calls))
             assert len(calls) <= len(states)
-            assert _fields(got) == _fields(_reference_many(tokens, grammar, lat, DRAWS, 7))
+            assert got == _reference_many(tokens, grammar, lat, DRAWS, 7)
         assert total
 
 
@@ -627,14 +624,14 @@ class TestStateMasks:
                     for token in state.lattice.vocabulary()
                 }
                 narrowed = reference_narrow(pruned, state.lattice.vocabulary())
-                assert state.symbols == narrowed.symbols
+                assert state.symbols == _symbols(narrowed)
 
     def test_draw_ends_at_pick_of_dead_context(self, monkeypatch):
         grammar = _dead_state_grammar({("S", S0): 1.0})
         lat = build_naive(["a", "a", "a"])
         pruned = prune_grammar(grammar, lat)
         # X-1 keeps no rule, but S-0 and X-0 still rewrite to it.
-        assert pruned.symbols == {"S", "X", "A"} and ("X", S1) not in pruned.binary
+        assert _symbols(pruned) == {"S", "X", "A"} and ("X", S1) not in pruned.binary
         assert (("A", S0, "X", S1), 0.5) in pruned.binary[("S", S0)]
         table = sampler._State.table
         looked_up = []
@@ -670,7 +667,7 @@ class TestStateMasks:
         assert looked_up == []
         monkeypatch.undo()
         got = sample_many(["q"], grammar, lat, DRAWS, 3)
-        assert got and _fields(got) == _fields(_reference_many(["q"], grammar, lat, DRAWS, 3))
+        assert got and got == _reference_many(["q"], grammar, lat, DRAWS, 3)
 
     def test_no_live_root_seeds_no_generator(self, monkeypatch):
         grammar = _dead_state_grammar({("S", S1): 1.0})
@@ -712,7 +709,7 @@ class TestStateMasks:
     def _windows(cases, grammar, order):
         # Question i draws seeds 100 + i onwards, as the CLI's derived seeds
         # do, so neighbouring questions share DRAWS - 1 streams.
-        return {i: _fields(sample_many(cases[i][0], grammar, cases[i][1], DRAWS, 100 + i))
+        return {i: sample_many(cases[i][0], grammar, cases[i][1], DRAWS, 100 + i)
                 for i in order}
 
     def test_draws_do_not_depend_on_cached_streams(self, heldout_lattices, monkeypatch):
@@ -728,7 +725,7 @@ class TestStateMasks:
             cold.update(self._windows(cases, grammar, [i]))
         assert in_order == reverse == cold
         for i, (tokens, lat) in enumerate(cases):
-            assert in_order[i] == _fields(_reference_many(tokens, grammar, lat, DRAWS, 100 + i))
+            assert in_order[i] == _reference_many(tokens, grammar, lat, DRAWS, 100 + i)
 
     def test_threads_keep_their_own_streams(self):
         # Threads read the same seeds' streams at once, switching often:
@@ -768,9 +765,9 @@ class TestStateMasks:
         m = sampler._STREAMS_KEPT + 100
         monkeypatch.setattr(sampler._streams, "by_seed", {})
         for seed in (0, 1):
-            got = _fields(sample_many(tokens, grammar, lat, m, seed))
+            got = sample_many(tokens, grammar, lat, m, seed)
             assert len(sampler._streams.by_seed) == sampler._STREAMS_KEPT
-            assert got and got == _fields(_reference_many(tokens, grammar, lat, m, seed))
+            assert got and got == _reference_many(tokens, grammar, lat, m, seed)
 
     def test_memo_of_another_lattice_or_grammar_is_refused(self):
         grammar = _product_grammar()
@@ -827,25 +824,21 @@ class TestDrawTable:
 
 
 class TestDrawCounts:
-    """``sample_many`` makes exactly one ``sample_one`` call per draw and
-    rescores none: a candidate's derivation is built and rescored on its
-    first read, so only the candidates it returns are ever rescored, and
-    each at most once."""
+    """``sample_many`` makes exactly one ``sample_one`` call per draw."""
 
     @staticmethod
     def _count(monkeypatch):
         calls = Counter()
-        for name in ("sample_one", "rescore"):
-            original = getattr(sampler, name)
+        original = sampler.sample_one
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls["sample_one"] += 1
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(sampler, name, counted)
+        monkeypatch.setattr(sampler, "sample_one", counted)
         return calls
 
-    def test_duplicates_and_question_are_not_rescored(self, monkeypatch):
+    def test_duplicates_and_question_cost_one_call_per_draw(self, monkeypatch):
         # Four derivable strings, one of them the question: most of the
         # 300 draws repeat a string already seen.
         calls = self._count(monkeypatch)
@@ -854,32 +847,19 @@ class TestDrawCounts:
         )
         assert {c.tokens for c in candidates} == {("a", "d"), ("c", "b"), ("c", "d")}
         assert calls["sample_one"] == 300
-        assert calls["rescore"] == 0
-        self._read_twice(candidates, calls)
-
-    @staticmethod
-    def _read_twice(candidates, calls):
-        """Reading every candidate's derivation rescores each once; a
-        second read rescores nothing."""
-        first = [(c.derivation.root, c.derivation.logprob) for c in candidates]
-        assert calls["rescore"] == len(candidates)
-        assert [(c.derivation.root, c.derivation.logprob) for c in candidates] == first
-        assert calls["rescore"] == len(candidates)
 
     def test_heldout_draw_counts(self, heldout_lattices, monkeypatch):
         grammar, cases = heldout_lattices
         calls = self._count(monkeypatch)
         for tokens, lat in cases:
             calls.clear()
-            candidates = sample_many(tokens, grammar, lat, DRAWS, 7)
+            sample_many(tokens, grammar, lat, DRAWS, 7)
             assert calls["sample_one"] == DRAWS
-            assert calls["rescore"] == 0
-            self._read_twice(candidates, calls)
 
-    def test_paraphrase_path_rescores_nothing(self, heldout_lattices, monkeypatch):
+    def test_paraphrase_path_draw_counts(self, heldout_lattices, monkeypatch):
         # The CLI's paraphrase path, sample_many and filter_candidates, at
-        # the benchmark's m: no derivation is built.  Then every completed
-        # draw of those seeds is seen, and none builds one either.
+        # the benchmark's m.  Then every completed draw of those seeds is
+        # seen, and none returns a candidate.
         grammar, cases = heldout_lattices
         model = train(read_labeled_pairs(data_path("classifier_pairs.tsv")))
         gazetteer = Gazetteer.load(data_path("gazetteer.txt"))
@@ -890,15 +870,11 @@ class TestDrawCounts:
             candidates = sample_many(tokens, grammar, lat, 400, 7)
             kept += len(filter_candidates(model, tokens, candidates, gazetteer))
             assert calls["sample_one"] == 400
-            assert calls["rescore"] == 0
-            self._read_twice(candidates, calls)
-            calls.clear()
             pruned, states = prune_grammar(grammar, lat), {}
             seen = {tuple(tokens)} | {c.tokens for c in candidates}
             for s in range(7, 407):
                 result = sample_one(pruned, lat, s, states=states, seen=seen)
                 assert not isinstance(result, ParaphraseCandidate)
-            assert calls["rescore"] == 0
         assert kept > 0
 
     def test_seen_draw_still_checks_its_path(self, monkeypatch):
@@ -929,14 +905,6 @@ class TestDrawCounts:
         assert 0 < mixed < 50
 
 
-def _draw_fields(result):
-    """A draw's seed, tokens, consumed path and derivation, or its failure."""
-    if isinstance(result, ParaphraseCandidate):
-        return (result.seed, result.tokens, result.consumed_path,
-                result.derivation.root, result.derivation.logprob)
-    return result
-
-
 class TestPickTrie:
     """The draws of one memo share a trie of their picks: a draw that
     replays known picks gives what a walk from a fresh memo gives."""
@@ -956,12 +924,12 @@ class TestPickTrie:
         for _tokens, lat in cases:
             pruned = prune_grammar(grammar, lat)
             seeds = list(range(DRAWS))
-            fresh = {s: _draw_fields(sample_one(pruned, lat, s, states={})) for s in seeds}
+            fresh = {s: sample_one(pruned, lat, s, states={}) for s in seeds}
             shuffled = rng.sample(seeds, len(seeds))
             monkeypatch.setattr(sampler, "_walk", counted)
             for order in (seeds[::-1], shuffled):
                 states: dict = {}
-                assert {s: _draw_fields(sample_one(pruned, lat, s, states=states))
+                assert {s: sample_one(pruned, lat, s, states=states)
                         for s in order} == fresh
                 draws += len(order)
             monkeypatch.undo()
@@ -974,43 +942,33 @@ class TestPickTrie:
         pruned = prune_grammar(grammar, lat)
         seeds = range(40)
         fresh = [sample_one(pruned, lat, s, states={}) for s in seeds]
-        rescore = sampler.rescore
-        rescored = []
-
-        def counted(root, grammar):
-            rescored.append(root)
-            return rescore(root, grammar)
-
-        monkeypatch.setattr(sampler, "rescore", counted)
         states: dict = {}
         language = set(enumerate_strings(grammar))
         for s in seeds:
             assert not isinstance(sample_one(pruned, lat, s, states=states, seen=language),
                                   ParaphraseCandidate)
-        assert rescored == []
+
+        def no_walk(*args):
+            raise AssertionError("a replayed draw walked")
+
         # The same leaves, now visited with their tokens unseen, return
-        # their candidates; reading their derivations builds and rescores
-        # each leaf's once, though several seeds reach one leaf.
+        # their candidates, replayed from the trie.
+        monkeypatch.setattr(sampler, "_walk", no_walk)
         again = [sample_one(pruned, lat, s, states=states) for s in seeds]
-        assert rescored == []
-        roots = [c.derivation.root for c in again if isinstance(c, ParaphraseCandidate)]
-        assert len(roots) > len(rescored) > 1
-        assert sorted(map(repr, rescored)) == sorted({repr(root) for root in roots})
-        monkeypatch.undo()
         assert again == fresh
 
     def test_candidate_equals_one_with_its_derivation_built(self):
-        # A sampled candidate reads as the candidate given its built
-        # derivation (as tests and callers construct one): equal, with
-        # the same hash and repr, and unequal to anything else.
+        # A sampled candidate reads as the candidate built from its fields
+        # (as tests and callers construct one): equal, with the same hash
+        # and repr, and unequal to anything else. A candidate keeps no
+        # derivation, so its fields are its words, path and seed.
         lat = build_naive("a b c d".split())
         sampled = sample_many(["a", "b"], _product_grammar(), lat, 40, 0)
         assert sampled
         for cand in sampled:
-            built = ParaphraseCandidate(cand.tokens, cand.derivation, cand.consumed_path, cand.seed)
+            built = ParaphraseCandidate(cand.tokens, cand.consumed_path, cand.seed)
             assert built == cand and hash(built) == hash(cand) and repr(built) == repr(cand)
-            assert repr(cand).startswith(f"ParaphraseCandidate(tokens={cand.tokens!r}, ")
-            assert cand != (cand.tokens, cand.derivation, cand.consumed_path, cand.seed)
+            assert cand != (cand.tokens, cand.consumed_path, cand.seed)
             assert cand != SampleFailure("dead-end", cand.seed)
 
     def test_single_value_picks_make_no_node(self, heldout_lattices):
@@ -1046,19 +1004,28 @@ class TestPickTrie:
 
 class TestSampleFailure:
     def test_equality_hash_and_repr_of_a_frozen_dataclass(self):
-        @dataclasses.dataclass(frozen=True)
-        class SampleFailure:  # frozen, with the same fields
-            reason: str
-            seed: int
-
-        SampleFailure.__qualname__ = "SampleFailure"  # as at module level
-        for args in [("dead-end", 0), ("dead-end", 7), ("other", 7)]:
-            got, expected = sampler.SampleFailure(*args), SampleFailure(*args)
-            assert repr(got) == repr(expected) == "SampleFailure(reason=%r, seed=%r)" % args
-            assert hash(got) == hash(expected)
-            assert got == sampler.SampleFailure(reason=args[0], seed=args[1])
-        failure = sampler.SampleFailure("dead-end", 7)
-        assert failure != sampler.SampleFailure("dead-end", 8)
-        assert failure != sampler.SampleFailure("other", 7)
-        assert failure != ("dead-end", 7) and failure != SampleFailure("dead-end", 7)
-        assert len({failure, sampler.SampleFailure("dead-end", 7)}) == 1
+        # A failure and a candidate equal, hash and print as the frozen
+        # dataclass of their fields would, and equal nothing else.
+        lat = build_naive("a b c d".split())
+        sampled = sample_many(["a", "b"], _product_grammar(), lat, 40, 0)
+        assert sampled
+        inputs = {
+            SampleFailure: [("dead-end", 0), ("dead-end", 7), ("other", 7)],
+            ParaphraseCandidate: [(c.tokens, c.consumed_path, c.seed) for c in sampled],
+        }
+        for cls, cases in inputs.items():
+            names = [f.name for f in dataclasses.fields(cls)]
+            frozen = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+            for args in cases:
+                got, expected = cls(*args), frozen(*args)
+                assert repr(got) == repr(expected)
+                assert hash(got) == hash(expected)
+                assert got == cls(**dict(zip(names, args)))
+                assert got != args and got != expected
+                assert [got == cls(*o) for o in cases] == [o == args for o in cases]
+            assert len({cls(*args) for args in cases * 2}) == len(set(cases))
+        assert repr(SampleFailure("dead-end", 7)) == "SampleFailure(reason='dead-end', seed=7)"
+        assert SampleFailure("dead-end", 7) != ParaphraseCandidate((), (), 7)
+        cand = sampled[0]
+        assert repr(cand).startswith(f"ParaphraseCandidate(tokens={cand.tokens!r}, ")
+        assert cand.text == " ".join(cand.tokens)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     exhaustive_groundings,
+    oracle_best_f1,
     reference_entity_assignments,
     reference_ground,
     reference_key,
@@ -45,7 +46,6 @@ from paralat.semparse import (
     load_kb,
     load_perceptron_weights,
     load_ungrounded,
-    oracle_best_f1,
     oracle_set,
     perceptron_train,
     save_perceptron,
@@ -140,6 +140,19 @@ class TestDenotation:
         full = _grounding(graph, kb)
         edge_nulled = _grounding(graph, kb, relation=None)
         assert denotation(full, kb) <= denotation(edge_nulled, kb)
+
+    def test_edge_from_target_to_itself_is_refused(self, kb):
+        # Grounding never builds such an edge: entity_edges pairs two
+        # distinct nodes.  A grounding built by hand can.
+        graph = _language_graph()
+        grounded = GroundedGraph(
+            graph=graph,
+            entity_map=(("e1", "CzechRepublic"),),
+            edge_map=((("ev1", "x", "x"), ("official_language", "fwd")),),
+            type_map=(),
+        )
+        with pytest.raises(SemparseError, match="edge binds target twice"):
+            denotation(grounded, kb)
 
 
     @pytest.mark.parametrize(

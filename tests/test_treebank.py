@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from oracles import random_trees
+from oracles import debinarize, expand_unaries, is_binary, random_trees
 
 from paralat.errors import (
     EmptyTree,
@@ -14,9 +14,6 @@ from paralat.errors import (
 from paralat.treebank import (
     Tree,
     binarize,
-    debinarize,
-    expand_unaries,
-    is_binary,
     normalize,
     parse_tree,
     render,
