@@ -9,8 +9,9 @@ so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
 stderr and go on.  An unknown lattice mode, a score threshold that is
-``nan`` or infinite, or a ``--beam`` or ``--epochs`` below 1, from a flag
-or a config key, is a usage error before any input loads.
+``nan`` or infinite, or a ``--beam``, ``--epochs``, ``--m``, ``--m1`` or
+``--m2`` below 1, from a flag or a config key, is a usage error before
+any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -103,6 +104,15 @@ def _require(value, name: str):
     return value
 
 
+def _at_least_one(args, *names: str) -> None:
+    """Refuse a count option below 1; handlers call this before any input
+    loads."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise _UsageError(f"--{name} must be at least 1, got {value}")
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -170,8 +180,6 @@ def _sample_questions(args, mode: str, stage: str):
     """(tokens, candidates) for every question that :func:`_each_lattice`
     does not skip."""
     grammar = _load_grammar(_require(args.grammar, "grammar"))
-    if args.m < 1:
-        raise _UsageError(f"--m must be at least 1, got {args.m}")
     return _each_lattice(
         args,
         mode,
@@ -184,6 +192,7 @@ def _sample_questions(args, mode: str, stage: str):
 # --- subcommand handlers -------------------------------------------------------
 
 def _cmd_train_grammar(args) -> int:
+    _at_least_one(args, "m1")
     treebank_path = _require(args.treebank, "treebank")
     out = _require(args.out, "out")
     trees = [binarize(t) for t in read_treebank(treebank_path)]
@@ -194,6 +203,7 @@ def _cmd_train_grammar(args) -> int:
 
 
 def _cmd_train_bilayered(args) -> int:
+    _at_least_one(args, "m1", "m2")
     treebank_path = _require(args.treebank, "treebank")
     alignments_path = _require(args.alignments, "alignments")
     out = _require(args.out, "out")
@@ -241,6 +251,7 @@ def _cmd_build_lattice(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _at_least_one(args, "m")
     lines = [
         f"{cand.seed}\t{cand.text}"
         for _tokens, candidates in _sample_questions(args, args.lattice, "sample")
@@ -250,13 +261,8 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _check_epochs(args) -> None:
-    if args.epochs < 1:
-        raise _UsageError(f"--epochs must be at least 1, got {args.epochs}")
-
-
 def _cmd_train_classifier(args) -> int:
-    _check_epochs(args)
+    _at_least_one(args, "epochs")
     pairs_path = _require(args.pairs, "pairs")
     out = _require(args.out, "out")
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
@@ -269,6 +275,7 @@ def _cmd_train_classifier(args) -> int:
 
 
 def _cmd_paraphrase(args) -> int:
+    _at_least_one(args, "m")
     model = load_model(_require(args.classifier, "classifier"))
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     lines = []
@@ -281,8 +288,7 @@ def _cmd_paraphrase(args) -> int:
 
 
 def _load_dataset(args, qa_path: str | None):
-    if args.beam < 1:
-        raise _UsageError(f"--beam must be at least 1, got {args.beam}")
+    _at_least_one(args, "beam")
     kb = load_kb(_require(args.kb, "kb"))
     qa_path = _require(qa_path, "qa")
     graphs_dir = _require(args.graphs_dir, "graphs-dir")
@@ -300,7 +306,7 @@ def _load_dataset(args, qa_path: str | None):
 
 
 def _cmd_semparse_train(args) -> int:
-    _check_epochs(args)
+    _at_least_one(args, "epochs")
     kb, dataset = _load_dataset(args, args.qa_train)
     out = _require(args.out, "out")
     model = perceptron_train(dataset, kb, epochs=args.epochs, beam=args.beam)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .data_files import records
@@ -64,9 +64,13 @@ class StateAssignment:
 
 @dataclass(frozen=True)
 class AlignmentRecord:
+    """One aligned question pair; ``where`` is the ``path:line`` it was
+    read from, if any, and takes no part in equality."""
+
     qid_a: int
     qid_b: int
     pairs: tuple[tuple[int, int], ...]
+    where: str = field(default="", compare=False)
 
 
 def read_alignments(path: str) -> list[AlignmentRecord]:
@@ -85,7 +89,7 @@ def read_alignments(path: str) -> list[AlignmentRecord]:
             )
         except ValueError as exc:
             raise EstimationError(f"{path}:{lineno}: bad alignment {line!r}") from exc
-        alignments.append(AlignmentRecord(qa, qb, pairs))
+        alignments.append(AlignmentRecord(qa, qb, pairs, f"{path}:{lineno}"))
     return alignments
 
 
@@ -94,17 +98,28 @@ def aligned_words_index(
 ) -> dict[int, dict[int, set[str]]]:
     """Per tree, per token position: the words aligned to that token.
 
-    Alignment indices are validated against the tree yields.
+    Tree ids and token indices are validated against the treebank and
+    the tree yields; an error names the record's ``where``.
     """
     yields = [tree_yield(t) for t in treebank]
     index: dict[int, dict[int, set[str]]] = defaultdict(lambda: defaultdict(set))
     for rec in records:
-        if not (0 <= rec.qid_a < len(treebank) and 0 <= rec.qid_b < len(treebank)):
-            raise EstimationError(f"alignment references unknown tree: {rec}")
+        where = f"{rec.where}: " if rec.where else ""
+        for qid in (rec.qid_a, rec.qid_b):
+            if not 0 <= qid < len(treebank):
+                raise EstimationError(
+                    f"{where}alignment references unknown tree {qid}; "
+                    f"the treebank has {len(treebank)} trees"
+                )
         ya, yb = yields[rec.qid_a], yields[rec.qid_b]
         for i, j in rec.pairs:
-            if i >= len(ya) or j >= len(yb) or i < 0 or j < 0:
-                raise EstimationError(f"alignment index out of range: {rec}")
+            if not (0 <= i < len(ya) and 0 <= j < len(yb)):
+                bad = (rec.qid_a, i, ya) if not 0 <= i < len(ya) else (rec.qid_b, j, yb)
+                qid, pos, words = bad
+                raise EstimationError(
+                    f"{where}alignment index out of range: token {pos} of tree {qid}, "
+                    f"which has {len(words)} tokens"
+                )
             index[rec.qid_a][i].add(yb[j])
             index[rec.qid_b][j].add(ya[i])
     return index
@@ -202,6 +217,49 @@ def _sq_distances(points: np.ndarray, squares: np.ndarray, center: np.ndarray) -
     return dist
 
 
+def _pair_distances(points: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose entry (i, j) is
+    ``_sq_distances(points, squares, points[j])[i]``, bit for bit.
+
+    Each row pair is summed once: row j's triangle, from column j on, is
+    measured with row j as the center and mirrored into column j.  The
+    matrix is exactly symmetric.  Column t contributes the same float to
+    the distance of x from center y as to that of y from center x:
+    ``(x - y) ** 2 == (y - x) ** 2``, and where one of them is 0 both
+    give the other's square.  Each row's terms are summed in the same
+    order whatever rows are measured with it.
+    """
+    import numpy as np
+
+    n = points.shape[0]
+    pair = np.empty((n, n))
+    for j in range(n):
+        pair[j, j:] = _sq_distances(points[j:], squares[j:], points[j])
+        pair[j:, j] = pair[j, j:]
+    return pair
+
+
+def _center_columns(pair: np.ndarray, chosen: list[int]) -> np.ndarray:
+    """``pair[:, chosen]``, C-contiguous, built in ``pair``'s own buffer.
+
+    Row by row, row i's chosen columns are gathered into one buffer of
+    len(chosen) floats and written as row i of the n x len(chosen)
+    layout at the front of the buffer.  That row starts no later than
+    row i did, so the rows after i are still unread and in place.
+    ``pair`` is overwritten.
+    """
+    import numpy as np
+
+    n, k = pair.shape[0], len(chosen)
+    order = np.array(chosen)
+    row = np.empty(k)
+    flat = pair.reshape(-1)
+    for i in range(n):
+        np.take(pair[i], order, out=row)
+        flat[i * k:(i + 1) * k] = row
+    return flat[:n * k].reshape(n, k)
+
+
 def _kmeans(
     points: np.ndarray, weights: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -214,49 +272,69 @@ def _kmeans(
 
     Every row-to-center distance lives in one matrix ``dist`` of
     n x min(m, n) floats per symbol.  Column c is
-    :func:`_sq_distances` of center c over all rows: it is computed when
-    seeding chooses the center, and again only when an update moves the
-    center (the new mean differs from the old one).  Each row is summed
+    :func:`_sq_distances` of center c over all rows.  Each row is summed
     in the order of the dense ``((points[:, None] - centers[None]) **
     2).sum(axis=2)``, and a column that is not recomputed holds the floats
     a recomputation would give, so seeding's D^2 (the running minimum of
     the columns), the draw probabilities and every ``dist.argmin(axis=1)``
     assignment are the dense ones, bit for bit.
+
+    When m < n, a column is computed when seeding chooses its center.
+    When m >= n, every row can be a center, so seeding reads its columns
+    from :func:`_pair_distances`, which sums each row pair once; that
+    matrix, its columns put in center order in place, becomes ``dist``.
+    Either way, a column is computed again only when an update moves its
+    center (the new mean differs from the old one).  A seeded center is a
+    view of its row until then, so the distances are the one n x min(m, n)
+    matrix a symbol holds.  The update takes each center's rows in index
+    order from one stable sort of the labels, so its sums are those of a
+    boolean mask per center.
     """
     import numpy as np
 
     n = points.shape[0]
-    k = min(m, n)
-    centers = np.empty((k, points.shape[1]))
-    dist = np.empty((n, k))
     squares = points ** 2
+    every_row = m >= n
+    if every_row:
+        pair = _pair_distances(points, squares)
+    else:
+        dist = np.empty((n, m))
+    chosen: list[int] = []
     probs = weights / weights.sum()
-    first = rng.choice(n, p=probs)
-    centers[0] = points[first]
-    dist[:, 0] = _sq_distances(points, squares, centers[0])
-    dist2 = dist[:, 0].copy()
-    for c in range(1, k):
-        mass = weights * dist2
-        total = mass.sum()
-        if total <= 0.0:
-            # All remaining points coincide with chosen centers.
-            k = c
-            centers, dist = centers[:k], dist[:, :k]
-            break
-        centers[c] = points[rng.choice(n, p=mass / total)]
-        dist[:, c] = _sq_distances(points, squares, centers[c])
-        dist2 = np.minimum(dist2, dist[:, c])
+    while len(chosen) < min(m, n):
+        if chosen:
+            mass = weights * dist2
+            total = mass.sum()
+            if total <= 0.0:
+                # All remaining points coincide with chosen centers.
+                break
+            probs = mass / total
+        row = int(rng.choice(n, p=probs))
+        if every_row:
+            column = pair[row]
+        else:
+            column = _sq_distances(points, squares, points[row])
+            dist[:, len(chosen)] = column
+        dist2 = np.minimum(dist2, column) if chosen else column.copy()
+        chosen.append(row)
 
+    k = len(chosen)
+    centers = [points[row] for row in chosen]
+    dist = _center_columns(pair, chosen) if every_row else dist[:, :k]
     labels = dist.argmin(axis=1)
     for _ in range(KMEANS_MAX_ITER - 1):
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                w = weights[mask]
-                center = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+        start = 0
+        for c, end in enumerate(ends):
+            if end > start:
+                rows = order[start:end]
+                w = weights[rows]
+                center = (points[rows] * w[:, None]).sum(axis=0) / w.sum()
                 if (center != centers[c]).any():
                     centers[c] = center
                     dist[:, c] = _sq_distances(points, squares, center)
+            start = end
         new_labels = dist.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -278,6 +356,14 @@ def cluster_states(
     of input order and duplicated inputs always share a state.  When a
     symbol has fewer distinct vectors than ``m`` the extra indices stay
     unused.
+
+    A symbol's points are one matrix, filled by one scatter; each row is
+    divided by ``math.sqrt(row.dot(row))``, the float ``np.linalg.norm``
+    gives for a 1-D float64 row.  :func:`_kmeans` then holds one n x
+    min(m, n) distance matrix for the symbol's n rows: with m >= n it is
+    the matrix of every row pair, each pair summed once, and its entries
+    are the floats of one column per center, since a pair's squared
+    differences are the same floats either way round.
     """
     import numpy as np
 
@@ -315,19 +401,24 @@ def cluster_states(
         idf = {
             name: math.log((1.0 + n_total) / (1.0 + df[name])) + 1.0 for name in names
         }
-        points = np.zeros((len(distinct), len(names)))
+        rows, cols, values = [], [], []
         for row, items in enumerate(distinct):
             for name, count in items:
-                points[row, col[name]] = count * idf[name]
-            norm = np.linalg.norm(points[row])
-            if norm > 0:
-                points[row] /= norm
+                rows.append(row)
+                cols.append(col[name])
+                values.append(count * idf[name])
+        points = np.zeros((len(distinct), len(names)))
+        points[rows, cols] = values
+        # np.linalg.norm of a 1-D float64 row is sqrt(row.dot(row)); a zero
+        # row is divided by 1.0, which leaves it as it is.
+        norms = [math.sqrt(row.dot(row)) for row in points]
+        points /= np.array([norm if norm > 0 else 1.0 for norm in norms])[:, None]
         weights = np.array([float(len(groups[items])) for items in distinct])
 
-        labels = _kmeans(points, weights, m, _symbol_seed(seed, symbol))
-        for row, items in enumerate(distinct):
+        labels = _kmeans(points, weights, m, _symbol_seed(seed, symbol)).tolist()
+        for label, items in zip(labels, distinct):
             for key in groups[items]:
-                states[key] = int(labels[row])
+                states[key] = label
     return StateAssignment(m=m, states=states)
 
 

@@ -18,11 +18,14 @@ distance is ``reference_edit_distance``, the full dynamic-programming
 table, not the bit-vector kernel it checks.  The KB lookups below are the
 scans over every entity, triple or type assertion that the indexed
 ``KnowledgeGraph`` replaced (they share only ``entity_surface``, the
-definition of a surface), and ``reference_kmeans`` is k-means with its
-distance tensor built in one piece.  ``reference_ground`` is the beam
-search that recomputed every state's features and key from scratch at
-every decision step; it shares the option lists, the entity assignments,
-the stem overlap and ``dot_score``.  ``reference_enumerate_edge_paths``
+definition of a surface), ``reference_kmeans`` is k-means with its
+distance tensor built in one piece, and ``reference_cluster_states``
+builds each symbol's points row by row, normalizes each row with
+``np.linalg.norm`` and clusters them with ``reference_kmeans``.
+``reference_ground`` is the beam search that recomputed every state's
+features and key from scratch at every decision step; it shares the
+option lists, the entity assignments, the stem overlap and
+``dot_score``.  ``reference_enumerate_edge_paths``
 is the path enumeration that recursed once per edge, and
 ``reference_remove_conflicting`` the conflict removal that walked the
 lattice breadth-first from the chosen edge on every call.
@@ -53,6 +56,7 @@ from hypothesis import strategies as st
 from paralat.classifier import FEATURE_NAMES, ClassifierModel, PairFeatures, _occurrences
 from paralat.cky import DerivationNode
 from paralat.errors import EdgeNotInLattice, NoEntityCandidates
+from paralat.estimation import StateAssignment, _symbol_seed
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths
 from paralat.sampler import ParaphraseCandidate, PrunedGrammar, SampleFailure
@@ -797,6 +801,44 @@ def reference_kmeans(points, weights, m, rng, max_iter=50):
                 w = weights[mask]
                 centers[c] = (points[mask] * w[:, None]).sum(axis=0) / w.sum()
     return labels
+
+
+def reference_cluster_states(vectors, symbols, m, seed):
+    """``estimation.cluster_states`` building its points row by row, each
+    row normalized by ``np.linalg.norm``, and clustering them with
+    :func:`reference_kmeans`; it shares the per-symbol seed."""
+    by_symbol = defaultdict(list)
+    for key in vectors:
+        by_symbol[symbols[key]].append(key)
+    states = {}
+    for symbol in sorted(by_symbol):
+        keys = by_symbol[symbol]
+        groups = defaultdict(list)
+        for key in keys:
+            groups[tuple(sorted(vectors[key].items()))].append(key)
+        distinct = sorted(groups)
+        if m == 1 or len(distinct) == 1:
+            states.update(dict.fromkeys(keys, 0))
+            continue
+        df = Counter()
+        for items in distinct:
+            for name, _ in items:
+                df[name] += len(groups[items])
+        names = sorted(df)
+        idf = {name: math.log((1.0 + len(keys)) / (1.0 + df[name])) + 1.0 for name in names}
+        points = np.zeros((len(distinct), len(names)))
+        for row, items in enumerate(distinct):
+            for name, count in items:
+                points[row, names.index(name)] = count * idf[name]
+            norm = np.linalg.norm(points[row])
+            if norm > 0:
+                points[row] /= norm
+        weights = np.array([float(len(groups[items])) for items in distinct])
+        labels = reference_kmeans(points, weights, m, _symbol_seed(seed, symbol))
+        for row, items in enumerate(distinct):
+            for key in groups[items]:
+                states[key] = int(labels[row])
+    return StateAssignment(m=m, states=states)
 
 
 # --- grounding with every state recomputed --------------------------------------

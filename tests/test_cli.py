@@ -111,8 +111,12 @@ def _bad_config(tmp_path, grammar_file, classifier_file):
     return ["train-grammar", "--config", str(config)]
 
 
-def _zero_samples(command):
+def _zero_samples(command, inputs_load=True):
+    """``command`` with ``--m 0``; without ``inputs_load`` the grammar and
+    the classifier do not exist, so an input that loads would exit 2."""
     def argv(tmp_path, grammar_file, classifier_file):
+        if not inputs_load:
+            grammar_file = classifier_file = str(tmp_path / "missing")
         extra = ["--classifier", classifier_file] if command == "paraphrase" else []
         return [command, "--grammar", grammar_file, "--question", "when is easter",
                 "--m", "0", *extra]
@@ -233,6 +237,24 @@ def _epochs(command, value):
     return argv
 
 
+def _states(command, setting, via_config=False):
+    """``command`` with a state count ``setting`` (``"m1=0"``), as a flag
+    or a config key, over a treebank that does not exist, so an input
+    that loads would exit 2."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        missing = str(tmp_path / "missing")
+        argv = [command, "--treebank", missing, "--out", missing + ".out"]
+        if command == "train-bilayered":
+            argv += ["--alignments", missing]
+        if via_config:
+            config = tmp_path / "states.cfg"
+            config.write_text(setting + "\n", encoding="utf-8")
+            return argv + ["--config", str(config)]
+        name, value = setting.split("=")
+        return argv + [f"--{name}", value]
+    return argv
+
+
 def _aligned(alignment):
     """train-bilayered over a two-tree treebank and one alignment line."""
     def argv(tmp_path, grammar_file, classifier_file):
@@ -272,6 +294,19 @@ class TestBadInputs:
             (_bad_config, 1, "usage error: config key 'm1'"),
             (_zero_samples("sample"), 1, "usage error: --m must be at least 1"),
             (_zero_samples("paraphrase"), 1, "usage error: --m must be at least 1"),
+            (_zero_samples("sample", inputs_load=False), 1,
+             "usage error: --m must be at least 1, got 0"),
+            (_zero_samples("paraphrase", inputs_load=False), 1,
+             "usage error: --m must be at least 1, got 0"),
+            (_states("train-grammar", "m1=0"), 1, "usage error: --m1 must be at least 1, got 0"),
+            (_states("train-grammar", "m1=-3", via_config=True), 1,
+             "usage error: --m1 must be at least 1, got -3"),
+            (_states("train-bilayered", "m1=0"), 1,
+             "usage error: --m1 must be at least 1, got 0"),
+            (_states("train-bilayered", "m2=0"), 1,
+             "usage error: --m2 must be at least 1, got 0"),
+            (_states("train-bilayered", "m2=-1", via_config=True), 1,
+             "usage error: --m2 must be at least 1, got -1"),
             (_bad_model("BIAS", "abc"), 2, "clf.tsv:11: bad number 'abc'"),
             (_bad_model("FEATURE", "nan"), 2, "clf.tsv:1: bad number 'nan'"),
             (_bad_model("BIAS", "inf"), 2, "clf.tsv:11: bad number 'inf'"),
@@ -305,12 +340,19 @@ class TestBadInputs:
              "usage error: --epochs must be at least 1, got -1"),
             (_aligned("0\t2\t0-0"), 2, "alignment references unknown tree"),
             (_aligned("0\t1\t0-2"), 2, "alignment index out of range"),
+            (_aligned("0\t999\t0-0"), 2,
+             "one.tsv:1: alignment references unknown tree 999; the treebank has 2 trees"),
+            (_aligned("0\t1\t0-5"), 2,
+             "one.tsv:1: alignment index out of range: token 5 of tree 1, which has 2 tokens"),
             (_reserved_label("train-grammar"), 2,
              "two.trees:2: label '@S' starts with '@', which binarization reserves"),
             (_reserved_label("train-bilayered"), 2,
              "two.trees:2: label '@S' starts with '@', which binarization reserves"),
         ],
-        ids=["config-m1", "sample-m0", "paraphrase-m0", "model-bias", "model-feature-nan",
+        ids=["config-m1", "sample-m0", "paraphrase-m0", "sample-m0-before-loading",
+             "paraphrase-m0-before-loading",
+             "grammar-m1-0", "grammar-m1-config", "bilayered-m1-0", "bilayered-m2-0",
+             "bilayered-m2-config", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
              "model-repeated-bias", "model-repeated-threshold", "grammar-zero",
              "grammar-deficit", "perceptron-weight", "perceptron-weight-inf",
@@ -319,6 +361,7 @@ class TestBadInputs:
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
              "bilayered-grammar-missing", "classifier-epochs-0", "classifier-epochs-negative",
              "semparse-epochs-negative", "alignment-unknown-tree", "alignment-index-range",
+             "alignment-unknown-tree-where", "alignment-index-range-where",
              "grammar-reserved-label", "bilayered-reserved-label"],
     )
     def test_exit_code_and_message_without_traceback(

@@ -2,9 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from oracles import brute_force_features, node_contexts, random_trees, reference_kmeans
+from oracles import (
+    brute_force_features,
+    node_contexts,
+    random_trees,
+    reference_cluster_states,
+    reference_kmeans,
+)
 
 from paralat import estimation
 from paralat.errors import AssignmentMismatch, EmptyTreebank, EstimationError, MissingAlignments
@@ -16,12 +23,13 @@ from paralat.estimation import (
     cluster_states,
     estimate_mle,
     extract_features,
+    read_alignments,
     train_bilayered_grammar,
     train_grammar,
     train_syntactic_assignment,
 )
 from paralat.grammar import StateLabel, serialize_grammar, validate
-from paralat.treebank import binarize, iter_nodes, normalize, parse_tree, tree_yield
+from paralat.treebank import Tree, binarize, iter_nodes, normalize, parse_tree, tree_yield
 
 # Alignments over the paraphrase triplet that make all three root bags equal:
 # every content position maps onto its counterpart(s), and "day" also aligns
@@ -31,6 +39,58 @@ TRIPLET_ALIGNMENTS = [
     AlignmentRecord(0, 2, ((0, 0), (1, 0), (1, 3), (2, 1), (3, 2))),
     AlignmentRecord(1, 2, ((0, 0), (0, 3), (1, 1), (2, 2))),
 ]
+
+# Coordinates: signed zeros, negatives and arbitrary floats in [-4, 4].
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), st.floats(-4.0, 4.0))
+_SCALES = st.sampled_from([2.0, 3.0, 0.5, -1.0, 7.0])
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(points, weights, seed): dense or sparse rows, some scaled copies of
+    earlier rows and some all zero (with ``-0.0`` entries), optionally
+    L2-normalized as ``cluster_states`` does."""
+    n, d = draw(st.integers(2, 16)), draw(st.integers(1, 12))
+    sparse = draw(st.booleans())
+    points = np.zeros((n, d))
+    for i in range(n):
+        kind = draw(st.sampled_from(["fresh", "copy", "zero"] if i else ["fresh", "zero"]))
+        if kind == "copy":
+            points[i] = points[draw(st.integers(0, i - 1))] * draw(_SCALES)
+        elif kind == "zero":
+            points[i] = np.where(np.arange(d) % 2 == 1, -0.0, 0.0)
+        else:
+            row = np.array(draw(st.lists(_COORDINATES, min_size=d, max_size=d)))
+            if sparse:
+                row[draw(st.integers(1, d)):] = 0.0
+                row = np.roll(row, draw(st.integers(0, d - 1)))
+            points[i] = row
+    if draw(st.booleans()):
+        norms = np.linalg.norm(points, axis=1, keepdims=True)
+        points /= np.where(norms > 0, norms, 1.0)
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    return points, weights, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def symbol_vectors(draw):
+    """(vectors, symbols) over two symbols: bags of up to five features,
+    some scaled copies of earlier bags and some all zero."""
+    vectors, symbols = {}, {}
+    for i in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["fresh", "copy", "zero"] if i else ["fresh", "zero"]))
+        if kind == "copy":
+            scale = draw(_SCALES)
+            source = vectors[(draw(st.integers(0, i - 1)), ())]
+            vec = {name: value * scale for name, value in source.items()}
+        elif kind == "zero":
+            vec = {"a": 0.0, "b": -0.0}
+        else:
+            names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5, unique=True))
+            vec = {name: draw(_COORDINATES) for name in names}
+        vectors[(i, ())] = vec
+        symbols[(i, ())] = draw(st.sampled_from(["NP", "S"]))
+    return vectors, symbols
 
 
 class TestExtractFeatures:
@@ -179,6 +239,37 @@ class TestClusterStates:
             )
             assert labels.tolist() == expected.tolist()
 
+    @given(kmeans_inputs())
+    def test_kmeans_equals_one_piece_reference_on_any_rows(self, inputs):
+        points, weights, seed = inputs
+        n = points.shape[0]
+        for m in (n // 2 + 1, n, n + 1, 2 * n + 1):
+            labels = estimation._kmeans(points, weights, m, np.random.default_rng(seed))
+            expected = reference_kmeans(
+                points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
+            )
+            assert labels.tolist() == expected.tolist()
+
+    @given(symbol_vectors(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @example(
+        (
+            {(i, ()): vec for i, vec in enumerate(
+                [{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 4.0}, {"a": 0.0}, {"c": -1.5},
+                 {"a": 3.0, "b": 6.0}, {"b": 1.0, "c": 1.0}]
+            )},
+            dict.fromkeys([(i, ()) for i in range(6)], "S"),
+        ),
+        4,
+        1,
+    )
+    def test_equals_row_by_row_reference(self, inputs, m, seed):
+        # The all-zero vector keeps its zero row; scaled copies are equal,
+        # or equal but for rounding, once normalized.
+        vectors, symbols = inputs
+        assert cluster_states(vectors, symbols, m, seed) == reference_cluster_states(
+            vectors, symbols, m, seed
+        )
+
     @staticmethod
     def _count_assignments(monkeypatch):
         """Record the rows measured by every ``_sq_distances`` call: one
@@ -197,9 +288,10 @@ class TestClusterStates:
         # m >= n, m > 2n and k < n.  Rows are scaled copies of each other, so
         # some are equal once L2-normalized, as in cluster_states, and some
         # differ only by rounding, so that Lloyd's update can move a center
-        # onto a neighbouring row.  When m >= n every row is a center after
-        # seeding: usually no column is computed after it, and a column is
-        # computed again only for a center the update moved.
+        # onto a neighbouring row.  When m >= n every row can be a center:
+        # seeding measures each row pair once, row j against rows j..n-1,
+        # and a column is computed again, over all rows, only for a center
+        # the update moved.  When m < n each seeded column covers all rows.
         calls = self._count_assignments(monkeypatch)
         unmoved = moved = 0
         for seed in range(60):
@@ -216,32 +308,36 @@ class TestClusterStates:
                     points, weights, m, np.random.default_rng(seed), estimation.KMEANS_MAX_ITER
                 )
                 assert labels.tolist() == expected.tolist()
-                assert calls and set(calls) == {n}
                 if m >= n:
-                    unmoved += len(calls) <= n
+                    assert calls[:n] == list(range(n, 0, -1))
+                    assert set(calls[n:]) <= {n}
+                    unmoved += len(calls) == n
                     moved += len(calls) > n
+                else:
+                    assert calls and set(calls) == {n}
         assert unmoved > 100 and moved > 0
 
     def test_lloyd_runs_only_when_a_row_is_off_center(self, monkeypatch):
-        # One column per chosen center; with every row on a center no
-        # center moves.  With 3 centers, the two rows off-center join
-        # center 0, whose column is computed again once it moves.
+        # With m >= 5 seeding measures each row pair once, and with every
+        # row on a center no center moves.  With 3 centers, one column per
+        # chosen center; the two rows off-center join center 0, whose
+        # column is computed again once it moves.
         calls = self._count_assignments(monkeypatch)
         points, weights = np.eye(5), np.ones(5)
         for m in (5, 6, 11):
             calls.clear()
             labels = estimation._kmeans(points, weights, m, np.random.default_rng(0))
             assert sorted(labels) == [0, 1, 2, 3, 4]
-            assert calls == [5] * 5
+            assert calls == [5, 4, 3, 2, 1]
         calls.clear()
         estimation._kmeans(points, weights, 3, np.random.default_rng(0))
         assert calls == [5] * 4
 
     def test_centers_moved_by_rounding_reassign_only_their_rows(self, monkeypatch):
         # With weight 3, the mean (3x)/3 of a row differs from x in the last
-        # bit for some rows, so their centers move: each moved center's
-        # column is computed again over all rows, and the other columns
-        # are kept.
+        # bit for some rows, so their centers move: after the one pass over
+        # the row pairs, each moved center's column is computed again over
+        # all rows, and the other columns are kept.
         calls = self._count_assignments(monkeypatch)
         data = np.random.default_rng(0)
         points = data.random((6, 4))
@@ -254,16 +350,18 @@ class TestClusterStates:
             points, weights, 6, np.random.default_rng(0), estimation.KMEANS_MAX_ITER
         ).tolist()
         assert sorted(labels) == [0, 1, 2, 3, 4, 5]
-        assert calls == [6] * (6 + moved)
+        assert calls == [6, 5, 4, 3, 2, 1] + [6] * moved
 
     def test_rows_equal_after_normalization_share_a_state(self, monkeypatch):
+        # Three rows, two of them equal once normalized: seeding stops at
+        # two centers, but with m >= 3 it has measured every row pair.
         calls = self._count_assignments(monkeypatch)
         keys = [(0, ()), (1, ()), (2, ())]
         vectors = dict(zip(keys, [{"a": 1.0}, {"a": 2.0}, {"b": 1.0}]))
         assignment = cluster_states(vectors, dict.fromkeys(keys, "S"), m=5, seed=3)
         states = [assignment.states[key] for key in keys]
         assert states[0] == states[1] != states[2]
-        assert calls == [3, 3]
+        assert calls == [3, 2, 1]
 
     # Row widths around numpy's pairwise summation: 8-wide unrolled blocks
     # below 128 elements, halved recursively above.
@@ -329,10 +427,29 @@ class TestClusterStates:
                 got = estimation._sq_distances(points, squares, center)
                 assert got.tobytes() == expected[:, c].tobytes()
 
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 127, 128, 129, 257, 288, 700, 1025])
+    def test_pair_distances_are_the_three_d_reference_sums(self, d):
+        # The matrix is symmetric and equals the reference's n x n x d sum
+        # over its last axis, bit for bit, for dense rows with negatives,
+        # zeros and -0.0 and for sparse rows; ``squares`` is left as it was.
+        data = np.random.default_rng([d, 2])
+        dense = data.standard_normal((25, d))
+        dense[3], dense[5, ::2], dense[7] = 0.0, -0.0, -dense[2]
+        signs = np.where(data.random((25, d)) < 0.5, -1.0, 1.0)
+        for points in (dense, self._sparse_rows(data, 25, d) * signs):
+            squares = points ** 2
+            pair = estimation._pair_distances(points, squares)
+            expected = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+            assert pair.tobytes() == expected.tobytes()
+            assert pair.tobytes() == np.ascontiguousarray(pair.T).tobytes()
+            assert squares.tobytes() == (points ** 2).tobytes()
+
     def test_seeding_measures_only_rows_still_in_play(self, monkeypatch):
         # 30 distinct rows, each twice.  Every center is a new distinct row,
-        # and each chosen center gets one column over all 60 rows; the
-        # mean of two equal rows is the row, so no center moves.
+        # and the mean of two equal rows is the row, so no center moves.
+        # With m = 30 < 60 each chosen center gets one column over all 60
+        # rows; with m >= 60 seeding stops at 30 centers, having measured
+        # each row pair once.
         calls = self._count_assignments(monkeypatch)
         distinct = np.eye(64)[:30]
         points = np.vstack([distinct, distinct])
@@ -342,7 +459,7 @@ class TestClusterStates:
             assert labels.tolist() == reference_kmeans(
                 points, np.ones(60), m, np.random.default_rng(m)
             ).tolist()
-            assert calls == [60] * 30
+            assert calls == ([60] * 30 if m < 60 else list(range(60, 0, -1)))
 
 
 class TestEstimateMle:
@@ -473,3 +590,33 @@ class TestBilayered:
         sem = StateAssignment(m=2, states={})
         with pytest.raises(AssignmentMismatch):
             annotate_bilayered(triplet_trees, syn, sem)
+
+    def test_binarization_root_without_semantic_ancestor_raises(self):
+        # Only a tree built in code has an "@" root: read_treebank refuses
+        # such a label, and binarize never makes one a root.
+        tree = Tree("@S", children=(Tree("A", word="a"), Tree("B", word="b")))
+        syn = StateAssignment(m=1, states={(0, path): 0 for path, _ in iter_nodes(tree)})
+        sem = StateAssignment(m=1, states={(0, (0,)): 0, (0, (1,)): 0})
+        with pytest.raises(AssignmentMismatch, match=r"no semantic ancestor for tree 0 node \(\)"):
+            estimate_mle([tree], syn, sem)
+
+
+class TestAlignments:
+    def test_errors_name_the_record_and_the_range(self, triplet_trees, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("0\t1\t0-0\n\n2\t9\t0-0\n1\t2\t1-4\n0\t1\t7-0\n", encoding="utf-8")
+        first, unknown, long_index, wide_index = read_alignments(str(path))
+        assert first == AlignmentRecord(0, 1, ((0, 0),))
+        assert (first.where, unknown.where) == (f"{path}:1", f"{path}:3")
+        for record, message in [
+            (unknown, f"{path}:3: alignment references unknown tree 9; the treebank has 3 trees"),
+            (long_index, f"{path}:4: alignment index out of range: token 4 of tree 2, "
+                         "which has 4 tokens"),
+            (wide_index, f"{path}:5: alignment index out of range: token 7 of tree 0, "
+                         "which has 4 tokens"),
+            (AlignmentRecord(-1, 0, ()),
+             "alignment references unknown tree -1; the treebank has 3 trees"),
+        ]:
+            with pytest.raises(EstimationError) as info:
+                aligned_words_index(triplet_trees, [first, record])
+            assert str(info.value) == message
