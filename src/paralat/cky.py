@@ -96,7 +96,6 @@ def _index(grammar: LatentGrammar) -> _Index:
 def cky_viterbi(
     tokens: Sequence[str],
     grammar: LatentGrammar,
-    allow_unknown: bool = True,
 ) -> DerivationTree:
     """Maximum-probability derivation of ``tokens``.
 
@@ -117,8 +116,6 @@ def cky_viterbi(
         cell: dict[Context, tuple[float, tuple, tuple]] = {}
         entries = index.lex_by_word.get(token)
         if entries is None:
-            if not allow_unknown:
-                raise ParseFailure(f"unknown word {token!r}")
             entries = [(ctx, UNK_LOG_FLOOR) for ctx in grammar.lexical]
         for ctx, logp in entries:
             cell[ctx] = (logp, (), ("lex", token))

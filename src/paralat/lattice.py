@@ -4,13 +4,16 @@ A lattice is a token-labeled DAG with one source and one sink; every edge
 lies on at least one source-to-sink path, and the input question survives
 as one such path in every freshly built lattice.  Three builders are
 provided: the bare question chain, parallel paths from a phrasal rewrite
-database, and parallel words proposed by a two-layer grammar.  Only
-tests list a lattice's paths as token sequences; ``enumerate_paths`` is
-in ``tests/oracles.py``.
+database, and parallel words proposed by a two-layer grammar.  A builder
+checks its lattice and sorts its edges, dropping copies; conflict removal
+keeps both, and the path operations assume them.  Only tests list a
+lattice's paths as token sequences; ``enumerate_paths`` is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,12 +65,8 @@ class WordLattice:
         return inc
 
 
-def _canonical(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(set(edges)))
-
-
 def _make(source: int, sink: int, edges: Iterable[Edge]) -> WordLattice:
-    lat = WordLattice(source=source, sink=sink, edges=_canonical(edges))
+    lat = WordLattice(source=source, sink=sink, edges=tuple(sorted(set(edges))))
     check_lattice(lat)
     return lat
 
@@ -113,57 +112,42 @@ def topological_order(
     return order
 
 
-def _crossed(
-    order: list[int], adjacency: dict[int, list[Edge]], forward: bool,
-    copies: dict[Edge, int], cyclic: bool,
-) -> dict[int, int]:
-    """Per node, the mask of the edges a walk from it crosses: over the
-    outgoing map walked forward, or the incoming map walked backward.
-    Without a cycle, ``order`` lists each node after the far ends of its
-    edges, so one pass suffices; with one, passes repeat until no mask
-    grows."""
+def _crossed(order: list[int], adjacency: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+    """Per node, the mask of the edges a walk from it crosses, over
+    ``adjacency``: per node, the bit and the far end of each of its edges
+    in the walk's direction.  ``order`` lists each node after the far ends
+    of its edges, so one pass suffices."""
     crossed: dict[int, int] = {}
-    grown = True
-    while grown:
-        grown = False
-        for node in order:
-            mask = 0
-            for e in adjacency.get(node, ()):
-                mask |= copies[e] | crossed.get(e.dst if forward else e.src, 0)
-            if mask != crossed.get(node, 0):
-                crossed[node] = mask
-                grown = cyclic
+    for node in order:
+        mask = 0
+        for bit, far in adjacency.get(node, ()):
+            mask |= bit | crossed[far]
+        crossed[node] = mask
     return crossed
 
 
-def conflict_masks(lat: WordLattice) -> tuple[dict[Edge, int], list[int], bool]:
-    """Each edge's first position in ``lat.edges``; per position, the mask
-    (bit i for ``lat.edges[i]``) of the edges that share a source-to-sink
-    path with its edge, as :func:`remove_conflicting` keeps them: the edge
-    and its copies, the edges whose ``dst`` reaches its ``src``, and those
-    its ``dst`` reaches; and whether the edges are in canonical order
-    (sorted, no copies).  Built on the lattice's first call and kept in
-    its own ``__dict__``, so equality, hash and repr ignore them and an
-    equal lattice builds its own."""
+def conflict_masks(lat: WordLattice) -> list[int]:
+    """Per position in ``lat.edges``, the mask (bit i for ``lat.edges[i]``)
+    of the edges that share a source-to-sink path with its edge, as
+    :func:`remove_conflicting` keeps them: the edge itself, the edges whose
+    ``dst`` reaches its ``src``, and those its ``dst`` reaches.  Built on
+    the lattice's first call and kept in its own ``__dict__``, so
+    equality, hash and repr ignore them and an equal lattice builds its
+    own.  ``lat`` must be acyclic with distinct edges, as the builders'
+    and :func:`remove_conflicting`'s lattices are."""
     cached = lat.__dict__.get("_conflict_masks")
     if cached is None:
-        edges = lat.edges
-        position: dict[Edge, int] = {}
-        copies: dict[Edge, int] = {}  # edge -> the bits of it and its copies
-        for i, e in enumerate(edges):
-            position.setdefault(e, i)
-            copies[e] = copies.get(e, 0) | 1 << i
-        inc, out = lat.incoming(), lat.outgoing()
-        nodes = {lat.source, lat.sink, *inc, *out}
-        order = topological_order(lat, out)
-        cyclic = len(order) != len(nodes)
-        if cyclic:
-            order += sorted(nodes.difference(order))
-        into = _crossed(order, inc, False, copies, cyclic)
-        outof = _crossed(order[::-1], out, True, copies, cyclic)
-        masks = [into.get(e.src, 0) | copies[e] | outof.get(e.dst, 0) for e in edges]
-        canonical = all(a < b for a, b in zip(edges, edges[1:]))
-        cached = lat.__dict__["_conflict_masks"] = (position, masks, canonical)
+        into: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        outof: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for i, e in enumerate(lat.edges):
+            into[e.dst].append((1 << i, e.src))
+            outof[e.src].append((1 << i, e.dst))
+        order = topological_order(lat)
+        before = _crossed(order, into)
+        after = _crossed(order[::-1], outof)
+        cached = lat.__dict__["_conflict_masks"] = [
+            before[e.src] | 1 << i | after[e.dst] for i, e in enumerate(lat.edges)
+        ]
     return cached
 
 
@@ -339,31 +323,30 @@ def remove_conflicting(lat: WordLattice, edge: Edge) -> WordLattice:
     result is again a well-formed lattice (all surviving paths pass
     through ``edge``).  The kept edges are the set bits of the chosen
     edge's conflict mask (:func:`conflict_masks`, built on the lattice's
-    first removal), in the lattice's order, sorted again only when that
-    order is not canonical.
+    first removal), in the lattice's order.  ``lat`` must be a checked
+    lattice with sorted, distinct edges, as the builders make; so is the
+    result.  The chosen edge is found by bisection.
     """
-    position, masks, canonical = conflict_masks(lat)
-    i = position.get(edge)
-    if i is None:
+    edges = lat.edges
+    i = bisect_left(edges, edge)
+    if i == len(edges) or edges[i] != edge:
         raise EdgeNotInLattice(f"{edge} not in lattice")
     # bin() lists the bits from the highest; reversed, bit i is character i.
-    kept = [e for e, bit in zip(lat.edges, bin(masks[i])[:1:-1]) if bit == "1"]
-    return WordLattice(
-        source=lat.source, sink=lat.sink, edges=tuple(kept) if canonical else _canonical(kept)
-    )
+    mask = conflict_masks(lat)[i]
+    kept = tuple(e for e, bit in zip(edges, bin(mask)[:1:-1]) if bit == "1")
+    return WordLattice(source=lat.source, sink=lat.sink, edges=kept)
 
 
 def enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:
     """Up to ``cap`` source-to-sink edge sequences, in canonical DFS order
-    (outgoing edges explored in sorted order).  The walk keeps its own
-    stack, so a path may be longer than the recursion limit."""
+    (outgoing edges explored in the lattice's sorted order).  The walk
+    keeps its own stack, so a path may be longer than the recursion
+    limit.  ``lat`` must be a checked lattice with sorted edges."""
     if cap < 1:
         raise LatticeError("cap must be >= 1")
     if lat.source == lat.sink:
         return [()]
     out = lat.outgoing()
-    for edges in out.values():
-        edges.sort()
     paths: list[tuple[Edge, ...]] = []
     acc: list[Edge] = []  # the path to the node of each stack entry but the first
     stack = [iter(out.get(lat.source, ()))]
@@ -377,8 +360,6 @@ def enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:
             paths.append((*acc, e))
             if len(paths) >= cap:
                 break
-        elif len(acc) == len(lat.edges):
-            raise LatticeError("lattice contains a cycle")
         else:
             acc.append(e)
             stack.append(iter(out.get(e.dst, ())))

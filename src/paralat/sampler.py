@@ -30,11 +30,10 @@ masks, which the question reads from its lattice
 (:func:`~paralat.lattice.conflict_masks`, the masks conflict removal
 itself uses): a move is an AND and a lookup, and conflict removal runs
 once per distinct state, for the lattice the state keeps.  A new state
-takes the rest from the question: its token masks are the question's
-kept to its mask, and its symbols, the symbol closure over its
+takes its symbols from the question: the symbol closure over its
 vocabulary (restricting a pruned grammar to a smaller vocabulary equals
-restricting the full grammar to it), come from a memo keyed by the
-preterminal symbols with a word among its tokens.  So a cached state
+restricting the full grammar to it) comes from a memo keyed by the
+preterminal symbols with a word on one of its edges.  So a cached state
 equals a recomputed one and the draws are unchanged.
 
 The question also keeps ``live``, the closure over contexts for its whole
@@ -55,12 +54,12 @@ neighbouring questions share all but one seed) read the same streams, so
 a stream is seeded once per run rather than once per draw.  Each thread
 has a cache of its own, so the cache needs no lock.
 
-Each state also keeps, per context, the running sums of its support's
-weights (the last one infinite, so a float that passes every sum picks
-the last value), so a rule draw is one bisection, with the same pick as
-a linear scan.  A table depends only on the state's symbols, or for a
-preterminal on which of its words' edges the state keeps, so states
-share the tables through the question.
+A draw table holds the running sums of a support's weights (the last
+one infinite, so a float that passes every sum picks the last value), so
+a rule draw is one bisection, with the same pick as a linear scan.  The
+question keeps the tables, keyed by what they depend on: the state's
+symbols for the roots and an interminal, and for a preterminal its
+words' free edges, those the state keeps that the draw has not consumed.
 
 The draws of one memo also share a trie of their picks, rooted on the
 question.  An inner node is the draw table of one pick, the index of
@@ -286,7 +285,7 @@ class _Question:
     is a word of, each interminal's child-symbol pairs, the symbols
     surviving over each bit set of preterminals (filled as states need
     them), the edge mask of each preterminal context's words, the draw
-    tables shared by states (see :meth:`_State.table`), the contexts that
+    tables (see :meth:`_State.table` and :meth:`words`), the contexts that
     derive a string over its vocabulary (:func:`_live`), whether no root
     context does, and the one-item slot of the root of its draws' pick
     trie (see :func:`_graft`)."""
@@ -299,7 +298,7 @@ class _Question:
         self.lattice = lat
         depth = _depths(lat)
         self.longest = depth[lat.sink]
-        self.compat = conflict_masks(lat)[1]
+        self.compat = conflict_masks(lat)
         self.rank = [depth[e.src] for e in lat.edges]
         self.tokens: dict[str, int] = {}
         for i, e in enumerate(lat.edges):
@@ -323,32 +322,42 @@ class _Question:
         self.doomed = not any(ctx in self.live for ctx, _ in pruned.roots)
         self.root: list[tuple | str | _Draw | None] = [None]
 
+    def words(self, ctx: Context, free: int) -> tuple[tuple, list[float], float]:
+        """The draw table of the preterminal ``ctx`` in a draw whose free
+        edges (kept by its state, not yet consumed) are ``free``: its words
+        with a free edge, built on first use and kept by the context and
+        the free edges of its words."""
+        free &= self.word_edges.get(ctx, 0)
+        table = self.tables.get((ctx, free))
+        if table is None:
+            tokens = self.tokens
+            table = self.tables[ctx, free] = _table(
+                [(w, p) for w, p in self.pruned.lexical.get(ctx, ()) if tokens[w] & free]
+            )
+        return table
+
 
 class _State:
     """One lattice state of a question: its edge mask (bit i for edge i of
-    the question's lattice), its lattice, the edge mask of each of its
-    tokens (the question's, kept to its mask), the symbols surviving over
-    them, and the draw tables of the contexts drawn in it (of the roots
-    under None): ``(values, running sums, total, edges)``.  A binary
+    the question's lattice), its lattice, the symbols surviving over its
+    tokens, and the draw tables of the interminal contexts drawn in it (of
+    the roots under None): ``(values, running sums, total)``.  A binary
     context's values are pairs of child contexts, and the roots' are
-    contexts, with None for one that is not live; a preterminal's are
-    words, and ``edges`` is the mask of their edges (None in the other
-    tables).
+    contexts, with None for one that is not live.  A preterminal's table
+    also depends on the draw's consumed edges; the question keeps it
+    (:meth:`_Question.words`).
     """
 
-    __slots__ = ("question", "mask", "lattice", "symbols", "tokens", "tables")
+    __slots__ = ("question", "mask", "lattice", "symbols", "tables")
 
     def __init__(self, question: _Question, mask: int, lattice: WordLattice) -> None:
         self.question = question
         self.mask = mask
         self.lattice = lattice
-        self.tokens: dict[str, int] = {}
-        present = 0  # the preterminals with a word among the tokens
+        present = 0  # the preterminals with a word on one of its edges
         kinds = question.kinds
         for token, edges in question.tokens.items():
-            edges &= mask
-            if edges:
-                self.tokens[token] = edges
+            if edges & mask:
                 present |= kinds[token]
         symbols = question.symbols.get(present)
         if symbols is None:
@@ -361,44 +370,33 @@ class _State:
         self.symbols = symbols
         self.tables: dict[Context | None, tuple] = {}
 
-    def table(self, ctx: Context | None) -> tuple:
-        """The draw table of ``ctx`` (of the roots for None), built on
-        first use from the question's pruned grammar, kept to this state's
-        symbols and tokens.  A preterminal's table depends only on which of
-        its words' edges the state keeps, the others only on the state's
-        symbols, so states share them through the question, keyed by the
-        context and that mask or those symbols."""
+    def table(self, ctx: Context | None) -> tuple[tuple, list[float], float]:
+        """The draw table of the interminal ``ctx`` (of the roots for
+        None), built on first use from the question's pruned grammar, kept
+        to this state's symbols.  It depends only on those symbols, so
+        states share it through the question, keyed by the context and
+        the symbols."""
         table = self.tables.get(ctx)
         if table is not None:
             return table
         question = self.question
         pruned = question.pruned
-        if ctx is not None and ctx[0] in pruned.grammar.preterminals:
-            edges = question.word_edges.get(ctx, 0) & self.mask
-            table = question.tables.get((ctx, edges))
-            if table is None:
-                tokens = self.tokens
-                table = question.tables[ctx, edges] = (
-                    *_table([(w, p) for w, p in pruned.lexical.get(ctx, ()) if w in tokens]),
-                    edges,
-                )
-        else:
-            symbols = self.symbols
-            table = question.tables.get((ctx, symbols))
-            if table is None:
-                live = question.live
-                if ctx is None:
-                    support = [(c if c in live else None, p) for c, p in pruned.roots]
-                else:
-                    support = []
-                    if ctx[0] in symbols:
-                        for (b, bs, c, cs), p in pruned.binary.get(ctx, ()):
-                            if b in symbols and c in symbols:
-                                pair = ((b, bs), (c, cs))
-                                support.append(
-                                    (pair if pair[0] in live and pair[1] in live else None, p)
-                                )
-                table = question.tables[ctx, symbols] = (*_table(support), None)
+        symbols = self.symbols
+        table = question.tables.get((ctx, symbols))
+        if table is None:
+            live = question.live
+            if ctx is None:
+                support = [(c if c in live else None, p) for c, p in pruned.roots]
+            else:
+                support = []
+                if ctx[0] in symbols:
+                    for (b, bs, c, cs), p in pruned.binary.get(ctx, ()):
+                        if b in symbols and c in symbols:
+                            pair = ((b, bs), (c, cs))
+                            support.append(
+                                (pair if pair[0] in live and pair[1] in live else None, p)
+                            )
+            table = question.tables[ctx, symbols] = _table(support)
         self.tables[ctx] = table
         return table
 
@@ -456,13 +454,15 @@ def _walk(
     edges_of = question.lattice.edges
     compat = question.compat
     longest = question.longest
+    preterminals = question.pruned.grammar.preterminals
     used = 0  # the mask of the consumed edges
     n_used = 0
+    free = state.mask  # the state's edges not yet consumed
     # Each level of the frontier is the list of its contexts, left to
     # right; ``levels`` keeps the word drawn at each position of each
     # (None where a binary rule was drawn).  A context that is not live
     # can never complete, so a draw that picks one ends there.
-    values, cum, total, _ = state.table(None)
+    values, cum, total = state.table(None)
     root = pick(values, cum, total)
     if root is None:
         return picks, "dead-end"
@@ -477,32 +477,20 @@ def _walk(
         words: list[str | None] = []
         below: list[Context] = []
         for ctx in level:
-            values, cum, total, edges = state.table(ctx)
+            preterminal = ctx[0] in preterminals
+            values, cum, total = question.words(ctx, free) if preterminal else state.table(ctx)
             if not values:
                 return picks, "dead-end"
-            if edges is None:
+            if not preterminal:
                 pair = pick(values, cum, total)
                 if pair is None:
                     return picks, "dead-end"
                 below += pair
                 words.append(None)
                 continue
-            tokens = state.tokens
-            # A preterminal's table is its support unless a word drawn
-            # before in this draw has no free edge left.
-            if used & edges and any(not tokens[w] & ~used for w in values):
-                avail = [
-                    (w, p)
-                    for w, p in question.pruned.lexical[ctx]
-                    if tokens.get(w, 0) & ~used
-                ]
-                if not avail:
-                    return picks, "dead-end"
-                word = pick(*_table(avail))
-            else:
-                word = pick(values, cum, total)
-            free = tokens[word] & ~used
-            bit = free & -free  # the canonically least free edge
+            word = pick(values, cum, total)
+            edges = question.tokens[word] & free
+            bit = edges & -edges  # the canonically least free edge
             used |= bit
             n_used += 1
             words.append(word)
@@ -516,6 +504,7 @@ def _walk(
                         question, mask, remove_conflicting(state.lattice, edges_of[i])
                     )
                 state = nxt
+            free = state.mask & ~used
         levels.append(words)
         level = below
 

@@ -131,26 +131,25 @@ def iter_nodes(tree: Tree, path: Path = ()) -> Iterator[tuple[Path, Tree]]:
         yield from iter_nodes(child, path + (i,))
 
 
-def normalize(tree: Tree, preserve_case: frozenset[str] = frozenset()) -> Tree:
+def normalize(tree: Tree) -> Tree:
     """Ingestion normalization: collapse unary chains and lowercase tokens.
 
     A chain X -> Y (single child) becomes one node labeled "X+Y"; chains
     ending in a preterminal become composite preterminals, so normalized
-    trees contain only n-ary (n >= 2) nodes and preterminals.  Tokens are
-    lowercased unless listed in ``preserve_case`` (entity mentions).
+    trees contain only n-ary (n >= 2) nodes and preterminals.  Every
+    token is lowercased.
     """
     if tree.is_preterminal:
-        word = tree.word if tree.word in preserve_case else tree.word.lower()
-        return Tree(tree.label, word=word)
+        return Tree(tree.label, word=tree.word.lower())
     if len(tree.children) == 1:
-        child = normalize(tree.children[0], preserve_case)
+        child = normalize(tree.children[0])
         label = tree.label + UNARY_JOIN + child.label
         if child.is_preterminal:
             return Tree(label, word=child.word)
         return Tree(label, children=child.children)
     return Tree(
         tree.label,
-        children=tuple(normalize(c, preserve_case) for c in tree.children),
+        children=tuple(normalize(c) for c in tree.children),
     )
 
 

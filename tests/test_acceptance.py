@@ -194,7 +194,7 @@ class TestCkyOracleEquivalence:
                 continue
             grammars += 1
             for tokens, expected in scored:
-                tree = cky_viterbi(list(tokens), grammar, allow_unknown=False)
+                tree = cky_viterbi(list(tokens), grammar)
                 assert abs(tree.logprob - expected) <= LOG_TOL
                 sentences += 1
         assert grammars == 100

@@ -74,12 +74,10 @@ class TestCkyViterbi:
         )
 
     def test_parse_failure(self):
-        with pytest.raises(ParseFailure):
-            cky_viterbi(["b", "b"], _chain_grammar(), allow_unknown=False)
+        with pytest.raises(ParseFailure, match="no derivation covers 'b b'"):
+            cky_viterbi(["b", "b"], _chain_grammar())
         with pytest.raises(ParseFailure):
             cky_viterbi([], _chain_grammar())
-        with pytest.raises(ParseFailure, match="unknown word 'q'"):
-            cky_viterbi(["a", "q"], _chain_grammar(), allow_unknown=False)
         # With no lexical rule at all, the unknown-word floor has no
         # preterminal to go to.
         no_words = replace(_chain_grammar(), lexical={})
@@ -131,7 +129,7 @@ class TestOracleEquivalence:
                 continue
             grammars += 1
             for tokens, expected in scored:
-                tree = cky_viterbi(list(tokens), grammar, allow_unknown=False)
+                tree = cky_viterbi(list(tokens), grammar)
                 assert tree.logprob == pytest.approx(expected, abs=1e-12)
                 assert rescore(tree.root, grammar) == pytest.approx(
                     tree.logprob, abs=1e-12

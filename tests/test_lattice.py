@@ -15,10 +15,12 @@ from oracles import (
 from paralat import lattice as lattice_module
 from paralat.data_files import data_path
 from paralat.errors import EdgeNotInLattice, EmptyQuestion, LatticeError
+from paralat.grammar import LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import (
     Edge,
     ORIGIN_BILAYERED,
     ORIGIN_INPUT,
+    ORIGIN_RULE,
     ParaphraseRuleDB,
     WordLattice,
     _alternatives,
@@ -199,6 +201,84 @@ _EDGES = st.lists(
 )
 
 
+def _reaches(edges) -> set[tuple[int, int]]:
+    """Every (a, b) such that a walk of zero or more of ``edges`` leads
+    from a to b, by composing the one-edge relation with itself until it
+    stops growing."""
+    reach = {(n, n) for e in edges for n in (e.src, e.dst)}
+    reach |= {(e.src, e.dst) for e in edges}
+    while True:
+        grown = reach | {(a, d) for a, b in reach for c, d in reach if b == c}
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def _brute_kept(edges, edge: Edge) -> tuple[Edge, ...]:
+    """The edges a conflict removal for ``edge`` keeps, sorted and
+    distinct: ``edge`` itself, each edge whose ``dst`` reaches
+    ``edge.src`` and each edge that ``edge.dst`` reaches the ``src`` of."""
+    reach = _reaches(edges)
+    return tuple(sorted({
+        e for e in edges
+        if e == edge or (e.dst, edge.src) in reach or (edge.dst, e.src) in reach
+    }))
+
+
+def _checked(edges) -> WordLattice | None:
+    """The checked lattice that ``edges`` make once each is turned to go
+    from its smaller node to its larger one (loops dropped), from the
+    smallest node to the largest, keeping the edges on a path between
+    the two, sorted and distinct as the builders make them; None when no
+    edge is left."""
+    forward = [e._replace(src=min(e.src, e.dst), dst=max(e.src, e.dst))
+               for e in edges if e.src != e.dst]
+    if not forward:
+        return None
+    source, sink = min(e.src for e in forward), max(e.dst for e in forward)
+    reach = _reaches(forward)
+    kept = [e for e in forward if (source, e.src) in reach and (e.dst, sink) in reach]
+    if not kept:
+        return None
+    lat = WordLattice(source=source, sink=sink, edges=tuple(sorted(set(kept))))
+    check_lattice(lat)
+    return lat
+
+
+_WORDS = "abcd"
+_SOURCES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2).map(tuple)
+_TARGETS = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(tuple)
+
+
+def _two_layer_salad(groups) -> LatentGrammar:
+    """A two-layer grammar deriving any sequence of two or more of
+    ``_WORDS``, with word i under the semantic state ``groups[i]``."""
+    by_state: dict[StateLabel, list[str]] = {}
+    for word, group in zip(_WORDS, groups):
+        by_state.setdefault(StateLabel(0, group), []).append(word)
+    root = ("S", StateLabel(0, 0))
+    rhs = [("W", a, *root) for a in by_state]
+    rhs += [("W", a, "W", b) for a in by_state for b in by_state]
+    return LatentGrammar(
+        layers=LayerConfig(1, 3),
+        roots={root: 1.0},
+        binary={root: {r: 1.0 / len(rhs) for r in rhs}},
+        lexical={("W", state): {w: 1.0 / len(words) for w in words}
+                 for state, words in by_state.items()},
+    )
+
+
+@st.composite
+def _built_lattices(draw) -> list[WordLattice]:
+    """The lattices of the three builders for one random question."""
+    tokens = draw(st.lists(st.sampled_from(_WORDS), min_size=2, max_size=6))
+    rules = draw(st.lists(st.tuples(_SOURCES, _TARGETS), max_size=6))
+    db = ParaphraseRuleDB(rules=tuple((src, tgt, 1.0) for src, tgt in rules if src != tgt))
+    groups = draw(st.lists(st.integers(0, 2), min_size=len(_WORDS), max_size=len(_WORDS)))
+    return [build_naive(tokens), build_from_rules(tokens, db),
+            build_bilayered(tokens, _two_layer_salad(groups))]
+
+
 class TestConflictMasks:
     """``remove_conflicting`` reads conflict masks kept on the lattice; it
     keeps what two breadth-first walks from the chosen edge keep."""
@@ -214,17 +294,48 @@ class TestConflictMasks:
                     Edge(2, 1, "a", ORIGIN_INPUT), Edge(2, 3, "b", ORIGIN_INPUT)],
              data=None)
     def test_equals_reference_on_any_edge_list(self, edges, data):
+        # The reference against a brute force on any edge list: cycles,
+        # copies, any order, any source and sink.
         source, sink = (0, 4) if data is None else (
             data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
         lat = WordLattice(source=source, sink=sink, edges=tuple(edges))
         for edge in lat.edges:
+            assert reference_remove_conflicting(lat, edge).edges == _brute_kept(edges, edge)
+        with pytest.raises(EdgeNotInLattice):
+            reference_remove_conflicting(lat, Edge(9, 9, "z", ORIGIN_INPUT))
+        # The library against the reference on the checked lattice that
+        # the edges make.
+        checked = _checked(edges)
+        if checked is None:
+            return
+        for edge in checked.edges:
             # Twice: the first removal builds the masks, the second reads them.
             for _ in range(2):
-                assert remove_conflicting(lat, edge) == reference_remove_conflicting(lat, edge)
-        missing = Edge(9, 9, "z", ORIGIN_INPUT)
-        for removal in (remove_conflicting, reference_remove_conflicting):
+                assert remove_conflicting(checked, edge) == \
+                    reference_remove_conflicting(checked, edge)
+        # Missing edges before, between and after the lattice's edges.
+        missing = [Edge(-1, 0, "a", ORIGIN_INPUT), Edge(9, 9, "z", ORIGIN_INPUT)]
+        missing += [e._replace(origin=ORIGIN_RULE) for e in checked.edges]
+        for edge in missing:
             with pytest.raises(EdgeNotInLattice):
-                removal(lat, missing)
+                remove_conflicting(checked, edge)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices=_built_lattices())
+    def test_builders_and_removals_make_checked_sorted_lattices(self, lattices):
+        # What conflict masks assume: every lattice a builder makes, and
+        # every lattice a chain of removals makes from it, is checked and
+        # has sorted, distinct edges.
+        pending, seen = list(lattices), set(lattices)
+        while pending:
+            lat = pending.pop()
+            assert all(a < b for a, b in zip(lat.edges, lat.edges[1:]))
+            check_lattice(lat)
+            for edge in lat.edges:
+                kept = remove_conflicting(lat, edge)
+                if kept not in seen:
+                    seen.add(kept)
+                    pending.append(kept)
 
     def test_built_once_per_lattice_object(self, czech_lattice, monkeypatch):
         crossed = lattice_module._crossed
@@ -245,8 +356,8 @@ class TestConflictMasks:
         assert equal == lat and equal is not lat
         remove_conflicting(equal, lat.edges[0])
         assert len(calls) == 4
-        assert conflict_masks(equal)[1] == conflict_masks(lat)[1]
-        assert conflict_masks(equal)[1] is not conflict_masks(lat)[1]
+        assert conflict_masks(equal) == conflict_masks(lat)
+        assert conflict_masks(equal) is not conflict_masks(lat)
 
     def test_cache_is_not_part_of_the_value(self, czech_lattice):
         lat = WordLattice(czech_lattice.source, czech_lattice.sink, czech_lattice.edges)
@@ -260,9 +371,8 @@ class TestConflictMasks:
         rng = random.Random(21)
         for _ in range(25):
             lat = random_multipath_lattice(rng)
-            position, masks, canonical = conflict_masks(lat)
-            assert canonical and position == {e: i for i, e in enumerate(lat.edges)}
-            for edge, mask in zip(lat.edges, masks):
+            assert all(a < b for a, b in zip(lat.edges, lat.edges[1:]))
+            for edge, mask in zip(lat.edges, conflict_masks(lat)):
                 kept = [e for i, e in enumerate(lat.edges) if mask >> i & 1]
                 assert kept == list(reference_remove_conflicting(lat, edge).edges)
 
@@ -310,17 +420,6 @@ class TestEnumeratePaths:
 
     def test_source_is_sink(self):
         assert enumerate_edge_paths(WordLattice(source=0, sink=0, edges=()), 1) == [()]
-
-    def test_cycle_raises(self):
-        # The first edge out of node 1 leads back to node 0, so the walk
-        # would go round forever.
-        edges = (
-            Edge(0, 1, "a", ORIGIN_INPUT),
-            Edge(1, 0, "b", ORIGIN_INPUT),
-            Edge(1, 2, "c", ORIGIN_INPUT),
-        )
-        with pytest.raises(LatticeError, match="cycle"):
-            enumerate_edge_paths(WordLattice(source=0, sink=2, edges=edges), 1)
 
 
 class TestBilayeredLattice:

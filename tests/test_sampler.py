@@ -407,6 +407,17 @@ def _read(seed, k):
     return floats[k]
 
 
+def _watch_lookups(monkeypatch, seen) -> None:
+    """Call ``seen(ctx)`` on every draw-table lookup: of the roots' and
+    interminals' tables (``_State.table``) and of the preterminals'
+    (``_Question.words``)."""
+    for owner, name in ((sampler._State, "table"), (sampler._Question, "words")):
+        def watched(self, ctx, *args, lookup=getattr(owner, name)):
+            seen(ctx)
+            return lookup(self, ctx, *args)
+        monkeypatch.setattr(owner, name, watched)
+
+
 class TestLatticeStateMemo:
     @pytest.mark.parametrize("seed", [0, 7, 90210])
     def test_sample_many_equals_unmemoized_reference(self, heldout_lattices, seed):
@@ -469,16 +480,13 @@ class TestLatticeStateMemo:
         # Each level draws at most ``longest`` contexts, over at most
         # ``longest`` levels, plus the root.
         budget = DRAWS * (1 + longest * longest)
-        table = sampler._State.table
-        lookups = 0
+        looked_up = []
 
-        def counted(state, ctx):
-            nonlocal lookups
-            lookups += 1
-            assert lookups <= budget, "the frontier outgrew the longest path"
-            return table(state, ctx)
+        def counted(ctx):
+            looked_up.append(ctx)
+            assert len(looked_up) <= budget, "the frontier outgrew the longest path"
 
-        monkeypatch.setattr(sampler._State, "table", counted)
+        _watch_lookups(monkeypatch, counted)
         got = sample_many(["q"], grammar, lat, DRAWS, checked)
         expected = _reference_many(["q"], grammar, lat, DRAWS, checked)
         assert got and got == expected
@@ -522,6 +530,32 @@ class TestLatticeStateMemo:
         assert draws == [reference_sample_one(pruned, lat, seed) for seed in range(20)]
         assert {d.tokens for d in draws} == {("a", "b", "b"), ("c", "d", "d")}
         assert len(states) == 3
+
+    def test_word_whose_edge_was_consumed_is_not_drawn_again(self):
+        # "a" is on edge 0-1 only, which shares a path with every edge: a
+        # draw that emits it first keeps the full lattice, edge and all,
+        # but its second word must come from "b" and "c".
+        lat = WordLattice(0, 2, tuple(sorted(
+            Edge(src, dst, tok, ORIGIN_RULE)
+            for src, dst, tok in [(0, 1, "a"), (1, 2, "b"), (1, 2, "c")]
+        )))
+        w = ("W", S0)
+        grammar = LatentGrammar(
+            layers=LayerConfig(1),
+            roots={("S", S0): 1.0},
+            binary={("S", S0): {("W", S0, "W", S0): 1.0}},
+            lexical={w: {"a": 0.5, "b": 0.3, "c": 0.2}},
+        )
+        pruned = prune_grammar(grammar, lat)
+        expected = [reference_sample_one(pruned, lat, seed) for seed in range(40)]
+        assert [sample_one(pruned, lat, seed, states={}) for seed in range(40)] == expected
+        states: dict = {}
+        assert [sample_one(pruned, lat, seed, states=states) for seed in range(40)] == expected
+        assert {d.tokens for d in expected} == {("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")}
+        full = (1 << len(lat.edges)) - 1
+        question = states[full].question
+        assert question.words(w, full)[0] == ("a", "b", "c")
+        assert question.words(w, full & ~1)[0] == ("b", "c")
 
     def test_private_memo_draw_equals_reference(self, heldout_lattices):
         grammar, cases = heldout_lattices
@@ -593,7 +627,7 @@ class TestStateMasks:
         steps = 0
         for _ in range(200):
             lat = random_multipath_lattice(rng)
-            compat = conflict_masks(lat)[1]
+            compat = conflict_masks(lat)
             mask = (1 << len(lat.edges)) - 1
             current = lat
             free = list(lat.edges)
@@ -609,7 +643,11 @@ class TestStateMasks:
     def test_memo_states_match_their_lattices(self, heldout_lattices):
         # Every state of a real memo: its mask names its lattice's edges,
         # and its symbols are those of the grammar narrowed to it afresh.
+        # A preterminal's table, read for the state's edges with none or
+        # one of them consumed, holds the words with an edge of the state's
+        # lattice left.
         grammar, cases = heldout_lattices
+        checked = 0
         for _tokens, lat in cases:
             pruned = prune_grammar(grammar, lat)
             states: dict = {}
@@ -617,14 +655,17 @@ class TestStateMasks:
                 sample_one(pruned, lat, seed, states=states)
             for mask, state in states.items():
                 assert [lat.edges[i] for i in _bits(mask)] == list(state.lattice.edges)
-                # Its tokens, taken from the question's, are its lattice's.
-                assert state.tokens == {
-                    token: sum(1 << lat.edges.index(e) for e in state.lattice.edges
-                               if e.token == token)
-                    for token in state.lattice.vocabulary()
-                }
                 narrowed = reference_narrow(pruned, state.lattice.vocabulary())
                 assert state.symbols == _symbols(narrowed)
+                for consumed in [None, *state.lattice.edges]:
+                    left = {e.token for e in state.lattice.edges if e != consumed}
+                    free = mask if consumed is None else mask & ~(1 << lat.edges.index(consumed))
+                    for ctx, entries in pruned.lexical.items():
+                        values, cum, total = state.question.words(ctx, free)
+                        kept = [(w, p) for w, p in entries if w in left]
+                        assert (values, cum, total) == _table(kept)
+                        checked += bool(kept) and len(kept) < len(entries)
+        assert checked
 
     def test_draw_ends_at_pick_of_dead_context(self, monkeypatch):
         grammar = _dead_state_grammar({("S", S0): 1.0})
@@ -633,14 +674,8 @@ class TestStateMasks:
         # X-1 keeps no rule, but S-0 and X-0 still rewrite to it.
         assert _symbols(pruned) == {"S", "X", "A"} and ("X", S1) not in pruned.binary
         assert (("A", S0, "X", S1), 0.5) in pruned.binary[("S", S0)]
-        table = sampler._State.table
         looked_up = []
-
-        def counted(state, ctx):
-            looked_up.append(ctx)
-            return table(state, ctx)
-
-        monkeypatch.setattr(sampler._State, "table", counted)
+        _watch_lookups(monkeypatch, looked_up.append)
         lookups = Counter()
         results = []
         for seed in range(60):
@@ -886,11 +921,10 @@ class TestDrawCounts:
             Edge(src, dst, tok, ORIGIN_RULE)
             for src, dst, tok in [(0, 1, "a"), (1, 2, "b"), (0, 3, "c"), (3, 2, "d")]
         )))
-        position, masks, canonical = conflict_masks(lat)
         full = (1 << len(lat.edges)) - 1
-        corrupted = [full if e.token in "ac" else mask for e, mask in zip(lat.edges, masks)]
-        monkeypatch.setattr(sampler, "conflict_masks",
-                            lambda lat: (position, corrupted, canonical))
+        corrupted = [full if e.token in "ac" else mask
+                     for e, mask in zip(lat.edges, conflict_masks(lat))]
+        monkeypatch.setattr(sampler, "conflict_masks", lambda lat: corrupted)
         pruned = prune_grammar(_product_grammar(), lat)
         language = set(enumerate_strings(_product_grammar()))
         mixed = 0

@@ -110,11 +110,6 @@ class TestNormalize:
         norm = normalize(tree)
         assert render(expand_unaries(norm)) == render(tree)
 
-    def test_preserve_case(self):
-        tree = parse_tree("(S (NN Praha) (VB Runs))")
-        norm = normalize(tree, preserve_case=frozenset(["Praha"]))
-        assert tree_yield(norm) == ("Praha", "runs")
-
 
 class TestBinarize:
     def test_already_binary_identity(self, triplet_trees):
