@@ -8,6 +8,13 @@ by relative-frequency counting.  A second, semantic layer can be trained from ba
 features enriched with word alignments of paraphrase pairs; combining both
 layers yields the two-layer grammar used for paraphrase lattices.
 
+The trees come from ``treebank.normalize`` and ``treebank.binarize``,
+which build new nodes only where they change something and share every
+unchanged subtree with their input.  Counting reads each node's state
+once, in one walk per tree, and that walk checks coverage: a layer is
+checked node by node only after the walk fails, to name the first node
+it misses.
+
 numpy is used only by the clustering code, and each clustering function
 imports it itself: the CLI imports this module for every command, so a
 top-level import would make the commands that never train (``parse``,
@@ -153,12 +160,16 @@ def extract_features(
         raise EstimationError(f"unknown feature layer {layer!r}")
     if layer == "semantic" and aligned is None:
         raise MissingAlignments("semantic features require alignment data")
-    terms = tree_yield(tree)
+    terms: list[str] = []  # the yield, filled left to right as the walk goes
     features: dict[Path, FeatureVector] = {}
 
     def walk(node: Tree, path: Path, parent: str, sibling: str, start: int) -> int:
-        """Record ``node`` and its descendants; return the end of its span."""
+        """Record ``node`` and its descendants; return the end of its span.
+
+        A node is recorded after its children, so its words are in
+        ``terms`` by then."""
         if node.is_preterminal:
+            terms.append(node.word)
             end, rhs = start + 1, node.word
         else:
             children = node.children
@@ -437,18 +448,30 @@ def _check_coverage(
                 )
 
 
-def _inherited_semantic(
-    sem: StateAssignment, tid: int, path: Path, label: str
-) -> int:
-    # Binarization artifacts carry the semantic state of the original parent.
+def _node_state(
+    key: NodeKey,
+    label: str,
+    syntactic: StateAssignment,
+    semantic: StateAssignment | None,
+    inherited: int | None,
+) -> tuple[int, int | None, int | None]:
+    """The node's syntactic and semantic states, and the semantic state
+    its children inherit (both None without a semantic layer).
+
+    ``inherited`` is the semantic state of the node's nearest proper
+    ancestor that has one.  An "@" node takes it as its own: binarization
+    artifacts carry the semantic state of the original parent.  Its
+    children inherit the "@" node's own entry, if it has one.
+    """
+    syn = syntactic.states[key]
+    if semantic is None:
+        return syn, None, None
     if not label.startswith(BIN_PREFIX):
-        return sem.states[(tid, path)]
-    probe = path
-    while probe:
-        probe = probe[:-1]
-        if (tid, probe) in sem.states:
-            return sem.states[(tid, probe)]
-    raise AssignmentMismatch(f"no semantic ancestor for tree {tid} node {path}")
+        sem = semantic.states[key]
+        return syn, sem, sem
+    if inherited is None:
+        raise AssignmentMismatch(f"no semantic ancestor for tree {key[0]} node {key[1]}")
+    return syn, inherited, semantic.states.get(key, inherited)
 
 
 def estimate_mle(
@@ -462,44 +485,59 @@ def estimate_mle(
     binary and lexical probabilities are conditional on the parent
     (symbol, state) context.  With ``semantic`` given, nodes carry joint
     two-layer states; "@" intermediate symbols inherit the semantic state
-    of their original parent node.
+    of their nearest ancestor that has one, the original parent node.
+
+    Counting is one pre-order walk per tree that reads each node's state
+    once, as a child or as the root, and carries it down.  The walk reads
+    every node, so it checks coverage as it goes: only when it fails are
+    the layers checked in full, syntactic then semantic, so that a
+    missing node is reported as the first one in tree order.
     """
     if not treebank:
         raise EmptyTreebank("cannot estimate from an empty treebank")
-    _check_coverage(treebank, assignment, "syntactic", skip_bin=False)
     if semantic is not None:
-        _check_coverage(treebank, semantic, "semantic", skip_bin=True)
         layers = LayerConfig(assignment.m, semantic.m)
     else:
         layers = LayerConfig(assignment.m)
-
-    def state_at(tid: int, path: Path, label: str) -> StateLabel:
-        syn = assignment.states[(tid, path)]
-        if semantic is None:
-            return StateLabel(syn)
-        return StateLabel(syn, _inherited_semantic(semantic, tid, path, label))
 
     root_counts: Counter[Context] = Counter()
     binary_counts: dict[Context, Counter[BinaryRhs]] = defaultdict(Counter)
     lexical_counts: dict[Context, Counter[str]] = defaultdict(Counter)
 
-    for tid, tree in enumerate(treebank):
-        root_counts[(tree.label, state_at(tid, (), tree.label))] += 1
-        for path, node in iter_nodes(tree):
-            ctx = (node.label, state_at(tid, path, node.label))
-            if node.is_preterminal:
-                lexical_counts[ctx][node.word] += 1
-            else:
+    try:
+        for tid, tree in enumerate(treebank):
+            syn, sem, inherited = _node_state((tid, ()), tree.label, assignment, semantic, None)
+            state = StateLabel(syn, sem)
+            root_counts[(tree.label, state)] += 1
+            stack = [((), tree, state, inherited)]
+            while stack:
+                path, node, state, inherited = stack.pop()
+                ctx = (node.label, state)
+                if node.is_preterminal:
+                    lexical_counts[ctx][node.word] += 1
+                    continue
                 if len(node.children) != 2:
                     raise EstimationError(
                         f"tree {tid} is not binarized at node {path}"
                     )
                 left, right = node.children
-                rhs = (
-                    left.label, state_at(tid, path + (0,), left.label),
-                    right.label, state_at(tid, path + (1,), right.label),
+                left_path, right_path = path + (0,), path + (1,)
+                syn, sem, left_inherited = _node_state(
+                    (tid, left_path), left.label, assignment, semantic, inherited
                 )
-                binary_counts[ctx][rhs] += 1
+                left_state = StateLabel(syn, sem)
+                syn, sem, right_inherited = _node_state(
+                    (tid, right_path), right.label, assignment, semantic, inherited
+                )
+                right_state = StateLabel(syn, sem)
+                binary_counts[ctx][(left.label, left_state, right.label, right_state)] += 1
+                stack.append((right_path, right, right_state, right_inherited))
+                stack.append((left_path, left, left_state, left_inherited))
+    except (KeyError, EstimationError):
+        _check_coverage(treebank, assignment, "syntactic", skip_bin=False)
+        if semantic is not None:
+            _check_coverage(treebank, semantic, "semantic", skip_bin=True)
+        raise
 
     n_trees = len(treebank)
     roots = {ctx: count / n_trees for ctx, count in root_counts.items()}
@@ -528,24 +566,26 @@ def annotate_bilayered(
     """Doubly-annotated treebank plus the two-layer grammar.
 
     Returned trees carry "label-h1-h2" decorations for inspection; the
-    grammar is the MLE over the joint annotation.
+    grammar is the MLE over the joint annotation, whose counting walk has
+    checked coverage.  Decoration reads each node's state once and
+    carries the semantic state its children inherit down, as counting
+    does.
     """
     grammar = estimate_mle(treebank, syntactic, semantic)
 
-    def decorate(tid: int, tree: Tree, path: Path) -> Tree:
-        syn = syntactic.states[(tid, path)]
-        sem = _inherited_semantic(semantic, tid, path, tree.label)
+    def decorate(tid: int, tree: Tree, path: Path, inherited: int | None) -> Tree:
+        syn, sem, inherited = _node_state((tid, path), tree.label, syntactic, semantic, inherited)
         label = f"{tree.label}-{syn}-{sem}"
         if tree.is_preterminal:
             return Tree(label, word=tree.word)
         return Tree(
             label,
             children=tuple(
-                decorate(tid, c, path + (i,)) for i, c in enumerate(tree.children)
+                decorate(tid, c, path + (i,), inherited) for i, c in enumerate(tree.children)
             ),
         )
 
-    annotated = [decorate(tid, tree, ()) for tid, tree in enumerate(treebank)]
+    annotated = [decorate(tid, tree, (), None) for tid, tree in enumerate(treebank)]
     return annotated, grammar
 
 
@@ -567,8 +607,9 @@ def _cluster_layer(
         features = extract_features(tree, layer, aligned)
         for path, node in iter_nodes(tree):
             if path in features:
-                symbols[(tid, path)] = node.label
-                vectors[(tid, path)] = features[path]
+                key = (tid, path)
+                symbols[key] = node.label
+                vectors[key] = features[path]
     return cluster_states(vectors, symbols, m, seed)
 
 

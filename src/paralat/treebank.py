@@ -137,27 +137,30 @@ def normalize(tree: Tree) -> Tree:
     A chain X -> Y (single child) becomes one node labeled "X+Y"; chains
     ending in a preterminal become composite preterminals, so normalized
     trees contain only n-ary (n >= 2) nodes and preterminals.  Every
-    token is lowercased.
+    token is lowercased.  A subtree that normalization leaves unchanged
+    is returned as it is, not rebuilt, so the result shares it.
     """
     if tree.is_preterminal:
-        return Tree(tree.label, word=tree.word.lower())
+        word = tree.word.lower()
+        return tree if word == tree.word else Tree(tree.label, word=word)
     if len(tree.children) == 1:
         child = normalize(tree.children[0])
         label = tree.label + UNARY_JOIN + child.label
         if child.is_preterminal:
             return Tree(label, word=child.word)
         return Tree(label, children=child.children)
-    return Tree(
-        tree.label,
-        children=tuple(normalize(c) for c in tree.children),
-    )
+    children = tuple(normalize(c) for c in tree.children)
+    if all(new is old for new, old in zip(children, tree.children)):
+        return tree
+    return Tree(tree.label, children=children)
 
 
 def binarize(tree: Tree) -> Tree:
     """Right-branching binarization with "@Parent" intermediate symbols.
 
     A node A with children B C D becomes (A B (@A C D)).  Requires a
-    normalized tree (no unary internal nodes).
+    normalized tree (no unary internal nodes).  A subtree that is already
+    binary is returned as it is, not rebuilt, so the result shares it.
     """
     if tree.is_preterminal:
         return tree
@@ -166,6 +169,8 @@ def binarize(tree: Tree) -> Tree:
             f"cannot binarize unary node {tree.label!r}; normalize first"
         )
     children = [binarize(c) for c in tree.children]
+    if len(children) == 2 and children[0] is tree.children[0] and children[1] is tree.children[1]:
+        return tree
     while len(children) > 2:
         tail = Tree(BIN_PREFIX + tree.label, children=(children[-2], children[-1]))
         children = children[:-2] + [tail]

@@ -31,6 +31,11 @@ is the path enumeration that recursed once per edge, and
 lattice breadth-first from the chosen edge on every call.
 ``reference_entity_assignments`` sorts the whole product of every entity
 node's candidates; it shares ``entity_candidates``.
+``reference_normalize`` and ``reference_binarize`` build a new node for
+every node they return.  ``reference_estimate_mle`` checks each layer's
+coverage before it counts and looks each node's state up as a parent and
+again as a child; it and ``reference_annotate_bilayered`` find an "@"
+node's semantic state by probing its ancestors (``_inherited_semantic``).
 
 The library read-outs that only tests use live here too, as references:
 a derivation's yield (``derivation_yield``) and its score under a grammar
@@ -55,7 +60,14 @@ from hypothesis import strategies as st
 
 from paralat.classifier import FEATURE_NAMES, ClassifierModel, PairFeatures, _occurrences
 from paralat.cky import DerivationNode
-from paralat.errors import EdgeNotInLattice, NoEntityCandidates
+from paralat.errors import (
+    AssignmentMismatch,
+    EdgeNotInLattice,
+    EmptyTreebank,
+    EstimationError,
+    NoEntityCandidates,
+    TreebankError,
+)
 from paralat.estimation import StateAssignment, _symbol_seed
 from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths
@@ -74,7 +86,7 @@ from paralat.semparse import (
     entity_surface,
     oracle_set,
 )
-from paralat.treebank import BIN_PREFIX, UNARY_JOIN, Tree
+from paralat.treebank import BIN_PREFIX, UNARY_JOIN, Tree, iter_nodes
 
 # The breadth-first depth past which ``reference_sample_one`` gives up.  No
 # completed draw of n words is deeper than n - 1, so any cap at least the
@@ -410,6 +422,136 @@ def is_binary(tree: Tree) -> bool:
     return len(tree.children) == 2 and all(is_binary(c) for c in tree.children)
 
 
+# --- normalization and binarization that rebuild every node --------------------
+
+
+def reference_normalize(tree: Tree) -> Tree:
+    """``treebank.normalize`` building a new node for every node."""
+    if tree.is_preterminal:
+        return Tree(tree.label, word=tree.word.lower())
+    if len(tree.children) == 1:
+        child = reference_normalize(tree.children[0])
+        label = tree.label + UNARY_JOIN + child.label
+        if child.is_preterminal:
+            return Tree(label, word=child.word)
+        return Tree(label, children=child.children)
+    return Tree(tree.label, children=tuple(reference_normalize(c) for c in tree.children))
+
+
+def reference_binarize(tree: Tree) -> Tree:
+    """``treebank.binarize`` building a new node for every internal node."""
+    if tree.is_preterminal:
+        return tree
+    if len(tree.children) == 1:
+        raise TreebankError(f"cannot binarize unary node {tree.label!r}; normalize first")
+    children = [reference_binarize(c) for c in tree.children]
+    while len(children) > 2:
+        tail = Tree(BIN_PREFIX + tree.label, children=(children[-2], children[-1]))
+        children = children[:-2] + [tail]
+    return Tree(tree.label, children=tuple(children))
+
+
+# --- estimation in two phases: check coverage, then count ----------------------
+
+
+def _reference_check_coverage(treebank, assignment, layer: str, skip_bin: bool) -> None:
+    for tid, tree in enumerate(treebank):
+        for path, node in iter_nodes(tree):
+            if skip_bin and node.label.startswith(BIN_PREFIX):
+                continue
+            if (tid, path) not in assignment.states:
+                raise AssignmentMismatch(f"{layer} layer misses tree {tid} node {path}")
+
+
+def _inherited_semantic(sem: StateAssignment, tid: int, path: tuple[int, ...], label: str) -> int:
+    """A node's semantic state; an "@" node's is found by probing its
+    ancestors, nearest first, for one that has an entry."""
+    if not label.startswith(BIN_PREFIX):
+        return sem.states[(tid, path)]
+    probe = path
+    while probe:
+        probe = probe[:-1]
+        if (tid, probe) in sem.states:
+            return sem.states[(tid, probe)]
+    raise AssignmentMismatch(f"no semantic ancestor for tree {tid} node {path}")
+
+
+def reference_estimate_mle(treebank, assignment, semantic=None) -> LatentGrammar:
+    """``estimation.estimate_mle`` that checks both layers' coverage up
+    front, then counts, looking each node's state up once as a parent and
+    once more as a child."""
+    if not treebank:
+        raise EmptyTreebank("cannot estimate from an empty treebank")
+    _reference_check_coverage(treebank, assignment, "syntactic", skip_bin=False)
+    if semantic is not None:
+        _reference_check_coverage(treebank, semantic, "semantic", skip_bin=True)
+        layers = LayerConfig(assignment.m, semantic.m)
+    else:
+        layers = LayerConfig(assignment.m)
+
+    def state_at(tid, path, label):
+        syn = assignment.states[(tid, path)]
+        if semantic is None:
+            return StateLabel(syn)
+        return StateLabel(syn, _inherited_semantic(semantic, tid, path, label))
+
+    root_counts = Counter()
+    binary_counts = defaultdict(Counter)
+    lexical_counts = defaultdict(Counter)
+    for tid, tree in enumerate(treebank):
+        root_counts[(tree.label, state_at(tid, (), tree.label))] += 1
+        for path, node in iter_nodes(tree):
+            ctx = (node.label, state_at(tid, path, node.label))
+            if node.is_preterminal:
+                lexical_counts[ctx][node.word] += 1
+            else:
+                if len(node.children) != 2:
+                    raise EstimationError(f"tree {tid} is not binarized at node {path}")
+                left, right = node.children
+                rhs = (
+                    left.label, state_at(tid, path + (0,), left.label),
+                    right.label, state_at(tid, path + (1,), right.label),
+                )
+                binary_counts[ctx][rhs] += 1
+
+    n_trees = len(treebank)
+    grammar = LatentGrammar(
+        layers=layers,
+        roots={ctx: count / n_trees for ctx, count in root_counts.items()},
+        binary={
+            ctx: {rhs: c / sum(table.values()) for rhs, c in table.items()}
+            for ctx, table in binary_counts.items()
+        },
+        lexical={
+            ctx: {word: c / sum(table.values()) for word, c in table.items()}
+            for ctx, table in lexical_counts.items()
+        },
+    )
+    both = grammar.interminals & grammar.preterminals
+    if both:
+        raise EstimationError(f"symbols used both as interminal and preterminal: {sorted(both)}")
+    return grammar
+
+
+def reference_annotate_bilayered(treebank, syntactic, semantic):
+    """``estimation.annotate_bilayered`` over :func:`reference_estimate_mle`,
+    each node's semantic state found by :func:`_inherited_semantic`."""
+    grammar = reference_estimate_mle(treebank, syntactic, semantic)
+
+    def decorate(tid, tree, path):
+        syn = syntactic.states[(tid, path)]
+        sem = _inherited_semantic(semantic, tid, path, tree.label)
+        label = f"{tree.label}-{syn}-{sem}"
+        if tree.is_preterminal:
+            return Tree(label, word=tree.word)
+        return Tree(
+            label,
+            children=tuple(decorate(tid, c, path + (i,)) for i, c in enumerate(tree.children)),
+        )
+
+    return [decorate(tid, tree, ()) for tid, tree in enumerate(treebank)], grammar
+
+
 # --- random instances ---------------------------------------------------------
 
 
@@ -688,7 +830,7 @@ def reference_compute_features(
 
 
 _labels = st.sampled_from(["S", "NP", "VP", "NN", "DT", "X"])
-_words = st.sampled_from(["a", "b", "cat", "saw", "nochebuena"])
+_words = st.sampled_from(["a", "b", "cat", "saw", "nochebuena", "Nochebuena"])
 
 
 def random_trees(depth: int = 3) -> st.SearchStrategy[Tree]:

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     brute_force_features,
     node_contexts,
     random_trees,
+    reference_annotate_bilayered,
     reference_cluster_states,
+    reference_estimate_mle,
     reference_kmeans,
 )
 
@@ -29,7 +31,15 @@ from paralat.estimation import (
     train_syntactic_assignment,
 )
 from paralat.grammar import StateLabel, serialize_grammar, validate
-from paralat.treebank import Tree, binarize, iter_nodes, normalize, parse_tree, tree_yield
+from paralat.treebank import (
+    BIN_PREFIX,
+    Tree,
+    binarize,
+    iter_nodes,
+    normalize,
+    parse_tree,
+    tree_yield,
+)
 
 # Alignments over the paraphrase triplet that make all three root bags equal:
 # every content position maps onto its counterpart(s), and "day" also aligns
@@ -91,6 +101,118 @@ def symbol_vectors(draw):
         vectors[(i, ())] = vec
         symbols[(i, ())] = draw(st.sampled_from(["NP", "S"]))
     return vectors, symbols
+
+
+def _lower_leaves(tree: Tree) -> Tree:
+    if tree.is_preterminal:
+        return Tree(tree.label.lower(), word=tree.word)
+    return Tree(tree.label, children=tuple(_lower_leaves(c) for c in tree.children))
+
+
+def _some_of(keys):
+    """No key, three times in four; else one or two of ``keys``."""
+    return st.integers(0, 3).flatmap(
+        lambda pick: st.lists(st.sampled_from(keys), min_size=1, max_size=2)
+        if pick == 3 and keys
+        else st.just([])
+    )
+
+
+@st.composite
+def counting_inputs(draw):
+    """(treebank, syntactic, semantic or None) with faults to report.
+
+    The trees are binarized, but now and then one is left n-ary or given
+    an "@" root, and some have a root of four or five children, which
+    binarization makes a chain of "@" nodes.  Preterminal labels are
+    mostly lowercased, so that most treebanks use no symbol both as an
+    interminal and as a preterminal.
+    The states cover every node (every non-"@" node, for the semantic
+    layer), then some keys are dropped from either layer, at times the
+    parent of an "@" node, the key that node inherits from; some "@" nodes
+    get a semantic entry of their own.
+    """
+    distinct = draw(st.integers(0, 5)) > 0
+    trees = []
+    for raw in draw(st.lists(random_trees(), min_size=1, max_size=3)):
+        shape = draw(st.sampled_from(["binary"] * 4 + ["wide"] * 2 + ["n-ary", "@ root"]))
+        if shape == "wide":  # binarized into a chain of "@" nodes
+            raw = Tree("S", children=tuple(draw(st.lists(random_trees(1), min_size=4, max_size=5))))
+        tree = normalize(_lower_leaves(raw) if distinct else raw)
+        if shape != "n-ary":
+            tree = binarize(tree)
+        if shape == "@ root" and not tree.is_preterminal:
+            tree = Tree(BIN_PREFIX + tree.label, children=tree.children)
+        trees.append(tree)
+    labels = {
+        (tid, path): node.label for tid, tree in enumerate(trees) for path, node in iter_nodes(tree)
+    }
+    keys = list(labels)
+    bin_keys = [key for key in keys if labels[key].startswith(BIN_PREFIX)]
+    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    syn = {key: draw(st.integers(0, m1 - 1)) for key in keys}
+    for key in draw(_some_of(keys)):
+        syn.pop(key, None)
+    if not draw(st.booleans()):
+        return trees, StateAssignment(m1, syn), None
+    sem = {key: draw(st.integers(0, m2 - 1)) for key in keys if key not in bin_keys}
+    for key in bin_keys:
+        if draw(st.booleans()):
+            sem[key] = draw(st.integers(0, m2 - 1))
+    if bin_keys:
+        for tid, path in draw(_some_of(bin_keys)):
+            if path:
+                sem.pop((tid, path[:-1]), None)
+    for key in draw(_some_of(keys)):
+        sem.pop(key, None)
+    return trees, StateAssignment(m1, syn), StateAssignment(m2, sem)
+
+
+def _outcome(call):
+    """The result of ``call`` with each grammar table as its list of items
+    in insertion order, or the type and message of what it raised."""
+
+    def tables(grammar):
+        return (
+            grammar.layers,
+            list(grammar.roots.items()),
+            [(ctx, list(table.items())) for ctx, table in grammar.binary.items()],
+            [(ctx, list(table.items())) for ctx, table in grammar.lexical.items()],
+        )
+
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - the failure is what is compared
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        annotated, grammar = result
+        return annotated, tables(grammar)
+    return tables(result)
+
+
+# (S (A a) (@S (B b) (@S (C c) (D d)))): the upper "@S" has a semantic
+# entry of its own, which the lower one inherits in place of the root's.
+_WIDE = binarize(parse_tree("(S (A a) (B b) (C c) (D d))"))
+_WIDE_KEYS = [(0, path) for path, _ in iter_nodes(_WIDE)]
+
+
+class TestCountingWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(counting_inputs())
+    @example((
+        [_WIDE],
+        StateAssignment(1, {key: 0 for key in _WIDE_KEYS}),
+        StateAssignment(2, {**{key: 0 for key in _WIDE_KEYS if key != (0, (1, 1))}, (0, (1,)): 1}),
+    ))
+    def test_equals_two_phase_reference(self, inputs):
+        trees, syn, sem = inputs
+        assert _outcome(lambda: estimate_mle(trees, syn, sem)) == _outcome(
+            lambda: reference_estimate_mle(trees, syn, sem)
+        )
+        if sem is not None:
+            assert _outcome(lambda: annotate_bilayered(trees, syn, sem)) == _outcome(
+                lambda: reference_annotate_bilayered(trees, syn, sem)
+            )
 
 
 class TestExtractFeatures:

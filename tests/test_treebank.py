@@ -3,7 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from oracles import debinarize, expand_unaries, is_binary, random_trees
+from oracles import (
+    debinarize,
+    expand_unaries,
+    is_binary,
+    random_trees,
+    reference_binarize,
+    reference_normalize,
+)
 
 from paralat.errors import (
     EmptyTree,
@@ -14,6 +21,7 @@ from paralat.errors import (
 from paralat.treebank import (
     Tree,
     binarize,
+    iter_nodes,
     normalize,
     parse_tree,
     render,
@@ -92,7 +100,29 @@ class TestRoundTrip:
         assert tree_yield(expanded) == tree_yield(norm)
 
 
+def _check_sharing(transform, reference, tree):
+    """``transform(tree)`` equals ``reference(tree)``; ``transform`` returns
+    a subtree that it leaves unchanged as the same object, and the result
+    holds every such subtree, unless it is the only child of its parent
+    (which normalization collapses into the parent)."""
+    out = transform(tree)
+    assert out == reference(tree)
+    kept = {id(node) for _, node in iter_nodes(out)}
+    nodes = dict(iter_nodes(tree))
+    for path, sub in nodes.items():
+        unchanged = reference(sub) == sub
+        assert (transform(sub) is sub) == unchanged
+        if unchanged and (not path or len(nodes[path[:-1]].children) > 1):
+            assert id(sub) in kept
+
+
 class TestNormalize:
+    @given(random_trees())
+    def test_equals_rebuilding_reference_and_shares_unchanged_subtrees(self, tree):
+        _check_sharing(normalize, reference_normalize, tree)
+        norm = normalize(tree)
+        assert normalize(norm) is norm
+
     def test_collapses_preterminal_chain(self):
         tree = parse_tree("(SBARQ (WHNP (WP what)) (SQ (AUX is) (NN x)))")
         norm = normalize(tree)
@@ -112,6 +142,12 @@ class TestNormalize:
 
 
 class TestBinarize:
+    @given(random_trees())
+    def test_equals_rebuilding_reference_and_shares_unchanged_subtrees(self, tree):
+        _check_sharing(binarize, reference_binarize, normalize(tree))
+        binary = binarize(normalize(tree))
+        assert binarize(binary) is binary
+
     def test_already_binary_identity(self, triplet_trees):
         tree = parse_tree(
             "(SBARQ (WHNP (WP what) (NN day)) (SQ (AUX is) (NN nochebuena)))"
