@@ -14,7 +14,7 @@ lattice's paths as token sequences; ``enumerate_paths`` is in
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -58,12 +58,6 @@ class WordLattice:
             out[e.src].append(e)
         return out
 
-    def incoming(self) -> dict[int, list[Edge]]:
-        inc: dict[int, list[Edge]] = defaultdict(list)
-        for e in self.edges:
-            inc[e.dst].append(e)
-        return inc
-
 
 def _make(source: int, sink: int, edges: Iterable[Edge]) -> WordLattice:
     lat = WordLattice(source=source, sink=sink, edges=tuple(sorted(set(edges))))
@@ -80,39 +74,49 @@ def check_lattice(lat: WordLattice) -> None:
     cannot have one too, or every node would have a predecessor and the
     graph a cycle; the same holds for the sink and outgoing edges.
     """
-    out = lat.outgoing()
-    inc = lat.incoming()
+    order, into, outof = adjacency(lat)
     nodes = lat.nodes
-    if len(topological_order(lat, out)) != len(nodes):
+    if len(order) != len(nodes):
         raise LatticeError("lattice contains a cycle")
     for n in nodes:
-        if n != lat.source and not inc.get(n):
+        if n != lat.source and n not in into:
             raise LatticeError(f"node {n} is a second source")
-        if n != lat.sink and not out.get(n):
+        if n != lat.sink and n not in outof:
             raise LatticeError(f"node {n} is a second sink")
 
 
-def topological_order(
-    lat: WordLattice, out: dict[int, list[Edge]] | None = None
-) -> list[int]:
-    """The nodes of ``lat`` in a topological order: Kahn's walk from every
-    node with no incoming edge, over ``out`` (``lat.outgoing()`` unless
-    given).  A node on a cycle, or reached only through one, is left out,
-    so the order is shorter than ``lat.nodes`` exactly when the lattice
-    has a cycle."""
-    if out is None:
-        out = lat.outgoing()
-    pending = Counter(e.dst for e in lat.edges)  # in-edges not yet walked
-    order = sorted({lat.source, lat.sink, *out}.difference(pending))
-    for node in order:  # the walk appends to the list it reads
-        for e in out.get(node, ()):
-            pending[e.dst] -= 1
-            if not pending[e.dst]:
-                order.append(e.dst)
-    return order
+Adjacency = dict[int, list[tuple[int, int]]]
 
 
-def _crossed(order: list[int], adjacency: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+def adjacency(lat: WordLattice) -> tuple[list[int], Adjacency, Adjacency]:
+    """The nodes of ``lat`` in a topological order and, per node with such
+    edges, the bit (``1 << i`` for ``lat.edges[i]``) and far end of each
+    edge into it and of each edge out of it.  The order is Kahn's walk from
+    every node with no incoming edge; a node on a cycle, or reached only
+    through one, is left out, so the order is shorter than ``lat.nodes``
+    exactly when the lattice has a cycle.  Built on the lattice's first
+    call and kept in its own ``__dict__``, as :func:`conflict_masks` keeps
+    the masks, so :func:`check_lattice`, the masks and the sampler's
+    depths share one build; callers must not change it."""
+    cached = lat.__dict__.get("_adjacency")
+    if cached is None:
+        into: Adjacency = {}
+        outof: Adjacency = {}
+        for i, e in enumerate(lat.edges):
+            into.setdefault(e.dst, []).append((1 << i, e.src))
+            outof.setdefault(e.src, []).append((1 << i, e.dst))
+        pending = {node: len(edges) for node, edges in into.items()}  # in-edges not yet walked
+        order = sorted({lat.source, lat.sink, *outof}.difference(pending))
+        for node in order:  # the walk appends to the list it reads
+            for _, far in outof.get(node, ()):
+                pending[far] -= 1
+                if not pending[far]:
+                    order.append(far)
+        cached = lat.__dict__["_adjacency"] = (order, into, outof)
+    return cached
+
+
+def _crossed(order: list[int], adjacency: Adjacency) -> dict[int, int]:
     """Per node, the mask of the edges a walk from it crosses, over
     ``adjacency``: per node, the bit and the far end of each of its edges
     in the walk's direction.  ``order`` lists each node after the far ends
@@ -131,18 +135,13 @@ def conflict_masks(lat: WordLattice) -> list[int]:
     of the edges that share a source-to-sink path with its edge, as
     :func:`remove_conflicting` keeps them: the edge itself, the edges whose
     ``dst`` reaches its ``src``, and those its ``dst`` reaches.  Built on
-    the lattice's first call and kept in its own ``__dict__``, so
-    equality, hash and repr ignore them and an equal lattice builds its
-    own.  ``lat`` must be acyclic with distinct edges, as the builders'
-    and :func:`remove_conflicting`'s lattices are."""
+    the lattice's first call from its :func:`adjacency` and kept in its own
+    ``__dict__``, so equality, hash and repr ignore them and an equal
+    lattice builds its own.  ``lat`` must be acyclic with distinct edges,
+    as the builders' and :func:`remove_conflicting`'s lattices are."""
     cached = lat.__dict__.get("_conflict_masks")
     if cached is None:
-        into: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        outof: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for i, e in enumerate(lat.edges):
-            into[e.dst].append((1 << i, e.src))
-            outof[e.src].append((1 << i, e.dst))
-        order = topological_order(lat)
+        order, into, outof = adjacency(lat)
         before = _crossed(order, into)
         after = _crossed(order[::-1], outof)
         cached = lat.__dict__["_conflict_masks"] = [

@@ -62,23 +62,27 @@ symbols for the roots and an interminal, and for a preterminal its
 words' free edges, those the state keeps that the draw has not consumed.
 
 The draws of one memo also share a trie of their picks, rooted on the
-question.  An inner node is the draw table of one pick, the index of
-the float it reads, its running sums and total, with a child slot per
-value; a pick from a single value reads no float and makes no node.  A
-leaf is a dead end or a completed draw.  A draw's configuration is a
-function of its pick prefix, and its k-th pick always reads the k-th
-float of its stream, so a draw descends the trie by one bisection per
-node, indexing its stream's list, with no lattice state, no table lookup
-and no frontier.  Only a draw that reaches an empty slot walks: it
-starts again from the first float of its stream, as a draw did before
-the trie, and adds its picks and its leaf to the trie.  Every state is
-still first reached by a walk, so conflict removal still runs once per
-distinct state.  A completed walk orders its consumed edges along a path
-by the topological ranks of their sources and checks each consecutive
-pair against the compatibility masks, once per distinct completed draw.
-A completed leaf keeps its tokens, read off the words of the frontier
-levels, and its consumed path, which with the seed are all a candidate
-is: no draw builds a derivation tree, since no command reads one.
+question.  An inner node is one pick: the index of the float it reads,
+the running sums and total of its draw table, a child slot per value,
+the values, and the cursor of the walk just before the pick (its state,
+consumed edges and frontier; see :func:`_walk`).  A pick from a single
+value reads no float and makes no node.  A leaf is a dead end or a
+completed draw.  A draw's configuration is a function of its pick
+prefix, and its k-th pick always reads the k-th float of its stream, so
+a draw descends the trie by one bisection per node, indexing its
+stream's list, with no lattice state, no table lookup and no frontier.
+Only a draw that reaches an empty slot walks: it resumes from the cursor
+of the node whose slot it reached, applies the value drawn there, and
+adds its later picks and its leaf to the trie.  So a walk looks up
+tables and moves between states only for picks that no earlier draw of
+the memo made.  Every state is still first reached by a walk, so
+conflict removal still runs once per distinct state.  A completed walk
+orders its consumed edges along a path by the topological ranks of their
+sources and checks each consecutive pair against the compatibility
+masks, once per distinct completed draw.  A completed leaf keeps its
+tokens, read off the words of the frontier levels, and its consumed
+path, which with the seed are all a candidate is: no draw builds a
+derivation tree, since no command reads one.
 """
 
 from __future__ import annotations
@@ -95,13 +99,7 @@ from typing import Collection, Container, Sequence, TypeVar
 
 from .errors import EmptyIntersection
 from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
-from .lattice import (
-    Edge,
-    WordLattice,
-    conflict_masks,
-    remove_conflicting,
-    topological_order,
-)
+from .lattice import Edge, WordLattice, adjacency, conflict_masks, remove_conflicting
 
 T = TypeVar("T")
 
@@ -211,11 +209,13 @@ def _table(items: Sequence[tuple]) -> tuple[tuple, list[float], float]:
     return tuple(v for v, _ in items), cum, sum(weights)
 
 
-def _pick(u: float, values: tuple, cum: list[float], total: float) -> object:
-    """Weighted draw over a support given by its :func:`_table`, for the
-    uniform float ``u`` in [0, 1): the first value whose running sum
-    exceeds ``u * total``, else (the infinite last sum) the last."""
-    return values[bisect_right(cum, u * total)]
+def _pick(u: float, cum: list[float], total: float) -> int:
+    """Weighted draw over a support given by the running sums and total of
+    its :func:`_table`, for the uniform float ``u`` in [0, 1): the index of
+    the first value whose running sum exceeds ``u * total``, else (the
+    infinite last sum) of the last.  The trie descent in :func:`sample_one`
+    inlines it."""
+    return bisect_right(cum, u * total)
 
 
 # At least the draws of one question (``--m`` is 300 by default), so the
@@ -255,10 +255,10 @@ def _depths(lat: WordLattice) -> dict[int, int]:
     """Per node of ``lat``, the edge count of the longest path to it from
     the source.  It grows along every edge, so it also ranks the nodes in
     a topological order."""
-    inc = lat.incoming()
+    order, into, _ = adjacency(lat)
     depth = {lat.source: 0}
-    for node in topological_order(lat)[1:]:
-        depth[node] = max(depth[e.src] for e in inc[node]) + 1
+    for node in order[1:]:
+        depth[node] = max(depth[src] for _, src in into[node]) + 1
     return depth
 
 
@@ -288,7 +288,7 @@ class _Question:
     tables (see :meth:`_State.table` and :meth:`words`), the contexts that
     derive a string over its vocabulary (:func:`_live`), whether no root
     context does, and the one-item slot of the root of its draws' pick
-    trie (see :func:`_graft`)."""
+    trie (see :func:`_walk`)."""
 
     __slots__ = ("pruned", "lattice", "longest", "compat", "rank", "tokens", "preterminals",
                  "kinds", "pairs", "symbols", "word_edges", "tables", "live", "doomed", "root")
@@ -410,104 +410,11 @@ class _Draw:
     path: tuple[Edge, ...]
 
 
-def _graft(root: list, picks: list[tuple[list[float], float, float] | None],
-           leaf: str | _Draw) -> None:
-    """Add a draw to its question's trie: ``root`` is the slot of the
-    trie's root, ``picks`` the running sums, total and float of each of
-    the draw's picks (None for a pick from a single value, whose outcome
-    no float changes), and ``leaf`` where the draw ended.  An empty slot
-    on the way gets an inner node, ``(float index, running sums, total,
-    child slots)`` with one slot per value of the pick's table; a pick
-    from a single value gets no node."""
-    kids, i = root, 0
-    for k, pick in enumerate(picks):
-        if pick is not None:
-            cum, total, u = pick
-            if kids[i] is None:
-                kids[i] = (k, cum, total, [None] * len(cum))
-            kids, i = kids[i][3], bisect_right(cum, u * total)
-    kids[i] = leaf
-
-
-def _walk(
-    state: _State, states: dict[int, _State], seed: int
-) -> tuple[list[tuple[list[float], float, float] | None], str | _Draw]:
-    """The draw of ``seed`` from the root ``state`` of a memo: the running
-    sums, total and float of each pick it makes (None for a pick from a
-    single value, which reads no float), and its leaf, the failure reason
-    of a dead end or the completed :class:`_Draw`."""
-    question = state.question
-    rng, floats = _stream(seed)
-    picks: list[tuple[list[float], float, float] | None] = []
-
-    def pick(values: tuple, cum: list[float], total: float) -> object:
-        if len(values) == 1:
-            picks.append(None)
-            return values[0]
-        k = len(picks)
-        while k >= len(floats):
-            floats.append(rng.random())
-        u = floats[k]
-        picks.append((cum, total, u))
-        return _pick(u, values, cum, total)
-
-    edges_of = question.lattice.edges
+def _draw(question: _Question, used: int, levels: tuple[tuple[str | None, ...], ...]) -> _Draw:
+    """The completed draw whose consumed edges are the mask ``used`` and
+    whose frontier levels drew the words ``levels`` (None where a binary
+    rule was drawn)."""
     compat = question.compat
-    longest = question.longest
-    preterminals = question.pruned.grammar.preterminals
-    used = 0  # the mask of the consumed edges
-    n_used = 0
-    free = state.mask  # the state's edges not yet consumed
-    # Each level of the frontier is the list of its contexts, left to
-    # right; ``levels`` keeps the word drawn at each position of each
-    # (None where a binary rule was drawn).  A context that is not live
-    # can never complete, so a draw that picks one ends there.
-    values, cum, total = state.table(None)
-    root = pick(values, cum, total)
-    if root is None:
-        return picks, "dead-end"
-    level = [root]
-    levels: list[list[str | None]] = []
-    while level:
-        # Each pending context yields a word, each word consumes its own
-        # edge, and all of them lie on one path of the starting lattice: a
-        # draw that needs more edges than its longest path cannot complete.
-        if n_used + len(level) > longest:
-            return picks, "dead-end"
-        words: list[str | None] = []
-        below: list[Context] = []
-        for ctx in level:
-            preterminal = ctx[0] in preterminals
-            values, cum, total = question.words(ctx, free) if preterminal else state.table(ctx)
-            if not values:
-                return picks, "dead-end"
-            if not preterminal:
-                pair = pick(values, cum, total)
-                if pair is None:
-                    return picks, "dead-end"
-                below += pair
-                words.append(None)
-                continue
-            word = pick(values, cum, total)
-            edges = question.tokens[word] & free
-            bit = edges & -edges  # the canonically least free edge
-            used |= bit
-            n_used += 1
-            words.append(word)
-            # The edges left are those compatible with every consumed one.
-            i = bit.bit_length() - 1
-            mask = state.mask & compat[i]
-            if mask != state.mask:
-                nxt = states.get(mask)
-                if nxt is None:
-                    nxt = states[mask] = _State(
-                        question, mask, remove_conflicting(state.lattice, edges_of[i])
-                    )
-                state = nxt
-            free = state.mask & ~used
-        levels.append(words)
-        level = below
-
     # Order the consumed edges by the depths of their sources and check
     # that each neighbouring pair shares a path, by both edges' masks: in
     # a DAG, a chain of edges that each reach the next lies on one path.
@@ -522,7 +429,8 @@ def _walk(
     for a, b in zip(order, order[1:]):
         if not compat[a] >> b & compat[b] >> a & 1:
             raise AssertionError("consumed edges do not lie on one path")
-    path = tuple(edges_of[i] for i in order)
+    edges = question.lattice.edges
+    path = tuple(edges[i] for i in order)
 
     # Each level's yields, bottom-up: a binary node's is its children's,
     # which are the next two of the level below.
@@ -533,7 +441,108 @@ def _walk(
             (w,) if w is not None else next(below_spans) + next(below_spans)
             for w in words
         ]
-    return picks, _Draw(spans[0], path)
+    return _Draw(spans[0], path)
+
+
+# The value a walk from the root of its question's trie starts with: it has
+# made no pick yet, so it draws before it applies anything.
+_NO_PICK = object()
+
+
+def _walk(kids: list, j: int, cursor: tuple, value: object,
+          states: dict[int, _State], seed: int) -> str | _Draw:
+    """Walk the draw of ``seed`` on from ``cursor``, the walk state just
+    before one of its picks, applying ``value``, the value drawn there
+    (:data:`_NO_PICK` for the question's first draw, whose cursor is the
+    start).  ``kids[j]`` is the empty trie slot the draw reached.  Each
+    later pick from more than one value gets a node in the slot the
+    previous pick leads to: ``(float index, running sums, total, child
+    slots, values, cursor)``.  A cursor is ``(pick index, state mask,
+    consumed edges, level, position in it, contexts drawn for the level
+    below, words of the level, finished levels)``; the root pick's level
+    is None.  It keeps the state's mask, which ``states`` maps back to the
+    state: a trie that held states would hold their question, which holds
+    the trie, and so be freed only by the cycle collector.  The walk's
+    leaf, the failure reason of a dead end or the completed
+    :class:`_Draw`, goes in the last slot and is returned."""
+    k, mask, used, level, pos, below, words, levels = cursor
+    below, words = list(below), list(words)
+    state = states[mask]
+    question = state.question
+    rng, floats = _stream(seed)
+    tokens = question.tokens
+    compat = question.compat
+    longest = question.longest
+    preterminals = question.pruned.grammar.preterminals
+    free = mask & ~used  # the state's edges not yet consumed
+    # Each level of the frontier is the tuple of its contexts, left to
+    # right; ``levels`` keeps the word drawn at each position of each
+    # (None where a binary rule was drawn).  A context that is not live
+    # can never complete, so a draw that picks one ends there.
+    leaf: str | _Draw = "dead-end"
+    while True:
+        if value is not _NO_PICK:
+            if value is None:
+                break
+            if level is None:
+                level = (value,)
+            else:
+                if type(value) is str:
+                    edges = tokens[value] & free
+                    bit = edges & -edges  # the canonically least free edge
+                    used |= bit
+                    # The edges left are those compatible with every
+                    # consumed one.
+                    i = bit.bit_length() - 1
+                    mask = state.mask & compat[i]
+                    if mask != state.mask:
+                        nxt = states.get(mask)
+                        if nxt is None:
+                            nxt = states[mask] = _State(
+                                question, mask,
+                                remove_conflicting(state.lattice, question.lattice.edges[i]),
+                            )
+                        state = nxt
+                    free = state.mask & ~used
+                    words.append(value)
+                else:
+                    below += value
+                    words.append(None)
+                pos += 1
+                if pos == len(level):
+                    levels += (tuple(words),)
+                    if not below:
+                        leaf = _draw(question, used, levels)
+                        break
+                    level, pos, below, words = tuple(below), 0, [], []
+            # Each pending context yields a word, each word consumes its
+            # own edge, and all of them lie on one path of the starting
+            # lattice: a draw that needs more edges than its longest path
+            # cannot complete.
+            if not pos and used.bit_count() + len(level) > longest:
+                break
+            k += 1
+        if level is None:
+            values, cum, total = state.table(None)
+        else:
+            ctx = level[pos]
+            values, cum, total = (
+                question.words(ctx, free) if ctx[0] in preterminals else state.table(ctx)
+            )
+            if not values:
+                break
+        if len(values) == 1:
+            value = values[0]
+            continue
+        slots = [None] * len(values)
+        kids[j] = (k, cum, total, slots, values,
+                   (k, state.mask, used, level, pos, tuple(below), tuple(words), levels))
+        while k >= len(floats):
+            floats.append(rng.random())
+        kids, j = slots, _pick(floats[k], cum, total)
+        value = values[j]
+    kids[j] = leaf
+    return leaf
 
 
 def sample_one(
@@ -556,8 +565,9 @@ def sample_one(
 
     A draw first follows its floats down the memo's pick trie, each node
     reading the float of its pick's index in the seed's stream; only a
-    draw that reaches an empty slot walks (:func:`_walk`) and adds its
-    picks to the trie.
+    draw that reaches an empty slot walks (:func:`_walk`), from the cursor
+    of the node whose slot it reached, and adds its later picks to the
+    trie.
     """
     if states is None:
         states = {}
@@ -576,16 +586,18 @@ def sample_one(
         return SampleFailure("dead-end", seed)
 
     node = question.root[0]
-    if type(node) is tuple:
+    if node is None:  # the question's first draw
+        node = _walk(question.root, 0, (0, full, 0, None, 0, (), (), ()), _NO_PICK, states, seed)
+    elif type(node) is tuple:
         rng, floats = _stream(seed)
         while type(node) is tuple:
-            k, cum, total, kids = node
+            k, cum, total, kids, values, cursor = node
             while k >= len(floats):
                 floats.append(rng.random())
-            node = kids[bisect_right(cum, floats[k] * total)]
-    if node is None:
-        picks, node = _walk(state, states, seed)
-        _graft(question.root, picks, node)
+            j = bisect_right(cum, floats[k] * total)
+            node = kids[j]
+        if node is None:
+            node = _walk(kids, j, cursor, values[j], states, seed)
     if type(node) is str:
         return SampleFailure(node, seed)
     if node.tokens in seen:

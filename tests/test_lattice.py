@@ -24,6 +24,7 @@ from paralat.lattice import (
     ParaphraseRuleDB,
     WordLattice,
     _alternatives,
+    adjacency,
     build_bilayered,
     build_from_rules,
     build_naive,
@@ -366,6 +367,20 @@ class TestConflictMasks:
         assert "_conflict_masks" in vars(lat) and "_conflict_masks" not in vars(fresh)
         assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
         assert dataclasses.astuple(lat) == dataclasses.astuple(fresh)
+
+    def test_adjacency_built_once_by_the_builders_check(self, czech_lattice):
+        # check_lattice builds a built lattice's adjacency, and the masks
+        # read that build instead of making their own.
+        built = vars(czech_lattice)["_adjacency"]
+        conflict_masks(czech_lattice)
+        assert adjacency(czech_lattice) is built
+        order, into, outof = built
+        assert sorted(order) == list(czech_lattice.nodes)
+        rank = {node: r for r, node in enumerate(order)}
+        for i, e in enumerate(czech_lattice.edges):
+            assert rank[e.src] < rank[e.dst]
+            assert (1 << i, e.src) in into[e.dst] and (1 << i, e.dst) in outof[e.src]
+        assert sum(map(len, into.values())) == sum(map(len, outof.values())) == len(czech_lattice.edges)
 
     def test_masks_name_the_edges_kept(self):
         rng = random.Random(21)

@@ -840,14 +840,15 @@ class TestDrawTable:
     )
     def test_pick_equals_linear_draw(self, weights, seed):
         items = [(f"v{i}", w) for i, w in enumerate(weights)]
-        table = _table(items)
+        values, cum, total = _table(items)
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(20):
-            assert _pick(fast.random(), *table) == reference_draw(slow, items)
+            assert values[_pick(fast.random(), cum, total)] == reference_draw(slow, items)
 
     def test_all_zero_support_picks_last(self):
         items = [("a", 0.0), ("b", 0.0), ("c", 0.0)]
-        assert _pick(random.Random(0).random(), *_table(items)) == "c"
+        values, cum, total = _table(items)
+        assert values[_pick(random.Random(0).random(), cum, total)] == "c"
 
     def test_last_running_sum_is_infinite(self):
         # So a bisection never runs past the last value, in _pick and in
@@ -970,6 +971,43 @@ class TestPickTrie:
         # Most draws replay picks an earlier draw of their memo made.
         assert 0 < walks < draws / 2
 
+    def test_walk_resumes_where_its_draw_left_the_trie(self, heldout_lattices, monkeypatch):
+        # A walk looks tables up only for the picks after the slot its draw
+        # reached, so the draws of one memo look up fewer tables than its
+        # walking seeds do from fresh memos, where every walk starts at
+        # the root.  A walk that restarted from the root would make as many.
+        grammar, cases = heldout_lattices
+        looked_up = []
+        _watch_lookups(monkeypatch, looked_up.append)
+        walk = sampler._walk
+        walked = []
+
+        def recorded(*args):
+            walked.append(args[-1])  # the seed
+            return walk(*args)
+
+        monkeypatch.setattr(sampler, "_walk", recorded)
+        rng = random.Random(25)
+        seeds = list(range(DRAWS))
+        shared = fresh = 0
+        for _tokens, lat in cases:
+            pruned = prune_grammar(grammar, lat)
+            expected = {s: reference_sample_one(pruned, lat, s) for s in seeds}
+            for order in (seeds, seeds[::-1], rng.sample(seeds, len(seeds))):
+                states: dict = {}
+                looked_up.clear()
+                walked.clear()
+                assert {s: sample_one(pruned, lat, s, states=states) for s in order} == expected
+                case_shared, case_fresh = len(looked_up), 0
+                for s in list(walked):
+                    looked_up.clear()
+                    sample_one(pruned, lat, s, states={})
+                    case_fresh += len(looked_up)
+                assert case_shared <= case_fresh
+                shared += case_shared
+                fresh += case_fresh
+        assert 0 < shared < fresh
+
     def test_seen_leaf_returns_a_candidate_later(self, monkeypatch):
         grammar = _product_grammar()
         lat = build_naive("a b c d".split())
@@ -1029,7 +1067,8 @@ class TestPickTrie:
             root = states[(1 << len(lat.edges)) - 1].question.root[0]
             stack = [(root, -1)] if type(root) is tuple else []
             while stack:
-                (k, cum, _total, kids), parent = stack.pop()
+                node, parent = stack.pop()
+                k, cum, kids = node[0], node[1], node[3]
                 assert len(cum) > 1 and k > parent
                 nodes += 1
                 stack += [(kid, k) for kid in kids if type(kid) is tuple]
