@@ -8,6 +8,11 @@ The edit rate is the word-level Levenshtein distance over the source
 length, capped at 2; the distance comes from Myers' bit-vector algorithm
 (Myers 1999, JACM 46(3), in Hyyrö's 2001 form for whole sequences), the
 same integer as the dynamic-programming table.
+:func:`filter_candidates` prepares its source once for all candidates
+(``_Source``): the lowercased tokens, the n-gram counts, the masks of the
+source as the bit-vector pattern (the distance is symmetric) and the
+entity mention counts, so a candidate's features cost only the
+candidate's side.
 Scoring a stored model is plain Python too.  numpy is imported inside
 :func:`train`, its only user, so a command that loads a model and filters
 candidates (``paraphrase``) never pays numpy's import time or memory.
@@ -22,7 +27,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .data_files import atomic_write, finite_float, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
@@ -54,20 +59,24 @@ FEATURE_NAMES = tuple(f.name for f in fields(PairFeatures))
 _feature_values = operator.attrgetter(*FEATURE_NAMES)
 
 
-def _grams(tokens: Sequence[str], n: int) -> Iterable[Hashable]:
-    """The order-``n`` grams of ``tokens`` in order: the tokens themselves
-    for order 1, tuples of ``n`` tokens above it."""
-    if n == 1:
-        return tokens
-    return zip(*(tokens[i:] for i in range(n)))
+def _grams(tokens: Sequence[str]) -> Iterator[Sequence[Hashable]]:
+    """The grams of ``tokens`` by order, 1 to 4, each order's in sentence
+    order: the tokens themselves, then tuples; a gram of order n > 1 is
+    one of order n - 1 extended by the token after it."""
+    yield tokens
+    grams = list(zip(tokens, tokens[1:]))
+    yield grams
+    for n in (2, 3):
+        grams = [gram + (tok,) for gram, tok in zip(grams, tokens[n:])]
+        yield grams
 
 
-def _clipped_matches(tokens: Sequence[str], n: int, reference: Counter) -> int:
-    """The order-``n`` grams of ``tokens`` that match one in ``reference``,
-    each reference gram matched at most as often as it occurs there."""
-    left = dict(reference)
+def _clipped_matches(grams: Iterable[Hashable], reference: dict) -> int:
+    """The ``grams`` that match one in ``reference`` (gram -> count), each
+    reference gram matched at most as often as it occurs there."""
+    left = reference.copy()
     hits = 0
-    for gram in _grams(tokens, n):
+    for gram in grams:
         count = left.get(gram)
         if count:
             left[gram] = count - 1
@@ -76,45 +85,42 @@ def _clipped_matches(tokens: Sequence[str], n: int, reference: Counter) -> int:
 
 
 def _log_precisions(matches: Sequence[int], length: int) -> list[float]:
-    """Per-order log precisions of a candidate of ``length`` tokens, given
-    its n-gram matches by order, add-1 smoothed for n >= 2; they stop
-    before the first order with no match."""
-    out = []
-    for n, hits in enumerate(matches, 1):
-        total = max(length - n + 1, 0)
-        if n >= 2:
-            hits += 1
-            total += 1
-        if hits == 0:
-            break
-        out.append(math.log(hits / total))
-    return out
+    """Per-order log precisions of a sentence of ``length`` tokens, given
+    its n-gram matches of orders 1 to 4, of which the unigram count is
+    not 0; add-1 smoothed for n >= 2."""
+    m1, m2, m3, m4 = matches
+    return [
+        math.log(m1 / length),
+        math.log((m2 + 1) / (max(length - 1, 0) + 1)),
+        math.log((m3 + 1) / (max(length - 2, 0) + 1)),
+        math.log((m4 + 1) / (max(length - 3, 0) + 1)),
+    ]
 
 
-def _bleu(log_precisions: Sequence[float], brevity: float, max_n: int) -> float:
-    """Cumulative BLEU up to ``max_n`` from per-order log precisions."""
-    if len(log_precisions) < max_n:
-        return 0.0
-    return math.exp(brevity + sum(log_precisions[:max_n]) / max_n)
+def _pattern(tokens: Sequence[str]) -> tuple[dict[str, int], int, int]:
+    """The masks of ``tokens`` as the pattern of :func:`_distance`: per
+    distinct token, the bit set of its positions; the mask of all
+    positions; and the bit of the last position (0 for no tokens)."""
+    peq: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    full = (1 << len(tokens)) - 1
+    return peq, full, full ^ (full >> 1)
 
 
-def _edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    """Levenshtein distance between two token sequences.
+def _distance(pattern: tuple[dict[str, int], int, int], b: Sequence[str]) -> int:
+    """Levenshtein distance between the non-empty token sequence ``a``
+    whose :func:`_pattern` is ``pattern`` and the token sequence ``b``.
 
     Bit ``i`` of ``pv`` and ``mv`` says whether the current column of the
     distance table rises or falls by one from row ``i`` to row ``i + 1``
     (rows follow ``a``); each token of ``b`` advances the column, and
-    ``dist`` follows its last row.  Python integers carry any number of
+    ``dist`` follows its last row, starting from the length of ``a``,
+    the bit length of ``last``.  Python integers carry any number of
     bits, so ``a`` may be of any length.
     """
-    if not a:
-        return len(b)
-    peq: dict[str, int] = {}
-    for i, tok in enumerate(a):
-        peq[tok] = peq.get(tok, 0) | (1 << i)
-    full = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, dist = full, 0, len(a)
+    peq, full, last = pattern
+    pv, mv, dist = full, 0, last.bit_length()
     for tok in b:
         eq = peq.get(tok, 0)
         xv = eq | mv
@@ -147,66 +153,77 @@ def _occurrences(haystack: Sequence[str], needle: Sequence[str]) -> int:
     return count
 
 
-def _source_ngrams(source: Sequence[str]) -> list[Counter]:
-    """The n-gram counts of the lowercased ``source``, orders 1 to 4, as
-    :func:`compute_features` takes them."""
-    src = [t.lower() for t in source]
-    return [Counter(_grams(src, n)) for n in range(1, 5)]
+class _Source:
+    """A source sentence prepared for scoring candidates against it, from
+    its lowercased tokens: their count, their n-gram counts of orders 1
+    to 4 (gram -> count), their :func:`_pattern` masks and the counts of
+    the entity mentions (the token tuples of the spans ``entities``)."""
+
+    __slots__ = ("length", "grams", "pattern", "mentions")
+
+    def __init__(self, source: Sequence[str], entities: Sequence[tuple[int, int]] = ()) -> None:
+        src = [t.lower() for t in source]
+        self.length = len(src)
+        self.grams = [dict(Counter(grams)) for grams in _grams(src)]
+        self.pattern = _pattern(src)
+        self.mentions = tuple(Counter(tuple(src[i:j]) for i, j in entities).items())
 
 
 def compute_features(
     source: Sequence[str],
     candidate: Sequence[str],
     entities: Sequence[tuple[int, int]] = (),
-    source_grams: Sequence[Counter] | None = None,
+    prepared: _Source | None = None,
 ) -> PairFeatures:
     """Deterministic pair features; ``entities`` are token spans over the
     source whose surface strings must reappear verbatim in the candidate
-    for the preservation bit to be 1.  ``source_grams`` is
-    ``_source_ngrams(source)``, counted once by a caller that scores many
-    candidates against one source."""
+    for the preservation bit to be 1.  ``prepared`` is
+    ``_Source(source, entities)``, built once by a caller that scores many
+    candidates against one source; with it, only the candidate's side is
+    computed here."""
     if not source or not candidate:
         raise EmptySentence("both sentences must be non-empty")
-    src = [t.lower() for t in source]
+    if prepared is None:
+        prepared = _Source(source, entities)
+    n_src = prepared.length
     cand = [t.lower() for t in candidate]
-    if source_grams is None:
-        source_grams = _source_ngrams(src)
+    n_cand = len(cand)
 
     # Clipped matches are symmetric, so each order is counted once for
-    # both directions.
-    matches = [
-        _clipped_matches(cand, n, grams) for n, grams in enumerate(source_grams, 1)
-    ]
-    forward = _log_precisions(matches, len(cand))
-    brevity = min(0.0, 1.0 - len(src) / len(cand))
-    bleus = [_bleu(forward, brevity, n) for n in range(1, 5)]
-    reverse4 = _bleu(
-        _log_precisions(matches, len(src)), min(0.0, 1.0 - len(cand) / len(src)), 4
-    )
-    bleu_sym = math.sqrt(bleus[3] * reverse4)
-    ter = min(2.0, _edit_distance(cand, src) / len(src))
-    length_ratio = len(cand) / len(src)
-
+    # both directions.  Every n-gram starts with an (n-1)-gram, so no
+    # order above one with no match has a match.
+    matches = [0, 0, 0, 0]
+    for n, (grams, reference) in enumerate(zip(_grams(cand), prepared.grams)):
+        hits = _clipped_matches(grams, reference)
+        if not hits:
+            break
+        matches[n] = hits
+    if matches[0]:
+        # Cumulative BLEU up to order n, both ways; the smoothed orders
+        # above 1 always have a log precision.
+        forward = _log_precisions(matches, n_cand)
+        brevity = min(0.0, 1.0 - n_src / n_cand)
+        bleus = [math.exp(brevity + sum(forward[:n]) / n) for n in range(1, 5)]
+        reverse4 = math.exp(
+            min(0.0, 1.0 - n_cand / n_src) + sum(_log_precisions(matches, n_src)) / 4
+        )
+    else:  # every BLEU is 0
+        bleus, reverse4 = [0.0] * 4, 0.0
+    # The distance is symmetric, so the source, prepared once, is the
+    # pattern.
+    ter = min(2.0, _distance(prepared.pattern, cand) / n_src)
     overlap = matches[0]
-    unigram_precision = overlap / len(cand)
-    unigram_recall = overlap / len(src)
-
-    mentions = Counter(tuple(src[i:j]) for i, j in entities)
     preserved = all(
-        _occurrences(cand, mention) >= count
-        for mention, count in mentions.items()
+        _occurrences(cand, mention) >= count for mention, count in prepared.mentions
     )
     return PairFeatures(
-        bleu1=bleus[0],
-        bleu2=bleus[1],
-        bleu3=bleus[2],
-        bleu4=bleus[3],
-        bleu_sym=bleu_sym,
-        ter=ter,
-        length_ratio=length_ratio,
-        unigram_precision=unigram_precision,
-        unigram_recall=unigram_recall,
-        ne_preserved=1.0 if preserved else 0.0,
+        *bleus,
+        math.sqrt(bleus[3] * reverse4),
+        ter,
+        n_cand / n_src,
+        overlap / n_cand,
+        overlap / n_src,
+        1.0 if preserved else 0.0,
     )
 
 
@@ -268,9 +285,7 @@ class ClassifierModel:
     threshold: float
 
     def score(self, features: PairFeatures) -> float:
-        z = self.bias + sum(
-            w * x for w, x in zip(self.weights, features.as_vector())
-        )
+        z = self.bias + sum(map(operator.mul, self.weights, features.as_vector()))
         return _sigmoid(z)
 
 
@@ -411,14 +426,15 @@ def filter_candidates(
 ) -> list[tuple[ParaphraseCandidate, float]]:
     """Score candidates and drop those below the threshold.
 
-    Returns (candidate, score) pairs ordered by descending score, ties by
-    sample seed.
+    The source and its entity spans are prepared once per call and every
+    candidate is scored against them.  Returns (candidate, score) pairs
+    ordered by descending score, ties by sample seed.
     """
     cut = model.threshold if threshold is None else threshold
     spans = gazetteer.tag(source) if gazetteer is not None else ()
-    grams = _source_ngrams(source)
+    prepared = _Source(source, spans)
     scored = [
-        (cand, model.score(compute_features(source, cand.tokens, spans, grams)))
+        (cand, model.score(compute_features(source, cand.tokens, spans, prepared)))
         for cand in candidates
     ]
     kept = [(c, s) for c, s in scored if s >= cut]

@@ -5,21 +5,22 @@ lattice vocabulary.  Its bottom-up closure is over symbols, not over
 (symbol, state) contexts: a symbol survives once some context of it has a
 rule whose children survive, so a latent context that derives no string
 over the lattice can stay in the support, and draws that reach it end in
-a dead end (filtering the supports by a closure over contexts changes the
-draws; it is ROADMAP item 5).  Sampling expands the derivation frontier
-breadth-first, one level at a time; every emitted word consumes a lattice
-edge, conflicting paths are removed, and the supports are narrowed
-accordingly, so each completed sample draws its words from a single
-source-to-sink path.  Dead ends are normal outcomes: the sample fails and
-its seed yields nothing.  A draw is also a dead end once its consumed edges
-and pending contexts outnumber the edges of the longest path of the
-lattice it started on, since each pending context still has to emit a
-word on an edge of its own and every later lattice state keeps a subset
-of those paths; no completed draw is lost.  A level that has a level
-below it draws a binary rule, which adds a context, so at level d a draw
-has at least d + 1 consumed edges and pending contexts: it runs at most
-that path length of levels deep, builds no level wider than twice it,
-and needs no cap on its depth.
+a dead end (filtering the supports by a closure over contexts, a
+context-level intersection of grammar and lattice, changes the draws).
+The supports it filters are the grammar's, sorted once per grammar.
+Sampling expands the derivation frontier breadth-first, one level at a
+time; every emitted word consumes a lattice edge, conflicting paths are
+removed, and the supports are narrowed accordingly, so each completed
+sample draws its words from a single source-to-sink path.  Dead ends are
+normal outcomes: the sample fails and its seed yields nothing.  A draw is
+also a dead end once its consumed edges and pending contexts outnumber
+the edges of the longest path of the lattice it started on, since each
+pending context still has to emit a word on an edge of its own and every
+later lattice state keeps a subset of those paths; no completed draw is
+lost.  A level that has a level below it draws a binary rule, which adds
+a context, so at level d a draw has at least d + 1 consumed edges and
+pending contexts: it runs at most that path length of levels deep,
+builds no level wider than twice it, and needs no cap on its depth.
 
 The draws of one :func:`sample_many` call share a memo of the lattice
 states they reach, keyed by edge masks (bit i for edge i of the
@@ -71,6 +72,8 @@ completed draw.  A draw's configuration is a function of its pick
 prefix, and its k-th pick always reads the k-th float of its stream, so
 a draw descends the trie by one bisection per node, indexing its
 stream's list, with no lattice state, no table lookup and no frontier.
+The question records the highest float index of its trie's nodes, so a
+draw extends its stream's list to it once before it descends.
 Only a draw that reaches an empty slot walks: it resumes from the cursor
 of the node whose slot it reached, applies the value drawn there, and
 adds its later picks and its leaf to the trie.  So a walk looks up
@@ -95,7 +98,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Collection, Container, Sequence, TypeVar
+from typing import Collection, Container, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyIntersection
 from .grammar import BinaryRhs, Context, LatentGrammar, ctx_key, rhs_key
@@ -156,43 +159,79 @@ def _close(surviving: set[T], pairs: dict[T, Collection[tuple[T, T]]]) -> frozen
     return frozenset(surviving)
 
 
+class _Supports(NamedTuple):
+    """A grammar's canonical supports, which :func:`prune_grammar` filters:
+    the roots in ``ctx_key`` order, each binary table in ``rhs_key`` order
+    and each lexical table in word order, as ``(value, probability)``
+    tuples; and the closures' rules: each interminal's child-symbol pairs
+    and each interminal context's child-context pairs."""
+
+    roots: tuple[tuple[Context, float], ...]
+    binary: dict[Context, tuple[tuple[BinaryRhs, float], ...]]
+    lexical: dict[Context, tuple[tuple[str, float], ...]]
+    pairs: dict[str, frozenset[tuple[str, str]]]
+    children: dict[Context, tuple[tuple[Context, Context], ...]]
+
+
+def _supports(grammar: LatentGrammar) -> _Supports:
+    """The grammar's :class:`_Supports`, built by its first prune.  They
+    live in the grammar object's own ``__dict__``, as ``cky._index`` keeps
+    the chart index, so they cannot be read for another grammar."""
+    supports = grammar.__dict__.get("_sampler_supports")
+    if supports is None:
+        pairs: dict[str, set[tuple[str, str]]] = {}
+        for (sym, _), table in grammar.binary.items():
+            pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs in table)
+        supports = grammar.__dict__["_sampler_supports"] = _Supports(
+            roots=tuple((ctx, grammar.roots[ctx]) for ctx in sorted(grammar.roots, key=ctx_key)),
+            binary={
+                ctx: tuple((rhs, table[rhs]) for rhs in sorted(table, key=rhs_key))
+                for ctx, table in grammar.binary.items()
+            },
+            lexical={
+                ctx: tuple((w, table[w]) for w in sorted(table))
+                for ctx, table in grammar.lexical.items()
+            },
+            pairs={sym: frozenset(rules) for sym, rules in pairs.items()},
+            children={
+                ctx: tuple(((b, bs), (c, cs)) for b, bs, c, cs in table)
+                for ctx, table in grammar.binary.items()
+            },
+        )
+    return supports
+
+
 def prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
     """Restrict ``grammar`` to rules usable over ``lat``.
 
     A preterminal survives when a word of it is on the lattice, an
     interminal as :func:`_close` finds it.  A context of a surviving symbol
-    may still derive no string over the lattice.
+    may still derive no string over the lattice.  The supports are the
+    grammar's, sorted once (:func:`_supports`), filtered by the lattice's
+    vocabulary and the surviving symbols.
 
     Raises EmptyIntersection when no root entry survives.
     """
+    supports = _supports(grammar)
     vocab = lat.vocabulary()
     lexical: dict[Context, tuple[tuple[str, float], ...]] = {}
-    for ctx, table in grammar.lexical.items():
-        kept = tuple((w, table[w]) for w in sorted(table) if w in vocab)
+    for ctx, entries in supports.lexical.items():
+        kept = tuple(entry for entry in entries if entry[0] in vocab)
         if kept:
             lexical[ctx] = kept
-    pairs: dict[str, set[tuple[str, str]]] = {}
-    for (sym, _), table in grammar.binary.items():
-        pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs in table)
-    surviving = _close({sym for sym, _ in lexical}, pairs)
+    surviving = _close({sym for sym, _ in lexical}, supports.pairs)
 
     binary: dict[Context, tuple[tuple[BinaryRhs, float], ...]] = {}
-    for ctx, table in grammar.binary.items():
-        if ctx[0] not in surviving:
-            continue
-        kept = tuple(
-            (rhs, table[rhs])
-            for rhs in sorted(table, key=rhs_key)
-            if rhs[0] in surviving and rhs[2] in surviving
-        )
-        if kept:
-            binary[ctx] = kept
+    for ctx, entries in supports.binary.items():
+        if ctx[0] in surviving:
+            kept = tuple(
+                entry for entry in entries
+                if entry[0][0] in surviving and entry[0][2] in surviving
+            )
+            if kept:
+                binary[ctx] = kept
 
-    roots = tuple(
-        (ctx, grammar.roots[ctx])
-        for ctx in sorted(grammar.roots, key=ctx_key)
-        if ctx[0] in surviving
-    )
+    roots = tuple(entry for entry in supports.roots if entry[0][0] in surviving)
     if not roots:
         raise EmptyIntersection("no grammar root survives over the lattice")
     return PrunedGrammar(grammar=grammar, roots=roots, binary=binary, lexical=lexical)
@@ -265,14 +304,10 @@ def _depths(lat: WordLattice) -> dict[int, int]:
 def _live(pruned: PrunedGrammar) -> frozenset[Context]:
     """The contexts that derive some string under ``pruned``: a preterminal
     context with a word, and, closed bottom-up, an interminal context with
-    a rule whose two child contexts are live."""
-    return _close(
-        set(pruned.lexical),
-        {
-            ctx: [((b, bs), (c, cs)) for (b, bs, c, cs), _ in entries]
-            for ctx, entries in pruned.binary.items()
-        },
-    )
+    a rule whose two child contexts are live.  The closure reads the full
+    grammar's rules: a rule whose children are live is one that pruning
+    keeps."""
+    return _close(set(pruned.lexical), _supports(pruned.grammar).children)
 
 
 class _Question:
@@ -282,16 +317,18 @@ class _Question:
     :func:`~paralat.lattice.conflict_masks`) and the depth of its ``src``
     (a topological rank, see :func:`_depths`), each token's edge mask, the
     bit set (over ``preterminals``) of the preterminal symbols each token
-    is a word of, each interminal's child-symbol pairs, the symbols
-    surviving over each bit set of preterminals (filled as states need
-    them), the edge mask of each preterminal context's words, the draw
-    tables (see :meth:`_State.table` and :meth:`words`), the contexts that
-    derive a string over its vocabulary (:func:`_live`), whether no root
-    context does, and the one-item slot of the root of its draws' pick
-    trie (see :func:`_walk`)."""
+    is a word of, the grammar's child-symbol pairs of each interminal
+    (:func:`_supports`), the symbols surviving over each bit set of
+    preterminals (filled as states need them), the edge mask of each
+    preterminal context's words, the draw tables (see :meth:`_State.table`
+    and :meth:`words`), the contexts that derive a string over its
+    vocabulary (:func:`_live`), whether no root context does, the one-item
+    slot of the root of its draws' pick trie (see :func:`_walk`) and the
+    highest float index of the trie's nodes (-1 while it has none)."""
 
     __slots__ = ("pruned", "lattice", "longest", "compat", "rank", "tokens", "preterminals",
-                 "kinds", "pairs", "symbols", "word_edges", "tables", "live", "doomed", "root")
+                 "kinds", "pairs", "symbols", "word_edges", "tables", "live", "doomed", "root",
+                 "reach")
 
     def __init__(self, pruned: PrunedGrammar, lat: WordLattice) -> None:
         self.pruned = pruned
@@ -304,23 +341,23 @@ class _Question:
         for i, e in enumerate(lat.edges):
             self.tokens[e.token] = self.tokens.get(e.token, 0) | 1 << i
         self.preterminals = sorted({sym for sym, _ in pruned.lexical})
+        position = {sym: i for i, sym in enumerate(self.preterminals)}
         self.kinds = dict.fromkeys(self.tokens, 0)
         for (sym, _), entries in pruned.lexical.items():
-            bit = 1 << self.preterminals.index(sym)
+            bit = 1 << position[sym]
             for w, _ in entries:
                 self.kinds[w] = self.kinds.get(w, 0) | bit
-        self.pairs: dict[str, set[tuple[str, str]]] = {}
-        for (sym, _), entries in pruned.binary.items():
-            self.pairs.setdefault(sym, set()).update((rhs[0], rhs[2]) for rhs, _ in entries)
+        self.pairs = _supports(pruned.grammar).pairs
         self.symbols: dict[int, frozenset[str]] = {}
         self.word_edges = {
-            ctx: reduce(or_, (self.tokens.get(w, 0) for w, _ in entries))
+            ctx: reduce(or_, (self.tokens[w] for w, _ in entries))
             for ctx, entries in pruned.lexical.items()
         }
         self.tables: dict[tuple[Context | None, frozenset[str] | int], tuple] = {}
         self.live = _live(pruned)
         self.doomed = not any(ctx in self.live for ctx, _ in pruned.roots)
         self.root: list[tuple | str | _Draw | None] = [None]
+        self.reach = -1
 
     def words(self, ctx: Context, free: int) -> tuple[tuple, list[float], float]:
         """The draw table of the preterminal ``ctx`` in a draw whose free
@@ -362,7 +399,8 @@ class _State:
         symbols = question.symbols.get(present)
         if symbols is None:
             # Restricting the pruned grammar to a smaller vocabulary equals
-            # restricting the full grammar to it.
+            # restricting the full grammar to it, so the closure reads the
+            # full grammar's pairs.
             symbols = question.symbols[present] = _close(
                 {sym for i, sym in enumerate(question.preterminals) if present >> i & 1},
                 question.pairs,
@@ -537,6 +575,8 @@ def _walk(kids: list, j: int, cursor: tuple, value: object,
         slots = [None] * len(values)
         kids[j] = (k, cum, total, slots, values,
                    (k, state.mask, used, level, pos, tuple(below), tuple(words), levels))
+        if k > question.reach:
+            question.reach = k
         while k >= len(floats):
             floats.append(rng.random())
         kids, j = slots, _pick(floats[k], cum, total)
@@ -563,8 +603,9 @@ def sample_one(
     used with another pair raises ValueError.  A completed draw whose
     tokens are in ``seen`` returns None.
 
-    A draw first follows its floats down the memo's pick trie, each node
-    reading the float of its pick's index in the seed's stream; only a
+    A draw first extends the seed's stream to the highest float index of
+    the memo's pick trie, then follows its floats down the trie, each node
+    reading the float of its pick's index in the stream; only a
     draw that reaches an empty slot walks (:func:`_walk`), from the cursor
     of the node whose slot it reached, and adds its later picks to the
     trie.
@@ -589,11 +630,12 @@ def sample_one(
     if node is None:  # the question's first draw
         node = _walk(question.root, 0, (0, full, 0, None, 0, (), (), ()), _NO_PICK, states, seed)
     elif type(node) is tuple:
-        rng, floats = _stream(seed)
+        # The seed's cached stream, or a new one from _stream.
+        rng, floats = _streams.by_seed.get(seed) or _stream(seed)
+        if len(floats) <= question.reach:
+            floats.extend([rng.random() for _ in range(len(floats), question.reach + 1)])
         while type(node) is tuple:
             k, cum, total, kids, values, cursor = node
-            while k >= len(floats):
-                floats.append(rng.random())
             j = bisect_right(cum, floats[k] * total)
             node = kids[j]
         if node is None:
@@ -627,9 +669,8 @@ def sample_many(
     out: list[ParaphraseCandidate] = []
     seen: set[tuple[str, ...]] = {question_tokens}
     for s in range(seed, seed + m_samples):
-        result = sample_one(pruned, lat, s, states=states, seen=seen)
-        if result is None or isinstance(result, SampleFailure):
-            continue
-        seen.add(result.tokens)
-        out.append(result)
+        result = sample_one(pruned, lat, s, states, seen)
+        if type(result) is ParaphraseCandidate:
+            seen.add(result.tokens)
+            out.append(result)
     return out

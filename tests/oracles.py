@@ -31,6 +31,10 @@ is the path enumeration that recursed once per edge, and
 lattice breadth-first from the chosen edge on every call.
 ``reference_entity_assignments`` sorts the whole product of every entity
 node's candidates; it shares ``entity_candidates``.
+``reference_prune_grammar`` is the grammar restriction that sorted every
+table of the grammar again for each lattice; it shares only the canonical
+sort keys ``ctx_key`` and ``rhs_key``, and closes over symbols one sweep
+at a time, as ``reference_narrow`` does.
 ``reference_normalize`` and ``reference_binarize`` build a new node for
 every node they return.  ``reference_estimate_mle`` checks each layer's
 coverage before it counts and looks each node's state up as a parent and
@@ -63,13 +67,14 @@ from paralat.cky import DerivationNode
 from paralat.errors import (
     AssignmentMismatch,
     EdgeNotInLattice,
+    EmptyIntersection,
     EmptyTreebank,
     EstimationError,
     NoEntityCandidates,
     TreebankError,
 )
 from paralat.estimation import StateAssignment, _symbol_seed
-from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel
+from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel, ctx_key, rhs_key
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths
 from paralat.sampler import ParaphraseCandidate, PrunedGrammar, SampleFailure
 from paralat.semparse import (
@@ -684,6 +689,46 @@ def reference_narrow(pruned: PrunedGrammar, vocab: frozenset[str]) -> PrunedGram
         binary=binary,
         lexical=lexical,
     )
+
+
+def reference_prune_grammar(grammar: LatentGrammar, lat: WordLattice) -> PrunedGrammar:
+    """Restrict ``grammar`` to ``lat``'s vocabulary, sorting each of its
+    tables afresh: keep the words on the lattice, close over symbols
+    bottom-up one sweep at a time, then keep the rules and roots whose
+    symbols survive.  Raises EmptyIntersection when no root survives."""
+    vocab = lat.vocabulary()
+    lexical = {}
+    for ctx, table in grammar.lexical.items():
+        kept = tuple((w, table[w]) for w in sorted(table) if w in vocab)
+        if kept:
+            lexical[ctx] = kept
+    surviving = {sym for sym, _ in lexical}
+    while True:
+        added = {
+            sym for (sym, _), table in grammar.binary.items()
+            if sym not in surviving
+            and any(rhs[0] in surviving and rhs[2] in surviving for rhs in table)
+        }
+        if not added:
+            break
+        surviving |= added
+    binary = {}
+    for ctx, table in grammar.binary.items():
+        kept = tuple(
+            (rhs, table[rhs])
+            for rhs in sorted(table, key=rhs_key)
+            if rhs[0] in surviving and rhs[2] in surviving
+        )
+        if ctx[0] in surviving and kept:
+            binary[ctx] = kept
+    roots = tuple(
+        (ctx, grammar.roots[ctx])
+        for ctx in sorted(grammar.roots, key=ctx_key)
+        if ctx[0] in surviving
+    )
+    if not roots:
+        raise EmptyIntersection("no grammar root survives over the lattice")
+    return PrunedGrammar(grammar=grammar, roots=roots, binary=binary, lexical=lexical)
 
 
 class _Node:

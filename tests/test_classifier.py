@@ -18,8 +18,9 @@ from paralat.classifier import (
     read_labeled_pairs,
     save_model,
     train,
-    _edit_distance,
-    _source_ngrams,
+    _Source,
+    _distance,
+    _pattern,
 )
 from paralat.data_files import data_path
 from paralat.errors import ClassifierError, DegenerateLabels, EmptySentence
@@ -104,6 +105,8 @@ class TestOnePassBleu:
     @given(_pairs())
     @example((["a"], ["b"], []))  # no unigram match: every BLEU is 0
     @example((["a", "b"], ["b", "a"], []))  # no bigram match beyond smoothing
+    @example((["a", "b", "c"], ["a", "b", "what", "c"], []))  # no trigram match
+    @example((["a", "b", "c", "?"], ["a", "b", "c", "A", "?"], []))  # no 4-gram match
     @example((["a", "b", "c", "what"], ["a", "b"], [(0, 2)]))  # brevity penalty
     @example((["a"], ["a", "b", "c", "a", "b", "c", "a", "b", "c"], []))  # long candidate
     def test_equals_per_order_reference(self, pair):
@@ -113,37 +116,50 @@ class TestOnePassBleu:
 
     @settings(max_examples=200, deadline=None)
     @given(_pairs(), st.lists(_TOKENS, max_size=4))
+    @example((["a", "b"], ["a", "b"], [(0, 1)]), [["b"], ["b", "a"], ["a", "b", "c"]])
     def test_source_counted_once_equals_reference(self, pair, others):
-        # One count of the source's n-grams serves every candidate.
+        # One prepared source (its n-gram counts, masks and mentions)
+        # serves every candidate.
         source, candidate, entities = pair
-        grams = _source_ngrams(source)
+        prepared = _Source(source, entities)
         for cand in [candidate, *others]:
-            got = compute_features(source, cand, entities, grams)
+            got = compute_features(source, cand, entities, prepared)
             assert got == reference_compute_features(source, cand, entities)
 
     def test_filter_counts_source_once(self, monkeypatch):
         calls = []
 
-        def counted(source):
-            calls.append(source)
-            return _source_ngrams(source)
+        class Counted(_Source):
+            __slots__ = ()
 
-        monkeypatch.setattr(classifier, "_source_ngrams", counted)
+            def __init__(self, source, entities=()):
+                calls.append((source, entities))
+                super().__init__(source, entities)
+
+        monkeypatch.setattr(classifier, "_Source", Counted)
         model = ClassifierModel(weights=(1.0,) * len(FEATURE_NAMES), bias=0.0, threshold=0.0)
-        source = "what day is christmas".split()
+        source = "what day is Christmas".split()
+        gazetteer = Gazetteer([["christmas"]])
         candidates = [_candidate(t.split(), i) for i, t in enumerate(
             ["what day is xmas", "which day is christmas", "when is christmas"]
         )]
-        kept = filter_candidates(model, source, candidates)
-        assert calls == [source]
+        kept = filter_candidates(model, source, candidates, gazetteer)
+        assert calls == [(source, [(3, 4)])]
         assert [s for _, s in kept] == sorted(
-            (model.score(reference_compute_features(source, c.tokens)) for c in candidates),
+            (model.score(reference_compute_features(source, c.tokens, [(3, 4)]))
+             for c in candidates),
             reverse=True,
         )
 
 
 # Four tokens make repeats common; up to 150 of them span three 64-bit words.
 _SEQUENCES = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=150)
+
+
+def _edit_distance(a: list[str], b: list[str]) -> int:
+    """The bit-vector kernel's distance, with ``a`` as the pattern; the
+    kernel needs a non-empty pattern."""
+    return _distance(_pattern(a), b) if a else len(b)
 
 
 class TestEditDistance:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,8 @@ from paralat.estimation import (
     train_grammar,
     train_syntactic_assignment,
 )
-from paralat.grammar import StateLabel, serialize_grammar, validate
+from paralat.data_files import data_path
+from paralat.grammar import StateLabel, save_grammar, serialize_grammar, validate
 from paralat.treebank import (
     BIN_PREFIX,
     Tree,
@@ -38,6 +41,7 @@ from paralat.treebank import (
     iter_nodes,
     normalize,
     parse_tree,
+    read_treebank,
     tree_yield,
 )
 
@@ -721,6 +725,31 @@ class TestBilayered:
         sem = StateAssignment(m=1, states={(0, (0,)): 0, (0, (1,)): 0})
         with pytest.raises(AssignmentMismatch, match=r"no semantic ancestor for tree 0 node \(\)"):
             estimate_mle([tree], syn, sem)
+
+
+class TestTrainedGrammarBytes:
+    """The grammars the benchmark and the CLI walkthrough train on the
+    bundled data, byte for byte: any change to reading, binarizing,
+    feature extraction, seeding, clustering or counting shows here."""
+
+    @staticmethod
+    def _digest(grammar, tmp_path) -> str:
+        path = tmp_path / "grammar.lpcfg"
+        save_grammar(grammar, str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_bundled_one_and_two_layer_grammars(self, tmp_path):
+        trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
+        plain = train_grammar(trees, m=2, seed=1)
+        _annotated, layered = train_bilayered_grammar(
+            trees, read_alignments(data_path("alignments.tsv")), m1=2, m2=16, seed=1
+        )
+        assert self._digest(plain, tmp_path) == (
+            "5d08c677655f8925bdb3ae5946ea43c11637978cc40a0b51c4b2ec99f4fa3a9a"
+        )
+        assert self._digest(layered, tmp_path) == (
+            "45c834931ab37b615d2666964a2105a540a926aa9cdc0abe100d0df0eee1d940"
+        )
 
 
 class TestAlignments:

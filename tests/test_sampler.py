@@ -18,6 +18,7 @@ from oracles import (
     random_toy_grammar,
     reference_draw,
     reference_narrow,
+    reference_prune_grammar,
     reference_remove_conflicting,
     reference_sample_one,
     word_salad_grammar,
@@ -119,6 +120,68 @@ class TestPruneGrammar:
         }
         assert surviving_words <= czech_lattice.vocabulary()
         assert "zzz" not in surviving_words
+
+    @staticmethod
+    def _assert_prunes_as_reference(grammar, lat):
+        try:
+            expected = reference_prune_grammar(grammar, lat)
+        except EmptyIntersection:
+            with pytest.raises(EmptyIntersection):
+                prune_grammar(grammar, lat)
+            return False
+        got = prune_grammar(grammar, lat)
+        assert got == expected
+        # The tables keep the grammar's order too, not only its entries.
+        assert list(got.lexical.items()) == list(expected.lexical.items())
+        assert list(got.binary.items()) == list(expected.binary.items())
+        return True
+
+    def test_equals_per_lattice_sorting_on_bundled_grammars(self, bundled_lattices):
+        grammar, layered, per_question = bundled_lattices
+        for g in (grammar, layered):
+            pruned = sum(
+                self._assert_prunes_as_reference(g, lat)
+                for _tokens, lattices in per_question
+                for lat in lattices
+            )
+            assert pruned >= len(per_question)
+
+    def test_equals_per_lattice_sorting_on_random_toy_lattices(self):
+        rng = random.Random(11)
+        outcomes = Counter()
+        for _ in range(300):
+            grammar = random_toy_grammar(rng)
+            for _ in range(3):
+                chain = random_multipath_lattice(rng)
+                lat = WordLattice(chain.source, chain.sink, tuple(sorted(
+                    {e._replace(token="abcd"[int(e.token[1]) % 4]) for e in chain.edges}
+                )))
+                outcomes[self._assert_prunes_as_reference(grammar, lat)] += 1
+        assert outcomes[True] > 100 and outcomes[False] > 10
+
+    def test_supports_built_once_per_grammar_object(self, monkeypatch):
+        built = []
+        make = sampler._Supports
+
+        def counted(**fields):
+            built.append(fields)
+            return make(**fields)
+
+        monkeypatch.setattr(sampler, "_Supports", counted)
+        grammar = _closure_grammar()
+        lattices = [build_naive(["a"]), build_naive(["a", "b"]), build_naive(["b", "b"])]
+        first = [prune_grammar(grammar, lat) for lat in lattices]
+        assert len(built) == 1
+        # An equal but separate grammar builds supports of its own.
+        other = dataclasses.replace(grammar)
+        assert other == grammar and "_sampler_supports" not in other.__dict__
+        again = [prune_grammar(other, lat) for lat in lattices]
+        assert len(built) == 2
+        assert other.__dict__["_sampler_supports"] is not grammar.__dict__["_sampler_supports"]
+        assert [p.grammar for p in again] == [other] * 3
+        assert [(p.roots, p.binary, p.lexical) for p in again] == [
+            (p.roots, p.binary, p.lexical) for p in first
+        ]
 
 
 class TestSampleOne:
@@ -351,10 +414,11 @@ DRAWS = 60
 
 
 @pytest.fixture(scope="module")
-def heldout_lattices():
-    """The m1=2 grammar and (question, lattice) for the rules and the
-    bilayered (m1=2, m2=16) lattices of the first bundled held-out
-    questions, leaving out the lattices the grammar has no root over."""
+def bundled_lattices():
+    """The m1=2 grammar and the m1=2, m2=16 bilayered grammar trained at
+    seed 1 on the bundled treebank, and per bundled held-out question its
+    tokens and lattices: over the bundled rewrite rules and, where the
+    question parses, bilayered."""
     trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
     grammar = train_grammar(trees, m=2, seed=1)
     _annotated, layered = train_bilayered_grammar(
@@ -362,14 +426,26 @@ def heldout_lattices():
     )
     rules = load_rules(data_path("rewrite_rules.tsv"))
     with open(data_path("heldout_questions.txt"), encoding="utf-8") as handle:
-        questions = [line.lower().split() for line in handle.read().splitlines()[:HELDOUT]]
-    cases = []
+        questions = [line.lower().split() for line in handle.read().splitlines()]
+    per_question = []
     for tokens in questions:
         lattices = [build_from_rules(tokens, rules)]
         try:
             lattices.append(build_bilayered(tokens, layered))
         except ParseFailure:
             pass
+        per_question.append((tokens, lattices))
+    return grammar, layered, per_question
+
+
+@pytest.fixture(scope="module")
+def heldout_lattices(bundled_lattices):
+    """The m1=2 grammar and (question, lattice) for the rules and the
+    bilayered lattices of the first bundled held-out questions, leaving
+    out the lattices the grammar has no root over."""
+    grammar, _layered, per_question = bundled_lattices
+    cases = []
+    for tokens, lattices in per_question[:HELDOUT]:
         for lat in lattices:
             try:
                 prune_grammar(grammar, lat)
@@ -490,6 +566,40 @@ class TestLatticeStateMemo:
         got = sample_many(["q"], grammar, lat, DRAWS, checked)
         expected = _reference_many(["q"], grammar, lat, DRAWS, checked)
         assert got and got == expected
+
+    def test_longest_path_bound_ends_a_draw_before_its_next_level(self, monkeypatch):
+        # S -> S S | A A, A -> a, over the two edges of "a a".  A draw whose
+        # root rewrites to S S has four pending contexts at the level
+        # below (S, S), more than the longest path's two edges, so it ends
+        # as it reaches that level, before the level's first pick.
+        # The S S weight is subcritical, so a draw without the bound would
+        # still end, after reading more floats.
+        s, a = ("S", S0), ("A", S0)
+        grammar = LatentGrammar(
+            layers=LayerConfig(1),
+            roots={s: 1.0},
+            binary={s: {(*s, *s): 0.3, (*a, *a): 0.7}},
+            lexical={a: {"a": 1.0}},
+        )
+        lat = build_naive(["a", "a"])
+        pruned = prune_grammar(grammar, lat)
+        streams = {}
+
+        def fresh(seed):
+            entry = streams[seed] = (sampler._random.Random(seed), [])
+            return entry
+
+        monkeypatch.setattr(sampler, "_stream", fresh)
+        outcomes = Counter()
+        for seed in range(200):
+            # A private memo: the draw walks from the start and reads only
+            # the floats of its own picks.
+            result = sample_one(pruned, lat, seed)
+            outcomes[type(result), len(streams[seed][1])] += 1
+        # A draw's k-th pick reads float k, and the single-value root pick
+        # is pick 0: "a a" reads up to float 1, S's pick; a dead end reads
+        # up to float 3, the second pick of the level (S, S).
+        assert set(outcomes) == {(ParaphraseCandidate, 2), (SampleFailure, 4)}
 
     def test_longest_path_equals_enumeration(self):
         rng = random.Random(3)
