@@ -4,6 +4,7 @@ tagger, and a small logistic-regression classifier.
 Feature extraction is deterministic and dependency-free: smoothed BLEU up
 to order 4 in both directions, word-level edit rate, length ratio, unigram
 precision/recall, and an entity-preservation bit from a gazetteer tagger.
+A pair's :class:`PairFeatures` is a named tuple: the vector the model weighs.
 The edit rate is the word-level Levenshtein distance over the source
 length, capped at 2; the distance comes from Myers' bit-vector algorithm
 (Myers 1999, JACM 46(3), in Hyyrö's 2001 form for whole sequences), the
@@ -26,8 +27,8 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, fields, replace
-from typing import Hashable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .data_files import atomic_write, finite_float, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
@@ -38,8 +39,7 @@ L2_STRENGTH = 1e-3
 HELDOUT_FRACTION = 0.2
 
 
-@dataclass(frozen=True)
-class PairFeatures:
+class PairFeatures(NamedTuple):
     bleu1: float
     bleu2: float
     bleu3: float
@@ -51,12 +51,8 @@ class PairFeatures:
     unigram_recall: float
     ne_preserved: float
 
-    def as_vector(self) -> tuple[float, ...]:
-        return _feature_values(self)
 
-
-FEATURE_NAMES = tuple(f.name for f in fields(PairFeatures))
-_feature_values = operator.attrgetter(*FEATURE_NAMES)
+FEATURE_NAMES = PairFeatures._fields
 
 
 def _grams(tokens: Sequence[str]) -> Iterator[Sequence[Hashable]]:
@@ -285,8 +281,7 @@ class ClassifierModel:
     threshold: float
 
     def score(self, features: PairFeatures) -> float:
-        z = self.bias + sum(map(operator.mul, self.weights, features.as_vector()))
-        return _sigmoid(z)
+        return _sigmoid(self.bias + sum(map(operator.mul, self.weights, features)))
 
 
 def _sigmoid(z: float) -> float:
@@ -310,11 +305,11 @@ def read_labeled_pairs(path: str) -> list[LabeledPair]:
     return pairs
 
 
-Group = tuple[tuple[float, ...], int, int]  # (features, label, count)
+Group = tuple[PairFeatures, int, int]  # (features, label, count)
 
 
 def _grouped_split(
-    rows: list[tuple[tuple[float, ...], int]], seed: int
+    rows: list[tuple[PairFeatures, int]], seed: int
 ) -> tuple[list[Group], list[Group]]:
     """Stratified 80/20 split by distinct (features, label) group.
 
@@ -364,10 +359,10 @@ def train(
     labels = sorted({label for _, _, label in pairs})
     if labels != [0, 1]:
         raise DegenerateLabels(f"need both labels, got {labels}")
-    rows: list[tuple[tuple[float, ...], int]] = []
+    rows: list[tuple[PairFeatures, int]] = []
     for source, candidate, label in pairs:
         spans = gazetteer.tag(source) if gazetteer is not None else ()
-        rows.append((compute_features(source, candidate, spans).as_vector(), label))
+        rows.append((compute_features(source, candidate, spans), label))
 
     train_groups, heldout_groups = _grouped_split(rows, seed)
     points = np.array([vec for vec, _, _ in train_groups])
@@ -403,7 +398,7 @@ def train(
     tune = heldout_groups
     if not tune or len({label for _, label, _ in tune}) < 2:
         tune = train_groups
-    scored = [(model.score(PairFeatures(*vec)), label, count) for vec, label, count in tune]
+    scored = [(model.score(vec), label, count) for vec, label, count in tune]
     best_threshold = 0.5
     best_f1 = -1.0
     for candidate_threshold in sorted({s for s, _, _ in scored}):

@@ -9,9 +9,9 @@ so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
 stderr and go on.  An unknown lattice mode, a score threshold that is
-``nan`` or infinite, or a ``--beam``, ``--epochs``, ``--m``, ``--m1`` or
-``--m2`` below 1, from a flag or a config key, is a usage error before
-any input loads.
+``nan`` or infinite, a blank ``--question``, or a ``--beam``,
+``--epochs``, ``--m``, ``--m1`` or ``--m2`` below 1, from a flag or a
+config key, is a usage error before any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -441,6 +441,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             # lets explicit flags win.
             _apply_config(parser.commands[args.command], _load_config(args.config))
             args = parser.parse_args(argv)
+        if getattr(args, "question", None) is not None and not args.question.split():
+            raise _UsageError("--question is blank")
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

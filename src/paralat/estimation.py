@@ -619,16 +619,6 @@ def train_syntactic_assignment(
     return _cluster_layer(treebank, m, seed, "syntactic")
 
 
-def train_semantic_assignment(
-    treebank: Sequence[Tree],
-    records: Iterable[AlignmentRecord],
-    m: int,
-    seed: int,
-) -> StateAssignment:
-    index = aligned_words_index(treebank, records)
-    return _cluster_layer(treebank, m, seed, "semantic", index)
-
-
 def train_grammar(treebank: Sequence[Tree], m: int, seed: int) -> LatentGrammar:
     """One-layer grammar: cluster syntactic states, then count."""
     if not treebank:
@@ -647,5 +637,5 @@ def train_bilayered_grammar(
     if not treebank:
         raise EmptyTreebank("cannot train on an empty treebank")
     syn = train_syntactic_assignment(treebank, m1, seed)
-    sem = train_semantic_assignment(treebank, records, m2, seed)
+    sem = _cluster_layer(treebank, m2, seed, "semantic", aligned_words_index(treebank, records))
     return annotate_bilayered(treebank, syn, sem)

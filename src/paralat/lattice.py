@@ -152,14 +152,17 @@ def conflict_masks(lat: WordLattice) -> list[int]:
 
 # --- builders ----------------------------------------------------------------
 
-def build_naive(tokens: Sequence[str]) -> WordLattice:
-    """Single chain carrying exactly the input question."""
+def _chain(tokens: Sequence[str]) -> list[Edge]:
+    """The edges of the chain carrying exactly the question, which every
+    builder starts from.  Raises EmptyQuestion for an empty one."""
     if not tokens:
         raise EmptyQuestion("cannot build a lattice for an empty question")
-    edges = [
-        Edge(i, i + 1, tok, ORIGIN_INPUT) for i, tok in enumerate(tokens)
-    ]
-    return _make(0, len(tokens), edges)
+    return [Edge(i, i + 1, tok, ORIGIN_INPUT) for i, tok in enumerate(tokens)]
+
+
+def build_naive(tokens: Sequence[str]) -> WordLattice:
+    """Single chain carrying exactly the input question."""
+    return _make(0, len(tokens), _chain(tokens))
 
 
 @dataclass(frozen=True)
@@ -217,25 +220,6 @@ def load_rules(path: str, min_score: float | None = None) -> ParaphraseRuleDB:
     return ParaphraseRuleDB(rules=tuple(rules))
 
 
-def _add_parallel_path(
-    edges: list[Edge],
-    next_node: int,
-    start: int,
-    end: int,
-    tokens: Sequence[str],
-    origin: str,
-) -> int:
-    """Add a path carrying ``tokens`` from node ``start`` to ``end``;
-    returns the next free node id."""
-    prev = start
-    for tok in tokens[:-1]:
-        edges.append(Edge(prev, next_node, tok, origin))
-        prev = next_node
-        next_node += 1
-    edges.append(Edge(prev, end, tokens[-1], origin))
-    return next_node
-
-
 def build_from_rules(tokens: Sequence[str], db: ParaphraseRuleDB) -> WordLattice:
     """Question chain plus one parallel path per matching rewrite rule.
 
@@ -243,11 +227,9 @@ def build_from_rules(tokens: Sequence[str], db: ParaphraseRuleDB) -> WordLattice
     parallel path between the span's boundary nodes; overlapping matches
     coexist.  Matching is case-insensitive over lowercased tokens.
     """
-    if not tokens:
-        raise EmptyQuestion("cannot build a lattice for an empty question")
+    edges = _chain(tokens)
     lowered = [t.lower() for t in tokens]
     n = len(tokens)
-    edges = [Edge(i, i + 1, tok, ORIGIN_INPUT) for i, tok in enumerate(tokens)]
     index = db.by_source
     next_node = n + 1
     max_len = min(db.max_source_len, n)
@@ -258,9 +240,12 @@ def build_from_rules(tokens: Sequence[str], db: ParaphraseRuleDB) -> WordLattice
                 break
             span = tuple(lowered[start:end])
             for tgt in index.get(span, []):
-                next_node = _add_parallel_path(
-                    edges, next_node, start, end, tgt, ORIGIN_RULE
-                )
+                prev = start
+                for tok in tgt[:-1]:
+                    edges.append(Edge(prev, next_node, tok, ORIGIN_RULE))
+                    prev = next_node
+                    next_node += 1
+                edges.append(Edge(prev, end, tgt[-1], ORIGIN_RULE))
     return _make(0, n, edges)
 
 
@@ -294,20 +279,17 @@ def build_bilayered(
     """
     from .cky import cky_viterbi, lexical_leaves
 
-    if not tokens:
-        raise EmptyQuestion("cannot build a lattice for an empty question")
+    edges = _chain(tokens)
     if not grammar.layers.two_layer:
         raise LatticeError("bilayered lattices need a two-layer grammar")
     derivation = cky_viterbi(tokens, grammar)  # may raise ParseFailure
 
     alternatives = _alternatives(grammar)
-    n = len(tokens)
-    edges = [Edge(i, i + 1, tok, ORIGIN_INPUT) for i, tok in enumerate(tokens)]
     for pos, leaf in enumerate(lexical_leaves(derivation.root)):
         for alt in alternatives.get((leaf.symbol, leaf.state.sem), ()):
             if alt != tokens[pos]:
                 edges.append(Edge(pos, pos + 1, alt, ORIGIN_BILAYERED))
-    return _make(0, n, edges)
+    return _make(0, len(tokens), edges)
 
 
 # --- path operations ----------------------------------------------------------

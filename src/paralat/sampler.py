@@ -58,9 +58,10 @@ has a cache of its own, so the cache needs no lock.
 A draw table holds the running sums of a support's weights (the last
 one infinite, so a float that passes every sum picks the last value), so
 a rule draw is one bisection, with the same pick as a linear scan.  The
-question keeps the tables, keyed by what they depend on: the state's
-symbols for the roots and an interminal, and for a preterminal its
-words' free edges, those the state keeps that the draw has not consumed.
+question keeps the tables, and no state keeps one of its own: they are
+keyed by what they depend on, the state's symbols for the roots and an
+interminal, and for a preterminal its words' free edges, those the state
+keeps that the draw has not consumed.
 
 The draws of one memo also share a trie of their picks, rooted on the
 question.  An inner node is one pick: the index of the float it reads,
@@ -320,8 +321,8 @@ class _Question:
     is a word of, the grammar's child-symbol pairs of each interminal
     (:func:`_supports`), the symbols surviving over each bit set of
     preterminals (filled as states need them), the edge mask of each
-    preterminal context's words, the draw tables (see :meth:`_State.table`
-    and :meth:`words`), the contexts that derive a string over its
+    preterminal context's words, the draw tables (see :meth:`table` and
+    :meth:`words`), the contexts that derive a string over its
     vocabulary (:func:`_live`), whether no root context does, the one-item
     slot of the root of its draws' pick trie (see :func:`_walk`) and the
     highest float index of the trie's nodes (-1 while it has none)."""
@@ -373,19 +374,40 @@ class _Question:
             )
         return table
 
+    def table(
+        self, ctx: Context | None, symbols: frozenset[str]
+    ) -> tuple[tuple, list[float], float]:
+        """The draw table of the interminal ``ctx`` (of the roots for None)
+        in a state whose surviving symbols are ``symbols``: its support in
+        the pruned grammar kept to those symbols, built on first use and
+        kept by the context and the symbols.  A binary context's values are
+        pairs of child contexts, and the roots' are contexts, with None for
+        one that is not live."""
+        table = self.tables.get((ctx, symbols))
+        if table is None:
+            live = self.live
+            if ctx is None:
+                support = [(c if c in live else None, p) for c, p in self.pruned.roots]
+            else:
+                support = []
+                if ctx[0] in symbols:
+                    for (b, bs, c, cs), p in self.pruned.binary.get(ctx, ()):
+                        if b in symbols and c in symbols:
+                            pair = ((b, bs), (c, cs))
+                            support.append(
+                                (pair if pair[0] in live and pair[1] in live else None, p)
+                            )
+            table = self.tables[ctx, symbols] = _table(support)
+        return table
+
 
 class _State:
     """One lattice state of a question: its edge mask (bit i for edge i of
-    the question's lattice), its lattice, the symbols surviving over its
-    tokens, and the draw tables of the interminal contexts drawn in it (of
-    the roots under None): ``(values, running sums, total)``.  A binary
-    context's values are pairs of child contexts, and the roots' are
-    contexts, with None for one that is not live.  A preterminal's table
-    also depends on the draw's consumed edges; the question keeps it
-    (:meth:`_Question.words`).
-    """
+    the question's lattice), its lattice and the symbols surviving over its
+    tokens.  Its draw tables are the question's (:meth:`_Question.table`
+    and :meth:`_Question.words`)."""
 
-    __slots__ = ("question", "mask", "lattice", "symbols", "tables")
+    __slots__ = ("question", "mask", "lattice", "symbols")
 
     def __init__(self, question: _Question, mask: int, lattice: WordLattice) -> None:
         self.question = question
@@ -406,37 +428,6 @@ class _State:
                 question.pairs,
             )
         self.symbols = symbols
-        self.tables: dict[Context | None, tuple] = {}
-
-    def table(self, ctx: Context | None) -> tuple[tuple, list[float], float]:
-        """The draw table of the interminal ``ctx`` (of the roots for
-        None), built on first use from the question's pruned grammar, kept
-        to this state's symbols.  It depends only on those symbols, so
-        states share it through the question, keyed by the context and
-        the symbols."""
-        table = self.tables.get(ctx)
-        if table is not None:
-            return table
-        question = self.question
-        pruned = question.pruned
-        symbols = self.symbols
-        table = question.tables.get((ctx, symbols))
-        if table is None:
-            live = question.live
-            if ctx is None:
-                support = [(c if c in live else None, p) for c, p in pruned.roots]
-            else:
-                support = []
-                if ctx[0] in symbols:
-                    for (b, bs, c, cs), p in pruned.binary.get(ctx, ()):
-                        if b in symbols and c in symbols:
-                            pair = ((b, bs), (c, cs))
-                            support.append(
-                                (pair if pair[0] in live and pair[1] in live else None, p)
-                            )
-            table = question.tables[ctx, symbols] = _table(support)
-        self.tables[ctx] = table
-        return table
 
 
 @dataclass(slots=True)
@@ -561,11 +552,12 @@ def _walk(kids: list, j: int, cursor: tuple, value: object,
                 break
             k += 1
         if level is None:
-            values, cum, total = state.table(None)
+            values, cum, total = question.table(None, state.symbols)
         else:
             ctx = level[pos]
             values, cum, total = (
-                question.words(ctx, free) if ctx[0] in preterminals else state.table(ctx)
+                question.words(ctx, free) if ctx[0] in preterminals
+                else question.table(ctx, state.symbols)
             )
             if not values:
                 break

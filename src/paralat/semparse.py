@@ -48,9 +48,9 @@ class KnowledgeGraph:
     Lookups read indexes that are built on first use and cached on the
     instance; they are not fields, so equality and hashing ignore them.
     One loop over the triples fills both the subject and the object
-    index, whichever is asked for first; entities are indexed by the
-    first token of their surface, so a mention's candidates are surfaced
-    from two buckets only.
+    index (``_triples_by``), whichever is asked for first; entities are
+    indexed by the first token of their surface, so a mention's
+    candidates are surfaced from two buckets only.
     """
 
     entities: tuple[str, ...]  # in file order; order defines resolution rank
@@ -62,25 +62,18 @@ class KnowledgeGraph:
         return frozenset(t for _, t in self.type_assertions)
 
     def subjects(self, relation: str, obj: str) -> frozenset[str]:
-        return frozenset(s for s, r, _ in self._by_object.get(obj, ()) if r == relation)
+        return frozenset(s for s, r, _ in self._triples_by[1].get(obj, ()) if r == relation)
 
     def objects(self, subj: str, relation: str) -> frozenset[str]:
-        return frozenset(o for _, r, o in self._by_subject.get(subj, ()) if r == relation)
+        return frozenset(o for _, r, o in self._triples_by[0].get(subj, ()) if r == relation)
 
     def entities_of_type(self, type_name: str) -> frozenset[str]:
         return frozenset(e for e, t in self.type_assertions if t == type_name)
 
     @cached_property
-    def _by_subject(self) -> dict[str, list[Triple]]:
-        return self._triple_indexes[0]
-
-    @cached_property
-    def _by_object(self) -> dict[str, list[Triple]]:
-        return self._triple_indexes[1]
-
-    @cached_property
-    def _triple_indexes(self) -> tuple[dict[str, list[Triple]], dict[str, list[Triple]]]:
-        """Triples by subject and by object, filled in one loop."""
+    def _triples_by(self) -> tuple[dict[str, list[Triple]], dict[str, list[Triple]]]:
+        """Triples by subject (``[0]``) and by object (``[1]``), filled in
+        one loop."""
         by_subject: dict[str, list[Triple]] = defaultdict(list)
         by_object: dict[str, list[Triple]] = defaultdict(list)
         for triple in self.triples:
@@ -166,16 +159,13 @@ class UngroundedGraph:
     text: tuple[str, ...] = ()
     classifier_score: float = 1.0
 
-    def entity_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid, _ in self.entity_nodes)
-
     def entity_edges(self) -> tuple[tuple[str, str, str, str], ...]:
         """Entity-entity edges: (event, node1, node2, NL predicate).
 
         An event with arcs to several entity/target nodes contributes one
         edge per node pair; the predicate joins the two arc labels.
         """
-        grounded_kinds = set(self.entity_ids()) | {self.target}
+        grounded_kinds = {nid for nid, _ in self.entity_nodes} | {self.target}
         by_event: dict[str, list[tuple[str, str]]] = defaultdict(list)
         for event, node, label in self.edges:
             if node in grounded_kinds:
@@ -195,9 +185,9 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
     optional TEXT and SCORE lines).
 
     Each TARGET, ENTITY, TYPE and EVENT id names one node, an edge joins an
-    EVENT to a node and is given once, and a type constrains ``target`` or
-    an ENTITY; a line that breaks one of these rules is named by its
-    ``file:line``.
+    EVENT to a node and is given once, as are the TARGET, TEXT and SCORE
+    lines, and a type constrains ``target`` or an ENTITY; a line that
+    breaks one of these rules is named by its ``file:line``.
     """
     target: str | None = None
     entity_nodes: list[tuple[str, tuple[str, ...]]] = []
@@ -208,6 +198,12 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
     kinds: dict[str, tuple[str, int]] = {}  # node id -> (kind, line)
     type_lines: list[int] = []
     edges: dict[tuple[str, str, str], int] = {}  # edge -> line, in file order
+    singles: dict[str, int] = {}  # TARGET, TEXT or SCORE -> its line
+
+    def once(kind: str, lineno: int) -> None:
+        if kind in singles:
+            raise SemparseError(f"{path}:{lineno}: second {kind} repeats line {singles[kind]}")
+        singles[kind] = lineno
 
     def declare(nid: str, kind: str, lineno: int) -> None:
         if nid in kinds:
@@ -222,12 +218,14 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
         parts = line.split()
         kind = parts[0]
         if kind == "TEXT" and len(parts) >= 2:
+            once(kind, lineno)
             text = tuple(t.lower() for t in parts[1:])
         elif kind == "SCORE" and len(parts) == 2:
             try:
                 score = finite_float(parts[1])
             except ValueError as exc:
                 raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+            once(kind, lineno)
         elif kind == "ENTITY" and len(parts) >= 3:
             declare(parts[1], kind, lineno)
             entity_nodes.append((parts[1], tuple(t.lower() for t in parts[2:])))
@@ -240,8 +238,7 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
             declare(parts[1], kind, lineno)
             events.append(parts[1])
         elif kind == "TARGET" and len(parts) == 2:
-            if target is not None:
-                raise SemparseError(f"{path}:{lineno}: second TARGET")
+            once(kind, lineno)
             declare(parts[1], kind, lineno)
             target = parts[1]
         elif kind == "EDGE" and len(parts) == 4:
@@ -530,27 +527,6 @@ def _graph_constants(
     return predicates, sorted(set(graph.text)), type_labels
 
 
-def _base_features(graph: UngroundedGraph, lattice_score: float) -> FeatureDict:
-    return {"classifier_score": graph.classifier_score, "lattice_score": lattice_score}
-
-
-def tuple_features(grounded: GroundedGraph) -> FeatureDict:
-    """Explicit named features over one (paraphrase, graph, grounding)
-    tuple: alignment indicators, stem overlaps, word-relation pairs, the
-    paraphrase classifier score, the entity lattice score, and
-    null-grounding counts.  The fold, over the grounding's decisions in
-    order, of the same per-decision features ``ground`` adds one step at
-    a time."""
-    graph = grounded.graph
-    predicates, words, type_labels = _graph_constants(graph)
-    feats = _base_features(graph, grounded.lattice_score)
-    for edge, choice in grounded.edge_map:
-        feats = _extended(feats, _edge_delta(predicates[edge], choice, words))
-    for nid, type_name in grounded.type_map:
-        feats = _extended(feats, _type_delta(type_labels[nid], type_name))
-    return feats
-
-
 def dot_score(weights: Mapping[str, float], feats: FeatureDict) -> float:
     """``math.fsum`` of weight times value over ``feats`` (a missing
     weight is 0), so the order of the features does not matter."""
@@ -572,12 +548,12 @@ def _edge_options(
     found: set[tuple[str, str]] = set()
     for subj, obj, direction in ((n1, n2, "fwd"), (n2, n1, "bwd")):
         if subj == target:
-            rows = kb._by_object.get(entity_of[obj], ())
+            rows = kb._triples_by[1].get(entity_of[obj], ())
         elif obj == target:
-            rows = kb._by_subject.get(entity_of[subj], ())
+            rows = kb._triples_by[0].get(entity_of[subj], ())
         else:
             rows = tuple(
-                t for t in kb._by_subject.get(entity_of[subj], ()) if t[2] == entity_of[obj]
+                t for t in kb._triples_by[0].get(entity_of[subj], ()) if t[2] == entity_of[obj]
             )
         found.update((r, direction) for _, r, _ in rows)
     options.extend(sorted(found))
@@ -607,9 +583,11 @@ def ground(
     Decision order: joint entity assignment (from the top lattice paths),
     then each entity-entity edge (a compatible relation or skip), then
     each type node (a compatible type or skip).  Each state extends its
-    parent by one decision: the parent's features plus the decision's
-    (so they equal ``tuple_features`` of the state) and the parent's key
-    plus the decision's part; it is scored over its whole feature dict.
+    parent by one decision: the parent's features (at the root, the
+    classifier and lattice scores) plus the decision's alignment, stem
+    overlap, word-relation and null-grounding features, and the parent's
+    key plus the decision's part; it is scored over its whole feature
+    dict.
     Options, features and key parts are worked out once per step and
     entity assignment, and only kept states become ``GroundedGraph``s.
     """
@@ -643,7 +621,7 @@ def ground(
 
     initial = []
     for assignment, lattice_score in entity_assignments(graph, kb):
-        feats = _base_features(graph, lattice_score)
+        feats = {"classifier_score": graph.classifier_score, "lattice_score": lattice_score}
         key = ";".join(_entity_part(nid, ent) for nid, ent in assignment)
         initial.append((dot_score(weights, feats), key, feats, None, (assignment, lattice_score)))
     kept = best(initial, lambda _, entities: GroundedGraph(graph, entities[0], (), (), entities[1]))
@@ -687,16 +665,15 @@ def oracle_set(
     graphs: Sequence[UngroundedGraph],
     kb: KnowledgeGraph,
     gold: frozenset[str] | set[str],
-    big_beam: int = ORACLE_BEAM,
 ) -> list[OracleTuple]:
     """All tuples whose denotation reaches the minimal F1-loss over every
-    grounding found with a very large beam."""
+    grounding found with a beam of ``ORACLE_BEAM``."""
     if not gold:
         raise EmptyGold("gold answer set must be non-empty")
     scored: list[OracleTuple] = []
     for graph in graphs:
         try:
-            results = ground(graph, kb, None, beam=big_beam)
+            results = ground(graph, kb, None, beam=ORACLE_BEAM)
         except NoEntityCandidates:
             continue
         for grounding, _score, feats in results:
@@ -805,19 +782,19 @@ def perceptron_train(
     epochs: int = 5,
     beam: int = DEFAULT_BEAM,
     seed: int = 0,
-    big_beam: int = ORACLE_BEAM,
 ) -> PerceptronModel:
     """Averaged structured perceptron over question-answer pairs.
 
-    Oracle tuples are found a priori with a large beam.  Each example
-    updates the weights toward the best-scoring oracle tuple and away from
-    the prediction; examples with an empty oracle set are recorded as
-    skipped.  Training is strictly sequential in dataset order and
-    deterministic (``seed`` only names the run; no randomness is used).
+    Oracle tuples are found a priori with :func:`oracle_set`, whose beam
+    is ``ORACLE_BEAM``.  Each example updates the weights toward the
+    best-scoring oracle tuple and away from the prediction; examples with
+    an empty oracle set are recorded as skipped.  Training is strictly
+    sequential in dataset order and deterministic (``seed`` only names the
+    run; no randomness is used).
     """
     del seed
     model = PerceptronModel()
-    oracles = [oracle_set(ex.graphs, kb, ex.gold, big_beam) for ex in dataset]
+    oracles = [oracle_set(ex.graphs, kb, ex.gold) for ex in dataset]
     for _ in range(epochs):
         for example, oracle in zip(dataset, oracles):
             predicted = _predict(example.graphs, kb, model.weights, beam) if oracle else None

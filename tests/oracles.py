@@ -78,7 +78,6 @@ from paralat.grammar import Context, LatentGrammar, LayerConfig, StateLabel, ctx
 from paralat.lattice import Edge, WordLattice, enumerate_edge_paths
 from paralat.sampler import ParaphraseCandidate, PrunedGrammar, SampleFailure
 from paralat.semparse import (
-    ORACLE_BEAM,
     GroundedGraph,
     KnowledgeGraph,
     UngroundedGraph,
@@ -1043,7 +1042,8 @@ def reference_key(grounded):
 
 
 def reference_tuple_features(grounded):
-    """``semparse.tuple_features`` in one pass over the whole grounding."""
+    """The features ``semparse.ground`` gives a grounding, in one pass over
+    the whole grounding."""
     graph = grounded.graph
     feats = defaultdict(float)
     feats["classifier_score"] = graph.classifier_score
@@ -1099,11 +1099,10 @@ def oracle_best_f1(
     graphs: Sequence[UngroundedGraph],
     kb: KnowledgeGraph,
     gold: frozenset[str] | set[str],
-    big_beam: int = ORACLE_BEAM,
 ) -> float:
     """Best reachable F1 over all groundings of all graphs (0 if nothing
     grounds)."""
-    oracle = oracle_set(graphs, kb, gold, big_beam)
+    oracle = oracle_set(graphs, kb, gold)
     if not oracle:
         return 0.0
     return 1.0 - oracle[0].loss

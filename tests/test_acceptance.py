@@ -21,6 +21,7 @@ from oracles import (
     oracle_best_f1,
     random_multipath_lattice,
     random_toy_grammar,
+    reference_tuple_features,
     word_salad_grammar,
 )
 from paralat.classifier import (
@@ -52,7 +53,6 @@ from paralat.semparse import (
     load_qa,
     load_ungrounded,
     perceptron_train,
-    tuple_features,
 )
 from paralat.treebank import binarize, read_treebank
 from conftest import PEOPLE_ALTERNATIVES
@@ -334,7 +334,7 @@ class TestBeamVsExhaustive:
                     results = ground(graph, kb, weights, beam=100)
                     ranked = sorted(
                         (
-                            (-dot_score(weights, tuple_features(g)), g.key())
+                            (-dot_score(weights, reference_tuple_features(g)), g.key())
                             for g in space
                         ),
                     )

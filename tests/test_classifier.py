@@ -74,7 +74,7 @@ class TestComputeFeatures:
 
     def test_feature_vector_has_ten_values(self):
         tokens = ["a", "b"]
-        assert len(compute_features(tokens, tokens).as_vector()) == len(FEATURE_NAMES)
+        assert len(compute_features(tokens, tokens)) == len(FEATURE_NAMES)
 
     def test_empty_sentence(self):
         with pytest.raises(EmptySentence):
@@ -290,9 +290,7 @@ class TestTrain:
         assert base.ne_preserved == 1.0 and flipped.ne_preserved == 0.0
         # Only compare the ne contribution: rebuild flipped with identical
         # other features by toggling the bit on the same vector.
-        from dataclasses import replace
-
-        toggled = replace(base, ne_preserved=0.0)
+        toggled = base._replace(ne_preserved=0.0)
         logit = lambda p: math.log(p / (1 - p))
         assert logit(model.score(base)) - logit(model.score(toggled)) == pytest.approx(
             weight, rel=1e-9

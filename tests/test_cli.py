@@ -636,6 +636,28 @@ class TestUnknownLatticeMode:
         assert err.splitlines() == [f"usage error: config key {key!r}: bad value 'bogus'"]
 
 
+class TestBlankQuestion:
+    @pytest.mark.parametrize("question", ["", "   "], ids=["empty", "spaces"])
+    @pytest.mark.parametrize("command", ["parse", "build-lattice", "sample", "paraphrase"])
+    def test_usage_error_before_loading(self, command, question, tmp_path, capsys):
+        # The grammar, rules and classifier do not exist, so any load
+        # before the check is an exit 2.
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out.txt"
+        argv = [command, "--question", question, "--out", str(out)]
+        if command != "build-lattice":
+            argv += ["--grammar", missing]
+        if command != "parse":
+            argv += ["--rules", missing]
+        if command == "paraphrase":
+            argv += ["--classifier", missing]
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.splitlines() == ["usage error: --question is blank"]
+        assert not out.exists()
+
+
 class TestNonFiniteThreshold:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

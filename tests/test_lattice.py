@@ -39,6 +39,27 @@ from conftest import CZECH_QUESTION, PEOPLE_ALTERNATIVES
 from oracles import enumerate_paths
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rules, layered: build_naive([]),
+        lambda rules, layered: build_from_rules([], rules),
+        lambda rules, layered: build_bilayered([], layered),
+        # The question is checked before the grammar's layers.
+        lambda rules, layered: build_bilayered([], LatentGrammar(
+            layers=LayerConfig(1),
+            roots={("S", StateLabel(0)): 1.0},
+            binary={},
+            lexical={("S", StateLabel(0)): {"a": 1.0}},
+        )),
+    ],
+    ids=["naive", "rules", "bilayered", "bilayered-one-layer"],
+)
+def test_empty_question(build, czech_rule_db, bilayered_toy_grammar):
+    with pytest.raises(EmptyQuestion):
+        build(czech_rule_db, bilayered_toy_grammar)
+
+
 class TestBuildNaive:
     def test_question_chain(self):
         lat = build_naive("what day is nochebuena".split())
@@ -51,10 +72,6 @@ class TestBuildNaive:
         assert len(lat.nodes) == 2
         assert len(lat.edges) == 1
 
-    def test_empty_question(self):
-        with pytest.raises(EmptyQuestion):
-            build_naive([])
-
 
 class TestBuildFromRules:
     def test_parallel_edge_added(self):
@@ -66,10 +83,6 @@ class TestBuildFromRules:
         people = [e for e in lat.edges if e.token == "people"]
         assert citizens[0].src == people[0].src
         assert citizens[0].dst == people[0].dst
-
-    def test_empty_question(self, czech_rule_db):
-        with pytest.raises(EmptyQuestion):
-            build_from_rules([], czech_rule_db)
 
     def test_source_index_built_once(self):
         db = load_rules(data_path("rewrite_rules.tsv"))
@@ -451,10 +464,6 @@ class TestBilayeredLattice:
             "when is nochebuena celebrated".split(), bilayered_toy_grammar
         )
         assert lat == build_naive("when is nochebuena celebrated".split())
-
-    def test_empty_question(self, bilayered_toy_grammar):
-        with pytest.raises(EmptyQuestion):
-            build_bilayered([], bilayered_toy_grammar)
 
     def test_each_grammar_keeps_its_own_alternatives(self, bilayered_toy_grammar):
         tokens = "what day is nochebuena".split()

@@ -485,13 +485,13 @@ def _read(seed, k):
 
 def _watch_lookups(monkeypatch, seen) -> None:
     """Call ``seen(ctx)`` on every draw-table lookup: of the roots' and
-    interminals' tables (``_State.table``) and of the preterminals'
+    interminals' tables (``_Question.table``) and of the preterminals'
     (``_Question.words``)."""
-    for owner, name in ((sampler._State, "table"), (sampler._Question, "words")):
-        def watched(self, ctx, *args, lookup=getattr(owner, name)):
+    for name in ("table", "words"):
+        def watched(self, ctx, *args, lookup=getattr(sampler._Question, name)):
             seen(ctx)
             return lookup(self, ctx, *args)
-        monkeypatch.setattr(owner, name, watched)
+        monkeypatch.setattr(sampler._Question, name, watched)
 
 
 class TestLatticeStateMemo:
@@ -703,6 +703,32 @@ class TestLatticeStateMemo:
             assert len(calls) <= len(states)
             assert got == _reference_many(tokens, grammar, lat, DRAWS, 7)
         assert total
+
+    def test_question_builds_each_draw_table_once(self, heldout_lattices, monkeypatch):
+        # The question keeps every draw table, keyed by what the table
+        # depends on, and no state keeps a copy: each key is built once,
+        # however many lookups ask for it.
+        grammar, cases = heldout_lattices
+        built = []
+        looked_up = []
+        table = sampler._table
+
+        def counted(items):
+            built.append(items)
+            return table(items)
+
+        monkeypatch.setattr(sampler, "_table", counted)
+        _watch_lookups(monkeypatch, looked_up.append)
+        builds = 0
+        for _tokens, lat in cases:
+            built.clear()
+            pruned = prune_grammar(grammar, lat)
+            states: dict = {}
+            for seed in range(7, 7 + DRAWS):
+                sample_one(pruned, lat, seed, states)
+            assert len(built) == len(states[(1 << len(lat.edges)) - 1].question.tables)
+            builds += len(built)
+        assert 0 < builds < len(looked_up)
 
 
 S1 = StateLabel(1)

@@ -15,6 +15,7 @@ from oracles import (
     reference_entity_assignments,
     reference_ground,
     reference_key,
+    reference_tuple_features,
     scan_edge_options,
     scan_entity_candidates,
     scan_objects,
@@ -49,7 +50,6 @@ from paralat.semparse import (
     oracle_set,
     perceptron_train,
     save_perceptron,
-    tuple_features,
 )
 
 
@@ -277,7 +277,7 @@ class TestIndexedLookups:
             assert _type_options(kb, entity_of, constrained) == scan_type_options(
                 kb, entity_of, constrained
             )
-        assert {"_by_subject", "_by_object", "_by_head", "_types_of", "types"} <= set(vars(kb))
+        assert {"_triples_by", "_by_head", "_types_of", "types"} <= set(vars(kb))
         assert kb == fresh == subject_first
         assert hash(kb) == hash(fresh) == hash(subject_first)
 
@@ -366,7 +366,7 @@ class TestGround:
         got = ground(graph, kb, weights, beam=100)
         best_key = got[0][0].key()
         exhaustive = [
-            (dot_score(weights, tuple_features(g)), g.key()) for g in
+            (dot_score(weights, reference_tuple_features(g)), g.key()) for g in
             exhaustive_groundings(graph, kb)
         ]
         exhaustive.sort(key=lambda item: (-item[0], item[1]))
@@ -459,7 +459,7 @@ class TestIncrementalGround:
             ]
             assert [g.key() for g, _, _ in got] == [reference_key(g) for g, _, _ in expected]
             for g, score, feats in got:
-                assert feats == tuple_features(g)
+                assert feats == reference_tuple_features(g)
                 assert score == dot_score(weights or {}, feats)
 
     def _weight_sets(self, graph, kb, seed):
@@ -552,7 +552,7 @@ class TestPerceptron:
         assert final_predict.avg_f1 == 1.0
 
     def test_classifier_score_feature_present(self, kb):
-        feats = tuple_features(_grounding(_language_graph(score=0.5), kb))
+        feats = reference_tuple_features(_grounding(_language_graph(score=0.5), kb))
         assert feats["classifier_score"] == 0.5
 
     def test_averaged_equals_mean_of_snapshots(self, kb):
@@ -636,6 +636,19 @@ class TestFiles:
         path = tmp_path / "bad.graph"
         path.write_text("TARGET x\nSCORE high\n", encoding="utf-8")
         with pytest.raises(SemparseError, match=r"bad.graph:2: bad score 'high'"):
+            load_ungrounded(str(path))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("TEXT first text", "TEXT second"), ("SCORE 0.5", "SCORE 0.25")],
+        ids=["text", "score"],
+    )
+    def test_graph_file_repeated_text_or_score(self, first, second, tmp_path):
+        # A second line would replace the first one's value.
+        path = tmp_path / "bad.graph"
+        path.write_text(f"TARGET x\n{first}\nEVENT ev1\n{second}\n", encoding="utf-8")
+        kind = first.split()[0]
+        with pytest.raises(SemparseError, match=rf"bad.graph:4: second {kind} repeats line 2"):
             load_ungrounded(str(path))
 
     def test_graph_file_repeated_edge(self, tmp_path):
