@@ -228,19 +228,13 @@ def compute_features(
 class Gazetteer:
     """Entity surface forms, matched longest-first and case-insensitively.
 
-    ``rank`` maps each lowercased surface form to its position in the
-    dictionary; :meth:`tag` only tests membership in it.
+    ``surfaces`` holds each distinct non-empty lowercased form once, in
+    dictionary order (a dict used as an ordered set).
     """
 
     def __init__(self, surfaces: Iterable[Sequence[str]]) -> None:
-        self.surfaces: list[tuple[str, ...]] = []
-        seen = set()
-        for surface in surfaces:
-            key = tuple(t.lower() for t in surface)
-            if key and key not in seen:
-                seen.add(key)
-                self.surfaces.append(key)
-        self.rank = {s: i for i, s in enumerate(self.surfaces)}
+        lowered = (tuple(t.lower() for t in surface) for surface in surfaces)
+        self.surfaces: dict[tuple[str, ...], None] = dict.fromkeys(key for key in lowered if key)
         self._max_len = max((len(s) for s in self.surfaces), default=0)
 
     @classmethod
@@ -255,7 +249,7 @@ class Gazetteer:
         while i < len(lowered):
             match = 0
             for width in range(min(self._max_len, len(lowered) - i), 0, -1):
-                if tuple(lowered[i:i + width]) in self.rank:
+                if tuple(lowered[i:i + width]) in self.surfaces:
                     match = width
                     break
             if match:

@@ -8,8 +8,9 @@ Each option's type and default are declared once, on its subcommand.
 so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
-stderr and go on.  An unknown lattice mode, a score threshold that is
-``nan`` or infinite, a blank ``--question``, or a ``--beam``,
+stderr and go on.  An unknown lattice mode, mode ``rules`` without
+``--rules`` or ``bilayered`` without ``--bilayered-grammar``, a score
+threshold that is ``nan`` or infinite, a blank ``--question``, or a ``--beam``,
 ``--epochs``, ``--m``, ``--m1`` or ``--m2`` below 1, from a flag or a
 config key, is a usage error before any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
@@ -147,30 +148,37 @@ def _load_grammar(path: str):
     return grammar
 
 
-def _build_lattice_for(mode: str, tokens, rules_db, layered_grammar):
-    if mode == "naive":
-        return build_naive(tokens)
-    if mode == "rules":
-        if rules_db is None:
-            raise _UsageError("--rules is required for mode 'rules'")
-        return build_from_rules(tokens, rules_db)
-    # mode == "bilayered": argparse rejects any other mode.
-    if layered_grammar is None:
+def _require_lattice_input(args, mode: str) -> None:
+    """Refuse lattice mode ``rules`` without ``--rules`` and ``bilayered``
+    without ``--bilayered-grammar``; handlers call this before any input
+    loads."""
+    if mode == "rules" and args.rules is None:
+        raise _UsageError("--rules is required for mode 'rules'")
+    if mode == "bilayered" and args.bilayered_grammar is None:
         raise _UsageError("--bilayered-grammar is required for mode 'bilayered'")
-    return build_bilayered(tokens, layered_grammar)
+
+
+def _lattice_builder(args, mode: str, min_score: float | None = None) -> Callable:
+    """``mode``'s lattice builder over the one input that mode reads,
+    loaded here; argparse rejects any mode but these three."""
+    if mode == "rules":
+        rules_db = load_rules(args.rules, min_score)
+        return lambda tokens: build_from_rules(tokens, rules_db)
+    if mode == "bilayered":
+        layered = _load_grammar(args.bilayered_grammar)
+        return lambda tokens: build_bilayered(tokens, layered)
+    return build_naive
 
 
 def _each_lattice(args, mode: str, work: Callable, min_score: float | None = None):
     """(tokens, work(index, tokens, lattice)) for every question.  A
     question with no parse or no grammar root over its lattice is noted on
     stderr and skipped; the others go on."""
-    rules_db = load_rules(args.rules, min_score) if args.rules else None
-    layered = _load_grammar(args.bilayered_grammar) if args.bilayered_grammar else None
+    build = _lattice_builder(args, mode, min_score)
     done = []
     for index, tokens in enumerate(_read_questions(args)):
         try:
-            lat = _build_lattice_for(mode, tokens, rules_db, layered)
-            done.append((tokens, work(index, tokens, lat)))
+            done.append((tokens, work(index, tokens, build(tokens))))
         except (ParseFailure, EmptyIntersection) as exc:
             _note(tokens, exc)
     return done
@@ -243,6 +251,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_build_lattice(args) -> int:
+    _require_lattice_input(args, args.mode)
     dumps = _each_lattice(
         args, args.mode, lambda index, tokens, lat: dump_lattice(lat), args.min_score
     )
@@ -252,6 +261,7 @@ def _cmd_build_lattice(args) -> int:
 
 def _cmd_sample(args) -> int:
     _at_least_one(args, "m")
+    _require_lattice_input(args, args.lattice)
     lines = [
         f"{cand.seed}\t{cand.text}"
         for _tokens, candidates in _sample_questions(args, args.lattice, "sample")
@@ -276,6 +286,7 @@ def _cmd_train_classifier(args) -> int:
 
 def _cmd_paraphrase(args) -> int:
     _at_least_one(args, "m")
+    _require_lattice_input(args, args.mode)
     model = load_model(_require(args.classifier, "classifier"))
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     lines = []

@@ -17,7 +17,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import mul
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -513,20 +513,6 @@ def _extended(feats: FeatureDict, delta: FeatureDelta) -> FeatureDict:
     return out
 
 
-def _graph_constants(
-    graph: UngroundedGraph,
-) -> tuple[dict[EdgeKey, str], list[str], dict[str, str]]:
-    """Per-graph inputs of the decision features: each entity edge's NL
-    predicate, the paraphrase's sorted distinct words and each type
-    node's label.  When an event links one node pair under two labels,
-    both of its edges map to the last predicate."""
-    predicates = {
-        (event, n1, n2): pred for event, n1, n2, pred in graph.entity_edges()
-    }
-    type_labels = {nid: label for nid, label, _ in graph.type_nodes}
-    return predicates, sorted(set(graph.text)), type_labels
-
-
 def dot_score(weights: Mapping[str, float], feats: FeatureDict) -> float:
     """``math.fsum`` of weight times value over ``feats`` (a missing
     weight is 0), so the order of the features does not matter."""
@@ -582,83 +568,73 @@ def ground(
 
     Decision order: joint entity assignment (from the top lattice paths),
     then each entity-entity edge (a compatible relation or skip), then
-    each type node (a compatible type or skip).  Each state extends its
-    parent by one decision: the parent's features (at the root, the
-    classifier and lattice scores) plus the decision's alignment, stem
-    overlap, word-relation and null-grounding features, and the parent's
-    key plus the decision's part; it is scored over its whole feature
-    dict.
-    Options, features and key parts are worked out once per step and
-    entity assignment, and only kept states become ``GroundedGraph``s.
+    each type node (a compatible type or skip).  An edge's features read
+    its NL predicate; when an event links one node pair under two labels,
+    both of its edges read the last predicate.  A beam state is plain
+    data: (score, key, features, entity assignment, lattice score,
+    choices so far).  Each state extends its parent by one decision: the
+    parent's features (at the root, the classifier and lattice scores)
+    plus the decision's alignment, stem overlap, word-relation and
+    null-grounding features, and the parent's key plus the decision's
+    part; it is scored over its whole feature dict.  Options, features and
+    key parts are worked out once per step and entity assignment, and
+    only the returned states become ``GroundedGraph``s.
     """
     weights = weights or {}
-    predicates, words, type_labels = _graph_constants(graph)
+    entity_edges = graph.entity_edges()
+    predicates = {edge[:3]: edge[3] for edge in entity_edges}
+    edge_keys = [edge[:3] for edge in entity_edges]
+    words = sorted(set(graph.text))
+    # One (options of an entity assignment, choice -> feature delta,
+    # choice -> key part) per entity edge, then per type node.
+    decisions = [
+        (partial(_edge_options, kb, target=graph.target, n1=edge[1], n2=edge[2]),
+         partial(_edge_delta, predicates[edge], words=words), partial(_edge_part, edge))
+        for edge in edge_keys
+    ] + [
+        (partial(_type_options, kb, constrained=constrained),
+         partial(_type_delta, label), partial(_type_part, nid))
+        for nid, label, constrained in graph.type_nodes
+    ]
 
-    def best(pool, child):
-        """The ``beam`` best (score, key, features, parent, choice) pool
-        entries, as (grounding, score, features, key) states."""
-        pool.sort(key=lambda entry: (-entry[0], entry[1]))
-        return [
-            (child(parent, choice), score, feats, key)
-            for score, key, feats, parent, choice in pool[:beam]
-        ]
+    def rank(state):
+        return -state[0], state[1]
 
-    def extend(kept, options_of, decide, child):
-        """Every kept state extended by each of its options, truncated."""
-        pool = []
-        menus: dict[tuple[tuple[str, str], ...], list] = {}
-        for state, _, feats, key in kept:
-            menu = menus.get(state.entity_map)
-            if menu is None:
-                menu = menus[state.entity_map] = [
-                    (choice, *decide(choice)) for choice in options_of(dict(state.entity_map))
-                ]
-            for choice, delta, part in menu:
-                child_feats = _extended(feats, delta)
-                child_key = f"{key};{part}" if key else part
-                pool.append((dot_score(weights, child_feats), child_key, child_feats, state, choice))
-        return best(pool, child)
-
-    initial = []
+    kept = []
     for assignment, lattice_score in entity_assignments(graph, kb):
         feats = {"classifier_score": graph.classifier_score, "lattice_score": lattice_score}
         key = ";".join(_entity_part(nid, ent) for nid, ent in assignment)
-        initial.append((dot_score(weights, feats), key, feats, None, (assignment, lattice_score)))
-    kept = best(initial, lambda _, entities: GroundedGraph(graph, entities[0], (), (), entities[1]))
-    for event, n1, n2, _pred in graph.entity_edges():
-        edge = (event, n1, n2)
-        pred = predicates[edge]
-        kept = extend(
-            kept,
-            lambda entity_of: _edge_options(kb, entity_of, graph.target, n1, n2),
-            lambda choice: (_edge_delta(pred, choice, words), _edge_part(edge, choice)),
-            lambda state, choice: GroundedGraph(
-                graph, state.entity_map, state.edge_map + ((edge, choice),), state.type_map,
-                state.lattice_score,
-            ),
-        )
-    for nid, _label, constrained in graph.type_nodes:
-        label = type_labels[nid]
-        kept = extend(
-            kept,
-            lambda entity_of: _type_options(kb, entity_of, constrained),
-            lambda choice: (_type_delta(label, choice), _type_part(nid, choice)),
-            lambda state, choice: GroundedGraph(
-                graph, state.entity_map, state.edge_map, state.type_map + ((nid, choice),),
-                state.lattice_score,
-            ),
-        )
-    return [(grounding, score, feats) for grounding, score, feats, _ in kept]
+        kept.append((dot_score(weights, feats), key, feats, assignment, lattice_score, ()))
+    kept = sorted(kept, key=rank)[:beam]
+    for options_of, delta_of, part_of in decisions:
+        pool = []
+        menus: dict[tuple[tuple[str, str], ...], list] = {}
+        for _, key, feats, assignment, lattice_score, choices in kept:
+            if assignment not in menus:
+                menus[assignment] = [(choice, delta_of(choice), part_of(choice))
+                                     for choice in options_of(dict(assignment))]
+            for choice, delta, part in menus[assignment]:
+                child_feats = _extended(feats, delta)
+                pool.append((
+                    dot_score(weights, child_feats), f"{key};{part}" if key else part,
+                    child_feats, assignment, lattice_score, choices + (choice,),
+                ))
+        kept = sorted(pool, key=rank)[:beam]
+    type_ids = [nid for nid, _, _ in graph.type_nodes]
+    return [
+        (GroundedGraph(graph, assignment, tuple(zip(edge_keys, choices)),
+                       tuple(zip(type_ids, choices[len(edge_keys):])), lattice_score), score, feats)
+        for score, _, feats, assignment, lattice_score, choices in kept
+    ]
 
 
 # --- oracle tuples ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OracleTuple:
-    graph: UngroundedGraph
     grounding: GroundedGraph
     loss: float
-    features: tuple[tuple[str, float], ...]
+    features: FeatureDict  # the dict ground returned with the grounding
 
 
 def oracle_set(
@@ -681,14 +657,7 @@ def oracle_set(
                 loss = f1_loss(denotation(grounding, kb), gold)
             except UnboundTarget:
                 continue
-            scored.append(
-                OracleTuple(
-                    graph=graph,
-                    grounding=grounding,
-                    loss=loss,
-                    features=tuple(sorted(feats.items())),
-                )
-            )
+            scored.append(OracleTuple(grounding, loss, feats))
     if not scored:
         return []
     best = min(t.loss for t in scored)
@@ -805,13 +774,13 @@ def perceptron_train(
 
             best_oracle = _argmax(
                 (
-                    dot_score(model.weights, dict(tup.features)),
-                    f"{tup.graph.name};{tup.grounding.key()}",
+                    dot_score(model.weights, tup.features),
+                    f"{tup.grounding.graph.name};{tup.grounding.key()}",
                     tup,
                 )
                 for tup in oracle
             )
-            oracle_feats = dict(best_oracle.features)
+            oracle_feats = best_oracle.features
 
             for name in set(oracle_feats) | set(predicted_feats):
                 delta = oracle_feats.get(name, 0.0) - predicted_feats.get(name, 0.0)

@@ -191,10 +191,14 @@ def _repeated_perceptron_feature(tmp_path, grammar_file, classifier_file):
 
 
 def _bad_graph_score(tmp_path, grammar_file, classifier_file):
+    """semparse-eval over graphs whose q11_orig.graph has its one SCORE
+    line (line 2) read ``SCORE nan``."""
     graphs = tmp_path / "graphs"
     shutil.copytree(data_path("graphs"), graphs)
-    with open(graphs / "q11_orig.graph", "a", encoding="utf-8") as handle:
-        handle.write("SCORE nan\n")
+    graph = graphs / "q11_orig.graph"
+    text = graph.read_text(encoding="utf-8")
+    assert text.splitlines()[1] == "SCORE 1.0"
+    graph.write_text(text.replace("SCORE 1.0\n", "SCORE nan\n"), encoding="utf-8")
     return _semparse_eval(tmp_path, graphs_dir=str(graphs))
 
 
@@ -281,6 +285,25 @@ def _reserved_label(command):
     return argv
 
 
+def _missing_mode_input(command, mode):
+    """``command`` in lattice ``mode`` without the file that mode reads,
+    over an --input that holds only a comment and a grammar and classifier
+    that do not exist: a check made per question would never run, and
+    any load before the check would exit 2."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        questions = tmp_path / "comment.txt"
+        questions.write_text("# only a comment\n", encoding="utf-8")
+        missing = str(tmp_path / "missing")
+        argv = [command, "--lattice" if command == "sample" else "--mode", mode,
+                "--input", str(questions)]
+        if command != "build-lattice":
+            argv += ["--grammar", missing]
+        if command == "paraphrase":
+            argv += ["--classifier", missing]
+        return argv
+    return argv
+
+
 def _build_lattice_argv(*args):
     def argv(tmp_path, grammar_file, classifier_file):
         return ["build-lattice", *args]
@@ -319,7 +342,7 @@ class TestBadInputs:
             (_bad_perceptron("abc"), 2, "percep.tsv:2: bad weight 'abc'"),
             (_bad_perceptron("-inf"), 2, "percep.tsv:2: bad weight '-inf'"),
             (_repeated_perceptron_feature, 2, "percep.tsv:3: FEATURE 'bias' repeats line 2"),
-            (_bad_graph_score, 2, "q11_orig.graph:9: bad score 'nan'"),
+            (_bad_graph_score, 2, "q11_orig.graph:2: bad score 'nan'"),
             (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
             (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
             (_bad_qa_answers(""), 2, "qa.tsv:1: empty gold answer in ''"),
@@ -332,6 +355,18 @@ class TestBadInputs:
              1, "--rules is required for mode 'rules'"),
             (_build_lattice_argv("--mode", "bilayered", "--question", "when is easter"),
              1, "--bilayered-grammar is required for mode 'bilayered'"),
+            (_missing_mode_input("build-lattice", "rules"), 1,
+             "usage error: --rules is required for mode 'rules'"),
+            (_missing_mode_input("build-lattice", "bilayered"), 1,
+             "usage error: --bilayered-grammar is required for mode 'bilayered'"),
+            (_missing_mode_input("sample", "rules"), 1,
+             "usage error: --rules is required for mode 'rules'"),
+            (_missing_mode_input("sample", "bilayered"), 1,
+             "usage error: --bilayered-grammar is required for mode 'bilayered'"),
+            (_missing_mode_input("paraphrase", "rules"), 1,
+             "usage error: --rules is required for mode 'rules'"),
+            (_missing_mode_input("paraphrase", "bilayered"), 1,
+             "usage error: --bilayered-grammar is required for mode 'bilayered'"),
             (_epochs("train-classifier", "0"), 1,
              "usage error: --epochs must be at least 1, got 0"),
             (_epochs("train-classifier", "-2"), 1,
@@ -359,8 +394,13 @@ class TestBadInputs:
              "perceptron-repeated-feature", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
-             "bilayered-grammar-missing", "classifier-epochs-0", "classifier-epochs-negative",
-             "semparse-epochs-negative", "alignment-unknown-tree", "alignment-index-range",
+             "bilayered-grammar-missing", "build-lattice-rules-missing-before-loading",
+             "build-lattice-bilayered-missing-before-loading",
+             "sample-rules-missing-before-loading", "sample-bilayered-missing-before-loading",
+             "paraphrase-rules-missing-before-loading",
+             "paraphrase-bilayered-missing-before-loading", "classifier-epochs-0",
+             "classifier-epochs-negative", "semparse-epochs-negative", "alignment-unknown-tree",
+             "alignment-index-range",
              "alignment-unknown-tree-where", "alignment-index-range-where",
              "grammar-reserved-label", "bilayered-reserved-label"],
     )
@@ -763,6 +803,18 @@ class TestBuildLattice:
         out = capsys.readouterr().out
         assert "NODE 0" in out
         assert "EDGE 0 1 why input" in out
+
+    @pytest.mark.parametrize("mode", ["naive", "rules", "bilayered"])
+    def test_mode_reads_only_its_own_input(self, mode, bilayered_file, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        rules = data_path("rewrite_rules.tsv") if mode == "rules" else missing
+        layered = bilayered_file if mode == "bilayered" else missing
+        argv = ["build-lattice", "--mode", mode, "--rules", rules,
+                "--bilayered-grammar", layered, "--question", "what day is christmas"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("NODE 0\n")
+        assert err == ""
 
     def test_failed_question_is_noted_and_batch_goes_on(self, bilayered_file, tmp_path, capsys):
         questions = tmp_path / "q.txt"

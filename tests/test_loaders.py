@@ -144,7 +144,7 @@ READERS = {
     "alignments": (read_alignments, "1\t2"),
     "rules": (load_rules, "a\tb"),
     "pairs": (read_labeled_pairs, "a\tb\t2"),
-    "gazetteer": (lambda path: Gazetteer.load(path).surfaces, None),
+    "gazetteer": (lambda path: list(Gazetteer.load(path).surfaces), None),
     "classifier-model": (load_model, "BOGUS\t1"),
     "kb": (load_kb, "a\tb"),
     "graph": (lambda path: load_ungrounded(path, name="g"), "BOGUS x"),

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from oracles import (
     scan_subjects,
     scan_type_options,
 )
+from paralat.cli import main
 from paralat.data_files import data_path
 from paralat.errors import (
     EmptyGold,
@@ -46,6 +49,7 @@ from paralat.semparse import (
     ground,
     load_kb,
     load_perceptron_weights,
+    load_qa,
     load_ungrounded,
     oracle_set,
     perceptron_train,
@@ -391,6 +395,13 @@ def _bundled_graphs() -> list[UngroundedGraph]:
     return [load_ungrounded(str(path), name=path.name) for path in paths]
 
 
+def _bundled_qa(name: str) -> list[QAExample]:
+    graphs_dir = data_path("graphs")
+    return load_qa(
+        data_path(name), lambda graph: load_ungrounded(os.path.join(graphs_dir, graph), name=graph)
+    )
+
+
 def _reachable_distractors(kb: KnowledgeGraph, seed: int) -> KnowledgeGraph:
     """``kb`` plus seeded triples and types among its own entities, so the
     question graphs see more options at every decision."""
@@ -539,6 +550,17 @@ class TestOracleSet:
         with pytest.raises(EmptyGold):
             oracle_set([_language_graph()], kb, frozenset())
 
+    def test_bundled_tuples_carry_their_groundings_features_and_loss(self):
+        kb = load_kb(data_path("kb.tsv"))
+        tuples = 0
+        for example in _bundled_qa("qa_train.tsv") + _bundled_qa("qa_eval.tsv"):
+            for t in oracle_set(example.graphs, kb, example.gold):
+                assert t.features == reference_tuple_features(t.grounding)
+                assert t.loss == f1_loss(denotation(t.grounding, kb), example.gold)
+                assert any(t.grounding.graph is graph for graph in example.graphs)
+                tuples += 1
+        assert tuples
+
 
 class TestPerceptron:
     def test_zero_update_when_prediction_is_oracle(self, kb):
@@ -593,6 +615,32 @@ class TestPerceptron:
         report = evaluate([], kb, {})
         assert report.per_question == ()
         assert report.avg_precision == report.avg_recall == report.avg_f1 == 0.0
+
+
+class TestTrainedModelBytes:
+    """The semparse outputs the benchmark's golden step pins, byte for
+    byte: any change to grounding, features, oracles, the perceptron or
+    the model and report files shows here."""
+
+    @staticmethod
+    def _digest(argv, out) -> str:
+        assert main([*argv, "--kb", data_path("kb.tsv"), "--graphs-dir", data_path("graphs"),
+                     "--out", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_bundled_train_eval_and_original_only(self, tmp_path):
+        model = tmp_path / "model.tsv"
+        train = ["semparse-train", "--qa", data_path("qa_train.tsv"), "--epochs", "5"]
+        assert self._digest(train, model) == (
+            "d4f59d994e92e6d118eb1eb92caffff51a220679fc82234274f21b2e53627f43"
+        )
+        evaluation = ["semparse-eval", "--qa", data_path("qa_eval.tsv"), "--model", str(model)]
+        assert self._digest(evaluation, tmp_path / "eval.tsv") == (
+            "c0473a1729e6d6deb45eb615cb7662f3947cb5543765bad38abefaf605b0c717"
+        )
+        assert self._digest([*train, "--original-only"], tmp_path / "orig.tsv") == (
+            "73423e315b8ab1adaae1e56a61d280e4fd8e4a21962cb3100c67c18d131fc47a"
+        )
 
 
 class TestFiles:
