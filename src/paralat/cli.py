@@ -8,11 +8,12 @@ Each option's type and default are declared once, on its subcommand.
 so explicit flags win.  Unknown keys and value-less flags are ignored.
 Grammars are validated before use.  ``parse``, ``build-lattice``,
 ``sample`` and ``paraphrase`` note a question they cannot handle on
-stderr and go on.  An unknown lattice mode, mode ``rules`` without
-``--rules`` or ``bilayered`` without ``--bilayered-grammar``, a score
-threshold that is ``nan`` or infinite, a blank ``--question``, or a ``--beam``,
-``--epochs``, ``--m``, ``--m1`` or ``--m2`` below 1, from a flag or a
-config key, is a usage error before any input loads.
+stderr and go on.  A missing required option, none or both of
+``--question`` and ``--input``, an unknown lattice mode, mode ``rules``
+without ``--rules`` or ``bilayered`` without ``--bilayered-grammar``, a
+score threshold that is ``nan`` or infinite, a blank ``--question``, or a
+``--beam``, ``--epochs``, ``--m``, ``--m1`` or ``--m2`` below 1, from a
+flag or a config key, is a usage error before any input loads.
 Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
 errors, 2 on data errors.
 """
@@ -127,8 +128,8 @@ def derive_seed(seed: int, stage: str, index: int) -> int:
 
 
 def _read_questions(args) -> list[list[str]]:
-    if (args.question is None) == (args.input is None):
-        raise _UsageError("give exactly one of --question or --input")
+    """The questions of ``--question`` or ``--input``; :func:`main` has
+    checked that exactly one is given."""
     if args.question is not None:
         return [args.question.lower().split()]
     return [line.lower().split() for _, line in records(args.input)]
@@ -287,6 +288,7 @@ def _cmd_train_classifier(args) -> int:
 def _cmd_paraphrase(args) -> int:
     _at_least_one(args, "m")
     _require_lattice_input(args, args.mode)
+    _require(args.grammar, "grammar")  # before the classifier loads
     model = load_model(_require(args.classifier, "classifier"))
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     lines = []
@@ -299,10 +301,13 @@ def _cmd_paraphrase(args) -> int:
 
 
 def _load_dataset(args, qa_path: str | None):
+    """The KB and the QA set; the handler has checked its own required
+    options first."""
     _at_least_one(args, "beam")
-    kb = load_kb(_require(args.kb, "kb"))
+    kb_path = _require(args.kb, "kb")
     qa_path = _require(qa_path, "qa")
     graphs_dir = _require(args.graphs_dir, "graphs-dir")
+    kb = load_kb(kb_path)
 
     def loader(name: str):
         return load_ungrounded(os.path.join(graphs_dir, name), name=name)
@@ -318,8 +323,8 @@ def _load_dataset(args, qa_path: str | None):
 
 def _cmd_semparse_train(args) -> int:
     _at_least_one(args, "epochs")
-    kb, dataset = _load_dataset(args, args.qa_train)
     out = _require(args.out, "out")
+    kb, dataset = _load_dataset(args, args.qa_train)
     model = perceptron_train(dataset, kb, epochs=args.epochs, beam=args.beam)
     save_perceptron(model, out)
     print(
@@ -329,8 +334,9 @@ def _cmd_semparse_train(args) -> int:
 
 
 def _cmd_semparse_eval(args) -> int:
+    model = _require(args.model, "model")
     kb, dataset = _load_dataset(args, args.qa_eval)
-    weights = load_perceptron_weights(_require(args.model, "model"))
+    weights = load_perceptron_weights(model)
     report = evaluate(dataset, kb, weights, beam=args.beam)
     lines = [
         f"{question}\t{p:.4f}\t{r:.4f}\t{f1:.4f}"
@@ -452,8 +458,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             # lets explicit flags win.
             _apply_config(parser.commands[args.command], _load_config(args.config))
             args = parser.parse_args(argv)
-        if getattr(args, "question", None) is not None and not args.question.split():
-            raise _UsageError("--question is blank")
+        if "question" in vars(args):
+            if (args.question is None) == (args.input is None):
+                raise _UsageError("give exactly one of --question or --input")
+            if args.question is not None and not args.question.split():
+                raise _UsageError("--question is blank")
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -138,7 +138,8 @@ def conflict_masks(lat: WordLattice) -> list[int]:
     the lattice's first call from its :func:`adjacency` and kept in its own
     ``__dict__``, so equality, hash and repr ignore them and an equal
     lattice builds its own.  ``lat`` must be acyclic with distinct edges,
-    as the builders' and :func:`remove_conflicting`'s lattices are."""
+    as the builders' and :func:`remove_conflicting`'s lattices are; a
+    removal reads only the masks of its chain's first lattice."""
     cached = lat.__dict__.get("_conflict_masks")
     if cached is None:
         order, into, outof = adjacency(lat)
@@ -302,20 +303,31 @@ def remove_conflicting(lat: WordLattice, edge: Edge) -> WordLattice:
     contains both; in a DAG this reduces to reachability between the two
     edges' endpoints.  The chosen edge itself is always retained, and the
     result is again a well-formed lattice (all surviving paths pass
-    through ``edge``).  The kept edges are the set bits of the chosen
-    edge's conflict mask (:func:`conflict_masks`, built on the lattice's
-    first removal), in the lattice's order.  ``lat`` must be a checked
-    lattice with sorted, distinct edges, as the builders make; so is the
-    result.  The chosen edge is found by bisection.
+    through ``edge``).  ``lat`` must be a checked lattice with sorted,
+    distinct edges, as the builders make, or a lattice this function made;
+    so is the result.
+
+    The result keeps in its own ``__dict__``, as :func:`conflict_masks`
+    keeps the masks, the first lattice of its chain of removals and the
+    mask (bit i for that lattice's edge i) of the edges it kept there.  In
+    a lattice whose every path passes through the edges already chosen, an
+    edge survives exactly when it and each of them reach one another, so
+    a removal from a removal's result ANDs that mask with the chosen
+    edge's conflict mask in the first lattice: only the first lattice
+    builds masks.  The chosen edge is found by bisection among the first
+    lattice's edges, and the kept edges are the set bits, in its order.
     """
-    edges = lat.edges
+    first, mask = lat.__dict__.get("_cut_from") or (lat, -1)  # -1: every edge kept
+    edges = first.edges
     i = bisect_left(edges, edge)
-    if i == len(edges) or edges[i] != edge:
+    if i == len(edges) or edges[i] != edge or not mask >> i & 1:
         raise EdgeNotInLattice(f"{edge} not in lattice")
+    mask &= conflict_masks(first)[i]
     # bin() lists the bits from the highest; reversed, bit i is character i.
-    mask = conflict_masks(lat)[i]
     kept = tuple(e for e, bit in zip(edges, bin(mask)[:1:-1]) if bit == "1")
-    return WordLattice(source=lat.source, sink=lat.sink, edges=kept)
+    cut = WordLattice(source=lat.source, sink=lat.sink, edges=kept)
+    cut.__dict__["_cut_from"] = (first, mask)
+    return cut
 
 
 def enumerate_edge_paths(lat: WordLattice, cap: int) -> list[tuple[Edge, ...]]:

@@ -30,12 +30,16 @@ other, so a state's mask is the AND of the consumed edges' compatibility
 masks, which the question reads from its lattice
 (:func:`~paralat.lattice.conflict_masks`, the masks conflict removal
 itself uses): a move is an AND and a lookup, and conflict removal runs
-once per distinct state, for the lattice the state keeps.  A new state
-takes its symbols from the question: the symbol closure over its
+once per distinct state, for the lattice the state keeps.  That removal
+narrows the question lattice's masks in the same way, so no state's
+lattice builds masks of its own.  A state takes its symbols from the
+question the first time a walk reads them: the symbol closure over its
 vocabulary (restricting a pruned grammar to a smaller vocabulary equals
 restricting the full grammar to it) comes from a memo keyed by the
-preterminal symbols with a word on one of its edges.  So a cached state
-equals a recomputed one and the draws are unchanged.
+preterminal symbols with a word on one of its edges.  A state that no
+walk reads, one that a draw only passes through on its way to the next
+word, closes nothing.  So a cached state equals a recomputed one and the
+draws are unchanged.
 
 The question also keeps ``live``, the closure over contexts for its whole
 vocabulary.  A context outside it derives no string over the question,
@@ -80,7 +84,8 @@ of the node whose slot it reached, applies the value drawn there, and
 adds its later picks and its leaf to the trie.  So a walk looks up
 tables and moves between states only for picks that no earlier draw of
 the memo made.  Every state is still first reached by a walk, so
-conflict removal still runs once per distinct state.  A completed walk
+conflict removal still runs once per distinct state, and a state's
+symbols are closed at most once.  A completed walk
 orders its consumed edges along a path by the topological ranks of their
 sources and checks each consecutive pair against the compatibility
 masks, once per distinct completed draw.  A completed leaf keeps its
@@ -404,30 +409,38 @@ class _Question:
 class _State:
     """One lattice state of a question: its edge mask (bit i for edge i of
     the question's lattice), its lattice and the symbols surviving over its
-    tokens.  Its draw tables are the question's (:meth:`_Question.table`
-    and :meth:`_Question.words`)."""
+    tokens, found the first time a walk reads them.  Its draw tables are
+    the question's (:meth:`_Question.table` and :meth:`_Question.words`)."""
 
-    __slots__ = ("question", "mask", "lattice", "symbols")
+    __slots__ = ("question", "mask", "lattice", "_symbols")
 
     def __init__(self, question: _Question, mask: int, lattice: WordLattice) -> None:
         self.question = question
         self.mask = mask
         self.lattice = lattice
-        present = 0  # the preterminals with a word on one of its edges
-        kinds = question.kinds
-        for token, edges in question.tokens.items():
-            if edges & mask:
-                present |= kinds[token]
-        symbols = question.symbols.get(present)
+        self._symbols: frozenset[str] | None = None
+
+    @property
+    def symbols(self) -> frozenset[str]:
+        symbols = self._symbols
         if symbols is None:
-            # Restricting the pruned grammar to a smaller vocabulary equals
-            # restricting the full grammar to it, so the closure reads the
-            # full grammar's pairs.
-            symbols = question.symbols[present] = _close(
-                {sym for i, sym in enumerate(question.preterminals) if present >> i & 1},
-                question.pairs,
-            )
-        self.symbols = symbols
+            question, mask = self.question, self.mask
+            present = 0  # the preterminals with a word on one of its edges
+            kinds = question.kinds
+            for token, edges in question.tokens.items():
+                if edges & mask:
+                    present |= kinds[token]
+            symbols = question.symbols.get(present)
+            if symbols is None:
+                # Restricting the pruned grammar to a smaller vocabulary
+                # equals restricting the full grammar to it, so the closure
+                # reads the full grammar's pairs.
+                symbols = question.symbols[present] = _close(
+                    {sym for i, sym in enumerate(question.preterminals) if present >> i & 1},
+                    question.pairs,
+                )
+            self._symbols = symbols
+        return symbols
 
 
 @dataclass(slots=True)

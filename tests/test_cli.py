@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -304,9 +305,12 @@ def _missing_mode_input(command, mode):
     return argv
 
 
-def _build_lattice_argv(*args):
+def _argv(*args):
+    """The command line ``args``, with every ``MISSING`` a file that does
+    not exist, so an input that loads before a usage check would exit 2."""
     def argv(tmp_path, grammar_file, classifier_file):
-        return ["build-lattice", *args]
+        missing = str(tmp_path / "missing")
+        return [missing if arg == "MISSING" else arg for arg in args]
     return argv
 
 
@@ -348,12 +352,12 @@ class TestBadInputs:
             (_bad_qa_answers(""), 2, "qa.tsv:1: empty gold answer in ''"),
             (_bad_qa_answers("Paris||Lyon"), 2, "qa.tsv:1: empty gold answer in 'Paris||Lyon'"),
             (_bad_rule_score, 2, "rules.tsv:2: bad score 'inf'"),
-            (_build_lattice_argv(), 1, "give exactly one of --question or --input"),
-            (_build_lattice_argv("--question", "when is easter", "--input", "questions.txt"),
+            (_argv("build-lattice"), 1, "give exactly one of --question or --input"),
+            (_argv("build-lattice", "--question", "when is easter", "--input", "questions.txt"),
              1, "give exactly one of --question or --input"),
-            (_build_lattice_argv("--mode", "rules", "--question", "when is easter"),
+            (_argv("build-lattice", "--mode", "rules", "--question", "when is easter"),
              1, "--rules is required for mode 'rules'"),
-            (_build_lattice_argv("--mode", "bilayered", "--question", "when is easter"),
+            (_argv("build-lattice", "--mode", "bilayered", "--question", "when is easter"),
              1, "--bilayered-grammar is required for mode 'bilayered'"),
             (_missing_mode_input("build-lattice", "rules"), 1,
              "usage error: --rules is required for mode 'rules'"),
@@ -383,6 +387,27 @@ class TestBadInputs:
              "two.trees:2: label '@S' starts with '@', which binarization reserves"),
             (_reserved_label("train-bilayered"), 2,
              "two.trees:2: label '@S' starts with '@', which binarization reserves"),
+            (_argv("paraphrase", "--mode", "naive", "--question", "what is x",
+                             "--classifier", "MISSING"), 1,
+             "usage error: missing required option --grammar"),
+            (_argv("paraphrase", "--mode", "naive", "--grammar", "MISSING",
+                             "--classifier", "MISSING"), 1,
+             "usage error: give exactly one of --question or --input"),
+            (_argv("sample", "--lattice", "naive", "--grammar", "MISSING"), 1,
+             "usage error: give exactly one of --question or --input"),
+            (_argv("parse", "--grammar", "MISSING"), 1,
+             "usage error: give exactly one of --question or --input"),
+            (_argv("build-lattice", "--mode", "rules", "--rules", "MISSING"), 1,
+             "usage error: give exactly one of --question or --input"),
+            (_argv("semparse-train", "--kb", "MISSING", "--qa", "MISSING",
+                             "--graphs-dir", "MISSING"), 1,
+             "usage error: missing required option --out"),
+            (_argv("semparse-train", "--kb", "MISSING", "--graphs-dir", "MISSING",
+                             "--out", "MISSING"), 1,
+             "usage error: missing required option --qa"),
+            (_argv("semparse-eval", "--kb", "MISSING", "--qa", "MISSING",
+                             "--graphs-dir", "MISSING"), 1,
+             "usage error: missing required option --model"),
         ],
         ids=["config-m1", "sample-m0", "paraphrase-m0", "sample-m0-before-loading",
              "paraphrase-m0-before-loading",
@@ -402,7 +427,14 @@ class TestBadInputs:
              "classifier-epochs-negative", "semparse-epochs-negative", "alignment-unknown-tree",
              "alignment-index-range",
              "alignment-unknown-tree-where", "alignment-index-range-where",
-             "grammar-reserved-label", "bilayered-reserved-label"],
+             "grammar-reserved-label", "bilayered-reserved-label",
+             "paraphrase-grammar-missing-before-loading",
+             "paraphrase-question-missing-before-loading",
+             "sample-question-missing-before-loading", "parse-question-missing-before-loading",
+             "build-lattice-question-missing-before-loading",
+             "semparse-train-out-missing-before-loading",
+             "semparse-train-qa-missing-before-loading",
+             "semparse-eval-model-missing-before-loading"],
     )
     def test_exit_code_and_message_without_traceback(
         self, make_argv, code, message, tmp_path, grammar_file, classifier_file, capsys
@@ -869,6 +901,30 @@ class TestParaphrase:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("rules", "01c8373931e336e83b4e76ab309a70717f9c6860bc0b93b950c8f69f258b94d7"),
+            ("bilayered", "07e58644b5163a2975cefa6bdab3be0214fdcca49bf43f6d5e2d7183a0088153"),
+        ],
+    )
+    def test_bundled_outputs_byte_for_byte(
+        self, mode, digest, grammar_file, bilayered_file, classifier_file, tmp_path
+    ):
+        # The held-out questions paraphrased as the benchmark's golden step
+        # runs them at its default seed (perfbench/golden.json): any change
+        # to lattices, pruning, sampling or the filter shows here.
+        out = tmp_path / f"paraphrases-{mode}.tsv"
+        lattice_input = (["--rules", data_path("rewrite_rules.tsv")] if mode == "rules"
+                         else ["--bilayered-grammar", bilayered_file])
+        assert main([
+            "paraphrase", "--grammar", grammar_file, "--mode", mode, *lattice_input,
+            "--classifier", classifier_file, "--gazetteer", data_path("gazetteer.txt"),
+            "--input", data_path("heldout_questions.txt"),
+            "--m", "400", "--seed", "7", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _run_with_config(tmp_path, argv, keys):

@@ -339,7 +339,9 @@ class TestConflictMasks:
     def test_builders_and_removals_make_checked_sorted_lattices(self, lattices):
         # What conflict masks assume: every lattice a builder makes, and
         # every lattice a chain of removals makes from it, is checked and
-        # has sorted, distinct edges.
+        # has sorted, distinct edges.  Each removal in the chain, which
+        # reads only the masks of the chain's first lattice, equals the
+        # reference removal from its parent.
         pending, seen = list(lattices), set(lattices)
         while pending:
             lat = pending.pop()
@@ -347,11 +349,14 @@ class TestConflictMasks:
             check_lattice(lat)
             for edge in lat.edges:
                 kept = remove_conflicting(lat, edge)
+                assert kept == reference_remove_conflicting(lat, edge)
                 if kept not in seen:
                     seen.add(kept)
                     pending.append(kept)
 
-    def test_built_once_per_lattice_object(self, czech_lattice, monkeypatch):
+    @pytest.fixture
+    def crossed_calls(self, monkeypatch) -> list:
+        """The arguments of every mask walk (``lattice._crossed``) made."""
         crossed = lattice_module._crossed
         calls = []
 
@@ -360,6 +365,10 @@ class TestConflictMasks:
             return crossed(*args)
 
         monkeypatch.setattr(lattice_module, "_crossed", counted)
+        return calls
+
+    def test_built_once_per_lattice_object(self, czech_lattice, crossed_calls):
+        calls = crossed_calls
         # A copy, so a cache from another test cannot hide the first build.
         lat = WordLattice(czech_lattice.source, czech_lattice.sink, czech_lattice.edges)
         for edge in lat.edges:
@@ -376,10 +385,53 @@ class TestConflictMasks:
     def test_cache_is_not_part_of_the_value(self, czech_lattice):
         lat = WordLattice(czech_lattice.source, czech_lattice.sink, czech_lattice.edges)
         fresh = WordLattice(lat.source, lat.sink, lat.edges)
-        remove_conflicting(lat, lat.edges[0])
+        cut = remove_conflicting(lat, lat.edges[0])
         assert "_conflict_masks" in vars(lat) and "_conflict_masks" not in vars(fresh)
         assert lat == fresh and hash(lat) == hash(fresh) and repr(lat) == repr(fresh)
         assert dataclasses.astuple(lat) == dataclasses.astuple(fresh)
+        # A removal's result keeps its first lattice and its mask there.
+        cut_fresh = WordLattice(cut.source, cut.sink, cut.edges)
+        assert vars(cut)["_cut_from"] == (lat, conflict_masks(lat)[0])
+        assert "_cut_from" not in vars(cut_fresh)
+        assert cut == cut_fresh and hash(cut) == hash(cut_fresh) and repr(cut) == repr(cut_fresh)
+        assert dataclasses.astuple(cut) == dataclasses.astuple(cut_fresh)
+
+    def test_removal_chain_builds_only_the_first_lattices_masks(self, crossed_calls):
+        calls = crossed_calls
+        rng = random.Random(8)
+        for _ in range(25):
+            built = random_multipath_lattice(rng)
+            # A copy, so a cache from the builder's check cannot hide a build.
+            first = WordLattice(built.source, built.sink, built.edges)
+            calls.clear()
+            # Every chain of removals from it, each edge in turn.
+            pending = [first]
+            while pending:
+                lat = pending.pop()
+                assert "_adjacency" not in vars(lat) or lat is first
+                for edge in lat.edges:
+                    cut = remove_conflicting(lat, edge)
+                    if cut != lat:
+                        pending.append(cut)
+                assert "_conflict_masks" not in vars(lat) or lat is first
+            # One walk into each node of the first lattice and one out of it.
+            assert len(calls) == 2
+
+    def test_edge_a_cut_dropped_is_not_in_it(self, czech_lattice):
+        citizens = next(e for e in czech_lattice.edges if e.token == "citizens")
+        cut = remove_conflicting(czech_lattice, citizens)
+        dropped = [e for e in czech_lattice.edges if e not in cut.edges]
+        assert dropped
+        for edge in dropped:
+            with pytest.raises(EdgeNotInLattice):
+                remove_conflicting(cut, edge)
+            with pytest.raises(EdgeNotInLattice):
+                reference_remove_conflicting(cut, edge)
+        # An edge of neither lattice, before, among and after the edges.
+        for edge in [Edge(-1, 0, "a", ORIGIN_INPUT), citizens._replace(token="nope"),
+                     Edge(99, 99, "z", ORIGIN_INPUT)]:
+            with pytest.raises(EdgeNotInLattice):
+                remove_conflicting(cut, edge)
 
     def test_adjacency_built_once_by_the_builders_check(self, czech_lattice):
         # check_lattice builds a built lattice's adjacency, and the masks

@@ -803,6 +803,46 @@ class TestStateMasks:
                         checked += bool(kept) and len(kept) < len(entries)
         assert checked
 
+    def test_symbols_are_closed_only_when_a_walk_reads_them(self, heldout_lattices, monkeypatch):
+        # A state closes its symbols the first time a walk reads them, and
+        # they equal the closure a state made when it was built: over the
+        # preterminals with a word on one of its edges.  A state that no
+        # walk reads makes no closure.
+        grammar, cases = heldout_lattices
+        closures = []
+        close = sampler._close
+
+        def counted(surviving, pairs):
+            closures.append(pairs)
+            return close(surviving, pairs)
+
+        monkeypatch.setattr(sampler, "_close", counted)
+        pairs = sampler._supports(grammar).pairs
+        unread = 0
+        for _tokens, lat in cases:
+            pruned = prune_grammar(grammar, lat)
+            states: dict = {}
+            closures.clear()
+            for seed in range(DRAWS):
+                sample_one(pruned, lat, seed, states=states)
+            question = states[(1 << len(lat.edges)) - 1].question
+            read = sum(state._symbols is not None for state in states.values())
+            unread += len(states) - read
+            # One closure over contexts for the question's live contexts,
+            # then one per distinct preterminal set that a read state has.
+            assert sum(p is pairs for p in closures) == len(question.symbols) <= read
+            assert len(closures) == 1 + len(question.symbols)
+            for state in states.values():
+                vocabulary = state.lattice.vocabulary()
+                eager = close(
+                    {sym for (sym, _), entries in pruned.lexical.items()
+                     if any(w in vocabulary for w, _ in entries)},
+                    pairs,
+                )
+                assert state.symbols == eager
+                assert (state._symbols is not None) and state.symbols is state.symbols
+        assert unread
+
     def test_draw_ends_at_pick_of_dead_context(self, monkeypatch):
         grammar = _dead_state_grammar({("S", S0): 1.0})
         lat = build_naive(["a", "a", "a"])
