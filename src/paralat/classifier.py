@@ -289,13 +289,17 @@ LabeledPair = tuple[Sequence[str], Sequence[str], int]
 
 
 def read_labeled_pairs(path: str) -> list[LabeledPair]:
-    """Read "source<TAB>candidate<TAB>0|1" lines."""
+    """Read "source<TAB>candidate<TAB>0|1" lines; neither side may be
+    empty."""
     pairs: list[LabeledPair] = []
     for lineno, line in records(path):
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
             raise ClassifierError(f"{path}:{lineno}: bad labeled pair")
-        pairs.append((parts[0].split(), parts[1].split(), int(parts[2])))
+        source, candidate = parts[0].split(), parts[1].split()
+        if not source or not candidate:
+            raise ClassifierError(f"{path}:{lineno}: empty source or candidate")
+        pairs.append((source, candidate, int(parts[2])))
     return pairs
 
 
@@ -445,8 +449,8 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 def load_model(path: str) -> ClassifierModel:
     """Read a model file: one FEATURE line per feature name, one BIAS
-    line and one THRESHOLD line, in any order; a repeated line is an
-    error."""
+    line and one THRESHOLD line, in any order; a repeated line, or a
+    FEATURE line that names no feature, is an error."""
     weights: dict[str, float] = {}
     bias: float | None = None
     threshold: float | None = None
@@ -455,6 +459,8 @@ def load_model(path: str) -> ClassifierModel:
         parts = line.split("\t")
         if (parts[0], len(parts)) not in (("FEATURE", 3), ("BIAS", 2), ("THRESHOLD", 2)):
             raise ClassifierError(f"{path}:{lineno}: bad model line")
+        if parts[0] == "FEATURE" and parts[1] not in FEATURE_NAMES:
+            raise ClassifierError(f"{path}:{lineno}: unknown feature {parts[1]!r}")
         key = parts[0] if len(parts) == 2 else f"{parts[0]} {parts[1]!r}"
         if key in seen:
             raise ClassifierError(f"{path}:{lineno}: {key} repeats line {seen[key]}")

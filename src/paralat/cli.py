@@ -6,16 +6,21 @@ Each option's type and default are declared once, on its subcommand.
 (``bilayered_grammar``, ``graphs_dir``, ``min_score``, and ``qa_train`` /
 ``qa_eval`` for ``--qa``); its values become the subcommand's defaults,
 so explicit flags win.  Unknown keys and value-less flags are ignored.
-Grammars are validated before use.  ``parse``, ``build-lattice``,
-``sample`` and ``paraphrase`` note a question they cannot handle on
-stderr and go on.  A missing required option, none or both of
-``--question`` and ``--input``, an unknown lattice mode, mode ``rules``
-without ``--rules`` or ``bilayered`` without ``--bilayered-grammar``, a
-score threshold that is ``nan`` or infinite, a blank ``--question``, or a
-``--beam``, ``--epochs``, ``--m``, ``--m1`` or ``--m2`` below 1, from a
-flag or a config key, is a usage error before any input loads.
-Artifacts are written atomically.  Exit codes: 0 on success, 1 on usage
-errors, 2 on data errors.
+An unknown lattice mode, or a score threshold that is ``nan`` or
+infinite, is a usage error as its flag or config key is read.  Each
+subcommand's other usage rules are declared with its options in
+``build_parser``: the count options that must be at least 1, the
+lattice mode option and the required options.  ``_check_usage`` checks
+them after the config file is applied and before the handler runs, so
+before any input loads, in this order: exactly one of ``--question``
+and ``--input``, and not a blank ``--question``; the counts; the input
+of the lattice mode (``--rules`` for ``rules``, ``--bilayered-grammar``
+for ``bilayered``); the required options, in declaration order.  The
+first broken rule is the usage error.  Grammars are validated before use.
+``parse``, ``build-lattice``, ``sample`` and ``paraphrase`` note a
+question they cannot handle on stderr and go on.  Artifacts are written
+atomically.  Exit codes: 0 on success, 1 on usage errors, 2 on data
+errors.
 """
 
 from __future__ import annotations
@@ -65,7 +70,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, argparse.ArgumentParser]  # set by build_parser
+    commands: dict[str, _Parser]  # set by build_parser
+    # A subcommand's usage rules, declared by build_parser; flags in order.
+    counts: tuple[str, ...] = ()  # options that must be at least 1
+    mode_flag: str | None = None  # the lattice mode option
+    required: tuple[str, ...] = ()  # options that must be given
 
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
         raise _UsageError(message)
@@ -100,19 +109,30 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> No
     parser.set_defaults(**defaults)
 
 
-def _require(value, name: str):
-    if value is None:
-        raise _UsageError(f"missing required option --{name}")
-    return value
+_MODE_INPUTS = {"rules": "--rules", "bilayered": "--bilayered-grammar"}
 
 
-def _at_least_one(args, *names: str) -> None:
-    """Refuse a count option below 1; handlers call this before any input
-    loads."""
-    for name in names:
-        value = getattr(args, name)
-        if value < 1:
-            raise _UsageError(f"--{name} must be at least 1, got {value}")
+def _check_usage(command: _Parser, args) -> None:
+    """Refuse the first usage rule of ``command`` that ``args`` breaks, in
+    the order the module docstring gives."""
+    def value(flag: str):
+        return getattr(args, command._option_string_actions[flag].dest)
+
+    if "question" in vars(args):
+        if (args.question is None) == (args.input is None):
+            raise _UsageError("give exactly one of --question or --input")
+        if args.question is not None and not args.question.split():
+            raise _UsageError("--question is blank")
+    for flag in command.counts:
+        if value(flag) < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {value(flag)}")
+    if command.mode_flag is not None:
+        mode = value(command.mode_flag)
+        if mode in _MODE_INPUTS and value(_MODE_INPUTS[mode]) is None:
+            raise _UsageError(f"{_MODE_INPUTS[mode]} is required for mode {mode!r}")
+    for flag in command.required:
+        if value(flag) is None:
+            raise _UsageError(f"missing required option {flag}")
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -128,8 +148,7 @@ def derive_seed(seed: int, stage: str, index: int) -> int:
 
 
 def _read_questions(args) -> list[list[str]]:
-    """The questions of ``--question`` or ``--input``; :func:`main` has
-    checked that exactly one is given."""
+    """The questions of ``--question`` or ``--input``, whichever is given."""
     if args.question is not None:
         return [args.question.lower().split()]
     return [line.lower().split() for _, line in records(args.input)]
@@ -147,16 +166,6 @@ def _load_grammar(path: str):
     if violations:
         raise ParalatError(f"{path}: invalid grammar: {violations[0]}")
     return grammar
-
-
-def _require_lattice_input(args, mode: str) -> None:
-    """Refuse lattice mode ``rules`` without ``--rules`` and ``bilayered``
-    without ``--bilayered-grammar``; handlers call this before any input
-    loads."""
-    if mode == "rules" and args.rules is None:
-        raise _UsageError("--rules is required for mode 'rules'")
-    if mode == "bilayered" and args.bilayered_grammar is None:
-        raise _UsageError("--bilayered-grammar is required for mode 'bilayered'")
 
 
 def _lattice_builder(args, mode: str, min_score: float | None = None) -> Callable:
@@ -188,7 +197,7 @@ def _each_lattice(args, mode: str, work: Callable, min_score: float | None = Non
 def _sample_questions(args, mode: str, stage: str):
     """(tokens, candidates) for every question that :func:`_each_lattice`
     does not skip."""
-    grammar = _load_grammar(_require(args.grammar, "grammar"))
+    grammar = _load_grammar(args.grammar)
     return _each_lattice(
         args,
         mode,
@@ -201,46 +210,38 @@ def _sample_questions(args, mode: str, stage: str):
 # --- subcommand handlers -------------------------------------------------------
 
 def _cmd_train_grammar(args) -> int:
-    _at_least_one(args, "m1")
-    treebank_path = _require(args.treebank, "treebank")
-    out = _require(args.out, "out")
-    trees = [binarize(t) for t in read_treebank(treebank_path)]
+    trees = [binarize(t) for t in read_treebank(args.treebank)]
     grammar = train_grammar(trees, m=args.m1, seed=args.seed)
-    save_grammar(grammar, out)
-    print(f"wrote {out}: {grammar.rule_count()} rules over {len(trees)} trees")
+    save_grammar(grammar, args.out)
+    print(f"wrote {args.out}: {grammar.rule_count()} rules over {len(trees)} trees")
     return 0
 
 
 def _cmd_train_bilayered(args) -> int:
-    _at_least_one(args, "m1", "m2")
-    treebank_path = _require(args.treebank, "treebank")
-    alignments_path = _require(args.alignments, "alignments")
-    out = _require(args.out, "out")
-    trees = [binarize(t) for t in read_treebank(treebank_path)]
-    records = read_alignments(alignments_path)
+    trees = [binarize(t) for t in read_treebank(args.treebank)]
+    records = read_alignments(args.alignments)
     _annotated, grammar = train_bilayered_grammar(
         trees, records, m1=args.m1, m2=args.m2, seed=args.seed
     )
-    save_grammar(grammar, out)
-    print(f"wrote {out}: {grammar.rule_count()} rules, layers {args.m1}x{args.m2}")
+    save_grammar(grammar, args.out)
+    print(f"wrote {args.out}: {grammar.rule_count()} rules, layers {args.m1}x{args.m2}")
     return 0
 
 
 def _cmd_validate_grammar(args) -> int:
-    grammar_path = _require(args.grammar, "grammar")
-    report = validate(load_grammar(grammar_path))
+    report = validate(load_grammar(args.grammar))
     for note in report.notes:
         print(f"note: {note}")
     for violation in report.violations:
         print(f"violation: {violation}")
     print(f"{len(report.violations)} violation(s)")
     if report.violations:
-        raise ParalatError(f"{grammar_path}: grammar is invalid")
+        raise ParalatError(f"{args.grammar}: grammar is invalid")
     return 0
 
 
 def _cmd_parse(args) -> int:
-    grammar = _load_grammar(_require(args.grammar, "grammar"))
+    grammar = _load_grammar(args.grammar)
     lines = []
     for tokens in _read_questions(args):
         try:
@@ -252,7 +253,6 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_build_lattice(args) -> int:
-    _require_lattice_input(args, args.mode)
     dumps = _each_lattice(
         args, args.mode, lambda index, tokens, lat: dump_lattice(lat), args.min_score
     )
@@ -261,8 +261,6 @@ def _cmd_build_lattice(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _at_least_one(args, "m")
-    _require_lattice_input(args, args.lattice)
     lines = [
         f"{cand.seed}\t{cand.text}"
         for _tokens, candidates in _sample_questions(args, args.lattice, "sample")
@@ -273,23 +271,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_train_classifier(args) -> int:
-    _at_least_one(args, "epochs")
-    pairs_path = _require(args.pairs, "pairs")
-    out = _require(args.out, "out")
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     model = train_classifier_model(
-        read_labeled_pairs(pairs_path), epochs=args.epochs, seed=args.seed, gazetteer=gazetteer
+        read_labeled_pairs(args.pairs), epochs=args.epochs, seed=args.seed, gazetteer=gazetteer
     )
-    save_model(model, out)
-    print(f"wrote {out}: threshold {model.threshold:.6f}")
+    save_model(model, args.out)
+    print(f"wrote {args.out}: threshold {model.threshold:.6f}")
     return 0
 
 
 def _cmd_paraphrase(args) -> int:
-    _at_least_one(args, "m")
-    _require_lattice_input(args, args.mode)
-    _require(args.grammar, "grammar")  # before the classifier loads
-    model = load_model(_require(args.classifier, "classifier"))
+    model = load_model(args.classifier)
     gazetteer = Gazetteer.load(args.gazetteer) if args.gazetteer else None
     lines = []
     for tokens, candidates in _sample_questions(args, args.mode, "paraphrase"):
@@ -300,17 +292,12 @@ def _cmd_paraphrase(args) -> int:
     return 0
 
 
-def _load_dataset(args, qa_path: str | None):
-    """The KB and the QA set; the handler has checked its own required
-    options first."""
-    _at_least_one(args, "beam")
-    kb_path = _require(args.kb, "kb")
-    qa_path = _require(qa_path, "qa")
-    graphs_dir = _require(args.graphs_dir, "graphs-dir")
-    kb = load_kb(kb_path)
+def _load_dataset(args, qa_path: str):
+    """The KB and the QA set at ``qa_path``."""
+    kb = load_kb(args.kb)
 
     def loader(name: str):
-        return load_ungrounded(os.path.join(graphs_dir, name), name=name)
+        return load_ungrounded(os.path.join(args.graphs_dir, name), name=name)
 
     dataset = load_qa(qa_path, loader)
     if args.original_only:
@@ -322,21 +309,18 @@ def _load_dataset(args, qa_path: str | None):
 
 
 def _cmd_semparse_train(args) -> int:
-    _at_least_one(args, "epochs")
-    out = _require(args.out, "out")
     kb, dataset = _load_dataset(args, args.qa_train)
     model = perceptron_train(dataset, kb, epochs=args.epochs, beam=args.beam)
-    save_perceptron(model, out)
+    save_perceptron(model, args.out)
     print(
-        f"wrote {out}: {model.steps} update steps, {model.skipped} skipped examples"
+        f"wrote {args.out}: {model.steps} update steps, {model.skipped} skipped examples"
     )
     return 0
 
 
 def _cmd_semparse_eval(args) -> int:
-    model = _require(args.model, "model")
     kb, dataset = _load_dataset(args, args.qa_eval)
-    weights = load_perceptron_weights(model)
+    weights = load_perceptron_weights(args.model)
     report = evaluate(dataset, kb, weights, beam=args.beam)
     lines = [
         f"{question}\t{p:.4f}\t{r:.4f}\t{f1:.4f}"
@@ -358,10 +342,12 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices
 
     def command(
-        name: str, handler: Callable, help_text: str, seed: int | None = None
-    ) -> argparse.ArgumentParser:
+        name: str, handler: Callable, help_text: str, seed: int | None = None,
+        counts: tuple[str, ...] = (), required: tuple[str, ...] = (),
+    ) -> _Parser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
+        p.counts, p.required = counts, required
         p.add_argument("--config", help="flat key=value config file")
         if seed is not None:
             p.add_argument("--seed", type=int, default=seed)
@@ -377,13 +363,14 @@ def build_parser() -> _Parser:
         p.add_argument("--question")
         p.add_argument("--input", help="file with one question per line")
 
-    def lattice_inputs(p: argparse.ArgumentParser, mode_flag: str) -> None:
+    def lattice_inputs(p: _Parser, mode_flag: str) -> None:
+        p.mode_flag = mode_flag
         p.add_argument(mode_flag, default="naive", choices=("naive", "rules", "bilayered"),
                        help="lattice mode (default %(default)s)")
         p.add_argument("--rules", help="rewrite rule TSV for lattice mode 'rules'")
         p.add_argument("--bilayered-grammar", help="grammar for lattice mode 'bilayered'")
 
-    def sampling(p: argparse.ArgumentParser, mode_flag: str, m: int) -> None:
+    def sampling(p: _Parser, mode_flag: str, m: int) -> None:
         p.add_argument("--grammar")
         questions(p)
         lattice_inputs(p, mode_flag)
@@ -398,18 +385,22 @@ def build_parser() -> _Parser:
         p.add_argument("--out")
         p.add_argument("--original-only", action="store_true")
 
-    p = command("train-grammar", _cmd_train_grammar, "estimate a one-layer grammar", seed=1)
+    p = command("train-grammar", _cmd_train_grammar, "estimate a one-layer grammar", seed=1,
+                counts=("--m1",), required=("--treebank", "--out"))
     training(p)
 
-    p = command("train-bilayered", _cmd_train_bilayered, "estimate a two-layer grammar", seed=1)
+    p = command("train-bilayered", _cmd_train_bilayered, "estimate a two-layer grammar", seed=1,
+                counts=("--m1", "--m2"), required=("--treebank", "--alignments", "--out"))
     training(p)
     p.add_argument("--alignments", help="paraphrase-pair word alignments (TSV)")
     p.add_argument("--m2", type=int, default=1000, help="semantic states (default %(default)s)")
 
-    p = command("validate-grammar", _cmd_validate_grammar, "check grammar invariants")
+    p = command("validate-grammar", _cmd_validate_grammar, "check grammar invariants",
+                required=("--grammar",))
     p.add_argument("--grammar")
 
-    p = command("parse", _cmd_parse, "print the best derivation of a question")
+    p = command("parse", _cmd_parse, "print the best derivation of a question",
+                required=("--grammar",))
     p.add_argument("--grammar")
     questions(p)
     p.add_argument("--out")
@@ -420,26 +411,31 @@ def build_parser() -> _Parser:
     p.add_argument("--min-score", type=finite_float)
     p.add_argument("--out")
 
-    p = command("sample", _cmd_sample, "sample lattice-constrained questions", seed=1)
+    p = command("sample", _cmd_sample, "sample lattice-constrained questions", seed=1,
+                counts=("--m",), required=("--grammar",))
     sampling(p, "--lattice", m=100)
 
-    p = command("train-classifier", _cmd_train_classifier, "train the paraphrase filter", seed=0)
+    p = command("train-classifier", _cmd_train_classifier, "train the paraphrase filter", seed=0,
+                counts=("--epochs",), required=("--pairs", "--out"))
     p.add_argument("--pairs", help="labeled source<TAB>candidate<TAB>0|1 file")
     p.add_argument("--gazetteer")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--out")
 
-    p = command("paraphrase", _cmd_paraphrase, "end to end: lattice, sample, filter", seed=1)
+    p = command("paraphrase", _cmd_paraphrase, "end to end: lattice, sample, filter", seed=1,
+                counts=("--m",), required=("--grammar", "--classifier"))
     sampling(p, "--mode", m=300)
     p.add_argument("--classifier", help="trained classifier model file")
     p.add_argument("--gazetteer")
     p.add_argument("--threshold", type=finite_float, help="override the stored threshold")
 
-    p = command("semparse-train", _cmd_semparse_train, "train the grounding model")
+    p = command("semparse-train", _cmd_semparse_train, "train the grounding model",
+                counts=("--epochs", "--beam"), required=("--out", "--kb", "--qa", "--graphs-dir"))
     dataset(p, "qa_train")
     p.add_argument("--epochs", type=int, default=5)
 
-    p = command("semparse-eval", _cmd_semparse_eval, "evaluate grounding on a QA set")
+    p = command("semparse-eval", _cmd_semparse_eval, "evaluate grounding on a QA set",
+                counts=("--beam",), required=("--model", "--kb", "--qa", "--graphs-dir"))
     dataset(p, "qa_eval")
     p.add_argument("--model")
 
@@ -458,11 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # lets explicit flags win.
             _apply_config(parser.commands[args.command], _load_config(args.config))
             args = parser.parse_args(argv)
-        if "question" in vars(args):
-            if (args.question is None) == (args.input is None):
-                raise _UsageError("give exactly one of --question or --input")
-            if args.question is not None and not args.question.split():
-                raise _UsageError("--question is blank")
+        _check_usage(parser.commands[args.command], args)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -88,6 +88,17 @@ class TestExitCodes:
     def test_usage_error_no_command(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("command", sorted(build_parser().commands))
+    def test_no_options_is_one_usage_error_and_writes_nothing(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([command]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_data_error_missing_file(self, tmp_path):
         rc = main([
             "train-grammar", "--treebank", str(tmp_path / "nope.trees"),
@@ -149,6 +160,26 @@ def _repeated_model_line(kind):
         model.write_text(text + re.search(rf"(?m)^{kind}\t.*\n", text).group(), encoding="utf-8")
         return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
                 "--question", "when is easter", "--m", "5"]
+    return argv
+
+
+def _renamed_model_feature(tmp_path, grammar_file, classifier_file):
+    """The trained model with its ``bleu1`` line (line 1) naming ``bleuX``."""
+    with open(classifier_file, encoding="utf-8") as handle:
+        text = handle.read()
+    assert text.startswith("FEATURE\tbleu1\t")
+    model = tmp_path / "clf.tsv"
+    model.write_text(text.replace("\tbleu1\t", "\tbleuX\t"), encoding="utf-8")
+    return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
+            "--question", "when is easter", "--m", "5"]
+
+
+def _pairs(line):
+    """train-classifier over a pairs file of the one line ``line``."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(line + "\n", encoding="utf-8")
+        return ["train-classifier", "--pairs", str(pairs), "--out", str(tmp_path / "clf.tsv")]
     return argv
 
 
@@ -341,6 +372,9 @@ class TestBadInputs:
             (_repeated_model_line("FEATURE"), 2, "clf.tsv:13: FEATURE 'bleu1' repeats line 1"),
             (_repeated_model_line("BIAS"), 2, "clf.tsv:13: BIAS repeats line 11"),
             (_repeated_model_line("THRESHOLD"), 2, "clf.tsv:13: THRESHOLD repeats line 12"),
+            (_renamed_model_feature, 2, "clf.tsv:1: unknown feature 'bleuX'"),
+            (_pairs("\tb\t1"), 2, "pairs.tsv:1: empty source or candidate"),
+            (_pairs("a b\t \t0"), 2, "pairs.tsv:1: empty source or candidate"),
             (_zero_probability, 2, "out of (0,1]"),
             (_deficit_context, 2, "deficit.lpcfg: invalid grammar: deficit:"),
             (_bad_perceptron("abc"), 2, "percep.tsv:2: bad weight 'abc'"),
@@ -414,7 +448,8 @@ class TestBadInputs:
              "grammar-m1-0", "grammar-m1-config", "bilayered-m1-0", "bilayered-m2-0",
              "bilayered-m2-config", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
-             "model-repeated-bias", "model-repeated-threshold", "grammar-zero",
+             "model-repeated-bias", "model-repeated-threshold", "model-unknown-feature",
+             "pairs-empty-source", "pairs-empty-candidate", "grammar-zero",
              "grammar-deficit", "perceptron-weight", "perceptron-weight-inf",
              "perceptron-repeated-feature", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
