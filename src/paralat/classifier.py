@@ -449,11 +449,10 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 def load_model(path: str) -> ClassifierModel:
     """Read a model file: one FEATURE line per feature name, one BIAS
-    line and one THRESHOLD line, in any order; a repeated line, or a
-    FEATURE line that names no feature, is an error."""
-    weights: dict[str, float] = {}
-    bias: float | None = None
-    threshold: float | None = None
+    line and one THRESHOLD line, in any order; a missing or repeated line,
+    or a FEATURE line that names no feature, is an error."""
+    keys = [*(f"FEATURE {name!r}" for name in FEATURE_NAMES), "BIAS", "THRESHOLD"]
+    values: dict[str, float] = {}
     seen: dict[str, int] = {}  # line key -> its line number
     for lineno, line in records(path):
         parts = line.split("\t")
@@ -466,19 +465,11 @@ def load_model(path: str) -> ClassifierModel:
             raise ClassifierError(f"{path}:{lineno}: {key} repeats line {seen[key]}")
         seen[key] = lineno
         try:
-            value = finite_float(parts[-1])
+            values[key] = finite_float(parts[-1])
         except ValueError as exc:
             raise ClassifierError(f"{path}:{lineno}: bad number {parts[-1]!r}") from exc
-        if parts[0] == "FEATURE":
-            weights[parts[1]] = value
-        elif parts[0] == "BIAS":
-            bias = value
-        else:
-            threshold = value
-    if bias is None or threshold is None or set(weights) != set(FEATURE_NAMES):
-        raise ClassifierError(f"{path}: incomplete model file")
-    return ClassifierModel(
-        weights=tuple(weights[name] for name in FEATURE_NAMES),
-        bias=bias,
-        threshold=threshold,
-    )
+    for key in keys:
+        if key not in values:
+            raise ClassifierError(f"{path}: missing {key} line")
+    *weights, bias, threshold = (values[key] for key in keys)
+    return ClassifierModel(weights=tuple(weights), bias=bias, threshold=threshold)

@@ -16,34 +16,34 @@ normal outcomes: the sample fails and its seed yields nothing.  A draw is
 also a dead end once its consumed edges and pending contexts outnumber
 the edges of the longest path of the lattice it started on, since each
 pending context still has to emit a word on an edge of its own and every
-later lattice state keeps a subset of those paths; no completed draw is
+later mask keeps a subset of those paths; no completed draw is
 lost.  A level that has a level below it draws a binary rule, which adds
 a context, so at level d a draw has at least d + 1 consumed edges and
 pending contexts: it runs at most that path length of levels deep,
 builds no level wider than twice it, and needs no cap on its depth.
 
-The draws of one :func:`sample_many` call share a memo of the lattice
-states they reach, keyed by edge masks (bit i for edge i of the
+The draws of one :func:`sample_many` call share one question object,
+which keeps what they reach keyed by edge masks (bit i for edge i of the
 question's lattice).  In a valid lattice an edge survives conflict
 removal for a consumed edge exactly when one of the two reaches the
-other, so a state's mask is the AND of the consumed edges' compatibility
-masks, which the question reads from its lattice
+other, so the mask a draw keeps is the AND of the consumed edges'
+compatibility masks, which the question reads from its lattice
 (:func:`~paralat.lattice.conflict_masks`, the masks conflict removal
-itself uses): a move is an AND and a lookup, and conflict removal runs
-once per distinct state, for the lattice the state keeps.  That removal
-narrows the question lattice's masks in the same way, so no state's
-lattice builds masks of its own.  A state takes its symbols from the
+itself uses): a move is an AND.  The question maps each mask a draw
+reached to its lattice, so conflict removal runs once per distinct mask.
+That removal narrows the question lattice's masks in the same way, so no
+later lattice builds masks of its own.  A mask's symbols come from the
 question the first time a walk reads them: the symbol closure over its
 vocabulary (restricting a pruned grammar to a smaller vocabulary equals
 restricting the full grammar to it) comes from a memo keyed by the
-preterminal symbols with a word on one of its edges.  A state that no
+preterminal symbols with a word on one of its edges.  A mask that no
 walk reads, one that a draw only passes through on its way to the next
-word, closes nothing.  So a cached state equals a recomputed one and the
+word, closes nothing.  So a memo entry equals a recomputed one and the
 draws are unchanged.
 
 The question also keeps ``live``, the closure over contexts for its whole
 vocabulary.  A context outside it derives no string over the question,
-nor over any later state, whose vocabulary is smaller.  So a draw that
+nor over any later mask, whose vocabulary is smaller.  So a draw that
 picks one, as its root or as a child of a binary rule, is doomed, and it
 ends at that pick; when no root context is live, a draw ends before it
 reads a random number.  These draws end as they would have, later.
@@ -62,29 +62,29 @@ has a cache of its own, so the cache needs no lock.
 A draw table holds the running sums of a support's weights (the last
 one infinite, so a float that passes every sum picks the last value), so
 a rule draw is one bisection, with the same pick as a linear scan.  The
-question keeps the tables, and no state keeps one of its own: they are
-keyed by what they depend on, the state's symbols for the roots and an
-interminal, and for a preterminal its words' free edges, those the state
-keeps that the draw has not consumed.
+question keeps the tables, keyed by what they depend on: the symbols of
+the draw's mask for the roots and an interminal, and for a preterminal
+its words' free edges, those the mask keeps that the draw has not
+consumed.
 
-The draws of one memo also share a trie of their picks, rooted on the
-question.  An inner node is one pick: the index of the float it reads,
-the running sums and total of its draw table, a child slot per value,
-the values, and the cursor of the walk just before the pick (its state,
-consumed edges and frontier; see :func:`_walk`).  A pick from a single
-value reads no float and makes no node.  A leaf is a dead end or a
-completed draw.  A draw's configuration is a function of its pick
+The draws of one question also share a trie of their picks, rooted on
+the question.  An inner node is one pick: the index of the float it
+reads, the running sums and total of its draw table, a child slot per
+value, the values, and the cursor of the walk just before the pick (its
+mask, consumed edges and frontier; see :func:`_walk`).  A pick from a
+single value reads no float and makes no node.  A leaf is a dead end or
+a completed draw.  A draw's configuration is a function of its pick
 prefix, and its k-th pick always reads the k-th float of its stream, so
 a draw descends the trie by one bisection per node, indexing its
-stream's list, with no lattice state, no table lookup and no frontier.
+stream's list, with no mask, no table lookup and no frontier.
 The question records the highest float index of its trie's nodes, so a
 draw extends its stream's list to it once before it descends.
 Only a draw that reaches an empty slot walks: it resumes from the cursor
 of the node whose slot it reached, applies the value drawn there, and
 adds its later picks and its leaf to the trie.  So a walk looks up
-tables and moves between states only for picks that no earlier draw of
-the memo made.  Every state is still first reached by a walk, so
-conflict removal still runs once per distinct state, and a state's
+tables and moves between masks only for picks that no earlier draw of
+the question made.  Every mask is still first reached by a walk, so
+conflict removal still runs once per distinct mask, and a mask's
 symbols are closed at most once.  A completed walk
 orders its consumed edges along a path by the topological ranks of their
 sources and checks each consecutive pair against the compatibility
@@ -317,24 +317,25 @@ def _live(pruned: PrunedGrammar) -> frozenset[Context]:
 
 
 class _Question:
-    """What the lattice states of one question's draws share: the pruned
-    grammar and lattice the draws start from, the edge count of its longest
-    path, each edge's compatibility mask (see
-    :func:`~paralat.lattice.conflict_masks`) and the depth of its ``src``
-    (a topological rank, see :func:`_depths`), each token's edge mask, the
-    bit set (over ``preterminals``) of the preterminal symbols each token
-    is a word of, the grammar's child-symbol pairs of each interminal
-    (:func:`_supports`), the symbols surviving over each bit set of
-    preterminals (filled as states need them), the edge mask of each
-    preterminal context's words, the draw tables (see :meth:`table` and
-    :meth:`words`), the contexts that derive a string over its
-    vocabulary (:func:`_live`), whether no root context does, the one-item
-    slot of the root of its draws' pick trie (see :func:`_walk`) and the
-    highest float index of the trie's nodes (-1 while it has none)."""
+    """What the draws of one question share: the pruned grammar and lattice
+    they start from, the edge count of its longest path, each edge's
+    compatibility mask (see :func:`~paralat.lattice.conflict_masks`) and
+    the depth of its ``src`` (a topological rank, see :func:`_depths`),
+    each token's edge mask, the bit set (over ``preterminals``) of the
+    preterminal symbols each token is a word of, the grammar's child-symbol
+    pairs of each interminal (:func:`_supports`), the symbols surviving
+    over each bit set of preterminals, the lattice of each edge mask a
+    draw reached and the surviving symbols of each that a walk read (see
+    :meth:`closure`), the edge mask of each preterminal context's words,
+    the draw tables (see :meth:`table` and :meth:`words`), the contexts
+    that derive a string over its vocabulary (:func:`_live`), whether no
+    root context does, the one-item slot of the root of its draws' pick
+    trie (see :func:`_walk`) and the highest float index of the trie's
+    nodes (-1 while it has none)."""
 
     __slots__ = ("pruned", "lattice", "longest", "compat", "rank", "tokens", "preterminals",
-                 "kinds", "pairs", "symbols", "word_edges", "tables", "live", "doomed", "root",
-                 "reach")
+                 "kinds", "pairs", "symbols", "lattices", "closed", "word_edges", "tables",
+                 "live", "doomed", "root", "reach")
 
     def __init__(self, pruned: PrunedGrammar, lat: WordLattice) -> None:
         self.pruned = pruned
@@ -355,6 +356,8 @@ class _Question:
                 self.kinds[w] = self.kinds.get(w, 0) | bit
         self.pairs = _supports(pruned.grammar).pairs
         self.symbols: dict[int, frozenset[str]] = {}
+        self.lattices = {(1 << len(lat.edges)) - 1: lat}
+        self.closed: dict[int, frozenset[str]] = {}
         self.word_edges = {
             ctx: reduce(or_, (self.tokens[w] for w, _ in entries))
             for ctx, entries in pruned.lexical.items()
@@ -365,9 +368,31 @@ class _Question:
         self.root: list[tuple | str | _Draw | None] = [None]
         self.reach = -1
 
+    def closure(self, mask: int) -> frozenset[str]:
+        """The symbols surviving over the tokens of the edge mask ``mask``,
+        closed the first time a walk reads them and kept by the mask."""
+        symbols = self.closed.get(mask)
+        if symbols is None:
+            present = 0  # the preterminals with a word on one of its edges
+            kinds = self.kinds
+            for token, edges in self.tokens.items():
+                if edges & mask:
+                    present |= kinds[token]
+            symbols = self.symbols.get(present)
+            if symbols is None:
+                # Restricting the pruned grammar to a smaller vocabulary
+                # equals restricting the full grammar to it, so the closure
+                # reads the full grammar's pairs.
+                symbols = self.symbols[present] = _close(
+                    {sym for i, sym in enumerate(self.preterminals) if present >> i & 1},
+                    self.pairs,
+                )
+            self.closed[mask] = symbols
+        return symbols
+
     def words(self, ctx: Context, free: int) -> tuple[tuple, list[float], float]:
         """The draw table of the preterminal ``ctx`` in a draw whose free
-        edges (kept by its state, not yet consumed) are ``free``: its words
+        edges (kept by its mask, not yet consumed) are ``free``: its words
         with a free edge, built on first use and kept by the context and
         the free edges of its words."""
         free &= self.word_edges.get(ctx, 0)
@@ -383,11 +408,11 @@ class _Question:
         self, ctx: Context | None, symbols: frozenset[str]
     ) -> tuple[tuple, list[float], float]:
         """The draw table of the interminal ``ctx`` (of the roots for None)
-        in a state whose surviving symbols are ``symbols``: its support in
-        the pruned grammar kept to those symbols, built on first use and
-        kept by the context and the symbols.  A binary context's values are
-        pairs of child contexts, and the roots' are contexts, with None for
-        one that is not live."""
+        over the surviving symbols ``symbols``: its support in the pruned
+        grammar kept to those symbols, built on first use and kept by the
+        context and the symbols.  A binary context's values are pairs of
+        child contexts, and the roots' are contexts, with None for one that
+        is not live."""
         table = self.tables.get((ctx, symbols))
         if table is None:
             live = self.live
@@ -404,43 +429,6 @@ class _Question:
                             )
             table = self.tables[ctx, symbols] = _table(support)
         return table
-
-
-class _State:
-    """One lattice state of a question: its edge mask (bit i for edge i of
-    the question's lattice), its lattice and the symbols surviving over its
-    tokens, found the first time a walk reads them.  Its draw tables are
-    the question's (:meth:`_Question.table` and :meth:`_Question.words`)."""
-
-    __slots__ = ("question", "mask", "lattice", "_symbols")
-
-    def __init__(self, question: _Question, mask: int, lattice: WordLattice) -> None:
-        self.question = question
-        self.mask = mask
-        self.lattice = lattice
-        self._symbols: frozenset[str] | None = None
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        symbols = self._symbols
-        if symbols is None:
-            question, mask = self.question, self.mask
-            present = 0  # the preterminals with a word on one of its edges
-            kinds = question.kinds
-            for token, edges in question.tokens.items():
-                if edges & mask:
-                    present |= kinds[token]
-            symbols = question.symbols.get(present)
-            if symbols is None:
-                # Restricting the pruned grammar to a smaller vocabulary
-                # equals restricting the full grammar to it, so the closure
-                # reads the full grammar's pairs.
-                symbols = question.symbols[present] = _close(
-                    {sym for i, sym in enumerate(question.preterminals) if present >> i & 1},
-                    question.pairs,
-                )
-            self._symbols = symbols
-        return symbols
 
 
 @dataclass(slots=True)
@@ -491,32 +479,31 @@ def _draw(question: _Question, used: int, levels: tuple[tuple[str | None, ...], 
 _NO_PICK = object()
 
 
-def _walk(kids: list, j: int, cursor: tuple, value: object,
-          states: dict[int, _State], seed: int) -> str | _Draw:
+def _walk(question: _Question, kids: list, j: int, cursor: tuple, value: object,
+          seed: int) -> str | _Draw:
     """Walk the draw of ``seed`` on from ``cursor``, the walk state just
     before one of its picks, applying ``value``, the value drawn there
     (:data:`_NO_PICK` for the question's first draw, whose cursor is the
     start).  ``kids[j]`` is the empty trie slot the draw reached.  Each
     later pick from more than one value gets a node in the slot the
     previous pick leads to: ``(float index, running sums, total, child
-    slots, values, cursor)``.  A cursor is ``(pick index, state mask,
+    slots, values, cursor)``.  A cursor is ``(pick index, edge mask,
     consumed edges, level, position in it, contexts drawn for the level
     below, words of the level, finished levels)``; the root pick's level
-    is None.  It keeps the state's mask, which ``states`` maps back to the
-    state: a trie that held states would hold their question, which holds
-    the trie, and so be freed only by the cycle collector.  The walk's
-    leaf, the failure reason of a dead end or the completed
-    :class:`_Draw`, goes in the last slot and is returned."""
+    is None.  It keeps the mask, which the question's memos map to a
+    lattice and symbols: a trie that held objects pointing back to the
+    question, which holds the trie, would be freed only by the cycle
+    collector.  The walk's leaf, the failure reason of a dead end or the
+    completed :class:`_Draw`, goes in the last slot and is returned."""
     k, mask, used, level, pos, below, words, levels = cursor
     below, words = list(below), list(words)
-    state = states[mask]
-    question = state.question
     rng, floats = _stream(seed)
     tokens = question.tokens
     compat = question.compat
     longest = question.longest
+    lattices = question.lattices
     preterminals = question.pruned.grammar.preterminals
-    free = mask & ~used  # the state's edges not yet consumed
+    free = mask & ~used  # the mask's edges not yet consumed
     # Each level of the frontier is the tuple of its contexts, left to
     # right; ``levels`` keeps the word drawn at each position of each
     # (None where a binary rule was drawn).  A context that is not live
@@ -536,16 +523,14 @@ def _walk(kids: list, j: int, cursor: tuple, value: object,
                     # The edges left are those compatible with every
                     # consumed one.
                     i = bit.bit_length() - 1
-                    mask = state.mask & compat[i]
-                    if mask != state.mask:
-                        nxt = states.get(mask)
-                        if nxt is None:
-                            nxt = states[mask] = _State(
-                                question, mask,
-                                remove_conflicting(state.lattice, question.lattice.edges[i]),
+                    nxt = mask & compat[i]
+                    if nxt != mask:
+                        if nxt not in lattices:
+                            lattices[nxt] = remove_conflicting(
+                                lattices[mask], question.lattice.edges[i]
                             )
-                        state = nxt
-                    free = state.mask & ~used
+                        mask = nxt
+                    free = mask & ~used
                     words.append(value)
                 else:
                     below += value
@@ -565,12 +550,12 @@ def _walk(kids: list, j: int, cursor: tuple, value: object,
                 break
             k += 1
         if level is None:
-            values, cum, total = question.table(None, state.symbols)
+            values, cum, total = question.table(None, question.closure(mask))
         else:
             ctx = level[pos]
             values, cum, total = (
                 question.words(ctx, free) if ctx[0] in preterminals
-                else question.table(ctx, state.symbols)
+                else question.table(ctx, question.closure(mask))
             )
             if not values:
                 break
@@ -579,7 +564,7 @@ def _walk(kids: list, j: int, cursor: tuple, value: object,
             continue
         slots = [None] * len(values)
         kids[j] = (k, cum, total, slots, values,
-                   (k, state.mask, used, level, pos, tuple(below), tuple(words), levels))
+                   (k, mask, used, level, pos, tuple(below), tuple(words), levels))
         if k > question.reach:
             question.reach = k
         while k >= len(floats):
@@ -591,10 +576,8 @@ def _walk(kids: list, j: int, cursor: tuple, value: object,
 
 
 def sample_one(
-    pruned: PrunedGrammar,
-    lat: WordLattice,
+    question: _Question,
     seed: int,
-    states: dict[int, _State] | None = None,
     seen: Container[tuple[str, ...]] = (),
 ) -> ParaphraseCandidate | SampleFailure | None:
     """Draw one paraphrase; breadth-first, with controlled path removal.
@@ -602,38 +585,26 @@ def sample_one(
     Every rule draw renormalizes the original parameters over the support
     that currently survives.  Each emitted word consumes one not yet
     consumed lattice edge (the canonically least); the removal step then
-    drops all paths conflicting with it.  ``states`` is the memo of lattice
-    states that the draws over one ``pruned``/``lat`` pair share (see
-    :func:`sample_many`); without it the draw keeps a private one.  A memo
-    used with another pair raises ValueError.  A completed draw whose
-    tokens are in ``seen`` returns None.
+    drops all paths conflicting with it.  ``question`` holds the pruned
+    grammar and lattice and the memos that the draws over them share (see
+    :func:`sample_many`).  A completed draw whose tokens are in ``seen``
+    returns None.
 
     A draw first extends the seed's stream to the highest float index of
-    the memo's pick trie, then follows its floats down the trie, each node
-    reading the float of its pick's index in the stream; only a
+    the question's pick trie, then follows its floats down the trie, each
+    node reading the float of its pick's index in the stream; only a
     draw that reaches an empty slot walks (:func:`_walk`), from the cursor
     of the node whose slot it reached, and adds its later picks to the
     trie.
     """
-    if states is None:
-        states = {}
-    full = (1 << len(lat.edges)) - 1
-    state = states.get(full)
-    if state is None:
-        if states:
-            raise ValueError("the state memo belongs to another lattice")
-        state = states[full] = _State(_Question(pruned, lat), full, lat)
-    question = state.question
-    if (question.lattice is not lat and question.lattice != lat) or (
-        question.pruned is not pruned and question.pruned != pruned
-    ):
-        raise ValueError("the state memo belongs to another lattice or grammar")
     if question.doomed:
         return SampleFailure("dead-end", seed)
 
     node = question.root[0]
     if node is None:  # the question's first draw
-        node = _walk(question.root, 0, (0, full, 0, None, 0, (), (), ()), _NO_PICK, states, seed)
+        full = (1 << len(question.lattice.edges)) - 1
+        node = _walk(question, question.root, 0, (0, full, 0, None, 0, (), (), ()), _NO_PICK,
+                     seed)
     elif type(node) is tuple:
         # The seed's cached stream, or a new one from _stream.
         rng, floats = _streams.by_seed.get(seed) or _stream(seed)
@@ -644,7 +615,7 @@ def sample_one(
             j = bisect_right(cum, floats[k] * total)
             node = kids[j]
         if node is None:
-            node = _walk(kids, j, cursor, values[j], states, seed)
+            node = _walk(question, kids, j, cursor, values[j], seed)
     if type(node) is str:
         return SampleFailure(node, seed)
     if node.tokens in seen:
@@ -662,19 +633,19 @@ def sample_many(
     """Collect candidates from ``m_samples`` independent draws.
 
     Seeds run from ``seed`` upward, each starting from the full lattice;
-    the draws share one memo of the lattice states they reach.  Duplicates
-    (by token sequence) and the input question itself are dropped.
-    Deterministic for a fixed seed.
+    the draws share one :class:`_Question`, built here, with its memos
+    and pick trie.  Duplicates (by token sequence) and the input question
+    itself are dropped.  Deterministic for a fixed seed.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     pruned = prune_grammar(grammar, lat)  # raises EmptyIntersection
-    states: dict[int, _State] = {}
+    shared = _Question(pruned, lat)
     question_tokens = tuple(question)
     out: list[ParaphraseCandidate] = []
     seen: set[tuple[str, ...]] = {question_tokens}
     for s in range(seed, seed + m_samples):
-        result = sample_one(pruned, lat, s, states, seen)
+        result = sample_one(shared, s, seen)
         if type(result) is ParaphraseCandidate:
             seen.add(result.tokens)
             out.append(result)

@@ -842,24 +842,25 @@ def save_perceptron(model: PerceptronModel, path: str) -> None:
 
 
 def load_perceptron_weights(path: str) -> dict[str, float]:
-    """The FEATURE weights of a perceptron file; a feature named on two
-    lines is an error."""
+    """The FEATURE weights of a perceptron file.  A STEPS or SKIPPED count
+    that is not a non-negative integer is an error, and so is a repeated
+    STEPS or SKIPPED line or a feature named on two lines."""
     weights: dict[str, float] = {}
-    feature_lines: dict[str, int] = {}
+    seen: dict[str, int] = {}  # line key -> its line number
     for lineno, line in records(path):
         parts = line.split("\t")
-        if parts[0] in ("STEPS", "SKIPPED") and len(parts) == 2:
-            continue
-        if parts[0] == "FEATURE" and len(parts) == 3:
-            if parts[1] in feature_lines:
-                raise SemparseError(
-                    f"{path}:{lineno}: FEATURE {parts[1]!r} repeats line {feature_lines[parts[1]]}"
-                )
-            feature_lines[parts[1]] = lineno
-            try:
-                weights[parts[1]] = finite_float(parts[2])
-            except ValueError as exc:
-                raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-        else:
+        if (parts[0], len(parts)) not in (("STEPS", 2), ("SKIPPED", 2), ("FEATURE", 3)):
             raise SemparseError(f"{path}:{lineno}: bad model line")
+        key = parts[0] if len(parts) == 2 else f"FEATURE {parts[1]!r}"
+        if key in seen:
+            raise SemparseError(f"{path}:{lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
+        if parts[0] != "FEATURE":
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise SemparseError(f"{path}:{lineno}: bad {key} count {parts[1]!r}")
+            continue
+        try:
+            weights[parts[1]] = finite_float(parts[2])
+        except ValueError as exc:
+            raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
     return weights

@@ -44,7 +44,7 @@ from paralat.grammar import (
     validate,
 )
 from paralat.lattice import Edge, ORIGIN_BILAYERED, build_bilayered, remove_conflicting
-from paralat.sampler import ParaphraseCandidate, prune_grammar, sample_one
+from paralat.sampler import ParaphraseCandidate, _Question, prune_grammar, sample_one
 from paralat.semparse import (
     dot_score,
     evaluate,
@@ -115,7 +115,7 @@ class TestSamplerDistribution:
         n = 10000
         counts: Counter = Counter()
         for seed in range(n):
-            result = sample_one(pruned, lat, seed)
+            result = sample_one(_Question(pruned, lat), seed)
             assert isinstance(result, ParaphraseCandidate)
             counts[result.tokens] += 1
         keys = sorted(expected)
@@ -124,8 +124,8 @@ class TestSamplerDistribution:
         )
         assert pvalue > 0.01
         # Determinism per seed.
-        repeat = [sample_one(pruned, lat, s).tokens for s in range(100)]
-        assert repeat == [sample_one(pruned, lat, s).tokens for s in range(100)]
+        repeat = [sample_one(_Question(pruned, lat), s).tokens for s in range(100)]
+        assert repeat == [sample_one(_Question(pruned, lat), s).tokens for s in range(100)]
         elapsed = time.monotonic() - start
         assert elapsed < 10.0
         _report(
@@ -145,7 +145,7 @@ class TestPathInvariant:
             pruned = prune_grammar(grammar, lat)
             for seed in range(20):
                 samples += 1
-                result = sample_one(pruned, lat, seed)
+                result = sample_one(_Question(pruned, lat), seed)
                 if isinstance(result, ParaphraseCandidate):
                     candidates += 1
                     assert is_single_path_subset(lat, result.consumed_path)

@@ -163,6 +163,19 @@ def _repeated_model_line(kind):
     return argv
 
 
+def _dropped_model_line(prefix):
+    """The trained model without its first line that starts with
+    ``prefix``."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        with open(classifier_file, encoding="utf-8") as handle:
+            text = handle.read()
+        model = tmp_path / "clf.tsv"
+        model.write_text(re.sub(rf"(?m)^{prefix}\t.*\n", "", text, count=1), encoding="utf-8")
+        return ["paraphrase", "--grammar", grammar_file, "--classifier", str(model),
+                "--question", "when is easter", "--m", "5"]
+    return argv
+
+
 def _renamed_model_feature(tmp_path, grammar_file, classifier_file):
     """The trained model with its ``bleu1`` line (line 1) naming ``bleuX``."""
     with open(classifier_file, encoding="utf-8") as handle:
@@ -204,22 +217,19 @@ def _deficit_context(tmp_path, grammar_file, classifier_file):
     return ["sample", "--grammar", str(grammar), "--question", "when is easter"]
 
 
-def _semparse_eval(tmp_path, weights="", qa=None, graphs_dir=None):
-    """semparse-eval over a perceptron file of ``weights`` lines."""
+def _semparse_eval(tmp_path, weights="", qa=None, graphs_dir=None, steps="1"):
+    """semparse-eval over a perceptron file of a ``STEPS steps`` line and
+    ``weights`` lines."""
     model = tmp_path / "percep.tsv"
-    model.write_text("STEPS\t1\n" + weights, encoding="utf-8")
+    model.write_text(f"STEPS\t{steps}\n" + weights, encoding="utf-8")
     return ["semparse-eval", "--kb", data_path("kb.tsv"), "--qa", qa or data_path("qa_eval.tsv"),
             "--graphs-dir", graphs_dir or data_path("graphs"), "--model", str(model)]
 
 
-def _bad_perceptron(value):
+def _perceptron_lines(lines, steps="1"):
     def argv(tmp_path, grammar_file, classifier_file):
-        return _semparse_eval(tmp_path, f"FEATURE\tbias\t{value}\n")
+        return _semparse_eval(tmp_path, lines, steps=steps)
     return argv
-
-
-def _repeated_perceptron_feature(tmp_path, grammar_file, classifier_file):
-    return _semparse_eval(tmp_path, "FEATURE\tbias\t1.0\nFEATURE\tbias\t2.0\n")
 
 
 def _bad_graph_score(tmp_path, grammar_file, classifier_file):
@@ -373,13 +383,22 @@ class TestBadInputs:
             (_repeated_model_line("BIAS"), 2, "clf.tsv:13: BIAS repeats line 11"),
             (_repeated_model_line("THRESHOLD"), 2, "clf.tsv:13: THRESHOLD repeats line 12"),
             (_renamed_model_feature, 2, "clf.tsv:1: unknown feature 'bleuX'"),
+            (_dropped_model_line("FEATURE\tbleu2"), 2, "clf.tsv: missing FEATURE 'bleu2' line"),
+            (_dropped_model_line("BIAS"), 2, "clf.tsv: missing BIAS line"),
+            (_dropped_model_line("THRESHOLD"), 2, "clf.tsv: missing THRESHOLD line"),
             (_pairs("\tb\t1"), 2, "pairs.tsv:1: empty source or candidate"),
             (_pairs("a b\t \t0"), 2, "pairs.tsv:1: empty source or candidate"),
             (_zero_probability, 2, "out of (0,1]"),
             (_deficit_context, 2, "deficit.lpcfg: invalid grammar: deficit:"),
-            (_bad_perceptron("abc"), 2, "percep.tsv:2: bad weight 'abc'"),
-            (_bad_perceptron("-inf"), 2, "percep.tsv:2: bad weight '-inf'"),
-            (_repeated_perceptron_feature, 2, "percep.tsv:3: FEATURE 'bias' repeats line 2"),
+            (_perceptron_lines("FEATURE\tbias\tabc\n"), 2, "percep.tsv:2: bad weight 'abc'"),
+            (_perceptron_lines("FEATURE\tbias\t-inf\n"), 2, "percep.tsv:2: bad weight '-inf'"),
+            (_perceptron_lines("FEATURE\tbias\t1.0\nFEATURE\tbias\t2.0\n"), 2,
+             "percep.tsv:3: FEATURE 'bias' repeats line 2"),
+            (_perceptron_lines("", steps="abc"), 2, "percep.tsv:1: bad STEPS count 'abc'"),
+            (_perceptron_lines("SKIPPED\t-x\n"), 2, "percep.tsv:2: bad SKIPPED count '-x'"),
+            (_perceptron_lines("STEPS\t2\n"), 2, "percep.tsv:2: STEPS repeats line 1"),
+            (_perceptron_lines("SKIPPED\t0\nSKIPPED\t0\n"), 2,
+             "percep.tsv:3: SKIPPED repeats line 2"),
             (_bad_graph_score, 2, "q11_orig.graph:2: bad score 'nan'"),
             (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
             (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
@@ -449,9 +468,12 @@ class TestBadInputs:
              "bilayered-m2-config", "model-bias", "model-feature-nan",
              "model-bias-inf", "model-threshold-nan", "model-repeated-feature",
              "model-repeated-bias", "model-repeated-threshold", "model-unknown-feature",
+             "model-missing-feature", "model-missing-bias", "model-missing-threshold",
              "pairs-empty-source", "pairs-empty-candidate", "grammar-zero",
              "grammar-deficit", "perceptron-weight", "perceptron-weight-inf",
-             "perceptron-repeated-feature", "graph-score-nan",
+             "perceptron-repeated-feature", "perceptron-steps-not-a-count",
+             "perceptron-skipped-negative", "perceptron-repeated-steps",
+             "perceptron-repeated-skipped", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
              "bilayered-grammar-missing", "build-lattice-rules-missing-before-loading",

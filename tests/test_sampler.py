@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -46,6 +47,7 @@ from paralat.sampler import (
     ParaphraseCandidate,
     SampleFailure,
     _pick,
+    _Question,
     _table,
     prune_grammar,
     sample_many,
@@ -195,7 +197,7 @@ class TestSampleOne:
         lat = build_naive(["a", "b"])
         pruned = prune_grammar(grammar, lat)
         for seed in range(10):
-            result = sample_one(pruned, lat, seed)
+            result = sample_one(_Question(pruned, lat), seed)
             assert isinstance(result, ParaphraseCandidate)
             assert result.tokens == ("a", "b")
 
@@ -203,7 +205,7 @@ class TestSampleOne:
         grammar = _product_grammar()
         lat = build_naive("a b c d".split())
         pruned = prune_grammar(grammar, lat)
-        result = sample_one(pruned, lat, 0)
+        result = sample_one(_Question(pruned, lat), 0)
         assert isinstance(result, ParaphraseCandidate)
         assert Counter(e.token for e in result.consumed_path) == Counter(result.tokens)
 
@@ -224,7 +226,7 @@ class TestSampleOne:
             lexical=lexical,
         )
         pruned = prune_grammar(grammar, czech_lattice)
-        result = sample_one(pruned, czech_lattice, seed=0)
+        result = sample_one(_Question(pruned, czech_lattice), 0)
         assert isinstance(result, ParaphraseCandidate)
         assert result.tokens == tuple(sentence)
         path_tokens = [e.token for e in result.consumed_path]
@@ -236,7 +238,7 @@ class TestSampleOne:
         alternatives = {"people", "'s", "human", "beings", "the", "population",
                         "members", "of", "public"}
         for seed in range(300):
-            result = sample_one(pruned, czech_lattice, seed)
+            result = sample_one(_Question(pruned, czech_lattice), seed)
             if isinstance(result, SampleFailure):
                 continue
             used = set(result.tokens)
@@ -256,7 +258,7 @@ class TestSampleOne:
         )
         lat = build_naive(["a", "a"])
         pruned = prune_grammar(grammar, lat)
-        results = [sample_one(pruned, lat, s) for s in range(30)]
+        results = [sample_one(_Question(pruned, lat), s) for s in range(30)]
         failures = [r for r in results if isinstance(r, SampleFailure)]
         assert failures
         assert {f.reason for f in failures} == {"dead-end"}
@@ -275,10 +277,10 @@ class TestSampleOne:
         )
         lat = build_naive(words)
         pruned = prune_grammar(grammar, lat)
-        states = {}
+        question = _Question(pruned, lat)
         lengths = []
         for s in range(400):
-            got = sample_one(pruned, lat, s, states=states)
+            got = sample_one(question, s)
             expected = reference_sample_one(pruned, lat, s, depth_cap=10**9)
             if isinstance(expected, SampleFailure):
                 assert isinstance(got, SampleFailure)
@@ -355,7 +357,7 @@ class TestDistributionalSoundness:
         counts: Counter[tuple[str, ...]] = Counter()
         n = 10000
         for seed in range(n):
-            result = sample_one(pruned, lat, seed)
+            result = sample_one(_Question(pruned, lat), seed)
             assert isinstance(result, ParaphraseCandidate)
             counts[result.tokens] += 1
         keys = sorted(expected)
@@ -368,8 +370,8 @@ class TestDistributionalSoundness:
         grammar = _product_grammar()
         lat = build_naive("a b c d".split())
         pruned = prune_grammar(grammar, lat)
-        first = [sample_one(pruned, lat, s) for s in range(50)]
-        second = [sample_one(pruned, lat, s) for s in range(50)]
+        first = [sample_one(_Question(pruned, lat), s) for s in range(50)]
+        second = [sample_one(_Question(pruned, lat), s) for s in range(50)]
         assert [getattr(r, "tokens", None) for r in first] == [
             getattr(r, "tokens", None) for r in second
         ]
@@ -384,7 +386,7 @@ class TestPathInvariant:
             grammar = word_salad_grammar(sorted(lat.vocabulary()))
             pruned = prune_grammar(grammar, lat)
             for seed in range(25):
-                result = sample_one(pruned, lat, seed)
+                result = sample_one(_Question(pruned, lat), seed)
                 if isinstance(result, SampleFailure):
                     continue
                 total += 1
@@ -592,9 +594,9 @@ class TestLatticeStateMemo:
         monkeypatch.setattr(sampler, "_stream", fresh)
         outcomes = Counter()
         for seed in range(200):
-            # A private memo: the draw walks from the start and reads only
-            # the floats of its own picks.
-            result = sample_one(pruned, lat, seed)
+            # A fresh question: the draw walks from the start and reads
+            # only the floats of its own picks.
+            result = sample_one(_Question(pruned, lat), seed)
             outcomes[type(result), len(streams[seed][1])] += 1
         # A draw's k-th pick reads float k, and the single-value root pick
         # is pick 0: "a a" reads up to float 1, S's pick; a dead end reads
@@ -635,11 +637,11 @@ class TestLatticeStateMemo:
             },
         )
         pruned = prune_grammar(grammar, lat)
-        states: dict = {}
-        draws = [sample_one(pruned, lat, seed, states=states) for seed in range(20)]
+        question = _Question(pruned, lat)
+        draws = [sample_one(question, seed) for seed in range(20)]
         assert draws == [reference_sample_one(pruned, lat, seed) for seed in range(20)]
         assert {d.tokens for d in draws} == {("a", "b", "b"), ("c", "d", "d")}
-        assert len(states) == 3
+        assert len(question.lattices) == 3
 
     def test_word_whose_edge_was_consumed_is_not_drawn_again(self):
         # "a" is on edge 0-1 only, which shares a path with every edge: a
@@ -658,23 +660,27 @@ class TestLatticeStateMemo:
         )
         pruned = prune_grammar(grammar, lat)
         expected = [reference_sample_one(pruned, lat, seed) for seed in range(40)]
-        assert [sample_one(pruned, lat, seed, states={}) for seed in range(40)] == expected
-        states: dict = {}
-        assert [sample_one(pruned, lat, seed, states=states) for seed in range(40)] == expected
+        assert [sample_one(_Question(pruned, lat), seed) for seed in range(40)] == expected
+        question = _Question(pruned, lat)
+        assert [sample_one(question, seed) for seed in range(40)] == expected
         assert {d.tokens for d in expected} == {("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")}
         full = (1 << len(lat.edges)) - 1
-        question = states[full].question
         assert question.words(w, full)[0] == ("a", "b", "c")
         assert question.words(w, full & ~1)[0] == ("b", "c")
 
-    def test_private_memo_draw_equals_reference(self, heldout_lattices):
+    def test_fresh_question_draw_equals_reference(self, heldout_lattices):
         grammar, cases = heldout_lattices
         for _tokens, lat in cases:
             pruned = prune_grammar(grammar, lat)
             for seed in range(DRAWS):
-                assert sample_one(pruned, lat, seed) == reference_sample_one(pruned, lat, seed)
+                expected = reference_sample_one(pruned, lat, seed)
+                assert sample_one(_Question(pruned, lat), seed) == expected
 
     def test_conflict_removal_once_per_state_and_edge(self, heldout_lattices, monkeypatch):
+        # The question maps each edge mask its draws reach to a lattice:
+        # the full mask to its own lattice, and every other one to the
+        # lattice of one conflict removal, made when a walk first reaches
+        # the mask.
         grammar, cases = heldout_lattices
         calls = []
 
@@ -682,32 +688,56 @@ class TestLatticeStateMemo:
             calls.append((lat.edges, edge))
             return remove_conflicting(lat, edge)
 
-        states = []
-        init = sampler._State.__init__
+        questions = []
+        init = sampler._Question.__init__
 
-        def counted(state, *args):
-            states.append(state)
-            init(state, *args)
+        def recorded(question, *args):
+            questions.append(question)
+            init(question, *args)
 
         monkeypatch.setattr("paralat.sampler.remove_conflicting", recording)
-        monkeypatch.setattr(sampler._State, "__init__", counted)
+        monkeypatch.setattr(sampler._Question, "__init__", recorded)
         total = 0
         for tokens, lat in cases:
             calls.clear()
-            states.clear()
+            questions.clear()
             got = sample_many(tokens, grammar, lat, DRAWS, 7)
             total += len(calls)
             # A case whose draws all end before a word is emitted (at a
             # pick that is not live) removes nothing.
-            assert len(calls) == len(set(calls))
-            assert len(calls) <= len(states)
+            (question,) = questions
+            assert len(calls) == len(set(calls)) == len(question.lattices) - 1
+            assert question.lattices[(1 << len(lat.edges)) - 1] is lat
             assert got == _reference_many(tokens, grammar, lat, DRAWS, 7)
         assert total
 
+    def test_draws_leave_no_reference_cycle(self, bundled_lattices):
+        # Trie cursors hold edge masks, not objects that point back to the
+        # question, so a question and its trie are freed by reference
+        # counting alone.  A question whose pruning raises is left out: a
+        # caught exception's traceback is a cycle of its own.
+        grammar, _layered, per_question = bundled_lattices
+        cases = []
+        for tokens, lattices in per_question:
+            try:
+                prune_grammar(grammar, lattices[0])
+            except EmptyIntersection:
+                continue
+            cases.append((tokens, lattices[0]))
+        assert len(cases) > HELDOUT
+        gc.collect()
+        gc.disable()
+        try:
+            drawn = sum(len(sample_many(tokens, grammar, lat, DRAWS, 7)) for tokens, lat in cases)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert drawn
+
     def test_question_builds_each_draw_table_once(self, heldout_lattices, monkeypatch):
         # The question keeps every draw table, keyed by what the table
-        # depends on, and no state keeps a copy: each key is built once,
-        # however many lookups ask for it.
+        # depends on: each key is built once, however many lookups ask
+        # for it.
         grammar, cases = heldout_lattices
         built = []
         looked_up = []
@@ -722,11 +752,10 @@ class TestLatticeStateMemo:
         builds = 0
         for _tokens, lat in cases:
             built.clear()
-            pruned = prune_grammar(grammar, lat)
-            states: dict = {}
+            question = _Question(prune_grammar(grammar, lat), lat)
             for seed in range(7, 7 + DRAWS):
-                sample_one(pruned, lat, seed, states)
-            assert len(built) == len(states[(1 << len(lat.edges)) - 1].question.tables)
+                sample_one(question, seed)
+            assert len(built) == len(question.tables)
             builds += len(built)
         assert 0 < builds < len(looked_up)
 
@@ -777,37 +806,37 @@ class TestStateMasks:
         assert steps > 600
 
     def test_memo_states_match_their_lattices(self, heldout_lattices):
-        # Every state of a real memo: its mask names its lattice's edges,
-        # and its symbols are those of the grammar narrowed to it afresh.
-        # A preterminal's table, read for the state's edges with none or
-        # one of them consumed, holds the words with an edge of the state's
-        # lattice left.
+        # Every mask a question's draws reached: it names the edges of the
+        # lattice the question keeps for it, and its symbols are those of
+        # the grammar narrowed to that lattice afresh.  A preterminal's
+        # table, read for the mask's edges with none or one of them
+        # consumed, holds the words with an edge of that lattice left.
         grammar, cases = heldout_lattices
         checked = 0
         for _tokens, lat in cases:
             pruned = prune_grammar(grammar, lat)
-            states: dict = {}
+            question = _Question(pruned, lat)
             for seed in range(DRAWS):
-                sample_one(pruned, lat, seed, states=states)
-            for mask, state in states.items():
-                assert [lat.edges[i] for i in _bits(mask)] == list(state.lattice.edges)
-                narrowed = reference_narrow(pruned, state.lattice.vocabulary())
-                assert state.symbols == _symbols(narrowed)
-                for consumed in [None, *state.lattice.edges]:
-                    left = {e.token for e in state.lattice.edges if e != consumed}
+                sample_one(question, seed)
+            for mask, lattice in question.lattices.items():
+                assert [lat.edges[i] for i in _bits(mask)] == list(lattice.edges)
+                narrowed = reference_narrow(pruned, lattice.vocabulary())
+                assert question.closure(mask) == _symbols(narrowed)
+                for consumed in [None, *lattice.edges]:
+                    left = {e.token for e in lattice.edges if e != consumed}
                     free = mask if consumed is None else mask & ~(1 << lat.edges.index(consumed))
                     for ctx, entries in pruned.lexical.items():
-                        values, cum, total = state.question.words(ctx, free)
+                        values, cum, total = question.words(ctx, free)
                         kept = [(w, p) for w, p in entries if w in left]
                         assert (values, cum, total) == _table(kept)
                         checked += bool(kept) and len(kept) < len(entries)
         assert checked
 
     def test_symbols_are_closed_only_when_a_walk_reads_them(self, heldout_lattices, monkeypatch):
-        # A state closes its symbols the first time a walk reads them, and
-        # they equal the closure a state made when it was built: over the
-        # preterminals with a word on one of its edges.  A state that no
-        # walk reads makes no closure.
+        # A mask's symbols are closed the first time a walk reads them, and
+        # they equal the closure over the preterminals with a word on one
+        # of its lattice's edges.  A mask that no walk reads makes no
+        # closure.
         grammar, cases = heldout_lattices
         closures = []
         close = sampler._close
@@ -821,26 +850,27 @@ class TestStateMasks:
         unread = 0
         for _tokens, lat in cases:
             pruned = prune_grammar(grammar, lat)
-            states: dict = {}
             closures.clear()
+            question = _Question(pruned, lat)
             for seed in range(DRAWS):
-                sample_one(pruned, lat, seed, states=states)
-            question = states[(1 << len(lat.edges)) - 1].question
-            read = sum(state._symbols is not None for state in states.values())
-            unread += len(states) - read
+                sample_one(question, seed)
+            read = len(question.closed)
+            assert question.closed.keys() <= question.lattices.keys()
+            unread += len(question.lattices) - read
             # One closure over contexts for the question's live contexts,
-            # then one per distinct preterminal set that a read state has.
+            # then one per distinct preterminal set that a read mask has.
             assert sum(p is pairs for p in closures) == len(question.symbols) <= read
             assert len(closures) == 1 + len(question.symbols)
-            for state in states.values():
-                vocabulary = state.lattice.vocabulary()
+            for mask, lattice in question.lattices.items():
+                vocabulary = lattice.vocabulary()
                 eager = close(
                     {sym for (sym, _), entries in pruned.lexical.items()
                      if any(w in vocabulary for w, _ in entries)},
                     pairs,
                 )
-                assert state.symbols == eager
-                assert (state._symbols is not None) and state.symbols is state.symbols
+                assert question.closed.get(mask, eager) == eager
+                assert question.closure(mask) == eager
+                assert question.closed[mask] is question.closure(mask)
         assert unread
 
     def test_draw_ends_at_pick_of_dead_context(self, monkeypatch):
@@ -855,9 +885,9 @@ class TestStateMasks:
         lookups = Counter()
         results = []
         for seed in range(60):
-            # A fresh memo, so the draw walks rather than replays a trie.
+            # A fresh question, so the draw walks rather than replays a trie.
             looked_up.clear()
-            result = sample_one(pruned, lat, seed, states={})
+            result = sample_one(_Question(pruned, lat), seed)
             results.append(result)
             if isinstance(result, SampleFailure):
                 # The draw ends at the binary pick of S or X-0 that reaches
@@ -868,13 +898,13 @@ class TestStateMasks:
                 assert result.tokens == ("a", "a", "a")
             assert ("X", S1) not in looked_up
         assert set(lookups) == {2, 4}
-        # With a shared memo, a seed replayed after every other one was
+        # With a shared question, a seed replayed after every other one was
         # walked follows the trie and looks nothing up.
-        states: dict = {}
+        question = _Question(pruned, lat)
         for seed in range(60):
-            sample_one(pruned, lat, seed, states=states)
+            sample_one(question, seed)
         looked_up.clear()
-        assert [sample_one(pruned, lat, seed, states=states) for seed in range(60)] == results
+        assert [sample_one(question, seed) for seed in range(60)] == results
         assert looked_up == []
         monkeypatch.undo()
         got = sample_many(["q"], grammar, lat, DRAWS, 3)
@@ -894,9 +924,9 @@ class TestStateMasks:
         monkeypatch.setattr(sampler, "_stream", no_stream)
         monkeypatch.setattr(sampler._streams, "by_seed", {})
         monkeypatch.setattr(sampler._random, "Random", no_stream)
-        states: dict = {}
+        question = _Question(pruned, lat)
         for seed in range(20):
-            assert sample_one(pruned, lat, seed, states=states) == SampleFailure("dead-end", seed)
+            assert sample_one(question, seed) == SampleFailure("dead-end", seed)
         got = sample_many(["q"], grammar, lat, DRAWS, 0)
         monkeypatch.undo()
         assert got == _reference_many(["q"], grammar, lat, DRAWS, 0) == []
@@ -980,26 +1010,6 @@ class TestStateMasks:
             assert len(sampler._streams.by_seed) == sampler._STREAMS_KEPT
             assert got and got == _reference_many(tokens, grammar, lat, m, seed)
 
-    def test_memo_of_another_lattice_or_grammar_is_refused(self):
-        grammar = _product_grammar()
-        lat = build_naive("a b c d".split())
-        pruned = prune_grammar(grammar, lat)
-        states: dict = {}
-        sample_one(pruned, lat, 0, states=states)
-        # An equal lattice and grammar may share the memo.
-        same = WordLattice(lat.source, lat.sink, tuple(lat.edges))
-        assert sample_one(prune_grammar(grammar, same), same, 1, states=states) == sample_one(
-            pruned, lat, 1
-        )
-        other_words = build_naive("c d a b".split())  # as many edges
-        shorter = build_naive("a b".split())
-        longer = build_naive("a b c d a".split())
-        for other in (other_words, shorter, longer):
-            with pytest.raises(ValueError):
-                sample_one(prune_grammar(grammar, other), other, 0, states=states)
-        with pytest.raises(ValueError):
-            sample_one(prune_grammar(word_salad_grammar("abcd"), lat), lat, 0, states=states)
-
 
 # Weights with ties, zeros, subnormals and values far apart in magnitude.
 _WEIGHTS = st.one_of(
@@ -1082,10 +1092,10 @@ class TestDrawCounts:
             candidates = sample_many(tokens, grammar, lat, 400, 7)
             kept += len(filter_candidates(model, tokens, candidates, gazetteer))
             assert calls["sample_one"] == 400
-            pruned, states = prune_grammar(grammar, lat), {}
+            question = _Question(prune_grammar(grammar, lat), lat)
             seen = {tuple(tokens)} | {c.tokens for c in candidates}
             for s in range(7, 407):
-                result = sample_one(pruned, lat, s, states=states, seen=seen)
+                result = sample_one(question, s, seen)
                 assert not isinstance(result, ParaphraseCandidate)
         assert kept > 0
 
@@ -1107,7 +1117,7 @@ class TestDrawCounts:
         mixed = 0
         for seed in range(50):
             try:
-                result = sample_one(pruned, lat, seed, seen=language)
+                result = sample_one(_Question(pruned, lat), seed, language)
             except AssertionError as exc:
                 assert "one path" in str(exc)
                 mixed += 1
@@ -1117,8 +1127,8 @@ class TestDrawCounts:
 
 
 class TestPickTrie:
-    """The draws of one memo share a trie of their picks: a draw that
-    replays known picks gives what a walk from a fresh memo gives."""
+    """The draws of one question share a trie of their picks: a draw that
+    replays known picks gives what a walk on a fresh question gives."""
 
     def test_shared_memo_in_any_order_equals_fresh_memos(self, heldout_lattices, monkeypatch):
         grammar, cases = heldout_lattices
@@ -1135,23 +1145,23 @@ class TestPickTrie:
         for _tokens, lat in cases:
             pruned = prune_grammar(grammar, lat)
             seeds = list(range(DRAWS))
-            fresh = {s: sample_one(pruned, lat, s, states={}) for s in seeds}
+            fresh = {s: sample_one(_Question(pruned, lat), s) for s in seeds}
             shuffled = rng.sample(seeds, len(seeds))
             monkeypatch.setattr(sampler, "_walk", counted)
             for order in (seeds[::-1], shuffled):
-                states: dict = {}
-                assert {s: sample_one(pruned, lat, s, states=states)
-                        for s in order} == fresh
+                question = _Question(pruned, lat)
+                assert {s: sample_one(question, s) for s in order} == fresh
                 draws += len(order)
             monkeypatch.undo()
-        # Most draws replay picks an earlier draw of their memo made.
+        # Most draws replay picks an earlier draw of their question made.
         assert 0 < walks < draws / 2
 
     def test_walk_resumes_where_its_draw_left_the_trie(self, heldout_lattices, monkeypatch):
         # A walk looks tables up only for the picks after the slot its draw
-        # reached, so the draws of one memo look up fewer tables than its
-        # walking seeds do from fresh memos, where every walk starts at
-        # the root.  A walk that restarted from the root would make as many.
+        # reached, so the draws of one question look up fewer tables than
+        # its walking seeds do on fresh questions, where every walk starts
+        # at the root.  A walk that restarted from the root would make as
+        # many.
         grammar, cases = heldout_lattices
         looked_up = []
         _watch_lookups(monkeypatch, looked_up.append)
@@ -1170,14 +1180,14 @@ class TestPickTrie:
             pruned = prune_grammar(grammar, lat)
             expected = {s: reference_sample_one(pruned, lat, s) for s in seeds}
             for order in (seeds, seeds[::-1], rng.sample(seeds, len(seeds))):
-                states: dict = {}
+                question = _Question(pruned, lat)
                 looked_up.clear()
                 walked.clear()
-                assert {s: sample_one(pruned, lat, s, states=states) for s in order} == expected
+                assert {s: sample_one(question, s) for s in order} == expected
                 case_shared, case_fresh = len(looked_up), 0
                 for s in list(walked):
                     looked_up.clear()
-                    sample_one(pruned, lat, s, states={})
+                    sample_one(_Question(pruned, lat), s)
                     case_fresh += len(looked_up)
                 assert case_shared <= case_fresh
                 shared += case_shared
@@ -1189,12 +1199,11 @@ class TestPickTrie:
         lat = build_naive("a b c d".split())
         pruned = prune_grammar(grammar, lat)
         seeds = range(40)
-        fresh = [sample_one(pruned, lat, s, states={}) for s in seeds]
-        states: dict = {}
+        fresh = [sample_one(_Question(pruned, lat), s) for s in seeds]
+        question = _Question(pruned, lat)
         language = set(enumerate_strings(grammar))
         for s in seeds:
-            assert not isinstance(sample_one(pruned, lat, s, states=states, seen=language),
-                                  ParaphraseCandidate)
+            assert not isinstance(sample_one(question, s, language), ParaphraseCandidate)
 
         def no_walk(*args):
             raise AssertionError("a replayed draw walked")
@@ -1202,7 +1211,7 @@ class TestPickTrie:
         # The same leaves, now visited with their tokens unseen, return
         # their candidates, replayed from the trie.
         monkeypatch.setattr(sampler, "_walk", no_walk)
-        again = [sample_one(pruned, lat, s, states=states) for s in seeds]
+        again = [sample_one(question, s) for s in seeds]
         assert again == fresh
 
     def test_candidate_equals_one_with_its_derivation_built(self):
@@ -1225,10 +1234,10 @@ class TestPickTrie:
         # first node is A's word pick, reading float 2, and B's reads 3.
         lat = build_naive("a b c d".split())
         pruned = prune_grammar(_product_grammar(), lat)
-        states: dict = {}
-        draws = [sample_one(pruned, lat, s, states=states) for s in range(40)]
+        question = _Question(pruned, lat)
+        draws = [sample_one(question, s) for s in range(40)]
         assert draws == [reference_sample_one(pruned, lat, s) for s in range(40)]
-        first = states[(1 << len(lat.edges)) - 1].question.root[0]
+        first = question.root[0]
         assert first[0] == 2 and len(first[1]) == 2
         assert {kid[0] for kid in first[3]} == {3}
         # Over the held-out lattices, every node has a choice to make, and
@@ -1236,11 +1245,10 @@ class TestPickTrie:
         grammar, cases = heldout_lattices
         nodes = 0
         for _tokens, lat in cases:
-            pruned = prune_grammar(grammar, lat)
-            states = {}
+            question = _Question(prune_grammar(grammar, lat), lat)
             for seed in range(DRAWS):
-                sample_one(pruned, lat, seed, states=states)
-            root = states[(1 << len(lat.edges)) - 1].question.root[0]
+                sample_one(question, seed)
+            root = question.root[0]
             stack = [(root, -1)] if type(root) is tuple else []
             while stack:
                 node, parent = stack.pop()
