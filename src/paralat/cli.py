@@ -176,6 +176,10 @@ def _lattice_builder(args, mode: str, min_score: float | None = None) -> Callabl
         return lambda tokens: build_from_rules(tokens, rules_db)
     if mode == "bilayered":
         layered = _load_grammar(args.bilayered_grammar)
+        if not layered.layers.two_layer:
+            raise ParalatError(
+                f"{args.bilayered_grammar}: bilayered lattices need a two-layer grammar"
+            )
         return lambda tokens: build_bilayered(tokens, layered)
     return build_naive
 
@@ -220,7 +224,7 @@ def _cmd_train_grammar(args) -> int:
 def _cmd_train_bilayered(args) -> int:
     trees = [binarize(t) for t in read_treebank(args.treebank)]
     records = read_alignments(args.alignments)
-    _annotated, grammar = train_bilayered_grammar(
+    _, grammar = train_bilayered_grammar(
         trees, records, m1=args.m1, m2=args.m2, seed=args.seed
     )
     save_grammar(grammar, args.out)

@@ -3,10 +3,12 @@ and frequency-count parameter estimation.
 
 The pipeline: every node of every (binarized) tree is mapped to a feature
 vector, in one walk per tree; vectors are clustered per nonterminal symbol
-into ``m`` states, and a grammar is read off the state-annotated treebank
+into ``m`` states, and a grammar is read off the treebank and its states
 by relative-frequency counting.  A second, semantic layer can be trained from bag-of-word
-features enriched with word alignments of paraphrase pairs; combining both
-layers yields the two-layer grammar used for paraphrase lattices.
+features enriched with word alignments of paraphrase pairs; counting over
+both layers yields the two-layer grammar used for paraphrase lattices.
+Two-layer training returns that grammar with the two state assignments it
+was counted from; no state-annotated copy of the treebank is built.
 
 The trees come from ``treebank.normalize`` and ``treebank.binarize``,
 which build new nodes only where they change something and share every
@@ -558,37 +560,6 @@ def estimate_mle(
     return grammar
 
 
-def annotate_bilayered(
-    treebank: Sequence[Tree],
-    syntactic: StateAssignment,
-    semantic: StateAssignment,
-) -> tuple[list[Tree], LatentGrammar]:
-    """Doubly-annotated treebank plus the two-layer grammar.
-
-    Returned trees carry "label-h1-h2" decorations for inspection; the
-    grammar is the MLE over the joint annotation, whose counting walk has
-    checked coverage.  Decoration reads each node's state once and
-    carries the semantic state its children inherit down, as counting
-    does.
-    """
-    grammar = estimate_mle(treebank, syntactic, semantic)
-
-    def decorate(tid: int, tree: Tree, path: Path, inherited: int | None) -> Tree:
-        syn, sem, inherited = _node_state((tid, path), tree.label, syntactic, semantic, inherited)
-        label = f"{tree.label}-{syn}-{sem}"
-        if tree.is_preterminal:
-            return Tree(label, word=tree.word)
-        return Tree(
-            label,
-            children=tuple(
-                decorate(tid, c, path + (i,), inherited) for i, c in enumerate(tree.children)
-            ),
-        )
-
-    annotated = [decorate(tid, tree, (), None) for tid, tree in enumerate(treebank)]
-    return annotated, grammar
-
-
 # --- end-to-end grammar training ---------------------------------------------
 
 def _cluster_layer(
@@ -632,10 +603,12 @@ def train_bilayered_grammar(
     m1: int,
     m2: int,
     seed: int,
-) -> tuple[list[Tree], LatentGrammar]:
-    """Two-layer grammar from a treebank plus paraphrase-pair alignments."""
+) -> tuple[tuple[StateAssignment, StateAssignment], LatentGrammar]:
+    """Two-layer grammar from a treebank plus paraphrase-pair alignments:
+    ``((syntactic, semantic), grammar)``, the two state assignments it
+    clustered and the grammar counted from them."""
     if not treebank:
         raise EmptyTreebank("cannot train on an empty treebank")
     syn = train_syntactic_assignment(treebank, m1, seed)
     sem = _cluster_layer(treebank, m2, seed, "semantic", aligned_words_index(treebank, records))
-    return annotate_bilayered(treebank, syn, sem)
+    return (syn, sem), estimate_mle(treebank, syn, sem)

@@ -842,9 +842,10 @@ def save_perceptron(model: PerceptronModel, path: str) -> None:
 
 
 def load_perceptron_weights(path: str) -> dict[str, float]:
-    """The FEATURE weights of a perceptron file.  A STEPS or SKIPPED count
-    that is not a non-negative integer is an error, and so is a repeated
-    STEPS or SKIPPED line or a feature named on two lines."""
+    """The FEATURE weights of a perceptron file, whose lines come in any
+    order.  A missing STEPS or SKIPPED line is an error, and so is a count
+    that is not a non-negative integer, a repeated STEPS or SKIPPED line or
+    a feature named on two lines."""
     weights: dict[str, float] = {}
     seen: dict[str, int] = {}  # line key -> its line number
     for lineno, line in records(path):
@@ -863,4 +864,7 @@ def load_perceptron_weights(path: str) -> dict[str, float]:
             weights[parts[1]] = finite_float(parts[2])
         except ValueError as exc:
             raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+    for key in ("STEPS", "SKIPPED"):
+        if key not in seen:
+            raise SemparseError(f"{path}: missing {key} line")
     return weights

@@ -538,9 +538,11 @@ def reference_estimate_mle(treebank, assignment, semantic=None) -> LatentGrammar
 
 
 def reference_annotate_bilayered(treebank, syntactic, semantic):
-    """``estimation.annotate_bilayered`` over :func:`reference_estimate_mle`,
-    each node's semantic state found by :func:`_inherited_semantic`."""
-    grammar = reference_estimate_mle(treebank, syntactic, semantic)
+    """A copy of each tree whose every label reads "label-syn-sem": the
+    node's states under the two assignments that two-layer training
+    returns, each node's semantic state found by
+    :func:`_inherited_semantic`.  The library builds no such copy; it
+    reads the assignments by node key."""
 
     def decorate(tid, tree, path):
         syn = syntactic.states[(tid, path)]
@@ -553,7 +555,7 @@ def reference_annotate_bilayered(treebank, syntactic, semantic):
             children=tuple(decorate(tid, c, path + (i,)) for i, c in enumerate(tree.children)),
         )
 
-    return [decorate(tid, tree, ()) for tid, tree in enumerate(treebank)], grammar
+    return [decorate(tid, tree, ()) for tid, tree in enumerate(treebank)]
 
 
 # --- random instances ---------------------------------------------------------

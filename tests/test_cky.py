@@ -143,7 +143,7 @@ def heldout_grammars():
     """The bilayered (m1=2, m2=16) and the one-layer (m=2) grammar of the
     bundled treebank, and the 50 bundled held-out questions."""
     trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
-    _annotated, layered = train_bilayered_grammar(
+    _, layered = train_bilayered_grammar(
         trees, read_alignments(data_path("alignments.tsv")), m1=2, m2=16, seed=1
     )
     with open(data_path("heldout_questions.txt"), encoding="utf-8") as handle:

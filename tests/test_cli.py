@@ -218,10 +218,11 @@ def _deficit_context(tmp_path, grammar_file, classifier_file):
 
 
 def _semparse_eval(tmp_path, weights="", qa=None, graphs_dir=None, steps="1"):
-    """semparse-eval over a perceptron file of a ``STEPS steps`` line and
-    ``weights`` lines."""
+    """semparse-eval over a perceptron file of a ``STEPS steps`` line (none
+    if ``steps`` is None) and ``weights`` lines."""
     model = tmp_path / "percep.tsv"
-    model.write_text(f"STEPS\t{steps}\n" + weights, encoding="utf-8")
+    model.write_text(("" if steps is None else f"STEPS\t{steps}\n") + weights,
+                     encoding="utf-8")
     return ["semparse-eval", "--kb", data_path("kb.tsv"), "--qa", qa or data_path("qa_eval.tsv"),
             "--graphs-dir", graphs_dir or data_path("graphs"), "--model", str(model)]
 
@@ -327,6 +328,23 @@ def _reserved_label(command):
     return argv
 
 
+def _one_layer_bilayered(command):
+    """``command`` in lattice mode ``bilayered`` over the one-layer
+    ``grammar_file`` as ``--bilayered-grammar`` and an --input that holds
+    only a comment: a check made per question would never run."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        questions = tmp_path / "comment.txt"
+        questions.write_text("# only a comment\n", encoding="utf-8")
+        argv = [command, "--lattice" if command == "sample" else "--mode", "bilayered",
+                "--bilayered-grammar", grammar_file, "--input", str(questions)]
+        if command != "build-lattice":
+            argv += ["--grammar", grammar_file]
+        if command == "paraphrase":
+            argv += ["--classifier", classifier_file]
+        return argv
+    return argv
+
+
 def _missing_mode_input(command, mode):
     """``command`` in lattice ``mode`` without the file that mode reads,
     over an --input that holds only a comment and a grammar and classifier
@@ -399,6 +417,9 @@ class TestBadInputs:
             (_perceptron_lines("STEPS\t2\n"), 2, "percep.tsv:2: STEPS repeats line 1"),
             (_perceptron_lines("SKIPPED\t0\nSKIPPED\t0\n"), 2,
              "percep.tsv:3: SKIPPED repeats line 2"),
+            (_perceptron_lines("SKIPPED\t0\nFEATURE\tbias\t1.0\n", steps=None), 2,
+             "percep.tsv: missing STEPS line"),
+            (_perceptron_lines("FEATURE\tbias\t1.0\n"), 2, "percep.tsv: missing SKIPPED line"),
             (_bad_graph_score, 2, "q11_orig.graph:2: bad score 'nan'"),
             (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
             (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
@@ -424,6 +445,12 @@ class TestBadInputs:
              "usage error: --rules is required for mode 'rules'"),
             (_missing_mode_input("paraphrase", "bilayered"), 1,
              "usage error: --bilayered-grammar is required for mode 'bilayered'"),
+            (_one_layer_bilayered("build-lattice"), 2,
+             "mini.lpcfg: bilayered lattices need a two-layer grammar"),
+            (_one_layer_bilayered("sample"), 2,
+             "mini.lpcfg: bilayered lattices need a two-layer grammar"),
+            (_one_layer_bilayered("paraphrase"), 2,
+             "mini.lpcfg: bilayered lattices need a two-layer grammar"),
             (_epochs("train-classifier", "0"), 1,
              "usage error: --epochs must be at least 1, got 0"),
             (_epochs("train-classifier", "-2"), 1,
@@ -473,14 +500,17 @@ class TestBadInputs:
              "grammar-deficit", "perceptron-weight", "perceptron-weight-inf",
              "perceptron-repeated-feature", "perceptron-steps-not-a-count",
              "perceptron-skipped-negative", "perceptron-repeated-steps",
-             "perceptron-repeated-skipped", "graph-score-nan",
+             "perceptron-repeated-skipped", "perceptron-missing-steps",
+             "perceptron-missing-skipped", "graph-score-nan",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
              "bilayered-grammar-missing", "build-lattice-rules-missing-before-loading",
              "build-lattice-bilayered-missing-before-loading",
              "sample-rules-missing-before-loading", "sample-bilayered-missing-before-loading",
              "paraphrase-rules-missing-before-loading",
-             "paraphrase-bilayered-missing-before-loading", "classifier-epochs-0",
+             "paraphrase-bilayered-missing-before-loading",
+             "build-lattice-bilayered-one-layer", "sample-bilayered-one-layer",
+             "paraphrase-bilayered-one-layer", "classifier-epochs-0",
              "classifier-epochs-negative", "semparse-epochs-negative", "alignment-unknown-tree",
              "alignment-index-range",
              "alignment-unknown-tree-where", "alignment-index-range-where",
@@ -1250,7 +1280,7 @@ class TestSemparseFuzz:
             trained = main(["semparse-train", *common, "--epochs", "2", "--out", str(model)])
             assert trained in (0, 1, 2)
             if trained != 0:
-                model.write_text("STEPS\t0\n", encoding="utf-8")
+                model.write_text("STEPS\t0\nSKIPPED\t0\n", encoding="utf-8")
             evaluated = main(["semparse-eval", *common, "--model", str(model),
                               "--out", str(Path(tmp, "report.tsv"))])
             assert evaluated in (0, 1, 2)

@@ -23,7 +23,6 @@ from paralat.estimation import (
     AlignmentRecord,
     StateAssignment,
     aligned_words_index,
-    annotate_bilayered,
     cluster_states,
     estimate_mle,
     extract_features,
@@ -185,13 +184,9 @@ def _outcome(call):
         )
 
     try:
-        result = call()
+        return tables(call())
     except Exception as exc:  # noqa: BLE001 - the failure is what is compared
         return type(exc), str(exc)
-    if isinstance(result, tuple):
-        annotated, grammar = result
-        return annotated, tables(grammar)
-    return tables(result)
 
 
 # (S (A a) (@S (B b) (@S (C c) (D d)))): the upper "@S" has a semantic
@@ -213,10 +208,6 @@ class TestCountingWalk:
         assert _outcome(lambda: estimate_mle(trees, syn, sem)) == _outcome(
             lambda: reference_estimate_mle(trees, syn, sem)
         )
-        if sem is not None:
-            assert _outcome(lambda: annotate_bilayered(trees, syn, sem)) == _outcome(
-                lambda: reference_annotate_bilayered(trees, syn, sem)
-            )
 
 
 class TestExtractFeatures:
@@ -679,19 +670,27 @@ class TestEstimateMle:
 
 
 class TestBilayered:
+    def test_returns_its_assignments_and_the_grammar_counted_from_them(self, triplet_trees):
+        (syn, sem), grammar = train_bilayered_grammar(
+            triplet_trees, TRIPLET_ALIGNMENTS, m1=2, m2=3, seed=7
+        )
+        assert syn == train_syntactic_assignment(triplet_trees, m=2, seed=7)
+        assert sem.m == 3
+        assert grammar == estimate_mle(triplet_trees, syn, sem)
+
     def test_labels_follow_two_part_scheme(self, triplet_trees):
-        annotated, grammar = train_bilayered_grammar(
+        (syn, sem), grammar = train_bilayered_grammar(
             triplet_trees, TRIPLET_ALIGNMENTS, m1=2, m2=2, seed=7
         )
         assert validate(grammar).ok
-        for tree in annotated:
+        for tree in reference_annotate_bilayered(triplet_trees, syn, sem):
             for _, node in iter_nodes(tree):
-                base, syn, sem = node.label.rsplit("-", 2)
+                base, h1, h2 = node.label.rsplit("-", 2)
                 assert base
-                assert syn.isdigit() and sem.isdigit()
+                assert h1.isdigit() and h2.isdigit()
 
     def test_m2_one_reduces_to_syntactic(self, triplet_trees):
-        annotated, layered = train_bilayered_grammar(
+        _, layered = train_bilayered_grammar(
             triplet_trees, TRIPLET_ALIGNMENTS, m1=2, m2=1, seed=7
         )
         plain = train_grammar(triplet_trees, m=2, seed=7)
@@ -705,17 +704,17 @@ class TestBilayered:
     def test_shared_bags_cocluster_at_roots(self, triplet_trees):
         # The alignments give all three roots the same semantic bag, so
         # even with m2=2 they must land in the same semantic state.
-        annotated, _ = train_bilayered_grammar(
+        (_, sem), _ = train_bilayered_grammar(
             triplet_trees, TRIPLET_ALIGNMENTS, m1=2, m2=2, seed=7
         )
-        root_sems = {tree.label.rsplit("-", 1)[1] for tree in annotated}
+        root_sems = {sem.states[(tid, ())] for tid in range(len(triplet_trees))}
         assert len(root_sems) == 1
 
     def test_missing_layer_coverage_raises(self, triplet_trees):
         syn = train_syntactic_assignment(triplet_trees, m=2, seed=1)
         sem = StateAssignment(m=2, states={})
         with pytest.raises(AssignmentMismatch):
-            annotate_bilayered(triplet_trees, syn, sem)
+            estimate_mle(triplet_trees, syn, sem)
 
     def test_binarization_root_without_semantic_ancestor_raises(self):
         # Only a tree built in code has an "@" root: read_treebank refuses
@@ -741,7 +740,7 @@ class TestTrainedGrammarBytes:
     def test_bundled_one_and_two_layer_grammars(self, tmp_path):
         trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
         plain = train_grammar(trees, m=2, seed=1)
-        _annotated, layered = train_bilayered_grammar(
+        _, layered = train_bilayered_grammar(
             trees, read_alignments(data_path("alignments.tsv")), m1=2, m2=16, seed=1
         )
         assert self._digest(plain, tmp_path) == (

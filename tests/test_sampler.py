@@ -423,7 +423,7 @@ def bundled_lattices():
     question parses, bilayered."""
     trees = [binarize(t) for t in read_treebank(data_path("minitreebank.trees"))]
     grammar = train_grammar(trees, m=2, seed=1)
-    _annotated, layered = train_bilayered_grammar(
+    _, layered = train_bilayered_grammar(
         trees, read_alignments(data_path("alignments.tsv")), m1=2, m2=16, seed=1
     )
     rules = load_rules(data_path("rewrite_rules.tsv"))
