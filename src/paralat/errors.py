@@ -43,10 +43,6 @@ class EstimationError(ParalatError):
     pass
 
 
-class MissingAlignments(EstimationError):
-    pass
-
-
 class EmptyTreebank(EstimationError):
     pass
 

@@ -1,12 +1,14 @@
 """Latent-state learning: inside/outside features, per-symbol clustering,
 and frequency-count parameter estimation.
 
-The pipeline: every node of every (binarized) tree is mapped to a feature
-vector, in one walk per tree; vectors are clustered per nonterminal symbol
-into ``m`` states, and a grammar is read off the treebank and its states
-by relative-frequency counting.  A second, semantic layer can be trained from bag-of-word
-features enriched with word alignments of paraphrase pairs; counting over
-both layers yields the two-layer grammar used for paraphrase lattices.
+The pipeline: one walk per (binarized) tree gives every node its symbol
+and its feature vector; vectors are clustered per nonterminal symbol into
+``m`` states, and a grammar is read off the treebank and its states by
+relative-frequency counting.  The alignments of paraphrase pairs select
+the second, semantic layer: given them, the walk gives bag-of-word
+features enriched with the aligned words instead of syntactic ones, and
+counting over both layers yields the two-layer grammar used for
+paraphrase lattices.
 Two-layer training returns that grammar with the two state assignments it
 was counted from; no state-annotated copy of the treebank is built.
 
@@ -33,12 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .data_files import records
-from .errors import (
-    AssignmentMismatch,
-    EmptyTreebank,
-    EstimationError,
-    MissingAlignments,
-)
+from .errors import AssignmentMismatch, EmptyTreebank, EstimationError
 from .grammar import (
     BinaryRhs,
     Context,
@@ -143,27 +140,24 @@ def _length_bucket(n: int) -> str:
 
 
 def extract_features(
-    tree: Tree,
-    layer: str = "syntactic",
-    aligned: Mapping[int, set[str]] | None = None,
-) -> dict[Path, FeatureVector]:
-    """Feature vector of every node of a binarized tree, keyed by path.
+    tree: Tree, aligned: Mapping[int, set[str]] | None = None
+) -> dict[Path, tuple[str, FeatureVector]]:
+    """``(symbol, feature vector)`` of every node of a binarized tree,
+    keyed by path, from one walk of the tree.
 
-    The syntactic layer captures the local context: the node's rule
-    signature, first/last inside terminal, parent and sibling labels
-    (``"TOP"`` and ``"none"`` at the root; the sibling is the first other
-    child of the parent) and a span-length bucket.  The semantic layer is
-    a bag of the inside-yield words plus every word aligned to them in
-    paraphrase pairs (``aligned`` maps token positions of this tree to
-    aligned words); bag entries are presence indicators.  It has no entry
-    for "@" nodes, which inherit their parent's semantic state.
+    Without ``aligned`` the vectors are the syntactic layer's, which
+    captures the local context: the node's rule signature, first/last
+    inside terminal, parent and sibling labels (``"TOP"`` and ``"none"``
+    at the root; the sibling is the first other child of the parent) and
+    a span-length bucket.  With ``aligned``, which maps token positions
+    of this tree to the words aligned to them in paraphrase pairs (``{}``
+    when none are), they are the semantic layer's: a bag of the
+    inside-yield words plus every word aligned to them, as presence
+    indicators.  The semantic layer has no entry for "@" nodes, which
+    inherit their parent's semantic state.
     """
-    if layer not in ("syntactic", "semantic"):
-        raise EstimationError(f"unknown feature layer {layer!r}")
-    if layer == "semantic" and aligned is None:
-        raise MissingAlignments("semantic features require alignment data")
     terms: list[str] = []  # the yield, filled left to right as the walk goes
-    features: dict[Path, FeatureVector] = {}
+    features: dict[Path, tuple[str, FeatureVector]] = {}
 
     def walk(node: Tree, path: Path, parent: str, sibling: str, start: int) -> int:
         """Record ``node`` and its descendants; return the end of its span.
@@ -180,8 +174,8 @@ def extract_features(
                 other = "none" if len(children) == 1 else children[1 if i == 0 else 0].label
                 end = walk(child, path + (i,), node.label, other, end)
             rhs = " ".join(c.label for c in children)
-        if layer == "syntactic":
-            features[path] = {
+        if aligned is None:
+            features[path] = node.label, {
                 f"rule={node.label}->{rhs}": 1.0,
                 f"first={terms[start]}": 1.0,
                 f"last={terms[end - 1]}": 1.0,
@@ -193,7 +187,7 @@ def extract_features(
             words = set(terms[start:end])
             for pos in range(start, end):
                 words.update(aligned.get(pos, ()))
-            features[path] = {f"w={w}": 1.0 for w in words}
+            features[path] = node.label, {f"w={w}": 1.0 for w in words}
         return end
 
     walk(tree, (), "TOP", "none", 0)
@@ -438,11 +432,14 @@ def cluster_states(
 # --- maximum likelihood estimation ------------------------------------------
 
 def _check_coverage(
-    treebank: Sequence[Tree], assignment: StateAssignment, layer: str, skip_bin: bool
+    treebank: Sequence[Tree], assignment: StateAssignment, semantic_layer: bool
 ) -> None:
+    """Name the first node in tree order that ``assignment`` misses; the
+    semantic layer needs no state for "@" nodes."""
+    layer = "semantic" if semantic_layer else "syntactic"
     for tid, tree in enumerate(treebank):
         for path, node in iter_nodes(tree):
-            if skip_bin and node.label.startswith(BIN_PREFIX):
+            if semantic_layer and node.label.startswith(BIN_PREFIX):
                 continue
             if (tid, path) not in assignment.states:
                 raise AssignmentMismatch(
@@ -536,9 +533,9 @@ def estimate_mle(
                 stack.append((right_path, right, right_state, right_inherited))
                 stack.append((left_path, left, left_state, left_inherited))
     except (KeyError, EstimationError):
-        _check_coverage(treebank, assignment, "syntactic", skip_bin=False)
+        _check_coverage(treebank, assignment, semantic_layer=False)
         if semantic is not None:
-            _check_coverage(treebank, semantic, "semantic", skip_bin=True)
+            _check_coverage(treebank, semantic, semantic_layer=True)
         raise
 
     n_trees = len(treebank)
@@ -562,39 +559,35 @@ def estimate_mle(
 
 # --- end-to-end grammar training ---------------------------------------------
 
-def _cluster_layer(
+def train_assignment(
     treebank: Sequence[Tree],
     m: int,
     seed: int,
-    layer: str,
-    index: Mapping[int, Mapping[int, set[str]]] | None = None,
+    aligned: Mapping[int, Mapping[int, set[str]]] | None = None,
 ) -> StateAssignment:
-    """Cluster every node that has ``layer`` features (all nodes for the
-    syntactic layer, all but "@" nodes for the semantic one)."""
+    """Cluster the nodes of ``treebank`` into ``m`` states per symbol.
+
+    Without ``aligned`` every node is clustered on its syntactic
+    features.  With ``aligned``, ``aligned_words_index``'s map of the
+    treebank, every node but the "@" nodes is clustered on its semantic
+    features.
+    """
+    if not treebank:
+        raise EmptyTreebank("cannot train on an empty treebank")
     symbols: dict[NodeKey, str] = {}
     vectors: dict[NodeKey, FeatureVector] = {}
     for tid, tree in enumerate(treebank):
-        aligned = None if index is None else index.get(tid, {})
-        features = extract_features(tree, layer, aligned)
-        for path, node in iter_nodes(tree):
-            if path in features:
-                key = (tid, path)
-                symbols[key] = node.label
-                vectors[key] = features[path]
+        features = extract_features(tree, None if aligned is None else aligned.get(tid, {}))
+        for path, (symbol, vector) in features.items():
+            key = (tid, path)
+            symbols[key] = symbol
+            vectors[key] = vector
     return cluster_states(vectors, symbols, m, seed)
-
-
-def train_syntactic_assignment(
-    treebank: Sequence[Tree], m: int, seed: int
-) -> StateAssignment:
-    return _cluster_layer(treebank, m, seed, "syntactic")
 
 
 def train_grammar(treebank: Sequence[Tree], m: int, seed: int) -> LatentGrammar:
     """One-layer grammar: cluster syntactic states, then count."""
-    if not treebank:
-        raise EmptyTreebank("cannot train on an empty treebank")
-    return estimate_mle(treebank, train_syntactic_assignment(treebank, m, seed))
+    return estimate_mle(treebank, train_assignment(treebank, m, seed))
 
 
 def train_bilayered_grammar(
@@ -607,8 +600,6 @@ def train_bilayered_grammar(
     """Two-layer grammar from a treebank plus paraphrase-pair alignments:
     ``((syntactic, semantic), grammar)``, the two state assignments it
     clustered and the grammar counted from them."""
-    if not treebank:
-        raise EmptyTreebank("cannot train on an empty treebank")
-    syn = train_syntactic_assignment(treebank, m1, seed)
-    sem = _cluster_layer(treebank, m2, seed, "semantic", aligned_words_index(treebank, records))
+    syn = train_assignment(treebank, m1, seed)
+    sem = train_assignment(treebank, m2, seed, aligned_words_index(treebank, records))
     return (syn, sem), estimate_mle(treebank, syn, sem)

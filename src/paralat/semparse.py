@@ -103,7 +103,8 @@ class KnowledgeGraph:
 
 
 def load_kb(path: str) -> KnowledgeGraph:
-    """Read TSV triples plus "TYPE<TAB>entity<TAB>type" assertions."""
+    """Read TSV triples plus "TYPE<TAB>entity<TAB>type" assertions; a
+    line of any other field count, or with an empty field, is refused."""
     entities: list[str] = []
     seen: set[str] = set()
     triples: set[tuple[str, str, str]] = set()
@@ -116,15 +117,17 @@ def load_kb(path: str) -> KnowledgeGraph:
 
     for lineno, line in records(path):
         parts = line.split("\t")
-        if parts[0] == "TYPE" and len(parts) == 3:
+        if len(parts) != 3:
+            raise SemparseError(f"{path}:{lineno}: bad KB line {line!r}")
+        if "" in parts:
+            raise SemparseError(f"{path}:{lineno}: empty field in KB line {line!r}")
+        if parts[0] == "TYPE":
             note(parts[1])
             types.add((parts[1], parts[2]))
-        elif len(parts) == 3:
+        else:
             note(parts[0])
             note(parts[2])
             triples.add((parts[0], parts[1], parts[2]))
-        else:
-            raise SemparseError(f"{path}:{lineno}: bad KB line {line!r}")
     return KnowledgeGraph(
         entities=tuple(entities),
         triples=frozenset(triples),
@@ -515,8 +518,13 @@ def _extended(feats: FeatureDict, delta: FeatureDelta) -> FeatureDict:
 
 def dot_score(weights: Mapping[str, float], feats: FeatureDict) -> float:
     """``math.fsum`` of weight times value over ``feats`` (a missing
-    weight is 0), so the order of the features does not matter."""
-    return math.fsum(map(mul, map(weights.get, feats, itertools.repeat(0.0)), feats.values()))
+    weight is 0), so the order of the features does not matter.  A sum
+    that overflows, or that adds products of opposite infinite signs, is
+    a SemparseError."""
+    try:
+        return math.fsum(map(mul, map(weights.get, feats, itertools.repeat(0.0)), feats.values()))
+    except (OverflowError, ValueError) as exc:
+        raise SemparseError(f"grounding score out of float range ({exc})") from exc
 
 
 # --- beam-search grounding -------------------------------------------------------

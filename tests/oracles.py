@@ -359,23 +359,24 @@ def node_contexts(tree: Tree) -> dict[tuple[int, ...], tuple]:
     return out
 
 
-def brute_force_features(tree: Tree, layer: str, aligned=None) -> dict:
+def brute_force_features(tree: Tree, aligned=None) -> dict:
     """Reference for ``estimation.extract_features`` built from
-    :func:`node_contexts`, one node at a time."""
+    :func:`node_contexts`, one node at a time: the semantic layer exactly
+    when ``aligned`` is given."""
     contexts = node_contexts(tree)
     # Pre-order visits the leaves left to right.
     words = [node.word for node, *_ in contexts.values() if node.word is not None]
     out = {}
     for path, (node, parent, sibling, (start, end)) in contexts.items():
         inside = words[start:end]
-        if layer == "syntactic":
+        if aligned is None:
             if node.word is not None:
                 rhs = node.word
             else:
                 rhs = " ".join(c.label for c in node.children)
             n = len(inside)
             bucket = str(n) if n <= 2 else ("3-5" if n <= 5 else "6+")
-            out[path] = {
+            out[path] = node.label, {
                 f"rule={node.label}->{rhs}": 1.0,
                 f"first={inside[0]}": 1.0,
                 f"last={inside[-1]}": 1.0,
@@ -387,7 +388,7 @@ def brute_force_features(tree: Tree, layer: str, aligned=None) -> dict:
             bag = set(inside)
             for pos in range(start, end):
                 bag |= set(aligned.get(pos, ()))
-            out[path] = {f"w={w}": 1.0 for w in bag}
+            out[path] = node.label, {f"w={w}": 1.0 for w in bag}
     return out
 
 

@@ -233,16 +233,29 @@ def _perceptron_lines(lines, steps="1"):
     return argv
 
 
-def _bad_graph_score(tmp_path, grammar_file, classifier_file):
-    """semparse-eval over graphs whose q11_orig.graph has its one SCORE
-    line (line 2) read ``SCORE nan``."""
-    graphs = tmp_path / "graphs"
-    shutil.copytree(data_path("graphs"), graphs)
-    graph = graphs / "q11_orig.graph"
-    text = graph.read_text(encoding="utf-8")
-    assert text.splitlines()[1] == "SCORE 1.0"
-    graph.write_text(text.replace("SCORE 1.0\n", "SCORE nan\n"), encoding="utf-8")
-    return _semparse_eval(tmp_path, graphs_dir=str(graphs))
+def _graph_score(name, score, weights=""):
+    """semparse-eval over graphs whose ``name`` has its one SCORE line
+    (line 2) read ``SCORE score``."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        graphs = tmp_path / "graphs"
+        shutil.copytree(data_path("graphs"), graphs)
+        graph = graphs / name
+        lines = graph.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1].startswith("SCORE ")
+        lines[1] = f"SCORE {score}\n"
+        graph.write_text("".join(lines), encoding="utf-8")
+        return _semparse_eval(tmp_path, weights, graphs_dir=str(graphs))
+    return argv
+
+
+def _kb_line(line):
+    """semparse-train over a KB of one triple and then ``line``."""
+    def argv(tmp_path, grammar_file, classifier_file):
+        kb = tmp_path / "kb.tsv"
+        kb.write_text(f"Paris\tcapital.of\tFrance\n{line}\n", encoding="utf-8")
+        return ["semparse-train", "--kb", str(kb), "--qa", data_path("qa_train.tsv"),
+                "--graphs-dir", data_path("graphs"), "--out", str(tmp_path / "percep.tsv")]
+    return argv
 
 
 def _bad_qa_graph_name(name):
@@ -420,7 +433,22 @@ class TestBadInputs:
             (_perceptron_lines("SKIPPED\t0\nFEATURE\tbias\t1.0\n", steps=None), 2,
              "percep.tsv: missing STEPS line"),
             (_perceptron_lines("FEATURE\tbias\t1.0\n"), 2, "percep.tsv: missing SKIPPED line"),
-            (_bad_graph_score, 2, "q11_orig.graph:2: bad score 'nan'"),
+            (_perceptron_lines("SKIPPED\t0\nFEATURE\tclassifier_score\t1e308\n"
+                               "FEATURE\tlattice_score\t1e308\n"), 2,
+             "grounding score out of float range (intermediate overflow in fsum)"),
+            (_graph_score("q11_orig.graph", "nan"), 2, "q11_orig.graph:2: bad score 'nan'"),
+            # q09_para1's entity lattice score is 2.0, so its two products are
+            # +inf and -inf.
+            (_graph_score("q09_para1.graph", "1e308",
+                          "SKIPPED\t0\nFEATURE\tclassifier_score\t10\n"
+                          "FEATURE\tlattice_score\t-1e308\n"), 2,
+             "grounding score out of float range (-inf + inf in fsum)"),
+            (_kb_line("\tcapital.of\tSpain"), 2,
+             "kb.tsv:2: empty field in KB line '\\tcapital.of\\tSpain'"),
+            (_kb_line("Madrid\t\tSpain"), 2, "kb.tsv:2: empty field in KB line"),
+            (_kb_line("Madrid\tcapital.of\t"), 2, "kb.tsv:2: empty field in KB line"),
+            (_kb_line("TYPE\t\tcity"), 2, "kb.tsv:2: empty field in KB line"),
+            (_kb_line("TYPE\tParis\t"), 2, "kb.tsv:2: empty field in KB line"),
             (_bad_qa_graph_name("q01\0.graph"), 2, "qa.tsv:1: NUL byte in graph name"),
             (_bad_qa_graph_name(""), 2, "qa.tsv:1: cannot read graph ''"),
             (_bad_qa_answers(""), 2, "qa.tsv:1: empty gold answer in ''"),
@@ -501,7 +529,9 @@ class TestBadInputs:
              "perceptron-repeated-feature", "perceptron-steps-not-a-count",
              "perceptron-skipped-negative", "perceptron-repeated-steps",
              "perceptron-repeated-skipped", "perceptron-missing-steps",
-             "perceptron-missing-skipped", "graph-score-nan",
+             "perceptron-missing-skipped", "perceptron-score-overflow", "graph-score-nan",
+             "graph-score-opposite-infinities", "kb-empty-subject", "kb-empty-relation",
+             "kb-empty-object", "kb-empty-type-entity", "kb-empty-type",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",
              "bilayered-grammar-missing", "build-lattice-rules-missing-before-loading",
@@ -613,6 +643,52 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert err.startswith(("usage error: ", "error: "))
         assert "Traceback" not in err
+
+
+class TestCrlfInputs:
+    """Every input file is read with universal newlines, so CRLF copies of
+    the bundled inputs give the artifacts that the LF files give: no
+    ``\r`` reaches a label, word, KB id or gold answer."""
+
+    @staticmethod
+    def _artifacts(inputs: Path, out: Path, crlf: bool) -> dict[str, bytes]:
+        """The bytes of a trained grammar, a parse of two questions with
+        it, a trained perceptron and its evaluation.  Each command reads
+        its inputs, earlier artifacts included, from copies in ``inputs``,
+        made CRLF if ``crlf``."""
+        graphs = inputs / "graphs"
+        graphs.mkdir(parents=True)
+        out.mkdir()
+
+        def copy(path, into=inputs) -> str:
+            dst = into / Path(path).name
+            data = Path(path).read_bytes()
+            dst.write_bytes(data.replace(b"\n", b"\r\n") if crlf else data)
+            return str(dst)
+
+        for graph in Path(data_path("graphs")).iterdir():
+            copy(graph, graphs)
+        questions = out / "questions.txt"
+        questions.write_text("what day is christmas\nwhen is easter\n", encoding="utf-8")
+        kb = copy(data_path("kb.tsv"))
+        assert main(["train-grammar", "--treebank", copy(data_path("minitreebank.trees")),
+                     "--m1", "2", "--out", str(out / "grammar.lpcfg")]) == 0
+        assert main(["parse", "--grammar", copy(out / "grammar.lpcfg"),
+                     "--input", copy(questions), "--out", str(out / "parses.txt")]) == 0
+        assert main(["semparse-train", "--kb", kb, "--qa", copy(data_path("qa_train.tsv")),
+                     "--graphs-dir", str(graphs), "--out", str(out / "percep.tsv")]) == 0
+        assert main(["semparse-eval", "--kb", kb, "--qa", copy(data_path("qa_eval.tsv")),
+                     "--graphs-dir", str(graphs), "--model", copy(out / "percep.tsv"),
+                     "--out", str(out / "eval.tsv")]) == 0
+        names = ("grammar.lpcfg", "parses.txt", "percep.tsv", "eval.tsv")
+        return {name: (out / name).read_bytes() for name in names}
+
+    def test_bundled_inputs_give_the_lf_artifacts(self, tmp_path):
+        lf = self._artifacts(tmp_path / "lf-in", tmp_path / "lf-out", crlf=False)
+        crlf = self._artifacts(tmp_path / "crlf-in", tmp_path / "crlf-out", crlf=True)
+        assert lf["parses.txt"].count(b"\n") == 2
+        assert crlf == lf
+        assert all(b"\r" not in data for data in lf.values())
 
 
 class TestAtomicWrite:

@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from paralat import estimation
-from paralat.errors import AssignmentMismatch, EmptyTreebank, EstimationError, MissingAlignments
+from paralat.errors import AssignmentMismatch, EmptyTreebank, EstimationError
 from paralat.estimation import (
     AlignmentRecord,
     StateAssignment,
@@ -27,9 +27,9 @@ from paralat.estimation import (
     estimate_mle,
     extract_features,
     read_alignments,
+    train_assignment,
     train_bilayered_grammar,
     train_grammar,
-    train_syntactic_assignment,
 )
 from paralat.data_files import data_path
 from paralat.grammar import StateLabel, save_grammar, serialize_grammar, validate
@@ -213,7 +213,7 @@ class TestCountingWalk:
 class TestExtractFeatures:
     def test_preterminal_syntactic(self, triplet_trees):
         # (NN day) inside the leftmost question tree.
-        feats = extract_features(triplet_trees[0], "syntactic")[(0, 1)]
+        feats = extract_features(triplet_trees[0])[(0, 1)]
         expected = {
             "rule=NN->day": 1.0,
             "first=day": 1.0,
@@ -222,10 +222,10 @@ class TestExtractFeatures:
             "sibling=WP": 1.0,
             "len=1": 1.0,
         }
-        assert feats == expected
+        assert feats == ("NN", expected)
 
     def test_root_sentinels(self, triplet_trees):
-        feats = extract_features(triplet_trees[0], "syntactic")[()]
+        _, feats = extract_features(triplet_trees[0])[()]
         assert "parent=TOP" in feats
         assert "sibling=none" in feats
         assert "len=3-5" in feats
@@ -233,64 +233,67 @@ class TestExtractFeatures:
     def test_root_case(self):
         # The root has no outside: its span is the whole yield.
         tree = parse_tree("(S (A a) (B b))")
-        assert extract_features(tree)[()] == {
+        assert extract_features(tree)[()] == ("S", {
             "rule=S->A B": 1.0,
             "first=a": 1.0,
             "last=b": 1.0,
             "parent=TOP": 1.0,
             "sibling=none": 1.0,
             "len=2": 1.0,
-        }
-        assert extract_features(tree, "semantic", aligned={})[()] == {"w=a": 1.0, "w=b": 1.0}
+        })
+        assert extract_features(tree, aligned={})[()] == ("S", {"w=a": 1.0, "w=b": 1.0})
 
     def test_preterminal_span(self):
         tree = parse_tree("(S (A a) (B b))")
-        assert extract_features(tree)[(0,)] == {
+        assert extract_features(tree)[(0,)] == ("A", {
             "rule=A->a": 1.0,
             "first=a": 1.0,
             "last=a": 1.0,
             "parent=S": 1.0,
             "sibling=B": 1.0,
             "len=1": 1.0,
-        }
-        assert extract_features(tree, "semantic", aligned={})[(1,)] == {"w=b": 1.0}
+        })
+        assert extract_features(tree, aligned={})[(1,)] == ("B", {"w=b": 1.0})
 
     def test_figure_whnp_span(self, triplet_trees):
         # WHNP covers "what day"; "is nochebuena" lies outside it.
-        syntactic = extract_features(triplet_trees[0])[(0,)]
+        _, syntactic = extract_features(triplet_trees[0])[(0,)]
         assert {"first=what", "last=day", "len=2"} <= set(syntactic)
-        semantic = extract_features(triplet_trees[0], "semantic", aligned={})[(0,)]
-        assert semantic == {"w=what": 1.0, "w=day": 1.0}
+        semantic = extract_features(triplet_trees[0], aligned={})[(0,)]
+        assert semantic == ("WHNP", {"w=what": 1.0, "w=day": 1.0})
 
     @given(random_trees())
     def test_matches_brute_force_reference(self, tree):
         for subject in (tree, binarize(normalize(tree))):
             full = tree_yield(subject)
             aligned = {pos: {f"x{pos % 3}"} for pos in range(0, len(full), 2)}
-            for layer in ("syntactic", "semantic"):
-                assert extract_features(subject, layer, aligned) == brute_force_features(
-                    subject, layer, aligned
-                )
+            assert extract_features(subject) == brute_force_features(subject)
+            assert extract_features(subject, aligned) == brute_force_features(subject, aligned)
             # Each reference span is the node's inside yield as one slice of
             # the full yield, so inside and outside partition the tree.
             for node, _, _, (start, end) in node_contexts(subject).values():
                 assert full[start:end] == tree_yield(node)
 
+    @given(random_trees())
+    def test_symbols_are_the_node_labels(self, tree):
+        # The keys are every node (syntactic) or every node but the "@"
+        # nodes (semantic), each with its own label as its symbol.
+        for subject in (tree, binarize(normalize(tree))):
+            labels = {path: node.label for path, node in iter_nodes(subject)}
+            unbinarized = {
+                path: label for path, label in labels.items() if not label.startswith(BIN_PREFIX)
+            }
+            for aligned, expected in ((None, labels), ({}, unbinarized)):
+                features = extract_features(subject, aligned)
+                assert {path: symbol for path, (symbol, _) in features.items()} == expected
+
     def test_semantic_bag_includes_aligned_words(self, triplet_trees):
         index = aligned_words_index(triplet_trees, TRIPLET_ALIGNMENTS)
         # The "day" leaf spans position 1 of tree 0; day aligns to "when".
-        feats = extract_features(triplet_trees[0], "semantic", aligned=index[0])[(0, 1)]
+        _, feats = extract_features(triplet_trees[0], aligned=index[0])[(0, 1)]
         assert feats["w=day"] == 1.0
         assert feats["w=when"] == 1.0
         assert "w=nochebuena" not in feats
-
-    def test_semantic_requires_alignments(self, triplet_trees):
-        with pytest.raises(MissingAlignments):
-            extract_features(triplet_trees[0], "semantic")
-
-    def test_unknown_layer_is_refused(self, triplet_trees):
-        with pytest.raises(EstimationError, match="unknown feature layer 'bogus'"):
-            extract_features(triplet_trees[0], "bogus")
 
 
 class TestClusterStates:
@@ -303,7 +306,7 @@ class TestClusterStates:
             cluster_states({}, {}, m=2, seed=0)
 
     def test_single_state_assigns_zero(self, triplet_trees):
-        assignment = train_syntactic_assignment(triplet_trees, m=1, seed=0)
+        assignment = train_assignment(triplet_trees, m=1, seed=0)
         assert set(assignment.states.values()) == {0}
 
     def test_identical_vectors_share_cluster(self):
@@ -316,22 +319,22 @@ class TestClusterStates:
         assert assignment.states[(0, ())] == assignment.states[(1, ())]
 
     def test_m24_assignment_covers_every_node(self, triplet_trees):
-        assignment = train_syntactic_assignment(triplet_trees, m=24, seed=0)
+        assignment = train_assignment(triplet_trees, m=24, seed=0)
         for tid, tree in enumerate(triplet_trees):
             for path, _ in iter_nodes(tree):
                 assert (tid, path) in assignment.states
         assert all(s < 24 for s in assignment.states.values())
 
     def test_deterministic(self, triplet_trees):
-        a = train_syntactic_assignment(triplet_trees, m=4, seed=9)
-        b = train_syntactic_assignment(triplet_trees, m=4, seed=9)
+        a = train_assignment(triplet_trees, m=4, seed=9)
+        b = train_assignment(triplet_trees, m=4, seed=9)
         assert a == b
 
     def test_permutation_stable_partition(self, triplet_trees):
-        a = train_syntactic_assignment(triplet_trees, m=3, seed=11)
+        a = train_assignment(triplet_trees, m=3, seed=11)
         order = [2, 0, 1]
         shuffled = [triplet_trees[i] for i in order]
-        b = train_syntactic_assignment(shuffled, m=3, seed=11)
+        b = train_assignment(shuffled, m=3, seed=11)
         # Same partition up to tree relabeling: nodes co-clustered before
         # must be co-clustered after.
         def partition(assign, tree_order):
@@ -602,7 +605,7 @@ class TestEstimateMle:
         assert table[("A", s0, "C", s0)] == pytest.approx(0.25)
 
     def test_duplication_leaves_parameters_unchanged(self, triplet_trees):
-        assignment = train_syntactic_assignment(triplet_trees, m=2, seed=4)
+        assignment = train_assignment(triplet_trees, m=2, seed=4)
         grammar = estimate_mle(triplet_trees, assignment)
         doubled = triplet_trees + triplet_trees
         dstates = dict(assignment.states)
@@ -638,6 +641,8 @@ class TestEstimateMle:
             train_grammar([], m=2, seed=0)
         with pytest.raises(EmptyTreebank, match="cannot train on an empty treebank"):
             train_bilayered_grammar([], TRIPLET_ALIGNMENTS, m1=2, m2=2, seed=0)
+        with pytest.raises(EmptyTreebank, match="cannot train on an empty treebank"):
+            train_assignment([], m=2, seed=0, aligned={})
 
     def test_deterministic_serialization(self, triplet_trees):
         a = serialize_grammar(train_grammar(triplet_trees, m=4, seed=13))
@@ -646,7 +651,7 @@ class TestEstimateMle:
 
     def test_every_rule_observed(self, triplet_trees):
         # Monotone support: each grammar rule occurs in the treebank.
-        assignment = train_syntactic_assignment(triplet_trees, m=2, seed=4)
+        assignment = train_assignment(triplet_trees, m=2, seed=4)
         grammar = estimate_mle(triplet_trees, assignment)
         observed = set()
         for tid, tree in enumerate(triplet_trees):
@@ -674,7 +679,9 @@ class TestBilayered:
         (syn, sem), grammar = train_bilayered_grammar(
             triplet_trees, TRIPLET_ALIGNMENTS, m1=2, m2=3, seed=7
         )
-        assert syn == train_syntactic_assignment(triplet_trees, m=2, seed=7)
+        assert syn == train_assignment(triplet_trees, m=2, seed=7)
+        index = aligned_words_index(triplet_trees, TRIPLET_ALIGNMENTS)
+        assert sem == train_assignment(triplet_trees, m=3, seed=7, aligned=index)
         assert sem.m == 3
         assert grammar == estimate_mle(triplet_trees, syn, sem)
 
@@ -711,7 +718,7 @@ class TestBilayered:
         assert len(root_sems) == 1
 
     def test_missing_layer_coverage_raises(self, triplet_trees):
-        syn = train_syntactic_assignment(triplet_trees, m=2, seed=1)
+        syn = train_assignment(triplet_trees, m=2, seed=1)
         sem = StateAssignment(m=2, states={})
         with pytest.raises(AssignmentMismatch):
             estimate_mle(triplet_trees, syn, sem)
