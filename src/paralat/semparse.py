@@ -45,8 +45,10 @@ Triple = tuple[str, str, str]
 class KnowledgeGraph:
     """Entities, triples and type assertions of a KB.
 
-    Lookups read indexes that are built on first use and cached on the
-    instance; they are not fields, so equality and hashing ignore them.
+    ``load_kb`` holds each distinct name as one string object, shared by
+    ``entities``, ``triples`` and ``type_assertions``.  Lookups read
+    indexes that are built on first use and cached on the instance; they
+    are not fields, so equality and hashing ignore them.
     One loop over the triples fills both the subject and the object
     index (``_triples_by``), whichever is asked for first; entities are
     indexed by the first token of their surface, so a mention's
@@ -104,17 +106,17 @@ class KnowledgeGraph:
 
 def load_kb(path: str) -> KnowledgeGraph:
     """Read TSV triples plus "TYPE<TAB>entity<TAB>type" assertions; a
-    line of any other field count, or with an empty field, is refused."""
-    entities: list[str] = []
-    seen: set[str] = set()
+    line of any other field count, or with an empty field, is refused.
+
+    Each distinct entity, relation and type name is held as one string
+    object, however many lines repeat it; the lookup indexes are still
+    built on first use."""
+    # Entity -> itself, in order of first appearance; relation and type
+    # names likewise, in a dict of their own.
+    entities: dict[str, str] = {}
+    names: dict[str, str] = {}
     triples: set[tuple[str, str, str]] = set()
     types: set[tuple[str, str]] = set()
-
-    def note(entity: str) -> None:
-        if entity not in seen:
-            seen.add(entity)
-            entities.append(entity)
-
     for lineno, line in records(path):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -122,12 +124,12 @@ def load_kb(path: str) -> KnowledgeGraph:
         if "" in parts:
             raise SemparseError(f"{path}:{lineno}: empty field in KB line {line!r}")
         if parts[0] == "TYPE":
-            note(parts[1])
-            types.add((parts[1], parts[2]))
+            _, entity, type_name = parts
+            types.add((entities.setdefault(entity, entity), names.setdefault(type_name, type_name)))
         else:
-            note(parts[0])
-            note(parts[2])
-            triples.add((parts[0], parts[1], parts[2]))
+            subj, relation, obj = parts
+            triples.add((entities.setdefault(subj, subj), names.setdefault(relation, relation),
+                         entities.setdefault(obj, obj)))
     return KnowledgeGraph(
         entities=tuple(entities),
         triples=frozenset(triples),
@@ -516,15 +518,22 @@ def _extended(feats: FeatureDict, delta: FeatureDelta) -> FeatureDict:
     return out
 
 
-def dot_score(weights: Mapping[str, float], feats: FeatureDict) -> float:
+def dot_score(weights: Mapping[str, float], feats: FeatureDict, graph_name: str = "") -> float:
     """``math.fsum`` of weight times value over ``feats`` (a missing
     weight is 0), so the order of the features does not matter.  A sum
-    that overflows, or that adds products of opposite infinite signs, is
-    a SemparseError."""
+    that is not finite is a SemparseError: one that overflows, that adds
+    products of opposite infinite signs, or that holds an infinite
+    product.  ``graph_name``, when given, leads the message."""
     try:
-        return math.fsum(map(mul, map(weights.get, feats, itertools.repeat(0.0)), feats.values()))
+        total = math.fsum(map(mul, map(weights.get, feats, itertools.repeat(0.0)), feats.values()))
     except (OverflowError, ValueError) as exc:
-        raise SemparseError(f"grounding score out of float range ({exc})") from exc
+        reason = str(exc)
+    else:
+        if math.isfinite(total):
+            return total
+        reason = "infinite product in fsum"
+    where = f"{graph_name}: " if graph_name else ""
+    raise SemparseError(f"{where}grounding score out of float range ({reason})")
 
 
 # --- beam-search grounding -------------------------------------------------------
@@ -586,7 +595,8 @@ def ground(
     null-grounding features, and the parent's key plus the decision's
     part; it is scored over its whole feature dict.  Options, features and
     key parts are worked out once per step and entity assignment, and
-    only the returned states become ``GroundedGraph``s.
+    only the returned states become ``GroundedGraph``s.  A score that is
+    not finite is a SemparseError led by the graph's name.
     """
     weights = weights or {}
     entity_edges = graph.entity_edges()
@@ -612,7 +622,7 @@ def ground(
     for assignment, lattice_score in entity_assignments(graph, kb):
         feats = {"classifier_score": graph.classifier_score, "lattice_score": lattice_score}
         key = ";".join(_entity_part(nid, ent) for nid, ent in assignment)
-        kept.append((dot_score(weights, feats), key, feats, assignment, lattice_score, ()))
+        kept.append((dot_score(weights, feats, graph.name), key, feats, assignment, lattice_score, ()))
     kept = sorted(kept, key=rank)[:beam]
     for options_of, delta_of, part_of in decisions:
         pool = []
@@ -624,7 +634,7 @@ def ground(
             for choice, delta, part in menus[assignment]:
                 child_feats = _extended(feats, delta)
                 pool.append((
-                    dot_score(weights, child_feats), f"{key};{part}" if key else part,
+                    dot_score(weights, child_feats, graph.name), f"{key};{part}" if key else part,
                     child_feats, assignment, lattice_score, choices + (choice,),
                 ))
         kept = sorted(pool, key=rank)[:beam]
@@ -782,7 +792,7 @@ def perceptron_train(
 
             best_oracle = _argmax(
                 (
-                    dot_score(model.weights, tup.features),
+                    dot_score(model.weights, tup.features, tup.grounding.graph.name),
                     f"{tup.grounding.graph.name};{tup.grounding.key()}",
                     tup,
                 )

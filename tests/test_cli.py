@@ -433,16 +433,25 @@ class TestBadInputs:
             (_perceptron_lines("SKIPPED\t0\nFEATURE\tbias\t1.0\n", steps=None), 2,
              "percep.tsv: missing STEPS line"),
             (_perceptron_lines("FEATURE\tbias\t1.0\n"), 2, "percep.tsv: missing SKIPPED line"),
+            # q09_para1's first entity lattice score is 2.0: each product
+            # stays finite (0.93e308 and 1.6e308) and their sum overflows.
             (_perceptron_lines("SKIPPED\t0\nFEATURE\tclassifier_score\t1e308\n"
-                               "FEATURE\tlattice_score\t1e308\n"), 2,
-             "grounding score out of float range (intermediate overflow in fsum)"),
+                               "FEATURE\tlattice_score\t8e307\n"), 2,
+             "error: q09_para1.graph: grounding score out of float range "
+             "(intermediate overflow in fsum)"),
             (_graph_score("q11_orig.graph", "nan"), 2, "q11_orig.graph:2: bad score 'nan'"),
             # q09_para1's entity lattice score is 2.0, so its two products are
             # +inf and -inf.
             (_graph_score("q09_para1.graph", "1e308",
                           "SKIPPED\t0\nFEATURE\tclassifier_score\t10\n"
                           "FEATURE\tlattice_score\t-1e308\n"), 2,
-             "grounding score out of float range (-inf + inf in fsum)"),
+             "error: q09_para1.graph: grounding score out of float range (-inf + inf in fsum)"),
+            # q11_orig's one infinite product, 10 * 1e308, meets no product
+            # of opposite sign; the graphs before it score below 10.
+            (_graph_score("q11_orig.graph", "1e308",
+                          "SKIPPED\t0\nFEATURE\tclassifier_score\t10\n"), 2,
+             "error: q11_orig.graph: grounding score out of float range "
+             "(infinite product in fsum)"),
             (_kb_line("\tcapital.of\tSpain"), 2,
              "kb.tsv:2: empty field in KB line '\\tcapital.of\\tSpain'"),
             (_kb_line("Madrid\t\tSpain"), 2, "kb.tsv:2: empty field in KB line"),
@@ -530,7 +539,8 @@ class TestBadInputs:
              "perceptron-skipped-negative", "perceptron-repeated-steps",
              "perceptron-repeated-skipped", "perceptron-missing-steps",
              "perceptron-missing-skipped", "perceptron-score-overflow", "graph-score-nan",
-             "graph-score-opposite-infinities", "kb-empty-subject", "kb-empty-relation",
+             "graph-score-opposite-infinities", "graph-score-infinite-product",
+             "kb-empty-subject", "kb-empty-relation",
              "kb-empty-object", "kb-empty-type-entity", "kb-empty-type",
              "qa-graph-nul", "qa-graph-empty", "qa-answer-empty", "qa-answer-alternative-empty",
              "rules-score-inf", "no-question", "two-questions", "rules-missing",

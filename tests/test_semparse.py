@@ -644,14 +644,38 @@ class TestTrainedModelBytes:
 
 
 class TestFiles:
-    def test_kb_roundtrip(self, tmp_path, kb):
+    _KB_LINES = ["Paris\tcapital.of\tFrance", "TYPE\tParis\tcity", "Lyon\tcity.in\tFrance",
+                 "TYPE\tLyon\tcity", "TYPE\tFrance\tcountry"]
+
+    def _kb(self, tmp_path, lines):
         path = tmp_path / "kb.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_kb(str(path))
+
+    def test_kb_roundtrip(self, tmp_path, kb):
         lines = [f"{s}\t{r}\t{o}" for s, r, o in sorted(kb.triples)]
         lines += [f"TYPE\t{e}\t{t}" for e, t in sorted(kb.type_assertions)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        loaded = load_kb(str(path))
+        loaded = self._kb(tmp_path, lines)
         assert loaded.triples == kb.triples
         assert loaded.type_assertions == kb.type_assertions
+
+    def test_kb_repeated_lines_load_once(self, tmp_path):
+        repeated = self._KB_LINES + self._KB_LINES[::-1] + self._KB_LINES[:2]
+        assert self._kb(tmp_path, repeated) == self._kb(tmp_path, self._KB_LINES)
+
+    def test_kb_entities_in_order_of_first_appearance(self, tmp_path):
+        # "Spain" is a relation on line 2 and first an entity on line 4;
+        # relations never count.
+        kb = self._kb(tmp_path, ["TYPE\tRome\tcity", "Paris\tSpain\tFrance",
+                                 "Lyon\tcity.in\tFrance", "France\tborders\tSpain",
+                                 "TYPE\tMadrid\tcity", "Rome\tborders\tParis"])
+        assert kb.entities == ("Rome", "Paris", "France", "Lyon", "Spain", "Madrid")
+
+    def test_kb_holds_each_name_once(self, tmp_path):
+        kb = self._kb(tmp_path, self._KB_LINES + ["Nice\tcity.in\tFrance", "TYPE\tNice\tcity"])
+        first: dict[str, str] = {}
+        for name in itertools.chain(kb.entities, *kb.triples, *kb.type_assertions):
+            assert id(first.setdefault(name, name)) == id(name), name
 
     def test_graph_file_roundtrip(self, tmp_path):
         path = tmp_path / "g.graph"
