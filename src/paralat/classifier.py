@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .data_files import atomic_write, finite_float, records
+from .data_files import atomic_write, number, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
 from .sampler import ParaphraseCandidate
 
@@ -464,10 +464,7 @@ def load_model(path: str) -> ClassifierModel:
         if key in seen:
             raise ClassifierError(f"{path}:{lineno}: {key} repeats line {seen[key]}")
         seen[key] = lineno
-        try:
-            values[key] = finite_float(parts[-1])
-        except ValueError as exc:
-            raise ClassifierError(f"{path}:{lineno}: bad number {parts[-1]!r}") from exc
+        values[key] = number(parts[-1], f"{path}:{lineno}", "number", ClassifierError)
     for key in keys:
         if key not in values:
             raise ClassifierError(f"{path}: missing {key} line")

@@ -184,29 +184,28 @@ def _lattice_builder(args, mode: str, min_score: float | None = None) -> Callabl
     return build_naive
 
 
-def _each_lattice(args, mode: str, work: Callable, min_score: float | None = None):
-    """(tokens, work(index, tokens, lattice)) for every question.  A
-    question with no parse or no grammar root over its lattice is noted on
-    stderr and skipped; the others go on."""
-    build = _lattice_builder(args, mode, min_score)
+def _each_question(args, work: Callable):
+    """(tokens, work(index, tokens)) for every question.  A question with
+    no parse or no grammar root over its lattice is noted on stderr and
+    skipped; the others go on."""
     done = []
     for index, tokens in enumerate(_read_questions(args)):
         try:
-            done.append((tokens, work(index, tokens, build(tokens))))
+            done.append((tokens, work(index, tokens)))
         except (ParseFailure, EmptyIntersection) as exc:
             _note(tokens, exc)
     return done
 
 
 def _sample_questions(args, mode: str, stage: str):
-    """(tokens, candidates) for every question that :func:`_each_lattice`
+    """(tokens, candidates) for every question that :func:`_each_question`
     does not skip."""
     grammar = _load_grammar(args.grammar)
-    return _each_lattice(
+    build = _lattice_builder(args, mode)
+    return _each_question(
         args,
-        mode,
-        lambda index, tokens, lat: sample_many(
-            tokens, grammar, lat, args.m, derive_seed(args.seed, stage, index)
+        lambda index, tokens: sample_many(
+            tokens, grammar, build(tokens), args.m, derive_seed(args.seed, stage, index)
         ),
     )
 
@@ -246,20 +245,17 @@ def _cmd_validate_grammar(args) -> int:
 
 def _cmd_parse(args) -> int:
     grammar = _load_grammar(args.grammar)
-    lines = []
-    for tokens in _read_questions(args):
-        try:
-            lines.append(render_derivation(cky_viterbi(tokens, grammar).root))
-        except ParseFailure as exc:
-            _note(tokens, exc)
+    trees = _each_question(
+        args, lambda index, tokens: render_derivation(cky_viterbi(tokens, grammar).root)
+    )
+    lines = [tree for _tokens, tree in trees]
     _emit(args.out, "\n".join(lines) + "\n" if lines else "")
     return 0
 
 
 def _cmd_build_lattice(args) -> int:
-    dumps = _each_lattice(
-        args, args.mode, lambda index, tokens, lat: dump_lattice(lat), args.min_score
-    )
+    build = _lattice_builder(args, args.mode, args.min_score)
+    dumps = _each_question(args, lambda index, tokens: dump_lattice(build(tokens)))
     _emit(args.out, "".join(dump for _tokens, dump in dumps))
     return 0
 

@@ -1,7 +1,7 @@
 """Paths to the bundled desk-scale corpus (treebank, rules, KB, QA suite),
-:func:`records`, the one reader of every line-oriented input file, the
-number parser of the weight and score fields, and the atomic writer every
-artifact goes through."""
+:func:`records`, the one reader of every line-oriented input file (grammar
+files included), :func:`number`, the one parser of every number field, and
+the atomic writer every artifact goes through."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 import os
 import tempfile
 from importlib.resources import files
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def data_path(name: str) -> str:
@@ -20,8 +20,9 @@ def data_path(name: str) -> str:
 def records(path: str) -> Iterator[tuple[int, str]]:
     """``(line number, line without its newline)`` for every line of the
     UTF-8 text file ``path`` that is not blank and whose first non-blank
-    character is not ``#``."""
-    with open(path, encoding="utf-8") as handle:
+    character is not ``#``.  A leading byte-order mark is skipped; a file
+    that cannot be opened raises its ``OSError``."""
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             head = line.lstrip()
@@ -35,6 +36,15 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
+
+
+def number(text: str, where: str, what: str, error: Callable[[str], Exception]) -> float:
+    """The finite number ``text`` of a ``what`` field read at ``where``
+    (``path:line``); anything else raises ``error`` naming both."""
+    try:
+        return finite_float(text)
+    except ValueError as exc:
+        raise error(f"{where}: bad {what} {text!r}") from exc
 
 
 def atomic_write(path: str, text: str) -> None:

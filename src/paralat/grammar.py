@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .data_files import atomic_write
+from .data_files import atomic_write, number, records
 from .errors import MalformedGrammarFile
 
 SUM_TOLERANCE = 1e-9
@@ -237,24 +237,19 @@ def serialize_grammar(grammar: LatentGrammar) -> str:
 
 
 def load_grammar(path: str) -> LatentGrammar:
-    """Load a grammar file; raises MalformedGrammarFile on any defect."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise MalformedGrammarFile(f"cannot read {path}: {exc}") from exc
-    return deserialize_grammar(text, source=path)
-
-
-def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
-    if not text:
-        raise MalformedGrammarFile(f"{source}: empty file")
-    # Physical lines, as ``data_files.records`` numbers them: ``splitlines``
-    # would also split at \x0c, \x85, \u2028 and the like.
-    lines = text.split("\n")
-    header = lines[0].split()
+    """Load a grammar file, read like every other input through
+    :func:`~paralat.data_files.records`: its first record is the ``LPCFG``
+    header, and blank and ``#`` lines are skipped anywhere.  Raises
+    MalformedGrammarFile on any defect of the content, and the OSError of
+    a file that cannot be read."""
+    lines = records(path)
+    first = next(lines, None)
+    if first is None:
+        raise MalformedGrammarFile(f"{path}: empty file")
+    lineno, line = first
+    header = line.split()
     if header[:2] != ["LPCFG", "v1"]:
-        raise MalformedGrammarFile(f"{source}:1: bad header {lines[0]!r}")
+        raise MalformedGrammarFile(f"{path}:{lineno}: bad header {line!r}")
     fields = dict(
         item.split("=", 1) for item in header[2:] if "=" in item
     )
@@ -263,9 +258,9 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
         m1 = int(fields["m1"])
         m2 = int(fields["m2"])
     except (KeyError, ValueError) as exc:
-        raise MalformedGrammarFile(f"{source}:1: bad header {lines[0]!r}") from exc
+        raise MalformedGrammarFile(f"{path}:{lineno}: bad header {line!r}") from exc
     if n_layers not in (1, 2) or (n_layers == 2) != (m2 > 0):
-        raise MalformedGrammarFile(f"{source}:1: inconsistent layer header")
+        raise MalformedGrammarFile(f"{path}:{lineno}: inconsistent layer header")
     layers = LayerConfig(m1, m2 if n_layers == 2 else None)
 
     roots: dict[Context, float] = {}
@@ -276,26 +271,21 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
         try:
             return parse_state(token, layers)
         except MalformedGrammarFile as exc:
-            raise MalformedGrammarFile(f"{source}:{lineno}: {exc}") from exc
+            raise MalformedGrammarFile(f"{path}:{lineno}: {exc}") from exc
 
     def prob_of(token: str, lineno: int) -> float:
-        try:
-            prob = float(token)
-        except ValueError as exc:
-            raise MalformedGrammarFile(f"{source}:{lineno}: bad probability {token!r}") from exc
+        prob = number(token, f"{path}:{lineno}", "probability", MalformedGrammarFile)
         if not 0.0 < prob <= 1.0:
-            raise MalformedGrammarFile(f"{source}:{lineno}: probability {token!r} out of (0,1]")
+            raise MalformedGrammarFile(f"{path}:{lineno}: probability {token!r} out of (0,1]")
         return prob
 
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         parts = line.split("\t")
         kind = parts[0]
         if kind == "ROOT" and len(parts) == 4:
             ctx = (parts[1], state_of(parts[2], lineno))
             if ctx in roots:
-                raise MalformedGrammarFile(f"{source}:{lineno}: duplicate root entry")
+                raise MalformedGrammarFile(f"{path}:{lineno}: duplicate root entry")
             roots[ctx] = prob_of(parts[3], lineno)
         elif kind == "BIN" and len(parts) == 8:
             ctx = (parts[1], state_of(parts[2], lineno))
@@ -305,23 +295,23 @@ def deserialize_grammar(text: str, source: str = "<string>") -> LatentGrammar:
             )
             table = binary.setdefault(ctx, {})
             if rhs in table:
-                raise MalformedGrammarFile(f"{source}:{lineno}: duplicate binary rule")
+                raise MalformedGrammarFile(f"{path}:{lineno}: duplicate binary rule")
             table[rhs] = prob_of(parts[7], lineno)
         elif kind == "LEX" and len(parts) == 5:
             ctx = (parts[1], state_of(parts[2], lineno))
             table = lexical.setdefault(ctx, {})
             if parts[3] in table:
-                raise MalformedGrammarFile(f"{source}:{lineno}: duplicate lexical rule")
+                raise MalformedGrammarFile(f"{path}:{lineno}: duplicate lexical rule")
             table[parts[3]] = prob_of(parts[4], lineno)
         else:
-            raise MalformedGrammarFile(f"{source}:{lineno}: unparseable line {line!r}")
+            raise MalformedGrammarFile(f"{path}:{lineno}: unparseable line {line!r}")
 
     if not roots:
-        raise MalformedGrammarFile(f"{source}: header requires at least one ROOT entry")
+        raise MalformedGrammarFile(f"{path}: header requires at least one ROOT entry")
     grammar = LatentGrammar(layers=layers, roots=roots, binary=binary, lexical=lexical)
     both = grammar.interminals & grammar.preterminals
     if both:
         raise MalformedGrammarFile(
-            f"{source}: symbols used as both binary and lexical parents: {sorted(both)}"
+            f"{path}: symbols used as both binary and lexical parents: {sorted(both)}"
         )
     return grammar

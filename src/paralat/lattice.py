@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .data_files import finite_float, records
+from .data_files import number, records
 from .errors import EdgeNotInLattice, EmptyQuestion, LatticeError
 from .grammar import LatentGrammar
 
@@ -207,10 +207,7 @@ def load_rules(path: str, min_score: float | None = None) -> ParaphraseRuleDB:
             raise LatticeError(f"{path}:{lineno}: expected 3 tab-separated fields")
         src = tuple(parts[0].lower().split())
         tgt = tuple(parts[1].lower().split())
-        try:
-            score = finite_float(parts[2])
-        except ValueError as exc:
-            raise LatticeError(f"{path}:{lineno}: bad score {parts[2]!r}") from exc
+        score = number(parts[2], f"{path}:{lineno}", "score", LatticeError)
         if not src or not tgt:
             raise LatticeError(f"{path}:{lineno}: empty phrase")
         if src == tgt:

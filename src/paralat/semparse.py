@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache, partial
 from operator import mul
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .data_files import atomic_write, finite_float, records
+from .data_files import atomic_write, number, records
 from .errors import (
     EmptyGold,
     NoEntityCandidates,
@@ -226,10 +226,7 @@ def load_ungrounded(path: str, name: str | None = None) -> UngroundedGraph:
             once(kind, lineno)
             text = tuple(t.lower() for t in parts[1:])
         elif kind == "SCORE" and len(parts) == 2:
-            try:
-                score = finite_float(parts[1])
-            except ValueError as exc:
-                raise SemparseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+            score = number(parts[1], f"{path}:{lineno}", "score", SemparseError)
             once(kind, lineno)
         elif kind == "ENTITY" and len(parts) >= 3:
             declare(parts[1], kind, lineno)
@@ -323,8 +320,7 @@ def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
     entity_of = dict(grounded.entity_map)
     target = graph.target
 
-    target_bound = False
-    candidates: set[str] | None = None  # None = all entities
+    candidates: set[str] | None = None  # None = TARGET not yet constrained
 
     def narrow(allowed: Iterable[str]) -> None:
         nonlocal candidates
@@ -337,8 +333,6 @@ def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
             continue
         relation, direction = choice
         subj, obj = (n1, n2) if direction == "fwd" else (n2, n1)
-        if subj == target or obj == target:
-            target_bound = True
         if subj == target and obj == target:
             raise SemparseError(f"{graph.name}: edge binds target twice")
         if subj == target:
@@ -355,17 +349,16 @@ def denotation(grounded: GroundedGraph, kb: KnowledgeGraph) -> frozenset[str]:
             continue
         constrained = constrained_by[nid]
         if constrained == "target":
-            target_bound = True
             narrow(kb.entities_of_type(type_name))
         else:
             if entity_of[constrained] not in kb.entities_of_type(type_name):
                 feasible = False
 
-    if not target_bound:
+    if candidates is None:
         raise UnboundTarget(f"{graph.name}: no non-null constraint touches TARGET")
     if not feasible:
         return frozenset()
-    return frozenset(candidates if candidates is not None else kb.entities)
+    return frozenset(candidates)
 
 
 def _precision_recall_f1(
@@ -878,10 +871,7 @@ def load_perceptron_weights(path: str) -> dict[str, float]:
             if not (parts[1].isascii() and parts[1].isdigit()):
                 raise SemparseError(f"{path}:{lineno}: bad {key} count {parts[1]!r}")
             continue
-        try:
-            weights[parts[1]] = finite_float(parts[2])
-        except ValueError as exc:
-            raise SemparseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+        weights[parts[1]] = number(parts[2], f"{path}:{lineno}", "weight", SemparseError)
     for key in ("STEPS", "SKIPPED"):
         if key not in seen:
             raise SemparseError(f"{path}: missing {key} line")

@@ -801,7 +801,7 @@ class TestValidateGrammar:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (None, "cannot read {path}: "),
+            (None, "[Errno 2] No such file or directory: '{path}'\n"),
             ("", "{path}: empty file\n"),
             ("LPCFG v1 layers=1 m1=1 m2=0\n" + _VALID_BODY + "BIN\tS\t0\tA\t0\tB\t0\t1\n",
              "{path}:6: duplicate binary rule\n"),
@@ -1130,6 +1130,20 @@ class TestConfigFile:
             "train-grammar", "--config", str(config), "--m1", "3",
         ]) == 0
         assert grammar_out.read_bytes() != first
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # The mark must not become part of the first key, which would then
+        # be ignored as unknown.
+        grammars = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.lpcfg"
+            config.write_text(f"{mark}m1=4\nseed=3\n", encoding="utf-8")
+            assert main([
+                "train-grammar", "--config", str(config),
+                "--treebank", data_path("minitreebank.trees"), "--out", str(out),
+            ]) == 0
+            grammars.append(out.read_bytes())
+        assert grammars[0] == grammars[1]
 
     @pytest.mark.parametrize(
         "command, keys, flags",

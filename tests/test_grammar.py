@@ -11,7 +11,6 @@ from paralat.grammar import (
     LatentGrammar,
     LayerConfig,
     StateLabel,
-    deserialize_grammar,
     load_grammar,
     save_grammar,
     serialize_grammar,
@@ -27,6 +26,13 @@ def _tiny_grammar(binary_mass: float = 1.0) -> LatentGrammar:
         binary={("S", s0): {("A", s0, "B", s0): binary_mass}},
         lexical={("A", s0): {"a": 1.0}, ("B", s0): {"b": 1.0}},
     )
+
+
+def _load_text(tmp_path, text: str) -> LatentGrammar:
+    """``load_grammar`` of a file that holds ``text``."""
+    path = tmp_path / "g.lpcfg"
+    path.write_text(text, encoding="utf-8")
+    return load_grammar(str(path))
 
 
 class TestValidate:
@@ -108,29 +114,29 @@ class TestRoundTrip:
         # Serializing twice is canonical.
         assert serialize_grammar(loaded) == serialize_grammar(grammar)
 
-    def test_mini_grammar_m24_roundtrip(self, triplet_trees):
+    def test_mini_grammar_m24_roundtrip(self, triplet_trees, tmp_path):
         grammar = train_grammar(triplet_trees, m=24, seed=5)
         text = serialize_grammar(grammar)
-        assert deserialize_grammar(text) == grammar
+        assert _load_text(tmp_path, text) == grammar
 
-    def test_two_layer_roundtrip(self, bilayered_toy_grammar):
+    def test_two_layer_roundtrip(self, bilayered_toy_grammar, tmp_path):
         text = serialize_grammar(bilayered_toy_grammar)
-        loaded = deserialize_grammar(text)
+        loaded = _load_text(tmp_path, text)
         assert loaded == bilayered_toy_grammar
         assert serialize_grammar(loaded) == text
 
-    def test_empty_grammar_rejected(self):
+    def test_empty_grammar_rejected(self, tmp_path):
         with pytest.raises(MalformedGrammarFile):
-            deserialize_grammar("LPCFG v1 layers=1 m1=2 m2=0\n")
+            _load_text(tmp_path, "LPCFG v1 layers=1 m1=2 m2=0\n")
 
-    def test_corrupted_lines_rejected(self):
+    def test_corrupted_lines_rejected(self, tmp_path):
         text = serialize_grammar(_tiny_grammar())
         with pytest.raises(MalformedGrammarFile):
-            deserialize_grammar(text + "LEX\tA\t0\n")
+            _load_text(tmp_path, text + "LEX\tA\t0\n")
         with pytest.raises(MalformedGrammarFile):
-            deserialize_grammar(text.replace("LPCFG v1", "LPCFG v9"))
+            _load_text(tmp_path, text.replace("LPCFG v1", "LPCFG v9"))
         with pytest.raises(MalformedGrammarFile):
-            deserialize_grammar(text.replace("1", "x", 1))
+            _load_text(tmp_path, text.replace("1", "x", 1))
 
     @pytest.mark.parametrize("header, line", [
         ("LPCFG v1 layers=1 m1=2 m2=0", "ROOT\tS\tx\t1"),
@@ -167,8 +173,8 @@ class TestRoundTrip:
         with pytest.raises(MalformedGrammarFile, match=re.escape(f"{path}:1: ")):
             load_grammar(str(path))
 
-    def test_duplicate_rule_rejected(self):
+    def test_duplicate_rule_rejected(self, tmp_path):
         text = serialize_grammar(_tiny_grammar())
         dup = text + "LEX\tA\t0\ta\t0.5\n"
         with pytest.raises(MalformedGrammarFile):
-            deserialize_grammar(dup)
+            _load_text(tmp_path, dup)

@@ -1,6 +1,7 @@
 """Every file loader either loads a mutated copy of its bundled format or
 raises a ParalatError; nothing else escapes.  Every line-oriented reader
-skips blank and ``#`` lines alike and names a bad line by its ``file:line``."""
+skips blank and ``#`` lines and a leading byte-order mark alike, and names a
+bad line by its ``file:line``."""
 
 from __future__ import annotations
 
@@ -142,6 +143,7 @@ def _questions(path):
 READERS = {
     "treebank": (read_treebank, "(S (NN x)"),
     "alignments": (read_alignments, "1\t2"),
+    "grammar": (load_grammar, "BOGUS\t1"),
     "rules": (load_rules, "a\tb"),
     "pairs": (read_labeled_pairs, "a\tb\t2"),
     "gazetteer": (lambda path: list(Gazetteer.load(path).surfaces), None),
@@ -181,6 +183,16 @@ def test_blank_and_comment_lines_are_skipped(fmt, seed_texts, tmp_path):
     clean.write_text(text, encoding="utf-8")
     noisy.write_text(_with_noise(text), encoding="utf-8")
     assert reader(str(noisy)) == reader(str(clean))
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_a_leading_byte_order_mark_is_skipped(fmt, seed_texts, tmp_path):
+    reader, _bad = READERS[fmt]
+    text = _text_of(fmt, seed_texts)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert reader(str(marked)) == reader(str(plain))
 
 
 @pytest.mark.parametrize("fmt", sorted(f for f, (_, bad) in READERS.items() if bad))
