@@ -14,6 +14,12 @@ same integer as the dynamic-programming table.
 source as the bit-vector pattern (the distance is symmetric) and the
 entity mention counts, so a candidate's features cost only the
 candidate's side.
+Every feature of a pair is a function of eight integers: the clipped
+n-gram matches of orders 1 to 4, the two lengths, the word edit distance
+and the entity-preservation bit.  :func:`compute_features` counts them;
+:func:`_pair_features` turns them into floats, memoised, so the floats of
+each distinct count key are computed once however many candidates share
+it.
 Scoring a stored model is plain Python too.  numpy is imported inside
 :func:`train`, its only user, so a command that loads a model and filters
 candidates (``paraphrase``) never pays numpy's import time or memory.
@@ -28,7 +34,8 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .data_files import atomic_write, number, records
 from .errors import ClassifierError, DegenerateLabels, EmptySentence
@@ -55,16 +62,16 @@ class PairFeatures(NamedTuple):
 FEATURE_NAMES = PairFeatures._fields
 
 
-def _grams(tokens: Sequence[str]) -> Iterator[Sequence[Hashable]]:
-    """The grams of ``tokens`` by order, 1 to 4, each order's in sentence
-    order: the tokens themselves, then tuples; a gram of order n > 1 is
-    one of order n - 1 extended by the token after it."""
-    yield tokens
-    grams = list(zip(tokens, tokens[1:]))
-    yield grams
-    for n in (2, 3):
-        grams = [gram + (tok,) for gram, tok in zip(grams, tokens[n:])]
-        yield grams
+def _tails(tokens: list[str]) -> tuple[list[str], ...]:
+    """``tokens`` and its suffixes from positions 1 to 3, the rows that
+    :func:`_ngrams` zips."""
+    return tokens, tokens[1:], tokens[2:], tokens[3:]
+
+
+def _ngrams(tails: tuple[list[str], ...], n: int) -> Iterable[Hashable]:
+    """The n-grams, in sentence order, of the tokens whose :func:`_tails`
+    are ``tails``: the tokens themselves for n = 1, tuples above."""
+    return zip(*tails[:n]) if n > 1 else tails[0]
 
 
 def _clipped_matches(grams: Iterable[Hashable], reference: dict) -> int:
@@ -136,14 +143,19 @@ def _distance(pattern: tuple[dict[str, int], int, int], b: Sequence[str]) -> int
 
 
 def _occurrences(haystack: Sequence[str], needle: Sequence[str]) -> int:
-    if not needle:
+    """Non-overlapping occurrences of ``needle`` in ``haystack``, counted
+    left to right; an empty needle occurs nowhere."""
+    needle = tuple(needle)
+    width = len(needle)
+    if not width:
         return 0
+    haystack = tuple(haystack)
     count = 0
     i = 0
-    while i + len(needle) <= len(haystack):
-        if tuple(haystack[i:i + len(needle)]) == tuple(needle):
+    while i + width <= len(haystack):
+        if haystack[i:i + width] == needle:
             count += 1
-            i += len(needle)
+            i += width
         else:
             i += 1
     return count
@@ -160,7 +172,8 @@ class _Source:
     def __init__(self, source: Sequence[str], entities: Sequence[tuple[int, int]] = ()) -> None:
         src = [t.lower() for t in source]
         self.length = len(src)
-        self.grams = [dict(Counter(grams)) for grams in _grams(src)]
+        tails = _tails(src)
+        self.grams = [dict(Counter(_ngrams(tails, n))) for n in range(1, 5)]
         self.pattern = _pattern(src)
         self.mentions = tuple(Counter(tuple(src[i:j]) for i, j in entities).items())
 
@@ -176,25 +189,46 @@ def compute_features(
     for the preservation bit to be 1.  ``prepared`` is
     ``_Source(source, entities)``, built once by a caller that scores many
     candidates against one source; with it, only the candidate's side is
-    computed here."""
+    counted here.  The floats come from :func:`_pair_features` on the
+    counts."""
     if not source or not candidate:
         raise EmptySentence("both sentences must be non-empty")
     if prepared is None:
         prepared = _Source(source, entities)
-    n_src = prepared.length
     cand = [t.lower() for t in candidate]
-    n_cand = len(cand)
 
     # Clipped matches are symmetric, so each order is counted once for
     # both directions.  Every n-gram starts with an (n-1)-gram, so no
     # order above one with no match has a match.
     matches = [0, 0, 0, 0]
-    for n, (grams, reference) in enumerate(zip(_grams(cand), prepared.grams)):
-        hits = _clipped_matches(grams, reference)
+    tails = _tails(cand)
+    for n, reference in enumerate(prepared.grams, 1):
+        hits = _clipped_matches(_ngrams(tails, n), reference)
         if not hits:
             break
-        matches[n] = hits
-    if matches[0]:
+        matches[n - 1] = hits
+    preserved = all(
+        _occurrences(cand, mention) >= count for mention, count in prepared.mentions
+    )
+    # The distance is symmetric, so the source, prepared once, is the
+    # pattern.
+    distance = _distance(prepared.pattern, cand)
+    return _pair_features(*matches, prepared.length, len(cand), distance, preserved)
+
+
+# Candidates of one question share few count keys (1,376 candidates of
+# the benchmark's seed-7 paraphrase pass have 119), and a key's floats
+# never change; the bound keeps a long ``--input`` from growing the memo.
+@lru_cache(maxsize=4096)
+def _pair_features(
+    m1: int, m2: int, m3: int, m4: int, n_src: int, n_cand: int, distance: int, preserved: bool
+) -> PairFeatures:
+    """The features of a pair whose candidate has ``n_cand`` tokens, its
+    source ``n_src``, with clipped n-gram matches ``m1`` to ``m4`` of
+    orders 1 to 4, word edit ``distance`` between them, and whether the
+    candidate ``preserved`` the source's entity mentions."""
+    matches = (m1, m2, m3, m4)
+    if m1:
         # Cumulative BLEU up to order n, both ways; the smoothed orders
         # above 1 always have a log precision.
         forward = _log_precisions(matches, n_cand)
@@ -205,20 +239,13 @@ def compute_features(
         )
     else:  # every BLEU is 0
         bleus, reverse4 = [0.0] * 4, 0.0
-    # The distance is symmetric, so the source, prepared once, is the
-    # pattern.
-    ter = min(2.0, _distance(prepared.pattern, cand) / n_src)
-    overlap = matches[0]
-    preserved = all(
-        _occurrences(cand, mention) >= count for mention, count in prepared.mentions
-    )
     return PairFeatures(
         *bleus,
         math.sqrt(bleus[3] * reverse4),
-        ter,
+        min(2.0, distance / n_src),
         n_cand / n_src,
-        overlap / n_cand,
-        overlap / n_src,
+        m1 / n_cand,
+        m1 / n_src,
         1.0 if preserved else 0.0,
     )
 

@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from paralat.classifier import FEATURE_NAMES, ClassifierModel, PairFeatures, _occurrences
+from paralat.classifier import FEATURE_NAMES, ClassifierModel, PairFeatures
 from paralat.cky import DerivationNode
 from paralat.errors import (
     AssignmentMismatch,
@@ -841,6 +841,24 @@ def _bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> flo
     return math.exp(brevity + sum(log_precisions) / max_n)
 
 
+def reference_occurrences(tokens: Sequence[str], mention: Sequence[str]) -> int:
+    """Non-overlapping occurrences of ``mention`` in ``tokens``, taken left
+    to right: each match consumes its tokens, so ``a a`` occurs once in
+    ``a a a``.  An empty mention occurs nowhere."""
+    mention = list(mention)
+    if not mention:
+        return 0
+    rest = list(tokens)
+    count = 0
+    while len(rest) >= len(mention):
+        if rest[:len(mention)] == mention:
+            count += 1
+            rest = rest[len(mention):]
+        else:
+            rest = rest[1:]
+    return count
+
+
 def weight_of(model: ClassifierModel, name: str) -> float:
     """The stored weight of the feature ``name``."""
     return model.weights[FEATURE_NAMES.index(name)]
@@ -860,7 +878,7 @@ def reference_compute_features(
     overlap = sum((Counter(cand) & Counter(src)).values())
     mentions = Counter(tuple(src[i:j]) for i, j in entities)
     preserved = all(
-        _occurrences(cand, mention) >= count for mention, count in mentions.items()
+        reference_occurrences(cand, mention) >= count for mention, count in mentions.items()
     )
     return PairFeatures(
         bleu1=bleus[0],

@@ -6,7 +6,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_compute_features, reference_edit_distance, weight_of
+from oracles import (
+    reference_compute_features,
+    reference_edit_distance,
+    reference_occurrences,
+    weight_of,
+)
 from paralat import classifier
 from paralat.classifier import (
     ClassifierModel,
@@ -20,6 +25,7 @@ from paralat.classifier import (
     train,
     _Source,
     _distance,
+    _occurrences,
     _pattern,
 )
 from paralat.data_files import data_path
@@ -109,6 +115,8 @@ class TestOnePassBleu:
     @example((["a", "b", "c", "?"], ["a", "b", "c", "A", "?"], []))  # no 4-gram match
     @example((["a", "b", "c", "what"], ["a", "b"], [(0, 2)]))  # brevity penalty
     @example((["a"], ["a", "b", "c", "a", "b", "c", "a", "b", "c"], []))  # long candidate
+    @example((["a", "a", "b", "a", "a"], ["a", "a", "a"], [(0, 2), (3, 5)]))  # overlapping mention
+    @example((["what", "b", "c"], ["a", "b", "c"], [(1, 3)]))  # mention ends the candidate
     def test_equals_per_order_reference(self, pair):
         source, candidate, entities = pair
         got = compute_features(source, candidate, entities)
@@ -150,6 +158,42 @@ class TestOnePassBleu:
              for c in candidates),
             reverse=True,
         )
+
+
+class TestOccurrences:
+    @settings(max_examples=300, deadline=None)
+    @given(_TOKENS, st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
+    @example(["a", "a", "a"], ["a", "a"])  # overlapping matches count once
+    @example(["what", "b", "c"], ["b", "c"])  # the mention ends the candidate
+    @example(["a", "b"], [])  # an empty mention occurs nowhere
+    def test_equals_reference(self, tokens, mention):
+        assert _occurrences(tokens, mention) == reference_occurrences(tokens, mention)
+
+    def test_non_overlapping_left_to_right(self):
+        assert reference_occurrences(["a", "a", "a"], ["a", "a"]) == 1
+        assert reference_occurrences(["a", "a", "a", "a"], ["a", "a"]) == 2
+
+
+class TestBundledPairs:
+    def test_memoised_features_equal_reference(self):
+        # In one process, every bundled pair with its gazetteer spans,
+        # scored against a _Source shared by the pairs of its source and
+        # against one of its own, gives the reference features; many
+        # different sentences share a count key, so the memo answers most.
+        gazetteer = Gazetteer.load(data_path("gazetteer.txt"))
+        pairs = read_labeled_pairs(data_path("classifier_pairs.tsv"))
+        classifier._pair_features.cache_clear()
+        shared: dict[tuple[str, ...], _Source] = {}
+        for source, candidate, _ in pairs:
+            spans = gazetteer.tag(source)
+            if tuple(source) not in shared:
+                shared[tuple(source)] = _Source(source, spans)
+            prepared = shared[tuple(source)]
+            expected = reference_compute_features(source, candidate, spans)
+            assert compute_features(source, candidate, spans, prepared) == expected
+            assert compute_features(source, candidate, spans) == expected
+        distinct_pairs = len({(tuple(s), tuple(c)) for s, c, _ in pairs})
+        assert classifier._pair_features.cache_info().currsize < distinct_pairs / 2
 
 
 # Four tokens make repeats common; up to 150 of them span three 64-bit words.
